@@ -6,8 +6,8 @@ dominate the runtime, so the hot paths batch over numpy arrays.  Semantics
 are identical to the scalar predicates in :mod:`repro.geometry.predicates`
 (the test suite cross-checks them on random inputs):
 
-* rectangle obstacles block only when the sight line crosses their *open*
-  interior;
+* rectangle and convex polygon obstacles block only when the sight line
+  crosses their *open* interior;
 * segment obstacles block only on a *proper* crossing;
 * all inputs broadcast, so the same kernels serve "1 segment x N obstacles",
   "E edges x 1 obstacle" and the per-row grids used by shadow computation.
@@ -22,13 +22,16 @@ from .predicates import EPS
 __all__ = [
     "crosses_rect_interior",
     "crosses_convex_polygon",
+    "crosses_convex_polygons",
+    "PolygonSlab",
+    "polygon_slab",
     "proper_cross_segments",
     "blocked_by_rects",
     "blocked_by_segments",
     "blocked_batch",
     "primitive_bounds",
+    "primitive_kinds",
     "visibility_mask",
-    "pairwise_visibility",
 ]
 
 BATCH_TILE_ELEMS = 65_536
@@ -125,6 +128,131 @@ def crosses_convex_polygon(ax: float, ay: float, bx, by, poly: np.ndarray,
         return inside
 
 
+class PolygonSlab:
+    """Convex polygons padded into one batch of vertex arrays.
+
+    ``px, py`` hold each polygon's counter-clockwise vertices and
+    ``ex, ey`` the edge from each vertex to its successor, so entry
+    ``[j, i]`` is edge ``j`` of polygon ``i``; ``scale`` is that edge's
+    interior-test tolerance factor, ``max(|ex| + |ey|, 1)``.  The arrays
+    are vertex-major, ``(Vmax, P)``: the kernel's elementwise loops then
+    run along the long polygon/pair axis instead of the 3-8 vertices.
+    Polygons with fewer than ``Vmax`` vertices are padded with zero-length
+    edges at their first vertex, flagged False in ``valid``.  ``bounds``
+    holds the (P, 4) ``[xlo, ylo, xhi, yhi]`` AABBs.
+
+    Indexing selects polygons: ``slab[n:]`` keeps polygons ``n..`` (the
+    watermark slices), ``slab[idx]`` gathers one per index array entry.
+    """
+
+    __slots__ = ("px", "py", "ex", "ey", "scale", "valid", "bounds")
+
+    def __init__(self, px, py, ex, ey, scale, valid, bounds):
+        self.px = px
+        self.py = py
+        self.ex = ex
+        self.ey = ey
+        self.scale = scale
+        self.valid = valid
+        self.bounds = bounds
+
+    def __len__(self) -> int:
+        return self.bounds.shape[0]
+
+    def __getitem__(self, index) -> "PolygonSlab":
+        arrays = (self.px, self.py, self.ex, self.ey, self.scale, self.valid)
+        if isinstance(index, slice):
+            return PolygonSlab(*(a[:, index] for a in arrays),
+                               self.bounds[index])
+        # np.take keeps the gathered (Vmax, K) arrays C-contiguous;
+        # a[:, idx] would lay them out pair-major.
+        return PolygonSlab(*(np.take(a, index, axis=1) for a in arrays),
+                           self.bounds[index])
+
+    @property
+    def vmax(self) -> int:
+        return self.px.shape[0]
+
+
+def polygon_slab(polys) -> PolygonSlab:
+    """Pack (V, 2) counter-clockwise vertex arrays into a :class:`PolygonSlab`."""
+    p = len(polys)
+    if p == 0:
+        e = np.empty((0, 0), dtype=np.float64)
+        return PolygonSlab(e, e, e, e, e, np.empty((0, 0), dtype=bool),
+                           np.empty((0, 4), dtype=np.float64))
+    counts = np.fromiter((a.shape[0] for a in polys), dtype=np.int64, count=p)
+    flat = np.concatenate(polys)
+    starts = np.zeros(p, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    flat_idx = np.arange(flat.shape[0])
+    row = np.repeat(np.arange(p), counts)
+    col = flat_idx - np.repeat(starts, counts)
+    succ = flat_idx + 1
+    succ[starts + counts - 1] = starts
+    vmax = int(counts.max())
+    px, py, qx, qy = (np.repeat(flat[starts, axis][None, :], vmax, axis=0)
+                      for axis in (0, 1, 0, 1))
+    px[col, row] = flat[:, 0]
+    py[col, row] = flat[:, 1]
+    qx[col, row] = flat[succ, 0]
+    qy[col, row] = flat[succ, 1]
+    ex = qx - px
+    ey = qy - py
+    valid = np.zeros((vmax, p), dtype=bool)
+    valid[col, row] = True
+    bounds = np.stack([np.minimum.reduceat(flat[:, 0], starts),
+                       np.minimum.reduceat(flat[:, 1], starts),
+                       np.maximum.reduceat(flat[:, 0], starts),
+                       np.maximum.reduceat(flat[:, 1], starts)], axis=1)
+    return PolygonSlab(px, py, ex, ey,
+                       np.maximum(np.abs(ex) + np.abs(ey), 1.0), valid, bounds)
+
+
+def crosses_convex_polygons(ax, ay, bx, by, slab: PolygonSlab,
+                            eps: float = EPS) -> np.ndarray:
+    """Broadcast :func:`crosses_convex_polygon` over many polygons at once.
+
+    The sight-line arguments broadcast against the slab's polygon shape
+    (``len(slab)``, or whatever indexing made of it): ``(K,)`` lines
+    against a ``(K,)``-gathered slab test pairs, ``(M, 1)`` lines against
+    a whole slab test the full grid.  Every (line, polygon) element runs
+    the one-polygon kernel's operations in the same order — its per-edge
+    ``max``/``min`` clip sequence becomes one exact reduction over the
+    vertex axis — so each result is bit-identical to it.  Padded edges are
+    zero-length (they never move the clip) and are masked out of the
+    interior test.
+    """
+    ax = np.asarray(ax, dtype=np.float64)
+    ay = np.asarray(ay, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        dxs = np.subtract(bx, ax)
+        dys = np.subtract(by, ay)
+        px, py, ex, ey, scale, valid = (slab.px, slab.py, slab.ex, slab.ey,
+                                        slab.scale, slab.valid)
+        extra = max(dxs.ndim, dys.ndim) - (px.ndim - 1)
+        if extra > 0:
+            # Line the polygon axes up with the sight lines' trailing axes.
+            shape = px.shape[:1] + (1,) * extra + px.shape[1:]
+            px, py, ex, ey, scale, valid = (
+                a.reshape(shape) for a in (px, py, ex, ey, scale, valid))
+        c = ex * (ay - py) - ey * (ax - px)
+        d = ex * dys - ey * dxs
+        # The reference clips with r = -c / d; negation is exact, so
+        # max(r) == -min(c / d) bit for bit.
+        q = c / d
+        t0 = np.maximum(-q.min(axis=0, where=d > 0.0, initial=np.inf), 0.0)
+        t1 = np.minimum(-q.max(axis=0, where=d < 0.0, initial=-np.inf), 1.0)
+        infeasible = np.broadcast_to(c < 0.0, d.shape).any(axis=0,
+                                                          where=d == 0.0)
+        overlap = ~infeasible & ((t1 - t0) > eps)
+        tm = 0.5 * (t0 + t1)
+        mx = ax + tm * dxs
+        my = ay + tm * dys
+        inside = ex * (my - py) - ey * (mx - px) > eps * scale
+        return overlap & inside.all(axis=0, where=valid)
+
+
 def _orient_sign(ax, ay, bx, by, cx, cy, eps: float = EPS):
     """Vectorized tolerant orientation sign (-1, 0, +1)."""
     bax = np.subtract(bx, ax)
@@ -165,15 +293,15 @@ def blocked_by_segments(ax, ay, bx, by, segs: np.ndarray, eps: float = EPS) -> n
                                  eps)
 
 
-def primitive_bounds(rects: np.ndarray, segs: np.ndarray
-                     ) -> "tuple[np.ndarray, np.ndarray]":
+def primitive_bounds(rects: np.ndarray, segs: np.ndarray, polys: PolygonSlab
+                     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Per-primitive AABBs for :func:`blocked_batch`'s bbox prefilter.
 
-    Returns ``(rect_bounds, seg_bounds)``, each of shape (N, 4) as
-    ``[xlo, ylo, xhi, yhi]`` rows.  Rectangle obstacles already *are*
-    their bounds (``RectObstacle`` validates ``lo <= hi``), so that slab
-    is returned without copying; segment bounds order each coordinate
-    pair.
+    Returns ``(rect_bounds, seg_bounds, poly_bounds)``, each of shape
+    (N, 4) as ``[xlo, ylo, xhi, yhi]`` rows.  Rectangle obstacles already
+    *are* their bounds (``RectObstacle`` validates ``lo <= hi``) and a
+    polygon slab carries its own, so those are returned without copying;
+    segment bounds order each coordinate pair.
     """
     if segs.size:
         sb = np.empty((segs.shape[0], 4), dtype=np.float64)
@@ -183,10 +311,42 @@ def primitive_bounds(rects: np.ndarray, segs: np.ndarray
         np.maximum(segs[:, 1], segs[:, 3], out=sb[:, 3])
     else:
         sb = np.empty((0, 4), dtype=np.float64)
-    return rects, sb
+    return rects, sb, polys.bounds
 
 
-def _kind_hits(hit: np.ndarray, kernel, sx, sy, tx, ty, prims: np.ndarray,
+def _rect_kernel(sx, sy, tx, ty, rects: np.ndarray, eps: float):
+    return crosses_rect_interior(sx, sy, tx, ty, rects[:, 0], rects[:, 1],
+                                 rects[:, 2], rects[:, 3], eps)
+
+
+def _seg_kernel(sx, sy, tx, ty, segs: np.ndarray, eps: float):
+    return proper_cross_segments(sx, sy, tx, ty, segs[:, 0], segs[:, 1],
+                                 segs[:, 2], segs[:, 3], eps)
+
+
+def primitive_kinds(rects: np.ndarray, segs: np.ndarray,
+                    polys: "PolygonSlab | None", bounds=None) -> list:
+    """``(kernel, primitives, AABBs, cost)`` for each non-empty obstacle kind.
+
+    Every kernel takes ``(sx, sy, tx, ty, primitives, eps)`` and
+    broadcasts the sight lines against the primitives' leading axis, so
+    one gathered row per pair tests pairs and ``(M, 1)`` sight lines test
+    the full grid.  ``cost`` is the relative work per pair (a polygon
+    pair walks ``Vmax`` edges), used to size tiles.  AABBs are None
+    without ``bounds``.
+    """
+    kinds = []
+    for i, (kernel, prims) in enumerate(((_rect_kernel, rects),
+                                         (_seg_kernel, segs),
+                                         (crosses_convex_polygons, polys))):
+        if prims is not None and len(prims):
+            cost = prims.vmax if kernel is crosses_convex_polygons else 1
+            kinds.append((kernel, prims,
+                          None if bounds is None else bounds[i], cost))
+    return kinds
+
+
+def _kind_hits(hit: np.ndarray, kernel, sx, sy, tx, ty, prims,
                pb, pad: float, eps: float,
                ebounds) -> "tuple[int, int]":
     """Test one obstacle kind for one tile, optionally bbox-prefiltered.
@@ -198,7 +358,7 @@ def _kind_hits(hit: np.ndarray, kernel, sx, sy, tx, ty, prims: np.ndarray,
     midpoint-lerp rounding) — so the resulting mask is identical to the
     full broadcast.
     """
-    full = hit.shape[0] * prims.shape[0]
+    full = hit.shape[0] * len(prims)
     if pb is not None:
         exlo, eylo, exhi, eyhi = ebounds
         overlap = ((exlo[:, None] <= pb[None, :, 2] + pad) &
@@ -211,21 +371,20 @@ def _kind_hits(hit: np.ndarray, kernel, sx, sy, tx, ty, prims: np.ndarray,
         if ei.size * 2 < full:
             if ei.size:
                 pair_hit = kernel(sx[ei], sy[ei], tx[ei], ty[ei],
-                                  prims[oi, 0], prims[oi, 1],
-                                  prims[oi, 2], prims[oi, 3], eps)
+                                  prims[oi], eps)
                 hit[ei[pair_hit]] = True
             return ei.size, full - ei.size
     hit |= kernel(sx[:, None], sy[:, None], tx[:, None], ty[:, None],
-                  prims[None, :, 0], prims[None, :, 1],
-                  prims[None, :, 2], prims[None, :, 3], eps).any(axis=1)
+                  prims, eps).any(axis=1)
     return full, 0
 
 
 def blocked_batch(sources: np.ndarray, targets: np.ndarray,
-                  rects: np.ndarray, segs: np.ndarray, polys=(),
+                  rects: np.ndarray, segs: np.ndarray,
+                  polys: "PolygonSlab | None" = None,
                   eps: float = EPS,
                   tile_elems: int = BATCH_TILE_ELEMS,
-                  bounds: "tuple[np.ndarray, np.ndarray] | None" = None,
+                  bounds: "tuple | None" = None,
                   tally: "dict | None" = None) -> np.ndarray:
     """Which of M candidate edges are blocked by *any* cached obstacle?
 
@@ -242,13 +401,12 @@ def blocked_batch(sources: np.ndarray, targets: np.ndarray,
     predicates on the same edge.
 
     Args:
-        polys: optional sequence of (V, 2) counter-clockwise vertex arrays
-            for convex polygon obstacles.
+        polys: optional :class:`PolygonSlab` of convex polygon obstacles.
         bounds: optional :func:`primitive_bounds` result for ``rects`` /
-            ``segs``.  When given, each edge is only evaluated against
-            primitives whose padded AABB overlaps the edge's AABB; a pair
-            whose boxes are disjoint cannot block (see :func:`_kind_hits`),
-            so results are unchanged — only cheaper.
+            ``segs`` / ``polys``.  When given, each edge is only evaluated
+            against primitives whose padded AABB overlaps the edge's AABB;
+            a pair whose boxes are disjoint cannot block (see
+            :func:`_kind_hits`), so results are unchanged — only cheaper.
         tally: optional dict the call fills with ``tested`` (pairs actually
             evaluated by a kernel) and ``pruned`` (pairs skipped by the
             prefilter) for the owner's counters.
@@ -258,86 +416,37 @@ def blocked_batch(sources: np.ndarray, targets: np.ndarray,
     """
     m = sources.shape[0]
     blocked = np.zeros(m, dtype=bool)
+    kinds = primitive_kinds(rects, segs, polys, bounds)
     tested = pruned = 0
-    if m == 0:
-        if tally is not None:
-            tally["tested"] = tally["pruned"] = 0
-        return blocked
-    n_rects = rects.shape[0] if rects.size else 0
-    n_segs = segs.shape[0] if segs.size else 0
-    rb = sb = None
-    pad = 0.0
-    if bounds is not None and (n_rects or n_segs):
-        rb, sb = bounds
-        if not n_rects or not rb.size:
-            rb = None
-        if not n_segs or not sb.size:
-            sb = None
-        # The pad scales eps by the coordinate magnitude so it dominates
-        # both the kernels' tolerant comparisons and the rounding of the
-        # clipped-midpoint lerp — no truly blocking pair can be pruned.
-        scale = 1.0 + max(float(np.abs(sources).max()),
-                          float(np.abs(targets).max()))
-        pad = 8.0 * eps * scale
-    n_prims = n_rects + n_segs
-    rows_per_tile = m if n_prims == 0 else max(1, tile_elems // n_prims)
-    for start in range(0, m, rows_per_tile):
-        stop = min(start + rows_per_tile, m)
-        sx = sources[start:stop, 0]
-        sy = sources[start:stop, 1]
-        tx = targets[start:stop, 0]
-        ty = targets[start:stop, 1]
-        hit = np.zeros(stop - start, dtype=bool)
-        ebounds = None
-        if rb is not None or sb is not None:
-            ebounds = (np.minimum(sx, tx), np.minimum(sy, ty),
-                       np.maximum(sx, tx), np.maximum(sy, ty))
-        if n_rects:
-            t, p = _kind_hits(hit, crosses_rect_interior, sx, sy, tx, ty,
-                              rects, rb, pad, eps, ebounds)
-            tested += t
-            pruned += p
-        if n_segs:
-            t, p = _kind_hits(hit, proper_cross_segments, sx, sy, tx, ty,
-                              segs, sb, pad, eps, ebounds)
-            tested += t
-            pruned += p
-        blocked[start:stop] = hit
-    pb_edges = None
-    if polys and bounds is not None:
-        if pad == 0.0:
+    if m and kinds:
+        pad = 0.0
+        if bounds is not None:
+            # The pad scales eps by the coordinate magnitude so it
+            # dominates both the kernels' tolerant comparisons and the
+            # rounding of the clipped-midpoint lerp — no truly blocking
+            # pair can be pruned.
             scale = 1.0 + max(float(np.abs(sources).max()),
                               float(np.abs(targets).max()))
             pad = 8.0 * eps * scale
-        pb_edges = (np.minimum(sources[:, 0], targets[:, 0]),
-                    np.minimum(sources[:, 1], targets[:, 1]),
-                    np.maximum(sources[:, 0], targets[:, 0]),
-                    np.maximum(sources[:, 1], targets[:, 1]))
-    for poly in polys:
-        arr = poly.as_array() if hasattr(poly, "as_array") else np.asarray(poly)
-        if pb_edges is not None:
-            # Same padded-AABB prune as _kind_hits, per polygon: an edge
-            # whose box misses the hull's box cannot cross it, so skipping
-            # the kernel (or the whole polygon, the usual case for a
-            # localized launch) leaves the mask unchanged.
-            exlo, eylo, exhi, eyhi = pb_edges
-            sel = ((exlo <= float(arr[:, 0].max()) + pad) &
-                   (exhi >= float(arr[:, 0].min()) - pad) &
-                   (eylo <= float(arr[:, 1].max()) + pad) &
-                   (eyhi >= float(arr[:, 1].min()) - pad)).nonzero()[0]
-            if sel.size * 2 < m:
-                tested += sel.size
-                pruned += m - sel.size
-                if sel.size:
-                    ph = crosses_convex_polygon(
-                        sources[sel, 0], sources[sel, 1],
-                        targets[sel, 0], targets[sel, 1], arr, eps)
-                    blocked[sel[ph]] = True
-                continue
-        blocked |= crosses_convex_polygon(sources[:, 0], sources[:, 1],
-                                          targets[:, 0], targets[:, 1],
-                                          arr, eps)
-        tested += m
+        work = sum(len(prims) * cost for _k, prims, _b, cost in kinds)
+        rows_per_tile = max(1, tile_elems // work)
+        for start in range(0, m, rows_per_tile):
+            stop = min(start + rows_per_tile, m)
+            sx = sources[start:stop, 0]
+            sy = sources[start:stop, 1]
+            tx = targets[start:stop, 0]
+            ty = targets[start:stop, 1]
+            hit = np.zeros(stop - start, dtype=bool)
+            ebounds = None
+            if bounds is not None:
+                ebounds = (np.minimum(sx, tx), np.minimum(sy, ty),
+                           np.maximum(sx, tx), np.maximum(sy, ty))
+            for kernel, prims, pb, _cost in kinds:
+                t, p = _kind_hits(hit, kernel, sx, sy, tx, ty, prims, pb,
+                                  pad, eps, ebounds)
+                tested += t
+                pruned += p
+            blocked[start:stop] = hit
     if tally is not None:
         tally["tested"] = tested
         tally["pruned"] = pruned
@@ -375,46 +484,3 @@ def visibility_mask(vx: float, vy: float, targets: np.ndarray,
     for poly in polys:
         visible &= ~crosses_convex_polygon(vx, vy, tx, ty, poly, eps)
     return visible
-
-
-def pairwise_visibility(sources: np.ndarray, targets: np.ndarray,
-                        rects: np.ndarray, segs: np.ndarray,
-                        eps: float = EPS,
-                        chunk_elems: int = 2_000_000) -> np.ndarray:
-    """Visibility matrix (A, B): sight line from each source to each target.
-
-    One broadcast evaluates ``chunk ⨯ B ⨯ (N + M)`` obstacle tests at a time;
-    ``chunk_elems`` bounds the intermediate array size.
-    """
-    a = sources.shape[0]
-    b = targets.shape[0]
-    out = np.ones((a, b), dtype=bool)
-    if a == 0 or b == 0 or (rects.size == 0 and segs.size == 0):
-        return out
-    per_row = max(1, b * max(rects.shape[0] + segs.shape[0], 1))
-    rows_per_chunk = max(1, chunk_elems // per_row)
-    tx = targets[:, 0][None, :, None]
-    ty = targets[:, 1][None, :, None]
-    for start in range(0, a, rows_per_chunk):
-        stop = min(start + rows_per_chunk, a)
-        sx = sources[start:stop, 0][:, None, None]
-        sy = sources[start:stop, 1][:, None, None]
-        visible = np.ones((stop - start, b), dtype=bool)
-        if rects.size:
-            blocked = crosses_rect_interior(
-                sx, sy, tx, ty,
-                rects[None, None, :, 0], rects[None, None, :, 1],
-                rects[None, None, :, 2], rects[None, None, :, 3],
-                eps,
-            ).any(axis=2)
-            visible &= ~blocked
-        if segs.size:
-            blocked = proper_cross_segments(
-                sx, sy, tx, ty,
-                segs[None, None, :, 0], segs[None, None, :, 1],
-                segs[None, None, :, 2], segs[None, None, :, 3],
-                eps,
-            ).any(axis=2)
-            visible &= ~blocked
-        out[start:stop] = visible
-    return out

@@ -6,13 +6,15 @@ rectangles, to represent obstacles ... while the ideas can be easily extended
 to rectangles").  We support both:
 
 * :class:`RectObstacle` — blocks sight lines that cross its *open* interior;
-* :class:`SegmentObstacle` — blocks sight lines that *properly* cross it.
+* :class:`SegmentObstacle` — blocks sight lines that *properly* cross it;
+* :class:`PolygonObstacle` — a convex polygon, blocking like a rectangle.
 
 Grazing contact (touching a vertex, running along an edge) never blocks,
 because shortest obstructed paths bend exactly at obstacle vertices.
 
 :class:`ObstacleSet` is the batch container the visibility graph works with:
-it mirrors the obstacles into numpy arrays so sight-line tests vectorize.
+it mirrors every obstacle kind into numpy arrays so sight-line tests
+vectorize.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from ..geometry.predicates import (
 )
 from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
-from ..geometry.vectorized import blocked_by_rects, blocked_by_segments
+from ..geometry.vectorized import (
+    PolygonSlab,
+    blocked_by_rects,
+    blocked_by_segments,
+    crosses_convex_polygons,
+    polygon_slab,
+)
 
 _obstacle_ids = itertools.count()
 
@@ -193,8 +201,10 @@ class SegmentObstacle(Obstacle):
 class ObstacleSet:
     """A growable collection of obstacles mirrored into numpy arrays.
 
-    The arrays (``rects`` of shape (N, 4) and ``segs`` of shape (M, 4)) back
-    every vectorized sight-line test.  The growth pattern is append-only —
+    The arrays (``rects`` of shape (N, 4), ``segs`` of shape (M, 4) and the
+    padded polygon slab ``poly_slab``) back every vectorized sight-line
+    test.  Each is rebuilt lazily on first access after a change.  The
+    growth pattern is append-only —
     exactly what incremental obstacle retrieval (IOR) produces — with one
     surgical exception: :meth:`remove` deletes a single obstacle so the
     visibility graph's removal repair can shrink its obstacle set in place
@@ -208,7 +218,9 @@ class ObstacleSet:
         self._poly_list: List[PolygonObstacle] = []
         self._rects = np.empty((0, 4), dtype=np.float64)
         self._segs = np.empty((0, 4), dtype=np.float64)
+        self._slab = polygon_slab(())
         self._dirty = False
+        self._poly_dirty = False
         self.add_many(obstacles)
 
     # ----------------------------------------------------------- population
@@ -217,14 +229,16 @@ class ObstacleSet:
         if isinstance(obstacle, RectObstacle):
             r = obstacle.rect
             self._rect_rows.append((r.xlo, r.ylo, r.xhi, r.yhi))
+            self._dirty = True
         elif isinstance(obstacle, SegmentObstacle):
             s = obstacle.seg
             self._seg_rows.append((s.ax, s.ay, s.bx, s.by))
+            self._dirty = True
         elif isinstance(obstacle, PolygonObstacle):
             self._poly_list.append(obstacle)
+            self._poly_dirty = True
         else:
             raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
-        self._dirty = True
 
     def add_many(self, obstacles: Iterable[Obstacle]) -> None:
         for o in obstacles:
@@ -248,11 +262,13 @@ class ObstacleSet:
         del self._obstacles[i]
         if isinstance(obstacle, RectObstacle):
             del self._rect_rows[kind_index]
+            self._dirty = True
         elif isinstance(obstacle, SegmentObstacle):
             del self._seg_rows[kind_index]
+            self._dirty = True
         else:
             del self._poly_list[kind_index]
-        self._dirty = True
+            self._poly_dirty = True
         return True
 
     def _refresh(self) -> None:
@@ -274,8 +290,21 @@ class ObstacleSet:
 
     @property
     def polys(self) -> Sequence["PolygonObstacle"]:
-        """Convex polygon obstacles (kept as objects, not arrays)."""
+        """Convex polygon obstacles, in :attr:`poly_slab` row order."""
         return self._poly_list
+
+    @property
+    def poly_slab(self) -> PolygonSlab:
+        """The polygons packed for the batch kernels, one row per polygon.
+
+        Rows follow :attr:`polys`, so ``poly_slab[n:]`` is exactly the
+        polygons of ``polys[n:]`` — the watermark slices the visibility
+        graph takes stay aligned across :meth:`add` and :meth:`remove`.
+        """
+        if self._poly_dirty:
+            self._slab = polygon_slab([p.as_array() for p in self._poly_list])
+            self._poly_dirty = False
+        return self._slab
 
     @property
     def obstacles(self) -> Sequence[Obstacle]:
@@ -299,7 +328,8 @@ class ObstacleSet:
             return True
         if blocked_by_segments(ax, ay, bx, by, self.segs).any():
             return True
-        return any(p.blocks(ax, ay, bx, by) for p in self._poly_list)
+        return bool(self._poly_list) and bool(crosses_convex_polygons(
+            ax, ay, bx, by, self.poly_slab).any())
 
     def all_vertices(self) -> List[Point]:
         out: List[Point] = []

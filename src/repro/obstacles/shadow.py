@@ -13,8 +13,10 @@ supporting line.  We collect those candidate parameters, classify each
 elementary gap by testing its midpoint, and take the blocked span.
 
 Scalar versions are the readable reference; the numpy versions batch over
-whole obstacle arrays and are what the visibility graph actually calls.  The
-test suite checks they agree and that both agree with dense sampling.
+whole obstacle arrays — rectangles, segments and the padded convex-polygon
+slab alike — and are what the visibility graph actually calls.  The test
+suite checks they agree (tuple for tuple on polygons) and that both agree
+with dense sampling.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from ..geometry.predicates import (
 )
 from ..geometry.segment import Segment
 from ..geometry.vectorized import (
+    PolygonSlab,
     crosses_convex_polygon,
+    crosses_convex_polygons,
     crosses_rect_interior,
     proper_cross_segments,
 )
@@ -264,17 +268,70 @@ def shadow_intervals_segs(vx: float, vy: float, qseg: Segment,
 
 
 def shadow_intervals_polys(vx: float, vy: float, qseg: Segment,
-                           polys) -> List[Tuple[float, float]]:
-    """Blocked intervals of convex polygon obstacles (scalar per polygon)."""
-    blocked: List[Tuple[float, float]] = []
-    for poly in polys:
-        blocked.extend(shadow_intervals_scalar(vx, vy, qseg, poly))
-    return blocked
+                           polys: PolygonSlab) -> List[Tuple[float, float]]:
+    """Blocked intervals contributed by each convex polygon in a slab.
+
+    Tuple-for-tuple equal to :func:`shadow_intervals_scalar` over the
+    slab's polygons in row order: the candidates are the scalar
+    reference's (vertex sight lines, q's crossings of the edge lines),
+    each gap midpoint is placed exactly as :meth:`Segment.point_at`
+    places it, one ``(gaps, P)`` grid is classified by the bit-identical
+    batch kernel, and blocked gaps merge under the same rule.
+    """
+    if polys is None or not len(polys):
+        return []
+    ln = qseg.length
+    sx, sy = qseg.ax, qseg.ay
+    rx = qseg.bx - sx
+    ry = qseg.by - sy
+    ux = rx / ln
+    uy = ry / ln
+    px, py = polys.px, polys.py
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Vertex sight lines meeting q's line (_line_param).
+        dx = px - vx
+        dy = py - vy
+        denom = ux * dy - uy * dx
+        num = (vx - sx) * dy - (vy - sy) * dx
+        ok = np.abs(denom) > EPS * np.maximum(np.abs(dx) + np.abs(dy), 1.0)
+        t_vert = np.where(ok & polys.valid, num / denom, 0.0)
+        # q's line crossing each edge's line (line_intersection_param).
+        ex, ey = polys.ex, polys.ey
+        denom = rx * ey - ry * ex
+        scale = max(abs(rx) + abs(ry), 1.0) * polys.scale
+        frac = ((px - sx) * ey - (py - sy) * ex) / denom
+        t_edge = np.where((np.abs(denom) > EPS * scale) & polys.valid,
+                          frac * ln, 0.0)
+    # Column i holds polygon i's sorted candidates.
+    p = len(polys)
+    cand = np.concatenate([np.zeros((1, p)), t_vert, t_edge,
+                           np.full((1, p), ln)])
+    cand = np.sort(np.minimum(np.maximum(cand, 0.0), ln), axis=0)
+    lows = cand[:-1]
+    highs = cand[1:]
+    f = np.minimum(np.maximum((lows + highs) * 0.5, 0.0), ln) / ln
+    mx = sx + f * rx
+    my = sy + f * ry
+    blocked = crosses_convex_polygons(vx, vy, mx, my, polys)
+    blocked &= (highs - lows) > _WIDTH_EPS
+    rows, gaps = blocked.T.nonzero()
+    if not rows.size:
+        return []
+    lo = lows[gaps, rows]
+    hi = highs[gaps, rows]
+    # A blocked gap extends the previous interval when it starts within
+    # _WIDTH_EPS of that interval's end (the scalar merge rule).
+    start = np.ones(rows.size, dtype=bool)
+    start[1:] = ((rows[1:] != rows[:-1]) |
+                 (np.abs(hi[:-1] - lo[1:]) > _WIDTH_EPS))
+    first = start.nonzero()[0]
+    last = np.append(first[1:] - 1, rows.size - 1)
+    return list(zip(lo[first].tolist(), hi[last].tolist()))
 
 
 def shadow_set(vx: float, vy: float, qseg: Segment,
                rects: np.ndarray, segs: np.ndarray,
-               polys=()) -> IntervalSet:
+               polys: "PolygonSlab | None" = None) -> IntervalSet:
     """Union of all shadows from viewpoint ``v`` as an :class:`IntervalSet`."""
     blocked = shadow_intervals_rects(vx, vy, qseg, rects)
     blocked.extend(shadow_intervals_segs(vx, vy, qseg, segs))
@@ -286,5 +343,5 @@ def visible_region(vx: float, vy: float, qseg: Segment,
                    obstacles: ObstacleSet) -> IntervalSet:
     """Visible region ``VR_{v,q}`` (vectorized)."""
     shadows = shadow_set(vx, vy, qseg, obstacles.rects, obstacles.segs,
-                         obstacles.polys)
+                         obstacles.poly_slab)
     return IntervalSet.full(0.0, qseg.length).subtract(shadows)

@@ -66,6 +66,7 @@ from ..geometry.vectorized import (
     crosses_convex_polygon,
     crosses_rect_interior,
     primitive_bounds,
+    primitive_kinds,
     proper_cross_segments,
 )
 from ..routing.config import ARRAY_ENGINE, SCALAR_ENGINE
@@ -219,11 +220,11 @@ class LocalVisibilityGraph:
         self.bulk_pair_launches = 0
         self.removal_repairs = 0
         self.repair_retested_pairs = 0
-        # (rect rows, seg rows) watermark -> primitive-bounds slabs for the
-        # batch kernel's bbox prefilter; obstacle arrays are append-only,
-        # so the count pair keys validity.
-        self._bounds_cache: Optional[Tuple[int, int, np.ndarray,
-                                           np.ndarray]] = None
+        # (rect, seg, polygon rows) watermark -> primitive-bounds slabs for
+        # the batch kernel's bbox prefilter; obstacle arrays are append-only
+        # (removal drops the cache), so the counts key validity.
+        self._bounds_cache: Optional[Tuple[Tuple[int, int, int],
+                                           Tuple[np.ndarray, ...]]] = None
         self._generation = 0
         self._traversals: Dict[int, Traversal] = {}
         self.S = -1
@@ -792,7 +793,7 @@ class LocalVisibilityGraph:
             blocked = blocked_batch(
                 coords[np.asarray(srcs, dtype=np.int64)], coords[tgt_idx],
                 self.obstacles.rects, self.obstacles.segs,
-                self.obstacles.polys,
+                self.obstacles.poly_slab,
                 bounds=self._prim_bounds(), tally=tally)
             self._count_batch(retested, self._prims_now(), tally)
             self.bulk_pair_launches += 1
@@ -897,17 +898,17 @@ class LocalVisibilityGraph:
         return (self.obstacles.rects.shape[0] + self.obstacles.segs.shape[0]
                 + len(self.obstacles.polys))
 
-    def _prim_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _prim_bounds(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached primitive-bounds slabs for the batch kernel's prefilter."""
         rects = self.obstacles.rects
         segs = self.obstacles.segs
-        key = (rects.shape[0], segs.shape[0])
+        slab = self.obstacles.poly_slab
+        key = (rects.shape[0], segs.shape[0], len(slab))
         cached = self._bounds_cache
-        if cached is None or (cached[0], cached[1]) != key:
-            rb, sb = primitive_bounds(rects, segs)
-            cached = (key[0], key[1], rb, sb)
+        if cached is None or cached[0] != key:
+            cached = (key, primitive_bounds(rects, segs, slab))
             self._bounds_cache = cached
-        return cached[2], cached[3]
+        return cached[1]
 
     def _count_batch(self, edges: int, prims: int,
                      tally: Optional[dict] = None) -> None:
@@ -976,7 +977,7 @@ class LocalVisibilityGraph:
         tally: dict = {}
         tail = blocked_batch(self._coords_np[m:n], targets,
                              self.obstacles.rects, self.obstacles.segs,
-                             self.obstacles.polys,
+                             self.obstacles.poly_slab,
                              bounds=self._prim_bounds(), tally=tally)
         self._count_batch(n - m, self._prims_now(), tally)
         wtail = np.empty(n - m, dtype=np.float64)
@@ -1036,7 +1037,7 @@ class LocalVisibilityGraph:
             tally: dict = {}
             blocked = blocked_batch(sources, self._coords_np[cand],
                                     self.obstacles.rects, self.obstacles.segs,
-                                    self.obstacles.polys,
+                                    self.obstacles.poly_slab,
                                     bounds=self._prim_bounds(), tally=tally)
             self._count_batch(cand.size, self._prims_now(), tally)
             vis = cand[~blocked]
@@ -1064,17 +1065,18 @@ class LocalVisibilityGraph:
         # Drop entries blocked by obstacles added since the row was cut.
         new_rects = self.obstacles.rects[n_rects:]
         new_segs = self.obstacles.segs[n_segs:]
-        new_polys = self.obstacles.polys[n_polys:]
-        if e > s and (new_rects.size or new_segs.size or new_polys):
+        new_polys = self.obstacles.poly_slab[n_polys:]
+        if e > s and (new_rects.size or new_segs.size or len(new_polys)):
             ids = self._indices[s:e]
             sources = np.empty((ids.size, 2), dtype=np.float64)
             sources[:, 0] = x
             sources[:, 1] = y
-            rb, sb = self._prim_bounds()
+            rb, sb, pb = self._prim_bounds()
             tally: dict = {}
             blocked = blocked_batch(sources, self._coords_np[ids],
                                     new_rects, new_segs, new_polys,
-                                    bounds=(rb[n_rects:], sb[n_segs:]),
+                                    bounds=(rb[n_rects:], sb[n_segs:],
+                                            pb[n_polys:]),
                                     tally=tally)
             self._count_batch(ids.size, new_rects.shape[0]
                               + new_segs.shape[0] + len(new_polys), tally)
@@ -1100,7 +1102,7 @@ class LocalVisibilityGraph:
             tally = {}
             blocked = blocked_batch(sources, tgt, self.obstacles.rects,
                                     self.obstacles.segs,
-                                    self.obstacles.polys,
+                                    self.obstacles.poly_slab,
                                     bounds=self._prim_bounds(), tally=tally)
             self._count_batch(len(perm), self._prims_now(), tally)
             for i, dead in zip(perm, blocked.tolist()):
@@ -1141,12 +1143,8 @@ class LocalVisibilityGraph:
         blocked = np.zeros(m, dtype=bool)
         if m == 0:
             return blocked
-        rects = self.obstacles.rects
-        segs = self.obstacles.segs
-        polys = self.obstacles.polys
-        rb, sb = self._prim_bounds()
-        n_r = rects.shape[0] if rects.size else 0
-        n_s = segs.shape[0] if segs.size else 0
+        kinds = primitive_kinds(self.obstacles.rects, self.obstacles.segs,
+                                self.obstacles.poly_slab, self._prim_bounds())
         sx_all = np.ascontiguousarray(sources[:, 0])
         sy_all = np.ascontiguousarray(sources[:, 1])
         tx_all = np.ascontiguousarray(targets[:, 0])
@@ -1165,23 +1163,13 @@ class LocalVisibilityGraph:
         pad = 8.0 * EPS * scale
         cx = 0.5 * (float(sx_all.mean()) + float(tx_all.mean()))
         cy = 0.5 * (float(sy_all.mean()) + float(ty_all.mean()))
-
-        def _near_first(pb: np.ndarray) -> np.ndarray:
-            px = 0.5 * (pb[:, 0] + pb[:, 2])
-            py = 0.5 * (pb[:, 1] + pb[:, 3])
-            return np.argsort((px - cx) ** 2 + (py - cy) ** 2,
-                              kind="stable")
-
-        kinds = []
-        if n_r:
-            kinds.append((crosses_rect_interior, rects, rb,
-                          _near_first(rb[:n_r])))
-        if n_s:
-            kinds.append((proper_cross_segments, segs, sb,
-                          _near_first(sb[:n_s])))
         alive = np.arange(m)
-        tested = 0
-        for kernel, prims, pb, order in kinds:
+        tested = full = 0
+        for kernel, prims, pb, cost in kinds:
+            full += m * len(prims)
+            order = np.argsort((0.5 * (pb[:, 0] + pb[:, 2]) - cx) ** 2
+                               + (0.5 * (pb[:, 1] + pb[:, 3]) - cy) ** 2,
+                               kind="stable")
             pos = 0
             axlo = exlo[:, None]
             axhi = exhi[:, None]
@@ -1193,7 +1181,9 @@ class LocalVisibilityGraph:
                     axhi = exhi[alive, None]
                     aylo = eylo[alive, None]
                     ayhi = eyhi[alive, None]
-                chunk = max(8, BATCH_TILE_ELEMS // alive.size)
+                # A polygon pair walks ``cost`` edges, so its chunks hold
+                # proportionally fewer primitives.
+                chunk = max(1, max(8, BATCH_TILE_ELEMS // alive.size) // cost)
                 sel = order[pos:pos + chunk]
                 pos += chunk
                 boxes = pb[sel]
@@ -1206,37 +1196,14 @@ class LocalVisibilityGraph:
                     continue
                 tested += ei.size
                 pi = alive[ei]
-                sub = prims[sel[oi]]
+                # A one-primitive chunk broadcasts that primitive instead
+                # of gathering a copy of it per pair.
+                sub = prims[sel] if sel.size == 1 else prims[sel[oi]]
                 pair_hit = kernel(sx_all[pi], sy_all[pi],
-                                  tx_all[pi], ty_all[pi],
-                                  sub[:, 0], sub[:, 1],
-                                  sub[:, 2], sub[:, 3], EPS)
+                                  tx_all[pi], ty_all[pi], sub, EPS)
                 if pair_hit.any():
                     blocked[pi[pair_hit]] = True
                     alive = alive[~blocked[alive]]
-        for poly in polys:
-            if not alive.size:
-                break
-            arr = (poly.as_array() if hasattr(poly, "as_array")
-                   else np.asarray(poly))
-            # Same padded-AABB prune per polygon: a pair whose box misses
-            # the hull's box cannot cross it, so skipping it (or the whole
-            # polygon) leaves the mask unchanged.
-            near = ((exlo[alive] <= float(arr[:, 0].max()) + pad) &
-                    (exhi[alive] >= float(arr[:, 0].min()) - pad) &
-                    (eylo[alive] <= float(arr[:, 1].max()) + pad) &
-                    (eyhi[alive] >= float(arr[:, 1].min()) - pad))
-            cand = alive[near]
-            if not cand.size:
-                continue
-            hit = crosses_convex_polygon(
-                sx_all[cand], sy_all[cand], tx_all[cand], ty_all[cand],
-                arr, EPS)
-            tested += cand.size
-            if hit.any():
-                blocked[cand[hit]] = True
-                alive = alive[~blocked[alive]]
-        full = m * (n_r + n_s + len(polys))
         self._count_batch(m, self._prims_now(),
                           {"tested": tested, "pruned": full - tested})
         return blocked
@@ -1342,10 +1309,10 @@ class LocalVisibilityGraph:
         n_rects, n_segs, n_polys, n_perm = mark
         new_rects = self.obstacles.rects[n_rects:]
         new_segs = self.obstacles.segs[n_segs:]
-        new_polys = self.obstacles.polys[n_polys:]
+        new_polys = self.obstacles.poly_slab[n_polys:]
         hypot = math.hypot
         xy = self._xy
-        if new_rects.size or new_segs.size or new_polys:
+        if new_rects.size or new_segs.size or len(new_polys):
             holders: List[int] = []
             spans: List[Tuple[int, int]] = []
             for v in rows:
@@ -1360,11 +1327,12 @@ class LocalVisibilityGraph:
                 sources = np.repeat(
                     self._coords_np[np.asarray(holders, dtype=np.int64)],
                     counts, axis=0)
-                rb, sb = self._prim_bounds()
+                rb, sb, pb = self._prim_bounds()
                 tally: dict = {}
                 blocked = blocked_batch(sources, self._coords_np[tgt_idx],
                                         new_rects, new_segs, new_polys,
-                                        bounds=(rb[n_rects:], sb[n_segs:]),
+                                        bounds=(rb[n_rects:], sb[n_segs:],
+                                                pb[n_polys:]),
                                         tally=tally)
                 self._count_batch(tgt_idx.size, new_rects.shape[0]
                                   + new_segs.shape[0] + len(new_polys), tally)
@@ -1397,7 +1365,7 @@ class LocalVisibilityGraph:
                     self._coords_np[np.asarray(srcs, dtype=np.int64)],
                     self._coords_np[tgt_idx],
                     self.obstacles.rects, self.obstacles.segs,
-                    self.obstacles.polys,
+                    self.obstacles.poly_slab,
                     bounds=self._prim_bounds(), tally=tally)
                 self._count_batch(total, self._prims_now(), tally)
                 self.bulk_pair_launches += 1
@@ -1652,7 +1620,7 @@ class LocalVisibilityGraph:
             return cached[0]
         rects = self.obstacles.rects
         segs = self.obstacles.segs
-        polys = self.obstacles.polys
+        polys = self.obstacles.poly_slab
         watermark_now = (rects.shape[0], segs.shape[0], len(polys))
         if cached is not None:
             vr, watermark, _ = cached

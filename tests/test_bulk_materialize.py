@@ -217,7 +217,7 @@ class TestBulkVisibilityKernel:
                         for _ in range(n)])
         got = g._blocked_bulk(src, tgt)
         want = blocked_batch(src, tgt, g.obstacles.rects, g.obstacles.segs,
-                             g.obstacles.polys)
+                             g.obstacles.poly_slab)
         assert got.tolist() == want.tolist()
 
     def test_blocked_bulk_empty(self):

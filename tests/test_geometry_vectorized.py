@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +14,6 @@ from repro.geometry.vectorized import (
     blocked_by_rects,
     blocked_by_segments,
     crosses_rect_interior,
-    pairwise_visibility,
     proper_cross_segments,
     visibility_mask,
 )
@@ -105,38 +102,3 @@ class TestVisibilityMask:
         mask = visibility_mask(0, 0, np.empty((0, 2)), np.empty((0, 4)),
                                np.empty((0, 4)))
         assert mask.shape == (0,)
-
-
-class TestPairwiseVisibility:
-    def test_matches_elementwise_mask(self):
-        rng = random.Random(5)
-        rects = np.asarray([[x, y, x + rng.uniform(1, 10), y + rng.uniform(1, 10)]
-                            for x, y in ((rng.uniform(0, 50), rng.uniform(0, 50))
-                                         for _ in range(6))])
-        segs = np.asarray([[rng.uniform(0, 50), rng.uniform(0, 50),
-                            rng.uniform(0, 50), rng.uniform(0, 50)]
-                           for _ in range(4)])
-        pts = np.asarray([[rng.uniform(0, 50), rng.uniform(0, 50)]
-                          for _ in range(15)])
-        full = pairwise_visibility(pts, pts, rects, segs)
-        for i in range(len(pts)):
-            row = visibility_mask(pts[i, 0], pts[i, 1], pts, rects, segs)
-            assert (full[i] == row).all()
-
-    def test_chunking_equivalence(self):
-        rng = random.Random(9)
-        rects = np.asarray([[10, 10, 20, 20], [30, 5, 35, 45]], dtype=float)
-        segs = np.empty((0, 4))
-        pts = np.asarray([[rng.uniform(0, 50), rng.uniform(0, 50)]
-                          for _ in range(23)])
-        a = pairwise_visibility(pts, pts, rects, segs, chunk_elems=50)
-        b = pairwise_visibility(pts, pts, rects, segs)
-        assert (a == b).all()
-
-    def test_symmetry(self):
-        rng = random.Random(11)
-        rects = np.asarray([[5, 5, 15, 15]], dtype=float)
-        pts = np.asarray([[rng.uniform(0, 30), rng.uniform(0, 30)]
-                          for _ in range(12)])
-        m = pairwise_visibility(pts, pts, rects, np.empty((0, 4)))
-        assert (m == m.T).all()

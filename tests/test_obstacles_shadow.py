@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from repro.geometry import IntervalSet, Segment
 from repro.obstacles import (
     ObstacleSet,
+    PolygonObstacle,
     RectObstacle,
     SegmentObstacle,
     shadow_intervals_scalar,
@@ -17,6 +19,26 @@ from repro.obstacles import (
     visible_region,
     visible_region_scalar,
 )
+from repro.obstacles.shadow import shadow_intervals_polys
+
+
+def random_polygon(rng: random.Random, cx: float, cy: float,
+                   radius: float) -> PolygonObstacle:
+    """A convex polygon with 3 to 8 vertices on a circle."""
+    n = rng.randint(3, 8)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    return PolygonObstacle([
+        (cx + radius * math.cos(phase + 2.0 * math.pi * i / n),
+         cy + radius * math.sin(phase + 2.0 * math.pi * i / n))
+        for i in range(n)])
+
+
+def assert_poly_shadows_exact(vx, vy, qseg, oset: ObstacleSet) -> None:
+    """Batched polygon shadows equal the scalar reference tuple for tuple."""
+    got = shadow_intervals_polys(vx, vy, qseg, oset.poly_slab)
+    want = [iv for p in oset.polys
+            for iv in shadow_intervals_scalar(vx, vy, qseg, p)]
+    assert got == want
 
 
 def sampled_visibility(vx, vy, qseg, oset: ObstacleSet, samples=400):
@@ -152,19 +174,49 @@ class TestAgainstSampling:
     def test_scalar_equals_vectorized_randomized(self, seed):
         rng = random.Random(seed)
         obs = []
-        for _ in range(5):
+        for _ in range(8):
             x, y = rng.uniform(0, 60), rng.uniform(0, 60)
-            if rng.random() < 0.5:
+            kind = rng.random()
+            if kind < 0.33:
                 obs.append(SegmentObstacle(x, y, x + rng.uniform(-10, 10),
                                            y + rng.uniform(-10, 10)))
-            else:
+            elif kind < 0.66:
                 obs.append(RectObstacle(x, y, x + rng.uniform(2, 12),
                                         y + rng.uniform(2, 12)))
+            else:
+                obs.append(random_polygon(rng, x, y, rng.uniform(2, 8)))
         oset = ObstacleSet(obs)
+        assert oset.polys
         q = Segment(2, 3, 70, 55)
-        vx, vy = rng.uniform(0, 70), rng.uniform(0, 70)
-        assert (visible_region(vx, vy, q, oset) ==
-                visible_region_scalar(vx, vy, q, oset))
+        # Random viewpoints plus polygon vertices: a vertex viewpoint puts
+        # candidate lines through its own polygon's edges.
+        views = [(rng.uniform(0, 70), rng.uniform(0, 70)) for _ in range(10)]
+        views += [(v.x, v.y) for p in oset.polys for v in p.points]
+        for vx, vy in views:
+            assert (visible_region(vx, vy, q, oset) ==
+                    visible_region_scalar(vx, vy, q, oset))
+            assert_poly_shadows_exact(vx, vy, q, oset)
+
+    def test_poly_shadows_after_removal(self):
+        rng = random.Random(41)
+        polys = [random_polygon(rng, rng.uniform(5, 60), rng.uniform(5, 60),
+                                rng.uniform(2, 8)) for _ in range(7)]
+        oset = ObstacleSet([RectObstacle(30, 30, 34, 36)] + polys)
+        q = Segment(0, 10, 70, 40)
+        for victim in (polys[2], polys[0], polys[6]):
+            assert oset.remove(victim)
+            assert victim not in oset.polys
+            for _ in range(6):
+                vx, vy = rng.uniform(0, 70), rng.uniform(0, 70)
+                assert_poly_shadows_exact(vx, vy, q, oset)
+                # Watermark slices: shadows of poly_slab[n:] are those of
+                # polys[n:], in order.
+                for n in range(len(oset.polys) + 1):
+                    got = shadow_intervals_polys(vx, vy, q,
+                                                 oset.poly_slab[n:])
+                    want = [iv for p in oset.polys[n:]
+                            for iv in shadow_intervals_scalar(vx, vy, q, p)]
+                    assert got == want
 
 
 class TestShadowSet:
