@@ -77,6 +77,15 @@ from .shadow import shadow_set, visible_region
 _MAX_TRAVERSAL_MEMO = 64
 """Memoized shortest-path trees kept per graph (oldest dropped first)."""
 
+# States of a (slot, transient) visibility cell, and their bytes: hot
+# reads test a row of cells as ``bytes``, which is several times cheaper
+# than a numpy reduction over a handful of elements.
+_CELL_UNKNOWN = 0
+_CELL_VISIBLE = 1
+_CELL_BLOCKED = 2
+_UNKNOWN_BYTE = bytes([_CELL_UNKNOWN])
+_VISIBLE_BYTE = bytes([_CELL_VISIBLE])
+
 
 def _segment_hits_box(vx: float, vy: float, tx, ty,
                       xlo: float, ylo: float, xhi: float, yhi: float):
@@ -123,8 +132,10 @@ class LocalVisibilityGraph:
         prefetch: frontier-prefetch wave width.  When an array traversal
             settles a node whose row is missing, up to this many frontier
             rows (nearest first) materialize in one batched pass via
-            :meth:`materialize_rows`; ``0``/``1`` keeps one launch per
-            settle.  Row content and settle order are unchanged.
+            :meth:`materialize_rows`, and the gathered frontier's unknown
+            transient cells fill in one more; ``0``/``1`` installs no
+            prefetch hook, so each row read fills its own.  Row content
+            and settle order are unchanged.
     """
 
     def __init__(self, qseg: Optional[Segment] = None,
@@ -166,34 +177,36 @@ class LocalVisibilityGraph:
         # shrinks happen in place, growth relocates the row to the end of
         # the pool (compact() repacks).  Edges to the short-lived transient
         # nodes never enter the slab: they are appended at read time from
-        # the per-transient visibility columns, so binding a query's
+        # the transient visibility cells below, so binding a query's
         # endpoints/data point does not invalidate a single cached row.
         self._indices = np.empty(0, dtype=np.int64)
         self._weights = np.empty(0, dtype=np.float64)
         self._pool_used = 0
         self._indptr: Dict[int, Tuple[int, int]] = {}
-        # Array engine: per-transient-node visibility/weight columns —
-        # blocked(v -> p) and weight(v, p) for every slot v, one batched
-        # kernel call per column — so a transient's edges cost a lookup
-        # per row read, not a kernel launch.
-        self._cols: Dict[int, Tuple[np.ndarray, np.ndarray,
-                                    Tuple[int, int, int]]] = {}
         # Permanent-node slot ids in insertion order: the array engine's
         # row watermark counts these (transients never invalidate rows).
         self._perm_ids: List[int] = []
-        # Currently-bound transient slot ids in binding order.
+        # Currently-bound transient slot ids in binding order, and the
+        # same ids as an array (what row reads append).
         self._live_transients: List[int] = []
-        # (generation, ids, blocked-matrix, weight-matrix, any-blocked) stack
-        # of the live transients' columns, so a row read appends transient
-        # edges with a couple of vector ops instead of a per-transient cache
-        # probe.
-        self._tblock: Optional[Tuple[int, np.ndarray, np.ndarray,
-                                     np.ndarray, np.ndarray]] = None
+        self._tids = np.empty(0, dtype=np.int64)
         # Numpy mirrors of _xy/_alive/_transient (capacity-doubling, first
         # len(_xy) entries valid) feeding the batch kernels.
         self._coords_np = np.empty((16, 2), dtype=np.float64)
         self._alive_np = np.zeros(16, dtype=bool)
         self._transient_np = np.zeros(16, dtype=bool)
+        # Array engine: (slot, transient) visibility cells, filled only
+        # when a row read asks for them (see _fill_cells).  Column j
+        # belongs to _live_transients[j]; rows follow the mirrors'
+        # capacity.  A cell is _CELL_UNKNOWN until filled, then
+        # _CELL_VISIBLE (weight in _cell_w) or _CELL_BLOCKED; a
+        # transient's own cell is blocked from the start.  Cells hold
+        # for the obstacle watermark _cell_omark, checked whenever the
+        # struct epoch moved past _cell_epoch.
+        self._cell_state = np.zeros((16, 4), dtype=np.int8)
+        self._cell_w = np.zeros((16, 4), dtype=np.float64)
+        self._cell_omark = (0, 0, 0)
+        self._cell_epoch = 0
         # For transient nodes: which cached rows mention them.
         self._mentions: Dict[int, Set[int]] = {}
         # node -> (visible region, (rect rows, seg rows, polys) watermark,
@@ -271,9 +284,7 @@ class LocalVisibilityGraph:
         self._xy.append((x, y))
         self._alive.append(True)
         self._transient.append(transient)
-        if transient:
-            self._live_transients.append(node)
-        else:
+        if not transient:
             self._perm_ids.append(node)
             self._struct_epoch += 1
         if node >= self._alive_np.size:
@@ -282,6 +293,8 @@ class LocalVisibilityGraph:
         self._coords_np[node, 1] = y
         self._alive_np[node] = True
         self._transient_np[node] = transient
+        if transient:
+            self._bind_cells(node)
         self._generation += 1
         return node
 
@@ -295,8 +308,16 @@ class LocalVisibilityGraph:
         transient = np.zeros(cap, dtype=bool)
         transient[:self._transient_np.size] = self._transient_np
         self._transient_np = transient
+        rows, cols = self._cell_state.shape
+        state = np.zeros((cap, cols), dtype=np.int8)
+        state[:rows] = self._cell_state
+        self._cell_state = state
+        cw = np.zeros((cap, cols), dtype=np.float64)
+        cw[:rows] = self._cell_w
+        self._cell_w = cw
 
     def _rebuild_mirrors(self) -> None:
+        """Rebuild the numpy mirrors from the lists; cells start over."""
         n = len(self._xy)
         cap = max(16, n)
         self._coords_np = np.empty((cap, 2), dtype=np.float64)
@@ -306,6 +327,107 @@ class LocalVisibilityGraph:
         self._alive_np[:n] = self._alive
         self._transient_np = np.zeros(cap, dtype=bool)
         self._transient_np[:n] = self._transient
+        cols = max(4, len(self._live_transients))
+        self._cell_state = np.zeros((cap, cols), dtype=np.int8)
+        self._cell_w = np.zeros((cap, cols), dtype=np.float64)
+        self._tids = np.asarray(self._live_transients, dtype=np.int64)
+        self._reset_cells()
+
+    # ------------------------------------------------------ transient cells
+    def _bind_cells(self, node: int) -> None:
+        """Give a new transient an all-unknown column (own cell blocked)."""
+        j = len(self._live_transients)
+        self._live_transients.append(node)
+        self._tids = np.asarray(self._live_transients, dtype=np.int64)
+        rows, cols = self._cell_state.shape
+        if j >= cols:
+            state = np.zeros((rows, 2 * cols), dtype=np.int8)
+            state[:, :cols] = self._cell_state
+            self._cell_state = state
+            cw = np.zeros((rows, 2 * cols), dtype=np.float64)
+            cw[:, :cols] = self._cell_w
+            self._cell_w = cw
+        self._cell_state[:, j] = _CELL_UNKNOWN
+        self._cell_state[node, j] = _CELL_BLOCKED
+
+    def _unbind_cells(self, node: int) -> None:
+        """Drop a removed transient's column, shifting later ones left."""
+        try:
+            j = self._live_transients.index(node)
+        except ValueError:
+            return
+        del self._live_transients[j]
+        t = len(self._live_transients)
+        self._tids = np.asarray(self._live_transients, dtype=np.int64)
+        self._cell_state[:, j:t] = self._cell_state[:, j + 1:t + 1]
+        self._cell_w[:, j:t] = self._cell_w[:, j + 1:t + 1]
+
+    def _reset_cells(self) -> None:
+        """Forget every filled cell (the obstacle set changed)."""
+        t = len(self._live_transients)
+        self._cell_state[:, :t] = _CELL_UNKNOWN
+        self._cell_state[self._tids, np.arange(t)] = _CELL_BLOCKED
+        self._cell_omark = (self.obstacles.rects.shape[0],
+                            self.obstacles.segs.shape[0],
+                            len(self.obstacles.polys))
+        self._cell_epoch = self._struct_epoch
+
+    def _sync_cells(self) -> None:
+        """Drop the cells if obstacles arrived since they were filled."""
+        if self._cell_epoch != self._struct_epoch:
+            omark = (self.obstacles.rects.shape[0],
+                     self.obstacles.segs.shape[0],
+                     len(self.obstacles.polys))
+            if omark != self._cell_omark:
+                self._reset_cells()
+            self._cell_epoch = self._struct_epoch
+
+    def _fill_cells(self, rows: Iterable[int]) -> None:
+        """Decide the unknown cells of ``rows`` in one batched launch.
+
+        When all unknown cells of the alive slots fit in one kernel tile
+        (cells x primitives <= ``BATCH_TILE_ELEMS``), they all fill at
+        once instead.  A graph whose traversals already cover most slots
+        then pays one launch per new transient, like cutting its whole
+        column, while a large graph read a few rows at a time fills only
+        what its traversals reach.  Sight lines run from the row owner v
+        to the transient t and weights go through
+        ``math.hypot(vx - tx, vy - ty)``, exactly like a materialized row,
+        so a cell is bit-identical to the scalar engine's edge.
+        """
+        t = len(self._live_transients)
+        n = len(self._xy)
+        alive = self._alive_np[:n]
+        prims = self._prims_now()
+        unknown = self._cell_state[:n, :t] == _CELL_UNKNOWN
+        unknown &= alive[:, None]
+        if np.count_nonzero(unknown) * prims <= BATCH_TILE_ELEMS:
+            src, ji = np.nonzero(unknown)
+        else:
+            ids = np.fromiter(rows, dtype=np.int64)
+            ri, ji = np.nonzero(unknown[ids])
+            src = ids[ri]
+        if not src.size:
+            return
+        tgt = self._tids[ji]
+        tally: dict = {}
+        blocked = blocked_batch(self._coords_np[src], self._coords_np[tgt],
+                                self.obstacles.rects, self.obstacles.segs,
+                                self.obstacles.poly_slab,
+                                bounds=self._prim_bounds(), tally=tally)
+        self._count_batch(src.size, prims, tally)
+        self._cell_state[src, ji] = np.where(blocked, _CELL_BLOCKED,
+                                             _CELL_VISIBLE)
+        vis = ~blocked
+        src, ji, tgt = src[vis], ji[vis], tgt[vis]
+        hypot = math.hypot
+        xy = self._xy
+        w = np.empty(src.size, dtype=np.float64)
+        for k, (v, u) in enumerate(zip(src.tolist(), tgt.tolist())):
+            vx, vy = xy[v]
+            tx, ty = xy[u]
+            w[k] = hypot(vx - tx, vy - ty)
+        self._cell_w[src, ji] = w
 
     def _alive_view(self) -> np.ndarray:
         """The current alive mask (array engine's ``skip`` equivalent)."""
@@ -349,11 +471,7 @@ class LocalVisibilityGraph:
         self._indptr.pop(node, None)
         self._row_marks.pop(node, None)
         self._row_epochs.pop(node, None)
-        self._cols.pop(node, None)
-        try:
-            self._live_transients.remove(node)
-        except ValueError:
-            pass
+        self._unbind_cells(node)
         self._alive[node] = False
         self._alive_np[node] = False
         self._vr_cache.pop(node, None)
@@ -444,7 +562,6 @@ class LocalVisibilityGraph:
             self._indices = np.empty(0, dtype=np.int64)
             self._weights = np.empty(0, dtype=np.float64)
             self._pool_used = 0
-        self._cols.clear()
         # A holder may itself have been removed since it was recorded (its
         # row died with it, so the stale entry is inert) — drop those.
         self._mentions = {remap[v]: {remap[u] for u in holders if u in remap}
@@ -550,8 +667,8 @@ class LocalVisibilityGraph:
 
         1. brings stale cached rows current (obstacle counts are still
            monotone until the deletion lands),
-        2. deletes the obstacle's own vertices (their rows, columns and
-           mentions die with them) and scrubs them from surviving rows,
+        2. deletes the obstacle's own vertices (their rows and mentions
+           die with them) and scrubs them from surviving rows,
         3. re-tests, in one batched launch, exactly the absent
            (row, candidate) pairs whose sight segment's bbox overlaps the
            removed obstacle's padded bbox, appending the newly visible
@@ -562,7 +679,7 @@ class LocalVisibilityGraph:
 
         Count-keyed side caches that cannot be normalized in place
         (visible regions — lazy narrowing cannot widen — transient
-        visibility columns, primitive bounds) are dropped and recompute
+        visibility cells, primitive bounds) are dropped and recompute
         lazily.  Memoized traversals survive when the repair re-opened
         nothing and they never reached a deleted node; everything else
         invalidates via the generation bump.
@@ -602,8 +719,7 @@ class LocalVisibilityGraph:
         if removed_set:
             self._perm_ids = [i for i in self._perm_ids
                               if i not in removed_set]
-        self._cols.clear()
-        self._tblock = None
+        self._reset_cells()
         self._vr_cache.clear()
         self._bounds_cache = None
         # (3) + (4)
@@ -944,89 +1060,14 @@ class LocalVisibilityGraph:
         self._weights[s:s + n] = w
         self._indptr[node] = (s, s + n)
 
-    def _column(self, p: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(blocked(v -> p), weight(v, p))`` for every node slot v.
-
-        One batched kernel call per transient instead of one per
-        (row, transient) pair; orientation matches the scalar repair path
-        (source = the row's owner, target = the transient).  Weights go
-        through ``math.hypot`` exactly like materialized rows, so a
-        transient edge read from the column is bit-identical to one the
-        scalar engine computes.  Cached per obstacle watermark; dead slots
-        compute junk that no live row ever looks up.
-        """
-        omark = (self.obstacles.rects.shape[0], self.obstacles.segs.shape[0],
-                 len(self.obstacles.polys))
-        n = len(self._xy)
-        px, py = self._xy[p]
-        hypot = math.hypot
-        cached = self._cols.get(p)
-        m = 0
-        col = wcol = None
-        if cached is not None and cached[2] == omark:
-            col, wcol = cached[0], cached[1]
-            if col.size >= n:
-                return col, wcol
-            # Still valid, just short: slots were added since the column
-            # was cut (e.g. another bind's transients).  Extend by testing
-            # only the new slots, not the whole graph again.
-            m = col.size
-        targets = np.empty((n - m, 2), dtype=np.float64)
-        targets[:, 0] = px
-        targets[:, 1] = py
-        tally: dict = {}
-        tail = blocked_batch(self._coords_np[m:n], targets,
-                             self.obstacles.rects, self.obstacles.segs,
-                             self.obstacles.poly_slab,
-                             bounds=self._prim_bounds(), tally=tally)
-        self._count_batch(n - m, self._prims_now(), tally)
-        wtail = np.empty(n - m, dtype=np.float64)
-        for j in range(m, n):
-            vx, vy = self._xy[j]
-            wtail[j - m] = hypot(vx - px, vy - py)
-        if m:
-            col = np.concatenate([col, tail])
-            wcol = np.concatenate([wcol, wtail])
-        else:
-            col, wcol = tail, wtail
-        self._cols[p] = (col, wcol, omark)
-        return col, wcol
-
-    def _transient_block(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                        np.ndarray]:
-        """The live transients' columns stacked: ids/blocked/weights/any.
-
-        ``blocked[v, j]`` / ``weights[v, j]`` describe the edge between slot
-        ``v`` and the j-th bound transient; ``any_blocked[v]`` collapses the
-        blocked row so readers with nothing to filter (the vast majority —
-        most graph nodes see every bound endpoint) take a mask-free path.
-        Rebuilt lazily whenever the graph changes (generation bump);
-        between changes every row read shares the same stack.
-        """
-        cached = self._tblock
-        if cached is not None and cached[0] == self._generation:
-            return cached[1], cached[2], cached[3], cached[4]
-        ts = self._live_transients
-        n = len(self._xy)
-        tarr = np.asarray(ts, dtype=np.int64)
-        bm = np.empty((n, len(ts)), dtype=bool)
-        wm = np.empty((n, len(ts)), dtype=np.float64)
-        for j, t in enumerate(ts):
-            col, wcol = self._column(t)
-            bm[:, j] = col[:n]
-            wm[:, j] = wcol[:n]
-        anyb = bm.any(axis=1)
-        self._tblock = (self._generation, tarr, bm, wm, anyb)
-        return tarr, bm, wm, anyb
-
     def _materialize_row(self, node: int,
                          mark_now: Tuple[int, int, int, int]
                          ) -> Tuple[np.ndarray, np.ndarray]:
         x, y = self._xy[node]
         n = len(self._xy)
         # Rows hold *permanent* endpoints only; transient edges are appended
-        # at read time from the shared visibility columns (row_arrays), so
-        # bind/unbind churn never touches the slab.
+        # at read time from the transient visibility cells (row_arrays),
+        # so bind/unbind churn never touches the slab.
         mask = self._alive_np[:n] & ~self._transient_np[:n]
         mask[node] = False
         cand = np.nonzero(mask)[0]
@@ -1089,7 +1130,7 @@ class LocalVisibilityGraph:
                 self._indptr[node] = (s, e)
         # Wire up permanent vertices added since the row was cut, in one
         # batched call.  Transients never enter the slab — row_arrays
-        # appends them at read time from the shared visibility columns —
+        # appends them at read time from the transient visibility cells —
         # so per-query bind/unbind churn never triggers a repair at all.
         perm = [i for i in self._perm_ids[n_perm:] if i != node]
         if perm:
@@ -1445,22 +1486,38 @@ class LocalVisibilityGraph:
 
     def _prefetch_rows(self, node: int,
                        frontier: "Callable[[], List[int]]") -> None:
-        """Array-traversal hook: bulk-materialize a frontier wave.
+        """Array-traversal hook: fill a frontier wave before a row read.
 
         Invoked before each settle's row read; a no-op unless ``node``'s
-        row is actually missing, so the frontier gather (a sort of the
-        heap contents) is only paid once per wave, not once per settle.
+        row or one of its transient cells is actually missing, so the
+        frontier gather (a sort of the heap contents) is only paid once
+        per wave, not once per settle.  Missing rows of up to
+        :attr:`frontier_prefetch` frontier nodes materialize in one
+        launch; missing cells of the whole gathered frontier fill in
+        another.
         """
-        width = self.frontier_prefetch
-        if width <= 1 or node in self._indptr or not self._alive[node]:
+        if not self._alive[node]:
             return
-        wave = [node]
-        for nb in frontier():
-            if len(wave) >= width:
-                break
-            if nb != node and nb not in self._indptr and self._alive[nb]:
-                wave.append(nb)
-        self.materialize_rows(wave)
+        row_missing = node not in self._indptr
+        t = len(self._live_transients)
+        cells_missing = False
+        if t:
+            self._sync_cells()
+            cells_missing = (_UNKNOWN_BYTE
+                             in self._cell_state[node, :t].tobytes())
+        if not (row_missing or cells_missing):
+            return
+        front = [nb for nb in frontier() if nb != node and self._alive[nb]]
+        if row_missing:
+            wave = [node]
+            for nb in front:
+                if len(wave) >= self.frontier_prefetch:
+                    break
+                if nb not in self._indptr:
+                    wave.append(nb)
+            self.materialize_rows(wave)
+        if cells_missing:
+            self._fill_cells([node] + front)
 
     def row_arrays(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
         """The flat adjacency row of ``node``: ``(ids, weights)``.
@@ -1474,8 +1531,9 @@ class LocalVisibilityGraph:
         watermark that ignores transients, so steady-state query traffic
         (bind endpoints, route, unbind) never repairs a row.  Edges to the
         currently bound transients are appended here at read time from
-        their shared visibility columns; when none are bound the returned
-        arrays are zero-copy slab views.
+        the row's transient visibility cells, filling any still unknown
+        (:meth:`_fill_cells`); when none are bound the returned arrays are
+        zero-copy slab views.
         """
         epoch = self._struct_epoch
         span = self._indptr.get(node)
@@ -1493,30 +1551,23 @@ class LocalVisibilityGraph:
                 self._row_epochs[node] = epoch
             s, e = span
             idx, w = self._indices[s:e], self._weights[s:e]
-        if self._live_transients:
-            tb = self._tblock
-            if tb is not None and tb[0] == self._generation:
-                _, tarr, bm, wm, anyb = tb
-            else:
-                tarr, bm, wm, anyb = self._transient_block()
-            if not self._transient[node] and not anyb[node]:
-                # Permanent reader, every bound endpoint visible: append
-                # the whole stack without building a keep mask (the vast
-                # majority of settles on an open corridor).
-                return (np.concatenate([idx, tarr]),
-                        np.concatenate([w, wm[node]]))
-            keep = ~bm[node]
-            if self._transient[node]:
-                # Only a transient reader can appear in the transient id
-                # list; permanent rows skip the self-exclusion pass.
-                keep &= tarr != node
-            if keep.all():
-                add_i, add_w = tarr, wm[node]
-            else:
-                add_i, add_w = tarr[keep], wm[node][keep]
-            if add_i.size:
-                idx = np.concatenate([idx, add_i])
-                w = np.concatenate([w, add_w])
+        t = len(self._live_transients)
+        if t:
+            self._sync_cells()
+            state = self._cell_state[node, :t]
+            key = state.tobytes()
+            if _UNKNOWN_BYTE in key:
+                self._fill_cells((node,))
+                key = state.tobytes()
+            if key == _VISIBLE_BYTE * t:
+                # Every bound transient visible (the vast majority of
+                # settles on an open corridor): append without a gather.
+                return (np.concatenate([idx, self._tids]),
+                        np.concatenate([w, self._cell_w[node, :t]]))
+            vis = state == _CELL_VISIBLE
+            if vis.any():
+                idx = np.concatenate([idx, self._tids[vis]])
+                w = np.concatenate([w, self._cell_w[node, :t][vis]])
         return idx, w
 
     def neighbors(self, node: int) -> Dict[int, float]:
@@ -1597,12 +1648,18 @@ class LocalVisibilityGraph:
                 for n in self._indices[s:e].tolist():
                     seen.add((v, n) if v < n else (n, v))
             # Slab rows cover permanent endpoints only; fold in the bound
-            # transients' edges from their visibility columns.
-            for t in self._live_transients:
-                col, _ = self._column(t)
-                for v in self._alive_ids():
-                    if v != t and not col[v]:
-                        seen.add((v, t) if v < t else (t, v))
+            # transients' edges from their visibility cells.
+            t = len(self._live_transients)
+            if t:
+                self._sync_cells()
+                alive_ids = self._alive_ids()
+                if materialize:
+                    self._fill_cells(alive_ids)
+                vs, js = np.nonzero(
+                    self._cell_state[alive_ids, :t] == _CELL_VISIBLE)
+                for v, u in zip(np.asarray(alive_ids)[vs].tolist(),
+                                self._tids[js].tolist()):
+                    seen.add((v, u) if v < u else (u, v))
             return len(seen)
         for v, row in self._rows.items():
             if not self._alive[v]:

@@ -227,8 +227,9 @@ class ArrayTraversal(_ReplayCore):
         prefetch: optional hook ``prefetch(node, frontier)`` invoked right
             before each settled node's row read; ``frontier()`` lazily
             yields the not-yet-settled frontier node ids nearest-first, so
-            the owner can materialize adjacency rows for the whole top of
-            the heap in one batched pass.  Purely a materialization hint —
+            the owner can materialize adjacency rows (and the visibility
+            cells to transient nodes) for the whole top of the heap in
+            one batched pass.  Purely a materialization hint —
             the traversal's own state is untouched, so settle order,
             distances and predecessors are unchanged.
     """

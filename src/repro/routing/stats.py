@@ -12,7 +12,7 @@ bottom of the routing dependency stack (``core.stats`` imports it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -62,7 +62,8 @@ class BackendStats:
 
     batch_visibility_calls: int = 0
     """Batched visibility-kernel launches (array engine: one per
-    materialized row, repair step, or transient visibility column)."""
+    materialized row, repair step, or fill of transient visibility
+    cells)."""
 
     batched_edges_tested: int = 0
     """Candidate-edge x obstacle-primitive pairs evaluated inside batched
@@ -125,26 +126,6 @@ class BackendStats:
 
     def merge(self, other: "BackendStats") -> None:
         """Accumulate another block's counters into this one."""
-        self.sessions += other.sessions
-        self.graphs_built += other.graphs_built
-        self.graph_reuses += other.graph_reuses
-        self.graph_spawns += other.graph_spawns
-        self.graph_clones += other.graph_clones
-        self.build_time_s += other.build_time_s
-        self.dijkstra_runs += other.dijkstra_runs
-        self.dijkstra_replays += other.dijkstra_replays
-        self.nodes_settled += other.nodes_settled
-        self.visibility_tests += other.visibility_tests
-        self.batch_visibility_calls += other.batch_visibility_calls
-        self.batched_edges_tested += other.batched_edges_tested
-        self.kernel_pruned_edges += other.kernel_pruned_edges
-        self.heap_bulk_pushes += other.heap_bulk_pushes
-        self.array_traversals += other.array_traversals
-        self.rows_bulk_materialized += other.rows_bulk_materialized
-        self.bulk_pair_launches += other.bulk_pair_launches
-        self.removal_repairs += other.removal_repairs
-        self.repair_retested_pairs += other.repair_retested_pairs
-        self.patched += other.patched
-        self.evicted += other.evicted
-        self.invalidations += other.invalidations
-        self.compactions += other.compactions
+        for f in fields(self):
+            setattr(self, f.name,
+                    getattr(self, f.name) + getattr(other, f.name))

@@ -10,9 +10,11 @@ the parity oracle; this suite is the net under it.
 
 Three layers are pinned:
 
-* **rows** — every adjacency row the traversal touches, read through
-  ``row_arrays`` on the array graph and ``neighbors`` on the scalar one,
-  holds the same neighbor set with bit-equal weights;
+* **rows** — every adjacency row, read through ``row_arrays`` on the
+  array graph and ``neighbors`` on the scalar one, holds the same
+  neighbor set with bit-equal weights, whichever way the array graph
+  filled its transient visibility cells (whole graph in one tile, per
+  frontier wave through the traversal's prefetch hook, or row by row);
 * **traversals** — full Dijkstra runs from the query endpoints and from
   transient data points settle the same ``(dist, node, pred)`` sequence,
   entry for entry, including under goal-directed ``prune_bound`` pruning
@@ -27,10 +29,13 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Workspace
+from repro import SegmentObstacle, Workspace
+from repro.geometry.vectorized import BATCH_TILE_ELEMS
 from repro.obstacles.visgraph import LocalVisibilityGraph
 from repro.routing.config import (
     ARRAY_ENGINE,
@@ -44,15 +49,39 @@ OPS = ("bind", "unbind", "add_obstacle", "add_point", "remove_point",
        "compact")
 
 
+def _wall_lattice(rng: random.Random):
+    """A 10 x 10 lattice of randomly turned walls plus six points.
+
+    208 alive nodes x 8 transients x 100 primitives is well past one
+    kernel tile, so transient cells fill per row or per frontier wave
+    rather than for the whole graph at once.
+    """
+    walls = []
+    for i in range(10):
+        for j in range(10):
+            a = rng.uniform(0.0, math.pi)
+            dx, dy = 3.0 * math.cos(a), 3.0 * math.sin(a)
+            cx, cy = 5.0 + 10.0 * i, 5.0 + 10.0 * j
+            walls.append(SegmentObstacle(cx - dx, cy - dy, cx + dx, cy + dy))
+    points = [(k, (rng.uniform(0, 100), rng.uniform(0, 100)))
+              for k in range(6)]
+    return points, walls
+
+
 def _twin_graphs(rng: random.Random, n_obstacles: int = 5,
-                 anchored: bool = True):
+                 anchored: bool = True, prefetch: int = 0,
+                 lattice: bool = False):
     """The same scene as one array and one scalar graph (plus points)."""
-    points, obstacles = random_scene(rng, n_points=6,
-                                     n_obstacles=n_obstacles)
+    if lattice:
+        points, obstacles = _wall_lattice(rng)
+    else:
+        points, obstacles = random_scene(rng, n_points=6,
+                                         n_obstacles=n_obstacles)
     qseg = random_query(rng)
     pair = []
     for engine in (ARRAY_ENGINE, SCALAR_ENGINE):
-        g = LocalVisibilityGraph(qseg if anchored else None, engine=engine)
+        g = LocalVisibilityGraph(qseg if anchored else None, engine=engine,
+                                 prefetch=prefetch)
         g.add_obstacles(obstacles)
         pair.append(g)
     nodes = []
@@ -97,6 +126,39 @@ def test_rows_and_traversals_identical(seed):
         got = array_g.shortest_distances(source, (array_g.S, array_g.E))
         want = scalar_g.shortest_distances(source, (scalar_g.S, scalar_g.E))
         assert got == want
+
+
+def _known_cells(g: LocalVisibilityGraph):
+    """(filled, total) transient cells over the alive slots."""
+    n = len(g._xy)
+    t = len(g._live_transients)
+    alive = g._alive_np[:n]
+    known = np.count_nonzero(g._cell_state[:n, :t][alive])
+    return int(known), int(alive.sum()) * t
+
+
+@pytest.mark.parametrize("lattice", [False, True],
+                         ids=["one-tile", "frontier-wave"])
+@pytest.mark.parametrize("prefetch", [16, 0])
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=6, deadline=None)
+def test_every_row_identical_in_both_fill_regimes(lattice, prefetch, seed):
+    rng = random.Random(seed)
+    array_g, scalar_g, nodes, _qseg = _twin_graphs(
+        rng, n_obstacles=8, prefetch=prefetch, lattice=lattice)
+    n_alive = len(array_g._alive_ids())
+    work = n_alive * len(array_g._live_transients) * array_g._prims_now()
+    assert (work > BATCH_TILE_ELEMS) == lattice
+    # A first row read fills the whole graph only when it fits one tile.
+    array_g.row_arrays(array_g.S)
+    known, total = _known_cells(array_g)
+    assert (known == total) != lattice
+    # Traversals read rows through the prefetch hook (when installed),
+    # which fills the cells of each frontier wave.
+    _assert_traversals_match(array_g, scalar_g,
+                             [array_g.S, array_g.E] + nodes[:2])
+    for v in array_g._alive_ids():
+        _assert_rows_match(array_g, scalar_g, v)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -198,14 +260,16 @@ def test_clone_skeleton_preserves_parity(seed):
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000),
-       k=st.integers(min_value=1, max_value=2))
+       k=st.integers(min_value=1, max_value=2),
+       prefetch=st.sampled_from([16, 0]))
 @settings(max_examples=10, deadline=None)
-def test_workspace_answers_identical_across_engines(seed, k):
+def test_workspace_answers_identical_across_engines(seed, k, prefetch):
     rng = random.Random(seed)
     points, obstacles = random_scene(rng, n_points=8, n_obstacles=5)
     ws_array = Workspace.from_points(
         list(points), list(obstacles),
-        routing=RoutingConfig(engine=ARRAY_ENGINE))
+        routing=RoutingConfig(engine=ARRAY_ENGINE,
+                              frontier_prefetch=prefetch))
     ws_scalar = Workspace.from_points(
         list(points), list(obstacles),
         routing=RoutingConfig(engine=SCALAR_ENGINE))

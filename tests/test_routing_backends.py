@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
 from repro import (
+    BackendStats,
     ConnQuery,
     OnnQuery,
     PerQueryVGBackend,
@@ -440,3 +442,14 @@ class TestBackendResultEquivalence:
         d_p = per.onn(5.0, 50.0, k=1)[0][0][1]
         assert d_s == pytest.approx(d_p, abs=1e-9)
         assert math.isfinite(d_s)
+
+
+class TestBackendStatsMerge:
+    def test_merge_sums_every_field(self):
+        names = [f.name for f in fields(BackendStats)]
+        a = BackendStats(**{n: i + 1 for i, n in enumerate(names)})
+        b = BackendStats(**{n: 100 * (i + 1) for i, n in enumerate(names)})
+        a.merge(b)
+        for i, n in enumerate(names):
+            assert getattr(a, n) == 101 * (i + 1), n
+        assert getattr(b, names[0]) == 100   # the argument is untouched
