@@ -20,7 +20,7 @@ import time
 from ..geometry.interval import IntervalSet
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
-from ..index.nearest import IncrementalNearest
+from ..index.nearest import nearest_to_segment
 from ..index.rstar import RStarTree
 from ..core.config import DEFAULT_CONFIG, ConnConfig
 from ..core.distance_function import PiecewiseDistance
@@ -42,9 +42,8 @@ def cknn_euclidean(data_tree: RStarTree, query: Segment, k: int = 1,
     snapshot = data_tree.tracker.stats.snapshot()
     started = time.perf_counter()
     env = KEnvelope(query, k)
-    scan = IncrementalNearest(
-        data_tree,
-        lambda rect: rect.mindist_segment(query.ax, query.ay, query.bx, query.by))
+    scan = nearest_to_segment(data_tree, query.ax, query.ay,
+                              query.bx, query.by)
     full = IntervalSet.full(0.0, query.length)
     while True:
         key = scan.peek_key()

@@ -16,7 +16,7 @@ import math
 from typing import Any, List, Tuple
 
 from ..geometry.segment import Segment
-from ..index.nearest import IncrementalNearest
+from ..index.nearest import nearest_to_segment
 from ..index.rstar import RStarTree
 from ..obstacles.obstacle import Obstacle
 from ..routing.backends import ObstructedGraph
@@ -39,9 +39,8 @@ class UnifiedSource:
 
     def __init__(self, tree: RStarTree, qseg: Segment,
                  vg: ObstructedGraph, stats: QueryStats):
-        self._scan = IncrementalNearest(
-            tree,
-            lambda rect: rect.mindist_segment(qseg.ax, qseg.ay, qseg.bx, qseg.by))
+        self._scan = nearest_to_segment(tree, qseg.ax, qseg.ay,
+                                        qseg.bx, qseg.by)
         self._vg = vg
         self._stats = stats
         self._pending: List[Tuple[float, int, Any, Tuple[float, float]]] = []

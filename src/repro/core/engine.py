@@ -25,7 +25,7 @@ from typing import Any, List, Optional, Protocol, Sequence, Tuple
 
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
-from ..index.nearest import IncrementalNearest
+from ..index.nearest import nearest_to_segment
 from ..index.pagestore import PageTracker
 from ..index.rstar import RStarTree
 from ..routing.backends import ObstructedGraph
@@ -52,9 +52,8 @@ class TreeDataSource:
     """2T data feed: best-first scan of a dedicated data R*-tree."""
 
     def __init__(self, data_tree: RStarTree, qseg: Segment):
-        self._scan = IncrementalNearest(
-            data_tree,
-            lambda rect: rect.mindist_segment(qseg.ax, qseg.ay, qseg.bx, qseg.by))
+        self._scan = nearest_to_segment(data_tree, qseg.ax, qseg.ay,
+                                        qseg.bx, qseg.by)
 
     def peek_key(self) -> float:
         return self._scan.peek_key()

@@ -24,7 +24,7 @@ from typing import List, Protocol
 
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
-from ..index.nearest import IncrementalNearest
+from ..index.nearest import IncrementalNearest, nearest_to_segment
 from ..index.rstar import RStarTree
 from ..obstacles.obstacle import Obstacle
 from ..routing.backends import ObstructedGraph
@@ -56,10 +56,8 @@ class TreeObstacleFetcher:
 
     def open_scan(self, qseg: Segment) -> IncrementalNearest:
         """A fresh incremental scan in ascending ``mindist(entry, qseg)``."""
-        return IncrementalNearest(
-            self.tree,
-            lambda rect: rect.mindist_segment(qseg.ax, qseg.ay,
-                                              qseg.bx, qseg.by))
+        return nearest_to_segment(self.tree, qseg.ax, qseg.ay,
+                                  qseg.bx, qseg.by)
 
 
 class ObstacleRetriever:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..index.pagestore import IO_MS_PER_FAULT, IOStats
-from ..routing.stats import BackendStats
+from ..routing.stats import BackendStats, merge_fields
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..shard.stats import ShardStats
@@ -114,31 +114,9 @@ class QueryStats:
         return self.io_time_ms + self.cpu_time_ms
 
     def merge(self, other: "QueryStats") -> None:
-        """Accumulate another query's counters into this one (for averages)."""
-        self.npe += other.npe
-        self.noe += other.noe
-        self.svg_size += other.svg_size
-        self.io.logical_reads += other.io.logical_reads
-        self.io.page_faults += other.io.page_faults
-        self.cpu_time_s += other.cpu_time_s
-        self.nodes_expanded += other.nodes_expanded
-        self.split_solves += other.split_solves
-        self.lemma1_prunes += other.lemma1_prunes
-        self.lemma6_prunes += other.lemma6_prunes
-        self.lemma7_cutoffs += other.lemma7_cutoffs
-        self.prefilter_skips += other.prefilter_skips
-        self.global_bound_cutoffs += other.global_bound_cutoffs
-        self.coverage_rounds += other.coverage_rounds
-        self.visibility_tests += other.visibility_tests
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_served += other.cache_served
-        self.obstacle_reads += other.obstacle_reads
-        self.backend.merge(other.backend)
-        if not self.backend_name:
-            self.backend_name = other.backend_name
-        if other.shard is not None:
-            if self.shard is None:
-                from ..shard.stats import ShardStats
-                self.shard = ShardStats()
-            self.shard.merge(other.shard)
+        """Accumulate another query's counters into this one (for averages).
+
+        Every counter sums, nested blocks (``io``, ``backend``, ``shard``)
+        included; ``backend_name`` keeps the first non-empty label.
+        """
+        merge_fields(self, other)

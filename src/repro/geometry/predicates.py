@@ -65,12 +65,19 @@ def segments_properly_cross(ax: float, ay: float, bx: float, by: float,
 
 def segments_intersect(ax: float, ay: float, bx: float, by: float,
                        cx: float, cy: float, dx: float, dy: float) -> bool:
-    """True iff closed segments ``[a,b]`` and ``[c,d]`` share at least one point."""
+    """True iff closed segments ``[a,b]`` and ``[c,d]`` share at least one point.
+
+    The general case needs *strict* sign changes on both sides: a banded
+    zero orientation only says an endpoint lies near the other segment's
+    supporting line, which the touching branches below then confirm or
+    reject against that segment's extent.  Reading ``0`` as "opposite
+    side" would let far-apart near-collinear segments intersect.
+    """
     o1 = orient_sign(ax, ay, bx, by, cx, cy)
     o2 = orient_sign(ax, ay, bx, by, dx, dy)
     o3 = orient_sign(cx, cy, dx, dy, ax, ay)
     o4 = orient_sign(cx, cy, dx, dy, bx, by)
-    if o1 != o2 and o3 != o4:
+    if o1 * o2 < 0 and o3 * o4 < 0:
         return True
     # Collinear touching cases.
     if o1 == 0 and _on_segment(ax, ay, bx, by, cx, cy):

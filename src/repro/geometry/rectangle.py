@@ -9,7 +9,7 @@ here.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .point import Point
 from .predicates import EPS, seg_seg_dist
@@ -149,3 +149,62 @@ class Rect(NamedTuple):
                 if best == 0.0:
                     return 0.0
         return best
+
+
+def segment_mindist_lower(ax: float, ay: float, bx: float, by: float
+                          ) -> Callable[[Rect], float]:
+    """``r -> L(r)`` with ``L(r) <= r.mindist_segment(ax, ay, bx, by)``.
+
+    ``L(r)`` is the gap between ``r`` and the segment's MBR, less the slack
+    ``2 * EPS + 1e-12 * M`` (``M`` = largest coordinate magnitude of ``r``
+    and the segment).  It costs a few float operations against the four
+    edge-segment distance tests of the exact key, which is what lets a
+    best-first scan push this bound and refine only the entries that reach
+    its heap head.
+
+    Why the computed bound never exceeds the computed exact key ``E``
+    (write ``u = 2**-53``; every float subtraction, product and ``hypot``
+    below is correctly rounded):
+
+    * ``E = 0`` by the endpoint-inside quick accept: the segment's MBR
+      then meets ``r``, each gap term ``fl(lo - hi)`` of exact floats with
+      ``lo <= hi`` is ``<= 0``, so the gap is exactly 0.
+    * ``E = 0`` because ``segments_intersect(edge, segment)`` holds by
+      strict sign changes: ``orient`` is computed with absolute error
+      ``<= 5u * |b-a|_1 * |c-a|_1``, far inside ``orient_sign``'s band
+      ``EPS * max(|b-a|_1, 1) * max(|c-a|_1, 1)``, so a strict sign is
+      the true sign; the segments truly cross, the MBRs meet, the gap is
+      exactly 0.
+    * ``E = 0`` by a touching branch: an endpoint ``p`` of one segment lies
+      inside the other's bbox grown by ``EPS`` — a bound ``fl(m - EPS)``
+      rounded by at most ``u * M`` — so per axis ``p`` is within
+      ``EPS + u * M`` of ``r`` resp. the segment's MBR.  The gap is at
+      most ``sqrt(2) * (EPS + u * M)``, below the slack.
+    * ``E > 0`` is a min of point-to-segment distances.  Each computed
+      distance falls short of the true one by at most a few dozen ``u * M``
+      (rounded projection parameter and foot point; the final subtraction
+      and ``hypot`` are relative), the true one is at least the true
+      rect-to-segment distance, which is at least the true MBR gap, and the
+      computed gap exceeds that by at most ``3u`` relative, i.e. ``<= 9u *
+      M``.  The slack's ``1e-12 * M`` covers these terms many times over.
+
+    So ``L(r) <= E`` for every ``r`` with ``xlo <= xhi`` and ``ylo <= yhi``.
+    The absolute term matters only near the origin; at the paper's
+    ``[0, 10000]^2`` scale the slack is ~1e-8.
+    """
+    sxlo, sxhi = (ax, bx) if ax <= bx else (bx, ax)
+    sylo, syhi = (ay, by) if ay <= by else (by, ay)
+    mag = max(-sxlo, sxhi, -sylo, syhi)
+    slack_abs = 2.0 * EPS
+    rel = 1e-12
+    hypot = math.hypot
+
+    def lower(r: Rect) -> float:
+        xlo, ylo, xhi, yhi = r
+        # max(-lo, hi) is max(|lo|, |hi|) for lo <= hi.
+        m = max(mag, -xlo, xhi, -ylo, yhi)
+        return (hypot(max(xlo - sxhi, 0.0, sxlo - xhi),
+                      max(ylo - syhi, 0.0, sylo - yhi))
+                - (slack_abs + rel * m))
+
+    return lower

@@ -20,7 +20,7 @@ import itertools
 import math
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..geometry.rectangle import Rect
+from ..geometry.rectangle import Rect, segment_mindist_lower
 from .rstar import RStarTree
 
 
@@ -31,31 +31,68 @@ class IncrementalNearest:
         tree: the R*-tree to traverse.
         mindist: lower-bound distance from a rectangle to the query geometry
             (must satisfy ``mindist(mbr) <= min over contents``, which any
-            geometric mindist does).
+            geometric mindist does).  This is the key entries pop by.
+        lower: optional cheap bound with ``lower(r) <= mindist(r)`` for
+            every rectangle ``r``.  Entries are then pushed keyed by
+            ``lower`` (keeping their insertion counter); an entry that
+            reaches the heap head has its exact ``mindist`` swapped in
+            place (``heapreplace``) and is expanded or popped only once it
+            heads the heap again.  Best-first scans stop long before most
+            pushed entries surface (Lemma 2), so most exact keys are never
+            computed.
+
+    The contract for ``lower`` is only ``lower <= mindist``, and under it
+    the lazy scan pops in exactly the eager ``(mindist, counter)`` order:
+    when the head ``(e, c)`` carries its exact key, every other entry's
+    heap key ``(k, c')`` is ``>= (e, c)`` and its exact key is ``>= k``,
+    so ``(e, c)`` is also the eager minimum.  Expansions therefore happen
+    in the same order over the same entry sets: same keys, same payloads,
+    same page-access sequence.  The segment bound,
+    :func:`~repro.geometry.rectangle.segment_mindist_lower`, proves the
+    contract against the computed ``Rect.mindist_segment`` in its
+    docstring, slack included.  Point scans pass no ``lower``: their exact
+    key is already a single ``hypot``.
     """
 
-    def __init__(self, tree: RStarTree, mindist: Callable[[Rect], float]):
+    def __init__(self, tree: RStarTree, mindist: Callable[[Rect], float],
+                 lower: Optional[Callable[[Rect], float]] = None):
         self._tree = tree
         self._mindist = mindist
+        self._lower = lower
         self._counter = itertools.count()
-        self._heap: List[Tuple[float, int, bool, Any, Rect | None]] = []
+        # (key, counter, exact, is_node, item, rect): ``exact`` is False
+        # while ``key`` is still the ``lower`` bound.
+        self._heap: List[Tuple[float, int, bool, bool, Any, Rect]] = []
         root = tree.root
         if root.entries:
-            heapq.heappush(self._heap,
-                           (0.0, next(self._counter), True, root, None))
+            heapq.heappush(self._heap, (0.0, next(self._counter), True, True,
+                                        root, None))
 
     def _settle(self) -> None:
-        """Expand internal nodes until the head is an object (or heap empty)."""
+        """Expand nodes until the head is an exactly keyed object (or the
+        heap is empty)."""
         heap = self._heap
-        while heap and heap[0][2]:
-            _d, _c, _is_node, node, _r = heapq.heappop(heap)
-            self._tree.tracker.access(node.page_id)
-            for e in node.entries:
-                d = self._mindist(e.rect)
-                if node.is_leaf:
-                    heapq.heappush(heap, (d, next(self._counter), False, e.item, e.rect))
-                else:
-                    heapq.heappush(heap, (d, next(self._counter), True, e.item, None))
+        mindist = self._mindist
+        key = self._lower
+        exact = key is None
+        if exact:
+            key = mindist
+        counter = self._counter
+        push = heapq.heappush
+        while heap:
+            _k, c, is_exact, is_node, item, rect = heap[0]
+            if not is_exact:
+                heapq.heapreplace(heap, (mindist(rect), c, True, is_node,
+                                         item, rect))
+                continue
+            if not is_node:
+                return
+            heapq.heappop(heap)
+            self._tree.tracker.access(item.page_id)
+            leaf = item.is_leaf
+            for e in item.entries:
+                r = e.rect
+                push(heap, (key(r), next(counter), exact, not leaf, e.item, r))
 
     def peek_key(self) -> float:
         """Distance key of the next object, or ``inf`` when exhausted."""
@@ -67,7 +104,7 @@ class IncrementalNearest:
         self._settle()
         if not self._heap:
             return None
-        d, _c, _is_node, payload, rect = heapq.heappop(self._heap)
+        d, _c, _exact, _is_node, payload, rect = heapq.heappop(self._heap)
         return (d, payload, rect)
 
     def __iter__(self):
@@ -93,5 +130,11 @@ def knn(tree: RStarTree, x: float, y: float, k: int) -> List[Tuple[float, Any]]:
 
 def nearest_to_segment(tree: RStarTree, ax: float, ay: float,
                        bx: float, by: float) -> IncrementalNearest:
-    """Incremental scan ordered by mindist to the segment ``[a, b]``."""
-    return IncrementalNearest(tree, lambda r: r.mindist_segment(ax, ay, bx, by))
+    """Incremental scan ordered by mindist to the segment ``[a, b]``.
+
+    Lazily keyed: entries push the MBR-gap bound and compute the exact
+    ``Rect.mindist_segment`` only on reaching the heap head.
+    """
+    return IncrementalNearest(tree,
+                              lambda r: r.mindist_segment(ax, ay, bx, by),
+                              lower=segment_mindist_lower(ax, ay, bx, by))

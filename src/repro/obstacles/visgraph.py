@@ -694,7 +694,7 @@ class LocalVisibilityGraph:
         # (1) Stale rows must repair against the *pre-removal* obstacle
         # arrays: their recorded counts index into those arrays.
         if self.engine == ARRAY_ENGINE:
-            self._refresh_rows_bulk()
+            self._refresh_rows_bulk(self._indptr)
         else:
             for v in list(self._rows):
                 if self._alive[v]:
@@ -1097,68 +1097,6 @@ class LocalVisibilityGraph:
         s, e = self._indptr[node]
         return self._indices[s:e], self._weights[s:e]
 
-    def _repair_row(self, node: int,
-                    mark_now: Tuple[int, int, int, int]) -> None:
-        n_rects, n_segs, n_polys, n_perm = self._row_marks[node]
-        s, e = self._indptr[node]
-        x, y = self._xy[node]
-        xy = self._xy
-        # Drop entries blocked by obstacles added since the row was cut.
-        new_rects = self.obstacles.rects[n_rects:]
-        new_segs = self.obstacles.segs[n_segs:]
-        new_polys = self.obstacles.poly_slab[n_polys:]
-        if e > s and (new_rects.size or new_segs.size or len(new_polys)):
-            ids = self._indices[s:e]
-            sources = np.empty((ids.size, 2), dtype=np.float64)
-            sources[:, 0] = x
-            sources[:, 1] = y
-            rb, sb, pb = self._prim_bounds()
-            tally: dict = {}
-            blocked = blocked_batch(sources, self._coords_np[ids],
-                                    new_rects, new_segs, new_polys,
-                                    bounds=(rb[n_rects:], sb[n_segs:],
-                                            pb[n_polys:]),
-                                    tally=tally)
-            self._count_batch(ids.size, new_rects.shape[0]
-                              + new_segs.shape[0] + len(new_polys), tally)
-            if blocked.any():
-                keep = ~blocked
-                k = int(keep.sum())
-                self._indices[s:s + k] = ids[keep]
-                self._weights[s:s + k] = self._weights[s:e][keep]
-                e = s + k
-                self._indptr[node] = (s, e)
-        # Wire up permanent vertices added since the row was cut, in one
-        # batched call.  Transients never enter the slab — row_arrays
-        # appends them at read time from the transient visibility cells —
-        # so per-query bind/unbind churn never triggers a repair at all.
-        perm = [i for i in self._perm_ids[n_perm:] if i != node]
-        if perm:
-            add_ids: List[int] = []
-            add_w: List[float] = []
-            tgt = self._coords_np[np.asarray(perm, dtype=np.int64)]
-            sources = np.empty((len(perm), 2), dtype=np.float64)
-            sources[:, 0] = x
-            sources[:, 1] = y
-            tally = {}
-            blocked = blocked_batch(sources, tgt, self.obstacles.rects,
-                                    self.obstacles.segs,
-                                    self.obstacles.poly_slab,
-                                    bounds=self._prim_bounds(), tally=tally)
-            self._count_batch(len(perm), self._prims_now(), tally)
-            for i, dead in zip(perm, blocked.tolist()):
-                if not dead:
-                    tx, ty = xy[i]
-                    add_ids.append(i)
-                    add_w.append(math.hypot(x - tx, y - ty))
-            if add_ids:
-                merged_idx = np.concatenate(
-                    [self._indices[s:e], np.asarray(add_ids, dtype=np.int64)])
-                merged_w = np.concatenate(
-                    [self._weights[s:e], np.asarray(add_w, dtype=np.float64)])
-                self._row_write(node, merged_idx, merged_w)
-        self._row_marks[node] = mark_now
-
     # ------------------------------------------------------- adjacency (bulk)
     def _blocked_bulk(self, sources: np.ndarray,
                       targets: np.ndarray) -> np.ndarray:
@@ -1341,11 +1279,15 @@ class LocalVisibilityGraph:
                           mark_now: Tuple[int, int, int, int]) -> None:
         """Repair cached rows sharing one watermark in two batched launches.
 
-        Exactly :meth:`_repair_row`'s two phases — drop entries blocked by
-        obstacles added since ``mark``, wire up permanent vertices added
-        since ``mark`` — but over the concatenated pairs of every row, so
-        a refresh of R stale rows costs 2 launches instead of 2R.  Kernel
-        decisions are elementwise, hence per-row results are identical.
+        The one repair path of the array engine, in two phases: drop
+        entries blocked by obstacles added since ``mark``, then wire up
+        permanent vertices added since ``mark`` (appended in id order) —
+        each over the concatenated pairs of every row, so a refresh of R
+        stale rows costs 2 launches instead of 2R.  Kernel decisions are
+        elementwise, so a row's result does not depend on which rows it
+        was batched with, nor on whether growth was repaired in one step
+        or several: surviving entries keep their order and additions land
+        in insertion order either way.
         """
         n_rects, n_segs, n_polys, n_perm = mark
         new_rects = self.obstacles.rects[n_rects:]
@@ -1434,21 +1376,22 @@ class LocalVisibilityGraph:
         for v in rows:
             self._row_marks[v] = mark_now
 
-    def _refresh_rows_bulk(self) -> int:
-        """Bring every cached slab row current, grouped by watermark.
+    def _refresh_rows_bulk(self, rows: Iterable[int]) -> int:
+        """Bring the cached slab rows among ``rows`` current, by watermark.
 
         Rows stale against different watermarks (possible when inserts
         landed between accesses) repair in separate grouped launches; rows
         sharing a watermark — the overwhelmingly common case — share one
-        pair of launches.  Returns the number of rows repaired.
+        pair of launches.  Missing rows and dead nodes are skipped.
+        Returns the number of rows repaired.
         """
         mark_now = self._array_mark()
         epoch = self._struct_epoch
         groups: Dict[Tuple[int, int, int, int], List[int]] = {}
-        for v in self._indptr:
-            if not self._alive[v]:
+        for v in rows:
+            if not self._alive[v] or v not in self._indptr:
                 continue
-            m = self._row_marks.get(v)
+            m = self._row_marks[v]
             if m != mark_now:
                 groups.setdefault(m, []).append(v)
         for mark, vs in groups.items():
@@ -1481,31 +1424,48 @@ class LocalVisibilityGraph:
                 self.row_arrays(v)
             return made
         made = self.materialize_rows(ids)
-        self._refresh_rows_bulk()
+        self._refresh_rows_bulk(self._indptr)
         return made
+
+    def _row_stale(self, node: int) -> bool:
+        """Is ``node``'s cached row behind the obstacles / permanent nodes?
+
+        The struct epoch is the O(1) check; only when it moved does the
+        count watermark decide.  A row found current is re-stamped with the
+        epoch, so the next check is O(1) again.
+        """
+        epoch = self._struct_epoch
+        if self._row_epochs.get(node) == epoch:
+            return False
+        if self._row_marks[node] != self._array_mark():
+            return True
+        self._row_epochs[node] = epoch
+        return False
 
     def _prefetch_rows(self, node: int,
                        frontier: "Callable[[], List[int]]") -> None:
         """Array-traversal hook: fill a frontier wave before a row read.
 
         Invoked before each settle's row read; a no-op unless ``node``'s
-        row or one of its transient cells is actually missing, so the
-        frontier gather (a sort of the heap contents) is only paid once
-        per wave, not once per settle.  Missing rows of up to
-        :attr:`frontier_prefetch` frontier nodes materialize in one
-        launch; missing cells of the whole gathered frontier fill in
-        another.
+        row is missing or stale or one of its transient cells is unknown,
+        so the frontier gather (a sort of the heap contents) is only paid
+        once per wave, not once per settle.  Then, in at most one launch
+        each: missing rows of up to :attr:`frontier_prefetch` frontier
+        nodes materialize; stale rows of the node and the gathered frontier
+        repair (one pair of launches per watermark group); unknown cells of
+        the node and the gathered frontier fill.
         """
         if not self._alive[node]:
             return
         row_missing = node not in self._indptr
+        row_stale = not row_missing and self._row_stale(node)
         t = len(self._live_transients)
         cells_missing = False
         if t:
             self._sync_cells()
             cells_missing = (_UNKNOWN_BYTE
                              in self._cell_state[node, :t].tobytes())
-        if not (row_missing or cells_missing):
+        if not (row_missing or row_stale or cells_missing):
             return
         front = [nb for nb in frontier() if nb != node and self._alive[nb]]
         if row_missing:
@@ -1516,6 +1476,8 @@ class LocalVisibilityGraph:
                 if nb not in self._indptr:
                     wave.append(nb)
             self.materialize_rows(wave)
+        if row_stale:
+            self._refresh_rows_bulk([node] + front)
         if cells_missing:
             self._fill_cells([node] + front)
 
@@ -1541,14 +1503,9 @@ class LocalVisibilityGraph:
             idx, w = self._materialize_row(node, self._array_mark())
             self._row_epochs[node] = epoch
         else:
-            if self._row_epochs.get(node) != epoch:
-                # Epoch moved since the row was cut; the count watermark
-                # decides whether anything this row covers actually grew.
-                mark_now = self._array_mark()
-                if self._row_marks[node] != mark_now:
-                    self._repair_row(node, mark_now)
-                    span = self._indptr[node]
-                self._row_epochs[node] = epoch
+            if self._row_stale(node):
+                self._refresh_rows_bulk((node,))
+                span = self._indptr[node]
             s, e = span
             idx, w = self._indices[s:e], self._weights[s:e]
         t = len(self._live_transients)

@@ -12,7 +12,35 @@ bottom of the routing dependency stack (``core.stats`` imports it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any
+
+
+def merge_fields(into: Any, other: Any) -> None:
+    """Accumulate every field of the stats block ``other`` into ``into``.
+
+    Numbers sum, dicts sum per key and nested stats blocks recurse (an
+    absent block on ``into`` is created first; an absent one on ``other``
+    adds nothing).  Labels (strings) keep the first non-empty value.
+    """
+    for f in fields(into):
+        mine = getattr(into, f.name)
+        theirs = getattr(other, f.name)
+        if theirs is None:
+            continue
+        if is_dataclass(theirs):
+            if mine is None:
+                mine = type(theirs)()
+                setattr(into, f.name, mine)
+            merge_fields(mine, theirs)
+        elif isinstance(theirs, dict):
+            for key, value in theirs.items():
+                mine[key] = mine.get(key, 0) + value
+        elif isinstance(theirs, str):
+            if not mine:
+                setattr(into, f.name, theirs)
+        else:
+            setattr(into, f.name, mine + theirs)
 
 
 @dataclass
@@ -126,6 +154,4 @@ class BackendStats:
 
     def merge(self, other: "BackendStats") -> None:
         """Accumulate another block's counters into this one."""
-        for f in fields(self):
-            setattr(self, f.name,
-                    getattr(self, f.name) + getattr(other, f.name))
+        merge_fields(self, other)

@@ -46,6 +46,7 @@ dropped.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -54,7 +55,7 @@ from typing import Deque, List, NamedTuple, Sequence, Set, Tuple
 from ..core.ior import TreeObstacleFetcher
 from ..core.stats import QueryStats
 from ..geometry.predicates import EPS
-from ..geometry.rectangle import Rect
+from ..geometry.rectangle import Rect, segment_mindist_lower
 from ..geometry.segment import Segment
 from ..index.rstar import RStarTree
 from ..obstacles.obstacle import Obstacle
@@ -186,7 +187,7 @@ class ObstacleCache:
         self._mbrs: List[Rect] = []
         self._capsules: List[Capsule] = []
         self._max_capsules = max_capsules
-        self._ranked_memo = None  # (qseg key, epoch, ranked list)
+        self._ranked_memo = None  # (qseg key, epoch, LazyRanking)
         self._tree_version = obstacle_tree.version
         self.lock = CountingRLock()
         """Guards every coverage decision and cached-set mutation.  Held
@@ -371,27 +372,25 @@ class ObstacleCache:
             return tuple(self._capsules)
 
     # --------------------------------------------------------------- serving
-    def ranked(self, qseg: Segment) -> List[Tuple[float, Obstacle]]:
+    def ranked(self, qseg: Segment) -> "LazyRanking":
         """Cached obstacles keyed by ``mindist(MBR, qseg)``, ascending.
 
         The key function matches the tree scan's exactly (both evaluate
         ``Rect.mindist_segment`` on the obstacle's MBR), so a cache-served
         round admits precisely the obstacles a tree scan would have.  The
-        last ranking is memoized, so a run of queries over one segment —
-        the repeated-query workload the cache targets — ranks once, not
-        once per view.
+        ranking is lazy (see :class:`LazyRanking`): a view reading only
+        the obstacles under its radius pays exact keys for about those.
+        The last ranking is memoized together with its refined prefix, so
+        a run of queries over one segment — the repeated-query workload the
+        cache targets — ranks once, not once per view.
         """
         with self.lock:
             self._validate()
-            ax, ay, bx, by = qseg.ax, qseg.ay, qseg.bx, qseg.by
-            key = (ax, ay, bx, by)
+            key = (qseg.ax, qseg.ay, qseg.bx, qseg.by)
             memo = self._ranked_memo
             if memo is not None and memo[0] == key and memo[1] == self.epoch:
                 return memo[2]
-            out = [(mbr.mindist_segment(ax, ay, bx, by), i)
-                   for i, mbr in enumerate(self._mbrs)]
-            out.sort()
-            ranked = [(d, self._obstacles[i]) for d, i in out]
+            ranked = LazyRanking(self._obstacles, self._mbrs, qseg)
             self._ranked_memo = (key, self.epoch, ranked)
             return ranked
 
@@ -478,6 +477,59 @@ class CacheReadView(NamedTuple):
     """The backing obstacle tree's mutation counter at pin time."""
 
 
+class LazyRanking(Sequence):
+    """Obstacles in ascending ``(mindist(MBR, qseg), index)`` order, keyed
+    on demand.
+
+    Holds a snapshot of the cached obstacles.  Every entry starts on a heap
+    keyed by the cheap
+    :func:`~repro.geometry.rectangle.segment_mindist_lower` bound; reading
+    position ``i`` refines heads (exact
+    ``Rect.mindist_segment`` swapped in place) until ``i + 1`` entries are
+    exactly keyed and out.  Because the bound never exceeds the exact key,
+    item ``i`` is exactly item ``i`` of the eagerly sorted
+    ``[(mindist, index)]`` list — the same argument as
+    :class:`~repro.index.nearest.IncrementalNearest`'s lazy keys.
+
+    Reading mutates the heap, so a ranking shared through the memo is read
+    only under the cache lock (views read it inside ``ensure`` rounds).
+    """
+
+    __slots__ = ("_qseg", "_obstacles", "_mbrs", "_heap", "_out")
+
+    def __init__(self, obstacles: Sequence[Obstacle], mbrs: Sequence[Rect],
+                 qseg: Segment):
+        self._qseg = (qseg.ax, qseg.ay, qseg.bx, qseg.by)
+        self._obstacles = tuple(obstacles)
+        self._mbrs = tuple(mbrs)
+        lower = segment_mindist_lower(*self._qseg)
+        # (key, index, exact): indices are unique, so ``exact`` is never
+        # compared.
+        self._heap = [(lower(mbr), i, False)
+                      for i, mbr in enumerate(self._mbrs)]
+        heapq.heapify(self._heap)
+        self._out: List[Tuple[float, Obstacle]] = []
+
+    def __len__(self) -> int:
+        return len(self._obstacles)
+
+    def __getitem__(self, i: int) -> Tuple[float, Obstacle]:
+        if not 0 <= i < len(self._obstacles):
+            raise IndexError(i)
+        out = self._out
+        heap = self._heap
+        while len(out) <= i:
+            key, j, exact = heap[0]
+            if exact:
+                heapq.heappop(heap)
+                out.append((key, self._obstacles[j]))
+            else:
+                heapq.heapreplace(
+                    heap, (self._mbrs[j].mindist_segment(*self._qseg), j,
+                           True))
+        return out[i]
+
+
 class CachedObstacleView:
     """Per-query obstacle feed over a shared :class:`ObstacleCache`.
 
@@ -497,7 +549,7 @@ class CachedObstacleView:
         self._stats = stats
         self.radius = 0.0
         self._scan = None
-        self._ranked: List[Tuple[float, Obstacle]] = []
+        self._ranked: Sequence[Tuple[float, Obstacle]] = ()
         self._cursor = 0
         self._epoch = -1
         # Overfetched pops (mindist beyond the round's radius), ascending:

@@ -9,14 +9,17 @@ One :class:`ShardStats` block exists at two granularities:
   query plus structural counters (replicated obstacles, merged
   environments built/reused, monitor re-homings).
 
-The block is deliberately dependency-free so :class:`~repro.core.stats.
-QueryStats` can carry one without importing the shard subsystem.
+The block depends only on the leaf :mod:`repro.routing.stats` so
+:class:`~repro.core.stats.QueryStats` can carry one without importing the
+shard subsystem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict
+
+from ..routing.stats import merge_fields
 
 
 @dataclass
@@ -79,19 +82,9 @@ class ShardStats:
         return self.border_expansions / self.queries if self.queries else 0.0
 
     def merge(self, other: "ShardStats") -> None:
-        """Accumulate another block's counters into this one."""
-        self.queries += other.queries
-        for sid, n in other.by_shard.items():
-            self.by_shard[sid] = self.by_shard.get(sid, 0) + n
-        self.border_expansions += other.border_expansions
-        self.fanout += other.fanout
-        self.replicated_obstacles += other.replicated_obstacles
-        self.merges_built += other.merges_built
-        self.merge_reuses += other.merge_reuses
-        self.rehomes += other.rehomes
-        self.route_time_s += other.route_time_s
-        self.reexec_time_s += other.reexec_time_s
-        self.merge_build_time_s += other.merge_build_time_s
+        """Accumulate another block's counters into this one (``by_shard``
+        sums per shard)."""
+        merge_fields(self, other)
 
     def describe(self) -> str:
         """One-line human-readable summary."""

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import (
+    Rect,
     clip_segment_to_rect,
     line_line_intersection,
     orient_sign,
@@ -72,6 +73,24 @@ class TestSegmentsIntersect:
 
     def test_parallel_disjoint(self):
         assert not segments_intersect(0, 0, 1, 0, 0, 1, 1, 1)
+
+    def test_banded_zero_orientation_is_not_opposite_side(self):
+        # A rectangle's bottom edge lying ~3000 units past the end of a
+        # near-collinear query: the orientation signs come out
+        # (o1, o2, o3, o4) = (0, 1, 0, -1), which must not read as a
+        # crossing; the touching branches reject it on extent.
+        edge = (3739.435058549558, 1048.399006915313,
+                4704.308073263833, 1048.399006915313)
+        query = (-8530.154030879157, 1048.399005915313,
+                 730.2454370071664, 1048.399015915313)
+        signs = (orient_sign(*edge, *query[:2]), orient_sign(*edge, *query[2:]),
+                 orient_sign(*query, *edge[:2]), orient_sign(*query, *edge[2:]))
+        assert signs == (0, 1, 0, -1)
+        assert not segments_intersect(*edge, *query)
+        rect = Rect(3739.435058549558, 1048.399006915313,
+                    4704.308073263833, 1643.2428195759999)
+        assert math.isclose(rect.mindist_segment(*query),
+                            math.hypot(edge[0] - query[2], edge[1] - query[3]))
 
 
 class TestDistances:
