@@ -22,7 +22,9 @@ Two design points keep it fast at benchmark scale:
 
 The graph also caches each node's visible region ``VR_{v,q}`` with an
 obstacle watermark, so a cached region is lazily narrowed by exactly the
-shadows of obstacles added since it was computed.
+shadows of obstacles added since it was computed.  A region miss fills
+the shadows of every missing or stale region at once when they fit one
+kernel tile (a *region wave*, see :meth:`visible_region_of`).
 
 Traversals run on the library-wide resumable Dijkstra
 (:class:`repro.routing.dijkstra.Traversal`) and are memoized per source:
@@ -72,7 +74,7 @@ from ..geometry.vectorized import (
 from ..routing.config import ARRAY_ENGINE, SCALAR_ENGINE
 from ..routing.dijkstra import ArrayTraversal, Traversal
 from .obstacle import Obstacle, ObstacleSet
-from .shadow import shadow_set, visible_region
+from .shadow import shadow_gaps, viewpoint_shadows
 
 _MAX_TRAVERSAL_MEMO = 64
 """Memoized shortest-path trees kept per graph (oldest dropped first)."""
@@ -209,10 +211,11 @@ class LocalVisibilityGraph:
         self._cell_epoch = 0
         # For transient nodes: which cached rows mention them.
         self._mentions: Dict[int, Set[int]] = {}
-        # node -> (visible region, (rect rows, seg rows, polys) watermark,
-        # struct epoch at which that watermark was recorded)
-        self._vr_cache: Dict[int, Tuple[IntervalSet, Tuple[int, int, int],
-                                        int]] = {}
+        # node -> (visible region as of its last read, (rect rows, seg
+        # rows, polys) watermark, struct epoch at which that watermark was
+        # recorded, shadows filled since the last read or None); see
+        # visible_region_of.
+        self._vr_cache: Dict[int, tuple] = {}
         # Per-node Euclidean distance to the bound query segment, the
         # admissible heuristic behind bounded-traversal pruning.  Lazily
         # extended as nodes appear; reset when the anchor segment changes
@@ -233,6 +236,8 @@ class LocalVisibilityGraph:
         self.bulk_pair_launches = 0
         self.removal_repairs = 0
         self.repair_retested_pairs = 0
+        self.region_waves = 0
+        self.regions_computed = 0
         # (rect, seg, polygon rows) watermark -> primitive-bounds slabs for
         # the batch kernel's bbox prefilter; obstacle arrays are append-only
         # (removal drops the cache), so the counts key validity.
@@ -1627,29 +1632,110 @@ class LocalVisibilityGraph:
 
     # ------------------------------------------------------ visible regions
     def visible_region_of(self, node: int) -> IntervalSet:
-        """Cached ``VR_{node,q}``, narrowed lazily as obstacles arrive."""
+        """Cached ``VR_{node,q}``, narrowed lazily as obstacles arrive.
+
+        A miss fills shadows in a wave: every alive node whose region is
+        missing or behind the obstacle watermark gets the shadows of the
+        obstacles it has not seen, from one prefiltered pair grid per
+        obstacle kind (see
+        :func:`~repro.obstacles.shadow.viewpoint_shadows`), when the
+        wave's node x primitive x gap elements fit one
+        ``BATCH_TILE_ELEMS`` tile; otherwise just ``node`` does.
+
+        Filled shadows stay *pending* until their node is read, and a
+        read subtracts all of its pending shadows as one
+        :class:`IntervalSet`.  So each read computes exactly what it
+        would have without waves: the full segment minus every shadow on
+        the first read, the last read's region minus the shadows of the
+        obstacles since then on a later one.  (Narrowing a wave-filled
+        region early instead would not be exact: ``(full - A) - B`` can
+        keep a sliver that ``full - (A + B)`` coalesces away when an
+        ``A`` and a ``B`` interval meet within ``MERGE_EPS``.)
+        """
         epoch = self._struct_epoch
         cached = self._vr_cache.get(node)
-        if cached is not None and cached[2] == epoch:
+        if cached is not None and cached[2] == epoch and cached[3] is None:
             return cached[0]
+        mark = (self.obstacles.rects.shape[0], self.obstacles.segs.shape[0],
+                len(self.obstacles.polys))
+        if cached is None or cached[1] != mark:
+            wave = self._region_wave(mark)
+            if wave is None:
+                wave = [node]
+            else:
+                self.region_waves += 1
+            self._fill_regions(wave, mark, epoch)
+            cached = self._vr_cache[node]
+        region, _mark, _epoch, pending = cached
+        if pending is not None:
+            region = region.subtract(IntervalSet(pending))
+        self._vr_cache[node] = (region, mark, epoch, None)
+        return region
+
+    def _region_wave(self, mark: Tuple[int, int, int]) -> Optional[List[int]]:
+        """Alive nodes whose region is missing or stale, if they fit a tile.
+
+        A node costs (primitives since its watermark) x (candidate gaps
+        per primitive) elements, a missing node counting every primitive;
+        ``None`` when the wave exceeds ``BATCH_TILE_ELEMS``.  The node
+        scan is skipped when the missing regions alone cannot fit (cached
+        regions belong to alive nodes only, so they number
+        ``alive - cached``).
+        """
+        gaps = shadow_gaps(self.obstacles.poly_slab)
+
+        def cost(since: Tuple[int, int, int]) -> int:
+            return sum((n - w) * g for n, w, g in zip(mark, since, gaps))
+
+        full = cost((0, 0, 0))
+        alive = np.flatnonzero(self._alive_view()).tolist()
+        total = (len(alive) - len(self._vr_cache)) * full
+        if total > BATCH_TILE_ELEMS:
+            return None
+        total = 0
+        wave = []
+        for v in alive:
+            cached = self._vr_cache.get(v)
+            if cached is None:
+                total += full
+            elif cached[1] != mark:
+                total += cost(cached[1])
+            else:
+                continue
+            wave.append(v)
+        return wave if total <= BATCH_TILE_ELEMS else None
+
+    def _fill_regions(self, nodes: List[int], mark: Tuple[int, int, int],
+                      epoch: int) -> None:
+        """Add to the pending shadows of ``nodes`` those of the obstacles
+        past each node's watermark (all of them for a missing region), in
+        one pair grid per kind for each watermark group."""
+        groups: Dict[Tuple[int, int, int], List[int]] = {}
+        for v in nodes:
+            cached = self._vr_cache.get(v)
+            groups.setdefault((0, 0, 0) if cached is None else cached[1],
+                              []).append(v)
         rects = self.obstacles.rects
         segs = self.obstacles.segs
         polys = self.obstacles.poly_slab
-        watermark_now = (rects.shape[0], segs.shape[0], len(polys))
-        if cached is not None:
-            vr, watermark, _ = cached
-            if watermark != watermark_now:
-                x, y = self._xy[node]
-                vr = vr.subtract(shadow_set(x, y, self.qseg,
-                                            rects[watermark[0]:],
-                                            segs[watermark[1]:],
-                                            polys[watermark[2]:]))
-            self._vr_cache[node] = (vr, watermark_now, epoch)
-            return vr
-        x, y = self._xy[node]
-        vr = visible_region(x, y, self.qseg, self.obstacles)
-        self._vr_cache[node] = (vr, watermark_now, epoch)
-        return vr
+        bounds = self._prim_bounds()
+        full = IntervalSet.full(0.0, self.qseg.length)
+        coords = self._coords_np
+        for (r, s, p), members in groups.items():
+            ids = np.asarray(members, dtype=np.int64)
+            shadows = viewpoint_shadows(
+                coords[ids, 0], coords[ids, 1], self.qseg,
+                rects[r:], segs[s:], polys[p:],
+                (bounds[0][r:], bounds[1][s:], bounds[2][p:]))
+            for v, blocked in zip(members, shadows):
+                cached = self._vr_cache.get(v)
+                if cached is None:
+                    region, pending = full, blocked
+                else:
+                    region, pending = cached[0], cached[3]
+                    pending = blocked if pending is None else pending + blocked
+                self._vr_cache[v] = (region, mark, epoch, pending)
+        self.regions_computed += len(nodes)
 
     # -------------------------------------------------------------- dijkstra
     def _segment_heuristic(self) -> np.ndarray:

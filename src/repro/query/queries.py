@@ -8,13 +8,14 @@ description carries no algorithm choice — the planner
 when the query meets a :class:`~repro.service.Workspace`, which is what lets
 the executor reorder, batch, and prefetch behind one uniform API.
 
-Descriptions validate eagerly: a degenerate CONN segment, ``k < 1``, or a
-negative range radius raise ``ValueError`` at construction time, before any
-index is touched.
+Descriptions validate eagerly: a degenerate CONN segment, a NaN or infinite
+query coordinate, ``k < 1``, or a negative or NaN range radius raise
+``ValueError`` at construction time, before any index is touched.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, ClassVar, Optional, Tuple
 
@@ -23,6 +24,13 @@ from ..geometry.point import Point, as_point
 from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
 from ..index.rstar import RStarTree
+
+
+def _require_finite(what: str, *coords: float) -> None:
+    """Reject NaN / infinite query coordinates (they would poison every
+    distance and, for NaN, never terminate the envelope merges)."""
+    if not all(math.isfinite(c) for c in coords):
+        raise ValueError(f"{what} has a non-finite coordinate: {coords}")
 
 
 def as_query_point(x: Any, y: Optional[float] = None) -> Point:
@@ -37,15 +45,19 @@ def as_query_point(x: Any, y: Optional[float] = None) -> Point:
     Raises:
         TypeError: when ``x`` is a point-like and ``y`` is also given (the
             call is ambiguous — pass ``k``/``radius`` by keyword instead).
+        ValueError: when a coordinate is NaN or infinite.
     """
     if isinstance(x, (int, float)) and not isinstance(x, bool):
         if y is None:
             raise TypeError("missing y coordinate (or pass one (x, y) pair)")
-        return Point(float(x), float(y))
-    if y is not None:
+        point = Point(float(x), float(y))
+    elif y is not None:
         raise TypeError("got both a point-like first argument and a second "
                         "coordinate; pass trailing options by keyword")
-    return as_point(x)
+    else:
+        point = as_point(x)
+    _require_finite("query point", point.x, point.y)
+    return point
 
 
 def as_range_args(x: Any, y: Optional[float] = None,
@@ -71,10 +83,11 @@ def as_range_args(x: Any, y: Optional[float] = None,
 
 
 def _as_segment(segment: Any) -> Segment:
-    if isinstance(segment, Segment):
-        return segment
-    ax, ay, bx, by = segment
-    return Segment(float(ax), float(ay), float(bx), float(by))
+    if not isinstance(segment, Segment):
+        ax, ay, bx, by = segment
+        segment = Segment(float(ax), float(ay), float(bx), float(by))
+    _require_finite("query segment", *segment)
+    return segment
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -191,8 +204,8 @@ class RangeQuery(Query):
     def __post_init__(self) -> None:
         object.__setattr__(self, "point", as_query_point(self.point))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
+        if not self.radius >= 0:
+            raise ValueError(f"radius must be non-negative, got {self.radius}")
 
     def footprint(self) -> Rect:
         return Rect.point(self.point.x, self.point.y).expanded(self.radius)
@@ -216,6 +229,7 @@ class TrajectoryQuery(Query):
         object.__setattr__(self, "waypoints", pts)
         if len(pts) < 2:
             raise ValueError("a trajectory needs at least two waypoints")
+        _require_finite("trajectory", *(c for p in pts for c in p))
         if all(Segment(ax, ay, bx, by).is_degenerate()
                for (ax, ay), (bx, by) in zip(pts, pts[1:])):
             raise ValueError("trajectory has no leg of positive length")

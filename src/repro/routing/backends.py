@@ -170,6 +170,8 @@ class VGSession:
         self._bulklaunch0 = graph.bulk_pair_launches
         self._repairs0 = graph.removal_repairs
         self._retested0 = graph.repair_retested_pairs
+        self._waves0 = graph.region_waves
+        self._regions0 = graph.regions_computed
         self._closed = False
 
     # ------------------------------------------------------- graph surface
@@ -267,6 +269,8 @@ class VGSession:
             removal_repairs=self.graph.removal_repairs - self._repairs0,
             repair_retested_pairs=(self.graph.repair_retested_pairs
                                    - self._retested0),
+            region_waves=self.graph.region_waves - self._waves0,
+            regions_computed=self.graph.regions_computed - self._regions0,
         )
         # Counters accumulate per session (this graph is exclusively ours
         # for the session's lifetime, so the deltas are exact) and merge at

@@ -131,6 +131,16 @@ class BackendStats:
     not currently visible whose sight segment's bbox overlaps a removed
     obstacle's padded bbox (the only pairs removal can re-open)."""
 
+    region_waves: int = 0
+    """Visible-region misses that filled every alive node's missing or
+    stale region in one pair grid per obstacle kind (the wave fit one
+    kernel tile); the other misses fill just the requested node."""
+
+    regions_computed: int = 0
+    """Node shadow fills, by waves and single-node fills alike: the
+    shadows of every obstacle for a missing visible region, of the
+    obstacles past its watermark for a stale one."""
+
     patched: int = 0
     """Announced obstacle inserts patched into a shared graph in place."""
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import IntervalSet
+from repro.geometry.interval import MERGE_EPS
 
 bound = st.floats(min_value=0.0, max_value=100.0, allow_nan=False,
                   allow_infinity=False)
@@ -161,3 +162,63 @@ class TestProperties:
             assert a.union(b).contains(t, eps=1e-7)
         if in_a and not in_b:
             assert a.subtract(b).contains(t, eps=1e-7)
+
+
+@st.composite
+def eps_edge_shadows(draw, length: float = 10.0):
+    """Blocked intervals on ``[0, length]`` packed at the ``MERGE_EPS`` scale.
+
+    Each interval starts a gap (or an overlap) of 0.3-3 ``MERGE_EPS``, or
+    an ordinary gap, from the previous one's end and is 0.3-3
+    ``MERGE_EPS`` or ordinarily wide, so coalescing, sliver dropping and
+    exact ties all occur.  Returns ``(intervals, owner)`` with ``owner[i]``
+    splitting them into two lists.
+    """
+    n = draw(st.integers(min_value=0, max_value=8))
+    tiny = st.floats(min_value=0.3, max_value=3.0).map(lambda f: f * MERGE_EPS)
+    sign = st.sampled_from([1.0, -1.0])
+    cursor = draw(st.sampled_from([0.0, MERGE_EPS, 0.5 * MERGE_EPS]) |
+                  st.floats(min_value=0.0, max_value=length))
+    out = []
+    for _ in range(n):
+        gap = draw(st.builds(lambda s, g: s * g, sign, tiny) |
+                   st.floats(min_value=0.0, max_value=2.0))
+        width = draw(tiny | st.floats(min_value=0.0, max_value=3.0))
+        lo = min(max(cursor + gap, 0.0), length)
+        hi = min(lo + width, length)
+        out.append((lo, hi))
+        cursor = hi
+    owner = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return out, owner
+
+
+class TestPendingShadows:
+    """Visible regions subtract all shadows filled since a node's last
+    read as one ``IntervalSet``; the result may not depend on how the
+    fills split that list or ordered it."""
+
+    @given(eps_edge_shadows(), st.randoms(use_true_random=False))
+    def test_subtraction_depends_only_on_the_multiset(self, drawn, rng):
+        intervals, owner = drawn
+        a = [iv for iv, o in zip(intervals, owner) if o]
+        b = [iv for iv, o in zip(intervals, owner) if not o]
+        full = IntervalSet.full(0.0, 10.0)
+        once = full.subtract(IntervalSet(a + b)).intervals
+        shuffled = b + a
+        rng.shuffle(shuffled)
+        assert full.subtract(IntervalSet(shuffled)).intervals == once
+        assert_invariants(IntervalSet(once, _trusted=True))
+
+    def test_narrowing_twice_is_not_subtracting_once(self):
+        # Why fills keep shadows pending instead of narrowing early: an A
+        # interval ending at h and a B interval starting at fl(h + eps)
+        # coalesce in one IntervalSet, but subtracting them in turn keeps
+        # the eps-wide gap between them as a region interval.
+        h = 1.1928608078522345
+        a, b = [(0.2, h)], [(h + MERGE_EPS, 9.5)]
+        full = IntervalSet.full(0.0, 10.0)
+        once = full.subtract(IntervalSet(a + b)).intervals
+        twice = full.subtract(IntervalSet(a)).subtract(IntervalSet(b))
+        assert once == [(0.0, 0.2), (9.5, 10.0)]
+        assert twice.intervals == [(0.0, 0.2), (h, h + MERGE_EPS),
+                                   (9.5, 10.0)]

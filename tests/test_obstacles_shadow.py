@@ -33,9 +33,15 @@ def random_polygon(rng: random.Random, cx: float, cy: float,
         for i in range(n)])
 
 
+def intervals(shadows):
+    """A ``(rows, lo, hi)`` shadow triple as ``(lo, hi)`` tuples, in row order."""
+    _rows, lo, hi = shadows
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
 def assert_poly_shadows_exact(vx, vy, qseg, oset: ObstacleSet) -> None:
     """Batched polygon shadows equal the scalar reference tuple for tuple."""
-    got = shadow_intervals_polys(vx, vy, qseg, oset.poly_slab)
+    got = intervals(shadow_intervals_polys(vx, vy, qseg, oset.poly_slab))
     want = [iv for p in oset.polys
             for iv in shadow_intervals_scalar(vx, vy, qseg, p)]
     assert got == want
@@ -212,8 +218,8 @@ class TestAgainstSampling:
                 # Watermark slices: shadows of poly_slab[n:] are those of
                 # polys[n:], in order.
                 for n in range(len(oset.polys) + 1):
-                    got = shadow_intervals_polys(vx, vy, q,
-                                                 oset.poly_slab[n:])
+                    got = intervals(shadow_intervals_polys(
+                        vx, vy, q, oset.poly_slab[n:]))
                     want = [iv for p in oset.polys[n:]
                             for iv in shadow_intervals_scalar(vx, vy, q, p)]
                     assert got == want

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 import random
 import typing
 
@@ -132,6 +133,52 @@ class TestPointNormalization:
             ws.onn(20.0)  # missing y
         with pytest.raises(TypeError):
             ws.range(20.0, 30.0)  # missing radius
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInput:
+    """NaN / infinite query coordinates raise ``ValueError`` up front.
+
+    Before validation, a NaN segment hung ``PiecewiseDistance.merge_min``
+    and an infinite one answered ``[(0, (0.0, inf))]``.
+    """
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("slot", range(4))
+    def test_segment_queries(self, bad, slot):
+        coords = [10.0, 20.0, 30.0, 25.0]
+        coords[slot] = bad
+        ws = small_scene()
+        with pytest.raises(ValueError, match="non-finite"):
+            ws.conn(Segment(*coords))
+        with pytest.raises(ValueError, match="non-finite"):
+            ws.coknn(tuple(coords), k=2)
+        with pytest.raises(ValueError, match="non-finite"):
+            repro.conn(ws.data_tree, ws.obstacle_tree, Segment(*coords))
+        with pytest.raises(ValueError, match="non-finite"):
+            TrajectoryQuery([(0.0, 0.0), tuple(coords[:2]),
+                             tuple(coords[2:])])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_point_queries(self, bad):
+        ws = small_scene()
+        for x, y in ((bad, 30.0), (20.0, bad)):
+            with pytest.raises(ValueError, match="non-finite"):
+                ws.onn(x, y, k=2)
+            with pytest.raises(ValueError, match="non-finite"):
+                ws.onn(Point(x, y))
+            with pytest.raises(ValueError, match="non-finite"):
+                ws.range((x, y), 25.0)
+            with pytest.raises(ValueError, match="non-finite"):
+                RangeQuery(Point(x, y), 5.0)
+
+    def test_range_radius(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RangeQuery((1, 2), math.nan)
+        # An unbounded radius stays meaningful: every reachable site.
+        assert RangeQuery((1, 2), math.inf).radius == math.inf
 
 
 class TestResultProtocol:
