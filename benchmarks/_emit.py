@@ -2,11 +2,11 @@
 
 Every benchmark that participates in the performance trajectory merges one
 section into a single JSON file, override with ``--emit`` (``--json`` is
-kept as an alias) or the ``BENCH_JSON`` environment variable; the default
-file name lives in :data:`DEFAULT_FILE` so a new PR bumps exactly one
-constant instead of every benchmark patching its own.  CI uploads the file
-as a build artifact, so speedups are diffable across PRs instead of living
-in log scrollback.
+kept as an alias) or the ``BENCH_JSON`` environment variable.  The default,
+:data:`DEFAULT_FILE`, is an untracked scratch file (``.gitignore`` lists
+``bench-*.json``), so a local smoke run never rewrites a committed
+``BENCH_PR*.json`` record.  CI uploads the file as a build artifact, so
+speedups are diffable across runs instead of living in log scrollback.
 
 Host metadata — including the git revision when one is resolvable — rides
 along with every section; emission never fails because the benchmark ran
@@ -23,8 +23,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict
 
-DEFAULT_FILE = "BENCH_PR10.json"
-"""Current trajectory artifact name (bumped once per PR, here only)."""
+DEFAULT_FILE = "bench-smoke.json"
+"""Default emission file: untracked, and uploaded by CI as an artifact."""
 
 DEFAULT_PATH = Path(__file__).resolve().parent.parent / DEFAULT_FILE
 

@@ -9,7 +9,28 @@ floats immediately.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Tuple
+
+
+def require_finite(what: str, *coords: float) -> None:
+    """Raise ``ValueError`` unless every coordinate is finite.
+
+    The API boundary's guard for sites, obstacles and query input: a NaN
+    or infinite coordinate would poison every distance (and, for NaN,
+    never terminate the envelope merges) instead of failing loudly.
+    """
+    if not all(map(math.isfinite, coords)):
+        raise ValueError(f"{what} has a non-finite coordinate: {coords}")
+
+
+def require_finite_points(what: str, points: Iterable[Tuple[float, float]]
+                          ) -> None:
+    """:func:`require_finite` over many ``(x, y)`` pairs (bulk loads run
+    it over every site, so the all-finite path stays a bare loop)."""
+    isfinite = math.isfinite
+    for x, y in points:
+        if not (isfinite(x) and isfinite(y)):
+            require_finite(what, x, y)
 
 
 class Point(NamedTuple):

@@ -24,7 +24,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.point import Point
+from ..geometry.point import Point, require_finite
 from ..geometry.predicates import (
     segment_crosses_rect_interior,
     segments_properly_cross,
@@ -80,6 +80,7 @@ class RectObstacle(Obstacle):
     def __init__(self, xlo: float, ylo: float, xhi: float, yhi: float,
                  oid: int | None = None):
         super().__init__(oid)
+        require_finite("rectangle obstacle", xlo, ylo, xhi, yhi)
         if xhi < xlo or yhi < ylo:
             raise ValueError("rectangle highs must not be below lows")
         self.rect = Rect(float(xlo), float(ylo), float(xhi), float(yhi))
@@ -119,6 +120,7 @@ class PolygonObstacle(Obstacle):
     def __init__(self, points, oid: int | None = None):
         super().__init__(oid)
         pts = [(float(x), float(y)) for x, y in points]
+        require_finite("polygon obstacle", *(c for p in pts for c in p))
         if len(pts) < 3:
             raise ValueError("a polygon needs at least three vertices")
         # Normalize to counter-clockwise order.
@@ -179,6 +181,7 @@ class SegmentObstacle(Obstacle):
     def __init__(self, ax: float, ay: float, bx: float, by: float,
                  oid: int | None = None):
         super().__init__(oid)
+        require_finite("segment obstacle", ax, ay, bx, by)
         self.seg = Segment(float(ax), float(ay), float(bx), float(by))
 
     @classmethod

@@ -79,6 +79,10 @@ from .shadow import shadow_gaps, viewpoint_shadows
 _MAX_TRAVERSAL_MEMO = 64
 """Memoized shortest-path trees kept per graph (oldest dropped first)."""
 
+_REACH_SLACK = 1e-9
+"""Relative slack of :meth:`LocalVisibilityGraph._reach_row`'s ``np.hypot``
+prefilter, far above the ulp it has to cover; the exact filter follows."""
+
 # States of a (slot, transient) visibility cell, and their bytes: hot
 # reads test a row of cells as ``bytes``, which is several times cheaper
 # than a numpy reduction over a handful of elements.
@@ -238,6 +242,8 @@ class LocalVisibilityGraph:
         self.repair_retested_pairs = 0
         self.region_waves = 0
         self.regions_computed = 0
+        self.relaxations_pruned = 0
+        self.bounded_rows = 0
         # (rect, seg, polygon rows) watermark -> primitive-bounds slabs for
         # the batch kernel's bbox prefilter; obstacle arrays are append-only
         # (removal drops the cache), so the counts key validity.
@@ -1448,7 +1454,8 @@ class LocalVisibilityGraph:
         return False
 
     def _prefetch_rows(self, node: int,
-                       frontier: "Callable[[], List[int]]") -> None:
+                       frontier: "Callable[[], List[int]]",
+                       reach: float = math.inf) -> None:
         """Array-traversal hook: fill a frontier wave before a row read.
 
         Invoked before each settle's row read; a no-op unless ``node``'s
@@ -1458,11 +1465,16 @@ class LocalVisibilityGraph:
         each: missing rows of up to :attr:`frontier_prefetch` frontier
         nodes materialize; stale rows of the node and the gathered frontier
         repair (one pair of launches per watermark group); unknown cells of
-        the node and the gathered frontier fill.
+        the node and the gathered frontier fill.  A transient node without
+        a cached row read under a finite ``reach`` gets a reach-limited row
+        from :meth:`row_arrays`, so its own row and cells are left to that
+        read; the frontier is handled as above.
         """
         if not self._alive[node]:
             return
         row_missing = node not in self._indptr
+        own = not (row_missing and reach < math.inf
+                   and self._transient[node])
         row_stale = not row_missing and self._row_stale(node)
         t = len(self._live_transients)
         cells_missing = False
@@ -1480,13 +1492,17 @@ class LocalVisibilityGraph:
                     break
                 if nb not in self._indptr:
                     wave.append(nb)
-            self.materialize_rows(wave)
+            if not own:
+                wave = wave[1:]
+            if wave:
+                self.materialize_rows(wave)
         if row_stale:
             self._refresh_rows_bulk([node] + front)
-        if cells_missing:
-            self._fill_cells([node] + front)
+        if cells_missing and (own or front):
+            self._fill_cells([node] + front if own else front)
 
-    def row_arrays(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
+    def row_arrays(self, node: int, reach: float = math.inf
+                   ) -> Tuple[np.ndarray, np.ndarray]:
         """The flat adjacency row of ``node``: ``(ids, weights)``.
 
         The array engine's counterpart of :meth:`neighbors`: same lazy
@@ -1501,10 +1517,20 @@ class LocalVisibilityGraph:
         the row's transient visibility cells, filling any still unknown
         (:meth:`_fill_cells`); when none are bound the returned arrays are
         zero-copy slab views.
+
+        A bounded traversal passes ``reach``, how far past the node's
+        distance its prune bound lies.  A transient node without a cached
+        row then gets an uncached row holding only the edges that can land
+        inside it (:meth:`_reach_row`): a data point under evaluation is
+        read once per bounded traversal, and nearly all of its full row
+        would be pruned at push time.  Permanent rows and cached transient
+        rows are returned in full whatever ``reach`` says.
         """
         epoch = self._struct_epoch
         span = self._indptr.get(node)
         if span is None:
+            if reach < math.inf and self._transient[node]:
+                return self._reach_row(node, reach)
             idx, w = self._materialize_row(node, self._array_mark())
             self._row_epochs[node] = epoch
         else:
@@ -1531,6 +1557,58 @@ class LocalVisibilityGraph:
                 idx = np.concatenate([idx, self._tids[vis]])
                 w = np.concatenate([w, self._cell_w[node, :t][vis]])
         return idx, w
+
+    def _reach_row(self, node: int, reach: float
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """The full row of ``node`` filtered by ``w + h(target) <= reach``.
+
+        ``h`` is the segment heuristic.  Candidates are the alive permanent
+        nodes (ids ascending) then the bound transients (binding order),
+        narrowed by ``np.hypot`` with a small relative slack (a superset of
+        the exact filter: ``np.hypot`` and ``math.hypot`` differ by an ulp)
+        and decided in one :func:`blocked_batch` launch, none when no
+        candidate is left.  Sight lines run from ``node`` to the target and
+        weights go through ``math.hypot``, as in a full row, so the result
+        is the full row filtered by reach, bit for bit.  The filter keeps
+        every edge a push could keep: ``(d + w) + h < bound`` implies
+        ``w + h <= bound - d`` in floating point too.  Nothing is cached.
+        """
+        self.bounded_rows += 1
+        n = len(self._xy)
+        h = self._segment_heuristic()
+        x, y = self._xy[node]
+        coords = self._coords_np
+        near = np.hypot(coords[:n, 0] - x, coords[:n, 1] - y)
+        near += h
+        near = near <= reach * (1.0 + _REACH_SLACK)
+        near &= self._alive_np[:n]
+        near[node] = False
+        tids = self._tids[near[self._tids]]
+        near[self._transient_np[:n]] = False
+        cand = np.flatnonzero(near)
+        if tids.size:
+            cand = np.concatenate([cand, tids])
+        if cand.size:
+            tally: dict = {}
+            blocked = blocked_batch(np.full((cand.size, 2), (x, y)),
+                                    coords[cand],
+                                    self.obstacles.rects, self.obstacles.segs,
+                                    self.obstacles.poly_slab,
+                                    bounds=self._prim_bounds(), tally=tally)
+            self._count_batch(cand.size, self._prims_now(), tally)
+            cand = cand[~blocked]
+        hypot = math.hypot
+        xy = self._xy
+        ids: List[int] = []
+        ws: List[float] = []
+        for i, hv in zip(cand.tolist(), h[cand].tolist()):
+            tx, ty = xy[i]
+            w = hypot(x - tx, y - ty)
+            if w + hv <= reach:
+                ids.append(i)
+                ws.append(w)
+        return (np.array(ids, dtype=np.int64),
+                np.array(ws, dtype=np.float64))
 
     def neighbors(self, node: int) -> Dict[int, float]:
         """The adjacency row of ``node``, computed/repaired lazily.
@@ -1748,6 +1826,7 @@ class LocalVisibilityGraph:
         traversal declines to relax is guaranteed to be skipped (not
         trusted) downstream.  Extended lazily as nodes appear; dead slots
         keep stale values harmlessly (their coordinates never change).
+        Returns a view covering exactly the current node slots.
         """
         q = self.qseg
         n = len(self._xy)
@@ -1767,7 +1846,7 @@ class LocalVisibilityGraph:
                 x, y = xy[i]
                 h[i] = dp(x, y)
             self._h_len = n
-        return self._h_np
+        return self._h_np[:n]
 
     def _traversal(self, source: int,
                    prune_bound: float = math.inf) -> Traversal:
@@ -1804,13 +1883,15 @@ class LocalVisibilityGraph:
                                stamp=self._generation,
                                prefetch=(self._prefetch_rows
                                          if self.frontier_prefetch > 1
-                                         else None))
+                                         else None),
+                               on_prune=self._count_pruned)
             self.array_traversals += 1
         else:
             t = Traversal(self.neighbors, source,
                           skip=lambda n: not self._alive[n],
                           prune_bound=prune_bound, heur=heur,
-                          stamp=self._generation)
+                          stamp=self._generation,
+                          on_prune=self._count_pruned)
         self._traversals[source] = t
         self.dijkstra_runs += 1
         return t
@@ -1830,8 +1911,11 @@ class LocalVisibilityGraph:
         ``prune_bound`` enables goal-directed relaxation pruning toward the
         bound query segment (see :class:`~repro.routing.dijkstra.Traversal`):
         yielded nodes with ``dist + dist(node, qseg) < prune_bound`` are
-        exact — distance, predecessor and position — while anything beyond
-        may arrive late, inflated, or not at all, so callers must discard
+        exact — distance, predecessor and position.  The bound is applied
+        when an edge would be relaxed, so nodes beyond it are normally not
+        yielded at all (a transient source's row is even cut only as far
+        as the bound reaches, see :meth:`row_arrays`); whatever beyond it
+        does arrive may be late or inflated, so callers must discard
         contributions at or past the bound (CPLC's global-bound skip does).
         """
         t = self._traversal(source, prune_bound)
@@ -1852,6 +1936,9 @@ class LocalVisibilityGraph:
     def _count_settle(self, _entry: Tuple[float, int, Optional[int]]) -> None:
         self.nodes_settled += 1
 
+    def _count_pruned(self, count: int) -> None:
+        self.relaxations_pruned += count
+
     def shortest_distances(self, source: int, targets: Iterable[int],
                            cutoff: float = math.inf,
                            prune_bound: float = math.inf) -> Dict[int, float]:
@@ -1866,7 +1953,8 @@ class LocalVisibilityGraph:
         :meth:`dijkstra_order`): only safe for targets *on* the query
         segment (IOR's S and E, whose heuristic is zero) — their reported
         distance is exact whenever it is below the bound, and any target
-        cut off by pruning necessarily reports at or above it.
+        cut off by pruning reports at or above it (``inf`` when, as
+        usual, it was never settled).
         """
         remaining = set(targets)
         out = {t: math.inf for t in remaining}

@@ -15,22 +15,14 @@ query coordinate, ``k < 1``, or a negative or NaN range radius raise
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, ClassVar, Optional, Tuple
 
 from ..core.config import ConnConfig
-from ..geometry.point import Point, as_point
+from ..geometry.point import Point, as_point, require_finite
 from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
 from ..index.rstar import RStarTree
-
-
-def _require_finite(what: str, *coords: float) -> None:
-    """Reject NaN / infinite query coordinates (they would poison every
-    distance and, for NaN, never terminate the envelope merges)."""
-    if not all(math.isfinite(c) for c in coords):
-        raise ValueError(f"{what} has a non-finite coordinate: {coords}")
 
 
 def as_query_point(x: Any, y: Optional[float] = None) -> Point:
@@ -56,7 +48,7 @@ def as_query_point(x: Any, y: Optional[float] = None) -> Point:
                         "coordinate; pass trailing options by keyword")
     else:
         point = as_point(x)
-    _require_finite("query point", point.x, point.y)
+    require_finite("query point", point.x, point.y)
     return point
 
 
@@ -86,7 +78,7 @@ def _as_segment(segment: Any) -> Segment:
     if not isinstance(segment, Segment):
         ax, ay, bx, by = segment
         segment = Segment(float(ax), float(ay), float(bx), float(by))
-    _require_finite("query segment", *segment)
+    require_finite("query segment", *segment)
     return segment
 
 
@@ -229,7 +221,7 @@ class TrajectoryQuery(Query):
         object.__setattr__(self, "waypoints", pts)
         if len(pts) < 2:
             raise ValueError("a trajectory needs at least two waypoints")
-        _require_finite("trajectory", *(c for p in pts for c in p))
+        require_finite("trajectory", *(c for p in pts for c in p))
         if all(Segment(ax, ay, bx, by).is_degenerate()
                for (ax, ay), (bx, by) in zip(pts, pts[1:])):
             raise ValueError("trajectory has no leg of positive length")

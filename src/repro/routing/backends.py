@@ -172,6 +172,8 @@ class VGSession:
         self._retested0 = graph.repair_retested_pairs
         self._waves0 = graph.region_waves
         self._regions0 = graph.regions_computed
+        self._pruned_relax0 = graph.relaxations_pruned
+        self._bounded0 = graph.bounded_rows
         self._closed = False
 
     # ------------------------------------------------------- graph surface
@@ -271,6 +273,9 @@ class VGSession:
                                    - self._retested0),
             region_waves=self.graph.region_waves - self._waves0,
             regions_computed=self.graph.regions_computed - self._regions0,
+            relaxations_pruned=(self.graph.relaxations_pruned
+                                - self._pruned_relax0),
+            bounded_rows=self.graph.bounded_rows - self._bounded0,
         )
         # Counters accumulate per session (this graph is exclusively ours
         # for the session's lifetime, so the deltas are exact) and merge at

@@ -42,10 +42,11 @@ from .heap import _MIN_RUN, BulkRowHeap
 
 _SCALAR_RELAX = 8
 """Row length below which element-wise relaxation beats the vectorized
-compare-and-assign.  Both paths perform the identical float operations in
-the identical order, so the constant — like ``_MIN_RUN`` — is purely a
-performance knob; warm-corridor rows average ~5 improved neighbors, well
-inside it."""
+compare-and-assign, and improved-entry count below which the bound test,
+assignment and pushes of a vectorized row go element-wise too.  Both
+paths perform the identical float operations, so the constant — like
+``_MIN_RUN`` — is purely a performance knob; warm-corridor rows average
+~5 improved neighbors, well inside it."""
 
 Adjacency = Callable[[int], Mapping[int, float]]
 """Lazily supplied adjacency: node -> {neighbor: edge weight}."""
@@ -114,29 +115,40 @@ class Traversal(_ReplayCore):
         skip: optional predicate; neighbors for which it returns True are
             never relaxed (the visibility graph uses it to exclude
             removed transient nodes).
-        prune_bound: with ``heur``, goal-directed relaxation pruning: a
-            settled node with ``dist + heur[node] >= prune_bound`` records
-            its entry but relaxes nothing.  ``heur`` must be an admissible
-            per-node lower bound on the remaining distance to the goal the
-            caller cares about; the safe set ``dist + heur < prune_bound``
-            is then prefix-closed along shortest paths (triangle
-            inequality), so every node in it keeps its exact Dijkstra
-            distance, predecessor and settled position, while nodes outside
-            it may settle late, inflated, or never — callers must treat
-            ``dist + heur >= prune_bound`` results as "beyond the bound".
+        prune_bound: with ``heur``, goal-directed relaxation pruning,
+            applied when a relaxation would happen: an edge whose tentative
+            distance lands at or past the bound, ``(dist + w) + heur[nbr]
+            >= prune_bound``, is neither recorded nor pushed, so nodes
+            beyond the bound are not settled.  (The source is never
+            pushed: when ``heur[source] >= prune_bound`` it settles,
+            records its entry and relaxes nothing.)  ``heur`` must be an
+            admissible, 1-Lipschitz per-node lower bound on the remaining
+            distance to the goal the caller cares about (a node id it does
+            not cover counts as 0).  The safe set ``dist + heur <
+            prune_bound`` is then prefix-closed along shortest paths
+            (triangle inequality), so every node in it keeps its exact
+            Dijkstra distance, predecessor and settled position; callers
+            must still treat any ``dist + heur >= prune_bound`` entry as
+            "beyond the bound" (a memoized traversal may serve a smaller
+            bound than its own).
         stamp: opaque validity token recorded for the owner; the traversal
             itself never inspects it.
+        on_prune: optional hook ``on_prune(count)`` invoked after each row
+            with the number of improving relaxations the bound declined
+            (only when nonzero) — the owner's ``relaxations_pruned``
+            counter.
     """
 
     __slots__ = ("_neighbors", "_skip", "source", "dist", "pred",
                  "settled", "_heap", "_done", "stamp", "_lock",
-                 "prune_bound", "_heur")
+                 "prune_bound", "_heur", "_on_prune")
 
     def __init__(self, neighbors: Adjacency, source: int,
                  skip: Optional[Callable[[int], bool]] = None,
                  prune_bound: float = math.inf,
                  heur: Optional[np.ndarray] = None,
-                 stamp: Any = None):
+                 stamp: Any = None,
+                 on_prune: Optional[Callable[[int], None]] = None):
         self._neighbors = neighbors
         self._skip = skip
         self.source = source
@@ -148,6 +160,7 @@ class Traversal(_ReplayCore):
         self.prune_bound = prune_bound
         self._heur = heur if prune_bound < math.inf else None
         self.stamp = stamp
+        self._on_prune = on_prune
         self._lock = threading.Lock()
 
     @property
@@ -175,17 +188,26 @@ class Traversal(_ReplayCore):
                 entry = (d, node, self.pred[node])
                 self.settled.append(entry)
                 heur = self._heur
-                if heur is not None and node < heur.size \
-                        and d + heur[node] >= self.prune_bound:
-                    return entry
+                bound = self.prune_bound
+                if heur is not None:
+                    hn = heur.size
+                    if d + (heur[node] if node < hn else 0.0) >= bound:
+                        return entry
+                pruned = 0
                 for nbr, w in self._neighbors(node).items():
                     if skip is not None and skip(nbr):
                         continue
                     nd = d + w
                     if nd < self.dist.get(nbr, math.inf):
+                        if heur is not None and nd + (
+                                heur[nbr] if nbr < hn else 0.0) >= bound:
+                            pruned += 1
+                            continue
                         self.dist[nbr] = nd
                         self.pred[nbr] = node
                         heapq.heappush(self._heap, (nd, nbr))
+                if pruned and self._on_prune is not None:
+                    self._on_prune(pruned)
                 return entry
             return None
 
@@ -220,23 +242,33 @@ class ArrayTraversal(_ReplayCore):
             (the array engine's equivalent of the scalar ``skip``
             predicate); neighbors dead at relaxation time are not relaxed.
         prune_bound: goal-directed relaxation pruning, identical in
-            semantics to :class:`Traversal`'s (see there).
+            semantics to :class:`Traversal`'s (see there): a relaxation
+            whose ``(dist + w) + heur[nbr]`` reaches the bound is skipped
+            at push time.  A bounded traversal also tells the owner how far
+            a row needs to reach: it reads ``rows(node, reach)`` with
+            ``reach = prune_bound - dist``, and the owner may leave out any
+            entry whose ``w + h(nbr) > reach`` for an admissible,
+            1-Lipschitz ``h`` (such an edge would be pruned anyway, and no
+            safe node's shortest path uses it).  Unbounded traversals read
+            ``rows(node)``.
         on_bulk_push: optional no-arg hook invoked once per bulk row push
             (the owner's ``heap_bulk_pushes`` counter).
         stamp: opaque validity token recorded for the owner.
         prefetch: optional hook ``prefetch(node, frontier)`` invoked right
-            before each settled node's row read; ``frontier()`` lazily
-            yields the not-yet-settled frontier node ids nearest-first, so
-            the owner can materialize adjacency rows (and the visibility
-            cells to transient nodes) for the whole top of the heap in
-            one batched pass.  Purely a materialization hint —
-            the traversal's own state is untouched, so settle order,
-            distances and predecessors are unchanged.
+            before each settled node's row read (``prefetch(node, frontier,
+            reach)`` in a bounded traversal); ``frontier()`` lazily yields
+            the not-yet-settled frontier node ids nearest-first, so the
+            owner can materialize adjacency rows (and the visibility cells
+            to transient nodes) for the whole top of the heap in one
+            batched pass.  Purely a materialization hint — the traversal's
+            own state is untouched, so settle order, distances and
+            predecessors are unchanged.
+        on_prune: as :class:`Traversal`'s.
     """
 
     __slots__ = ("_rows", "_alive", "source", "dist", "pred", "settled",
                  "_heap", "_runs", "_done", "stamp", "_lock", "prune_bound",
-                 "_heur", "_on_bulk_push", "_prefetch")
+                 "_heur", "_on_bulk_push", "_prefetch", "_on_prune")
 
     def __init__(self, rows: ArrayAdjacency, source: int, size: int,
                  alive: Optional[Callable[[], np.ndarray]] = None,
@@ -244,16 +276,21 @@ class ArrayTraversal(_ReplayCore):
                  heur: Optional[np.ndarray] = None,
                  on_bulk_push: Optional[Callable[[], None]] = None,
                  stamp: Any = None,
-                 prefetch: Optional[Callable[
-                     [int, Callable[[], List[int]]], None]] = None):
+                 prefetch: Optional[Callable[..., None]] = None,
+                 on_prune: Optional[Callable[[int], None]] = None):
         self._rows = rows
         self._alive = alive
         self._on_bulk_push = on_bulk_push
         self._prefetch = prefetch
+        self._on_prune = on_prune
         self.prune_bound = prune_bound
-        self._heur = heur if prune_bound < math.inf else None
-        self.source = source
         n = max(size, source + 1)
+        # The heuristic covers every slot the state arrays do (zeros past
+        # the caller's array), so the relax gathers it without a guard.
+        self._heur = (_covering(heur, n)
+                      if heur is not None and prune_bound < math.inf
+                      else None)
+        self.source = source
         self.dist = np.full(n, np.inf, dtype=np.float64)
         self.dist[source] = 0.0
         self.pred = np.full(n, -1, dtype=np.int64)
@@ -280,6 +317,8 @@ class ArrayTraversal(_ReplayCore):
         done = np.zeros(n, dtype=bool)
         done[:old] = self._done
         self._done = done
+        if self._heur is not None:
+            self._heur = _covering(self._heur, n)
 
     def _frontier_ids(self, cap: int = 64) -> List[int]:
         """Not-yet-settled frontier node ids, nearest (tentative) first.
@@ -356,12 +395,18 @@ class ArrayTraversal(_ReplayCore):
                 entry = (d, node, None if p < 0 else int(p))
                 self.settled.append(entry)
                 heur = self._heur
-                if heur is not None and node < heur.size \
-                        and d + heur[node] >= self.prune_bound:
-                    return entry
-                if self._prefetch is not None:
-                    self._prefetch(node, self._frontier_ids)
-                idx, w = self._rows(node)
+                if heur is None:
+                    if self._prefetch is not None:
+                        self._prefetch(node, self._frontier_ids)
+                    idx, w = self._rows(node)
+                else:
+                    bound = self.prune_bound
+                    if d + heur[node] >= bound:
+                        return entry
+                    reach = bound - d
+                    if self._prefetch is not None:
+                        self._prefetch(node, self._frontier_ids, reach)
+                    idx, w = self._rows(node, reach)
                 mask = self._alive() if self._alive is not None else None
                 if mask is not None and mask.size > self.dist.size:
                     self._grow(mask.size)
@@ -381,13 +426,21 @@ class ArrayTraversal(_ReplayCore):
                         dist = self.dist
                         pred = self.pred
                         push = heapq.heappush
+                        heur = self._heur
+                        pruned = 0
                         for iv, wv in zip(il, w.tolist()):
                             dv = d + wv
                             if dv < dist[iv] and \
                                     (mask is None or mask[iv]):
+                                if heur is not None and \
+                                        dv + heur[iv] >= bound:
+                                    pruned += 1
+                                    continue
                                 dist[iv] = dv
                                 pred[iv] = node
                                 push(heap, (dv, iv))
+                        if pruned and self._on_prune is not None:
+                            self._on_prune(pruned)
                         return entry
                     if mask is None:
                         # No owner mask to size against: bound-check the
@@ -402,8 +455,38 @@ class ArrayTraversal(_ReplayCore):
                     if mask is not None:
                         improved &= mask[idx]
                     ii = idx[improved]
+                    k = ii.size
+                    if not k:
+                        return entry
+                    vv = nd[improved]
+                    if k < _SCALAR_RELAX:
+                        # Few improvements (the common case): test the
+                        # bound, assign and push element-wise, cheaper
+                        # than the numpy dispatches below at this size.
+                        dist = self.dist
+                        pred = self.pred
+                        push = heapq.heappush
+                        heur = self._heur
+                        pruned = 0
+                        for dv, iv in zip(vv.tolist(), ii.tolist()):
+                            if heur is not None and dv + heur[iv] >= bound:
+                                pruned += 1
+                                continue
+                            dist[iv] = dv
+                            pred[iv] = node
+                            push(heap, (dv, iv))
+                        if pruned and self._on_prune is not None:
+                            self._on_prune(pruned)
+                        return entry
+                    if heur is not None:
+                        keep = vv + self._heur[ii] < bound
+                        kept = int(np.count_nonzero(keep))
+                        if kept < k:
+                            if self._on_prune is not None:
+                                self._on_prune(k - kept)
+                            ii = ii[keep]
+                            vv = vv[keep]
                     if ii.size:
-                        vv = nd[improved]
                         self.dist[ii] = vv
                         self.pred[ii] = node
                         if ii.size < _MIN_RUN:
@@ -416,6 +499,15 @@ class ArrayTraversal(_ReplayCore):
                                 self._on_bulk_push()
                 return entry
             return None
+
+
+def _covering(heur: np.ndarray, n: int) -> np.ndarray:
+    """``heur`` zero-padded to at least ``n`` slots (0 is admissible)."""
+    if heur.size >= n:
+        return heur
+    out = np.zeros(n, dtype=np.float64)
+    out[:heur.size] = heur
+    return out
 
 
 def dijkstra_all(adj: List[Mapping[int, float]], source: int

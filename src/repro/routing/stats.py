@@ -141,6 +141,17 @@ class BackendStats:
     shadows of every obstacle for a missing visible region, of the
     obstacles past its watermark for a stale one."""
 
+    relaxations_pruned: int = 0
+    """Improving relaxations a bounded traversal declined because the
+    tentative distance plus the target's distance to the query segment
+    reached the prune bound (push-time pruning).  Edges a reach-limited
+    row already left out are not counted."""
+
+    bounded_rows: int = 0
+    """Uncached, reach-limited adjacency rows cut for transient nodes read
+    by bounded traversals, holding only the edges that can land below the
+    prune bound instead of the full row."""
+
     patched: int = 0
     """Announced obstacle inserts patched into a shared graph in place."""
 

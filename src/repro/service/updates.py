@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Tuple, Union
 
+from ..geometry.point import require_finite
 from ..geometry.rectangle import Rect
 from ..obstacles.obstacle import Obstacle
 
@@ -47,9 +48,17 @@ class SiteUpdate:
 
 @dataclass(frozen=True)
 class AddSite(SiteUpdate):
-    """Insert a data point ``payload`` at ``(x, y)``."""
+    """Insert a data point ``payload`` at ``(x, y)``.
+
+    Raises:
+        ValueError: on a NaN or infinite coordinate.
+    """
 
     kind = "add-site"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        require_finite("site", self.x, self.y)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from ..core.onn import PointScan, run_onn_scan
 from ..core.range_query import run_range_scan
 from ..core.stats import QueryStats
 from ..core.trajectory import TrajectoryResult
+from ..geometry.point import require_finite_points
 from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
 from ..index.rstar import RStarTree
@@ -203,8 +204,12 @@ class Workspace:
             obstacles: iterable of :class:`~repro.obstacles.obstacle.Obstacle`.
             layout: ``"2T"`` (separate trees, the paper's default) or
                 ``"1T"`` (one unified tree).
+
+        Raises:
+            ValueError: on a site with a NaN or infinite coordinate.
         """
         points = list(points)
+        require_finite_points("site", (xy for _payload, xy in points))
         obstacles = list(obstacles)
         if layout == "1T":
             return cls.from_unified(

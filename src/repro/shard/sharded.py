@@ -57,6 +57,7 @@ from typing import (
 )
 
 from ..core.config import DEFAULT_CONFIG, ConnConfig
+from ..geometry.point import require_finite_points
 from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
 from ..monitor.monitor import influence_radius
@@ -168,8 +169,12 @@ class ShardedWorkspace:
                 ignored when an explicit ``partitioner`` is given.
             partitioner: ownership map; default is
                 :meth:`GridPartitioner.square` over the data's bounds.
+
+        Raises:
+            ValueError: on a site with a NaN or infinite coordinate.
         """
         points = list(points)
+        require_finite_points("site", (xy for _payload, xy in points))
         obstacles = list(obstacles)
         if partitioner is None:
             partitioner = GridPartitioner.square(

@@ -161,14 +161,33 @@ def test_every_row_identical_in_both_fill_regimes(lattice, prefetch, seed):
         _assert_rows_match(array_g, scalar_g, v)
 
 
+def _heuristic(graph: LocalVisibilityGraph, qseg):
+    """``node -> dist(node, qseg)``, the value the prune test adds."""
+    def h(node):
+        p = graph.node_point(node)
+        return qseg.dist_point(p.x, p.y)
+    return h
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000),
        frac=st.floats(min_value=0.1, max_value=0.9))
 @settings(max_examples=25, deadline=None)
 def test_pruned_traversals_identical_and_safe_prefix_exact(seed, frac):
-    """Pruning must agree across engines *and* keep the safe set exact."""
+    """Pruning must agree across engines *and* keep the safe set exact.
+
+    The source is a transient point (``add_point``), like a data point
+    under evaluation, so the array engine reads its row reach-limited;
+    both with the frontier-prefetch hook (16) and without it (0).
+    """
+    for prefetch in (16, 0):
+        _check_pruned_traversal(seed, frac, prefetch)
+
+
+def _check_pruned_traversal(seed: int, frac: float, prefetch: int) -> None:
     rng = random.Random(seed)
-    array_g, _scalar_g, nodes, qseg = _twin_graphs(rng)
+    array_g, _scalar_g, nodes, qseg = _twin_graphs(rng, prefetch=prefetch)
     source = nodes[0]
+    assert array_g._transient[source]
     full = _settled(array_g, source)
     reach = [d for d, _n, _p in full if math.isfinite(d)]
     if not reach:
@@ -178,20 +197,78 @@ def test_pruned_traversals_identical_and_safe_prefix_exact(seed, frac):
     # traversal would (correctly) serve the pruned request by replay, and
     # beyond-bound entries of a replayed-unpruned vs fresh-pruned run may
     # differ — only the safe set is pinned across construction states.
-    array_p, scalar_p, nodes_p, _q = _twin_graphs(random.Random(seed))
+    array_p, scalar_p, nodes_p, _q = _twin_graphs(random.Random(seed),
+                                                  prefetch=prefetch)
     assert nodes_p[0] == source
     _assert_traversals_match(array_p, scalar_p, [source], prune_bound=bound)
+    h = _heuristic(array_g, qseg)
+    # The source's row was read reach-limited (unless the source itself
+    # lies past the bound, when it relaxes nothing); the scalar oracle
+    # reads full rows, so it prunes at least every relaxation the array
+    # engine does (the rest never left the reach-limited rows).
+    assert (array_p.bounded_rows > 0) == (h(source) < bound)
+    assert scalar_p.bounded_rows == 0
+    assert array_p.relaxations_pruned <= scalar_p.relaxations_pruned
     # Safe nodes (dist + h < bound) keep their exact distance, predecessor
     # and settled position from the unpruned traversal.
     pruned = _settled(array_p, source, prune_bound=bound)
-
-    def h(node):
-        p = array_g.node_point(node)
-        return qseg.dist_point(p.x, p.y)
-
     safe_full = [e for e in full if e[0] + h(e[1]) < bound]
     safe_pruned = [e for e in pruned if e[0] + h(e[1]) < bound]
     assert safe_pruned == safe_full
+    # The bound is applied at push time: nothing past it settles but the
+    # source.
+    assert pruned[0][1] == source
+    assert all(d + h(v) < bound for d, v, _p in pruned[1:])
+
+
+def _bits(w: np.ndarray):
+    return np.asarray(w, dtype=np.float64).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("anchored", [True, False],
+                         ids=["anchored", "bound-endpoints"])
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       fracs=st.lists(st.floats(min_value=0.0, max_value=1.2),
+                      min_size=1, max_size=4))
+@settings(max_examples=15, deadline=None)
+def test_reach_limited_row_is_the_full_row_filtered(anchored, seed, fracs):
+    """A transient's reach-limited row is its full row filtered by
+    ``w + h(target) <= reach``: same ids, same order, same weight bits.
+
+    With ``anchored`` off the endpoints are bound transients too, so the
+    candidates span permanent nodes and several live transients.
+    """
+    def graph():
+        g, _scalar_g, nodes, qseg = _twin_graphs(
+            random.Random(seed), n_obstacles=8, anchored=anchored)
+        if not anchored:
+            g.bind(qseg)
+        return g, nodes[0], _heuristic(g, qseg)
+
+    # The full row (cached) sets the scale of the reaches to try; an
+    # entry's own w + h is tried too (a reach exactly there keeps it).
+    g, source, h = graph()
+    idx_f, w_f = g.row_arrays(source)
+    sums = [w + h(i) for i, w in zip(idx_f.tolist(), w_f.tolist())]
+    scale = max(sums, default=1.0)
+    reaches = [scale * frac for frac in fracs] + sums[len(sums) // 2:][:1]
+    # A fresh twin reads the same rows reach-limited.
+    g2, source2, _h = graph()
+    assert source2 == source and g2._transient[source]
+    launches = g2.batch_visibility_calls
+    rows = [(reach, g2.row_arrays(source, reach)) for reach in reaches]
+    assert source not in g2._indptr, "reach-limited rows are not cached"
+    assert g2.bounded_rows == len(reaches)
+    assert g2.batch_visibility_calls - launches <= len(reaches)
+    assert g2.row_arrays(source)[0].tolist() == idx_f.tolist()
+    for reach, (idx, w) in rows:
+        keep = [j for j, s in enumerate(sums) if s <= reach]
+        assert idx.tolist() == idx_f[keep].tolist()
+        assert _bits(w) == _bits(w_f[keep])
+    # Full rows of permanent nodes ignore the reach.
+    perm = g2._perm_ids[0]
+    (pi, pw), (fi, fw) = g2.row_arrays(perm, 0.0), g2.row_arrays(perm)
+    assert pi.tolist() == fi.tolist() and _bits(pw) == _bits(fw)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000),

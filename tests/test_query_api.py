@@ -11,19 +11,23 @@ import pytest
 
 import repro
 from repro import (
+    AddSite,
     ClosestPairQuery,
     CoknnQuery,
     ConnQuery,
     EDistanceJoinQuery,
     OnnQuery,
     Point,
+    PolygonObstacle,
     Query,
     QueryResult,
     RangeQuery,
     RectObstacle,
     RStarTree,
     Segment,
+    SegmentObstacle,
     SemiJoinQuery,
+    ShardedWorkspace,
     TrajectoryQuery,
     Workspace,
 )
@@ -179,6 +183,64 @@ class TestNonFiniteInput:
             RangeQuery((1, 2), math.nan)
         # An unbounded radius stays meaningful: every reachable site.
         assert RangeQuery((1, 2), math.inf).radius == math.inf
+
+
+class TestNonFiniteSitesAndObstacles:
+    """NaN / infinite site and obstacle coordinates raise ``ValueError``.
+
+    Before validation, ``Workspace.from_points`` indexed a NaN site and
+    ``RectObstacle(0, 0, nan, 1)`` built an obstacle, and queries went on
+    answering over them.
+    """
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("slot", range(4))
+    def test_obstacles(self, bad, slot):
+        coords = [10.0, 20.0, 30.0, 25.0]
+        coords[slot] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            RectObstacle(*coords)
+        with pytest.raises(ValueError, match="non-finite"):
+            SegmentObstacle(*coords)
+        pts = [(10.0, 20.0), (30.0, 20.0), (30.0, 25.0), (10.0, 25.0)]
+        x, y = pts[slot]
+        pts[slot] = (bad, y) if slot % 2 else (x, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            PolygonObstacle(pts)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("layout", ["2T", "1T"])
+    def test_workspace_sites(self, bad, layout):
+        obstacles = [RectObstacle(40.0, 40.0, 50.0, 45.0)]
+        for site in ((bad, 3.0), (3.0, bad)):
+            with pytest.raises(ValueError, match="non-finite"):
+                Workspace.from_points([("a", (1.0, 2.0)), ("c", site)],
+                                      obstacles, layout=layout)
+        ws = small_scene(layout=layout)
+        before = ws.version
+        with pytest.raises(ValueError, match="non-finite"):
+            ws.apply([AddSite("c", bad, 3.0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            ws.add_site("c", 3.0, bad)
+        assert ws.version == before  # nothing was applied
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_sharded_sites(self, bad):
+        rng = random.Random(4)
+        points = [(i, (rng.uniform(0, 100), rng.uniform(0, 100)))
+                  for i in range(20)]
+        obstacles = [RectObstacle(40.0, 40.0, 50.0, 45.0)]
+        with pytest.raises(ValueError, match="non-finite"):
+            ShardedWorkspace.from_points(points + [("c", (bad, 3.0))],
+                                         obstacles, shards=2)
+        sws = ShardedWorkspace.from_points(points, obstacles, shards=2)
+        before = sws.version
+        with pytest.raises(ValueError, match="non-finite"):
+            sws.apply([AddSite("c", 3.0, bad)])
+        with pytest.raises(ValueError, match="non-finite"):
+            sws.add_site("c", bad, 3.0)
+        assert sws.version == before
+        assert sws.size == len(points)
 
 
 class TestResultProtocol:
