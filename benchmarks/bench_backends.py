@@ -39,13 +39,12 @@ from typing import List, Sequence
 
 import numpy as np
 
-from _emit import add_emit_argument, emit, emit_scalar
+from _emit import add_emit_argument, emit
 
 from repro import (
     ConnQuery,
     PlannerOptions,
     RectObstacle,
-    RoutingConfig,
     Segment,
     Workspace,
 )
@@ -122,7 +121,7 @@ def backend_row(label: str, ws: Workspace, wall: float, reads: int) -> dict:
         "label": label,
         "builds": stats.graphs_built,
         "reuses": stats.graph_reuses,
-        "rebuilds": stats.evicted + stats.invalidations,
+        "rebuilds": stats.invalidations,
         "runs": stats.dijkstra_runs,
         "replays": stats.dijkstra_replays,
         "settled": stats.nodes_settled,
@@ -131,7 +130,6 @@ def backend_row(label: str, ws: Workspace, wall: float, reads: int) -> dict:
         "batched_edges": stats.batched_edges_tested,
         "pruned_edges": stats.kernel_pruned_edges,
         "bulk_pushes": stats.heap_bulk_pushes,
-        "array_traversals": stats.array_traversals,
         "reads": reads,
         "wall_s": wall,
     }
@@ -159,12 +157,10 @@ def dump_profile(prof: cProfile.Profile, arm: str, top: int = 25,
     stats.strip_dirs().sort_stats("cumulative").print_stats(top)
 
 
-def run_repeated(args, backend: str, engine: str = "array",
-                 label: str = "") -> dict:
+def run_repeated(args, backend: str) -> dict:
     points, obstacles = build_scene(args)
     ws = Workspace.from_points(points, obstacles, page_size=args.page_size,
-                               planner=PlannerOptions(backend=backend),
-                               routing=RoutingConfig(engine=engine))
+                               planner=PlannerOptions(backend=backend))
     queries = corridor_queries(args)
     ws.execute(queries[0])  # warm the cache; not part of the measured run
     snap = ws.obstacle_tree.tracker.stats.snapshot()
@@ -176,13 +172,10 @@ def run_repeated(args, backend: str, engine: str = "array",
     wall = time.perf_counter() - started
     if prof is not None:
         prof.disable()
-        dump_profile(prof, label or f"{backend}/{engine}",
-                     out=getattr(args, "profile_out", None))
+        dump_profile(prof, backend, out=getattr(args, "profile_out", None))
     reads = ws.obstacle_tree.tracker.stats.delta(snap).logical_reads
     row = backend_row("shared" if backend == "shared" else "per-query",
                       ws, wall, reads)
-    if label:
-        row["label"] = label
     row["answers"] = snapshot(results)
     return row
 
@@ -251,13 +244,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--updates", type=int, default=10)
     parser.add_argument("--page-size", type=int, default=256)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--require-speedup", type=float, default=None,
-                        help="fail unless the array engine beats the scalar "
-                             "engine by at least this factor on the warm "
-                             "corridor (CI smoke guard)")
-    parser.add_argument("--engine-repeats", type=int, default=1,
-                        help="interleaved repetitions of the engine arms; "
-                             "the best wall per arm is reported")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile every measured arm and dump the top "
                              "functions by cumulative time to stderr "
@@ -290,33 +276,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         failures.append("per-query backend did not build per query "
                         f"({per['builds']} < {args.queries})")
 
-    # Interleaved best-of-N: alternating the arms keeps a machine-load
-    # drift from landing entirely on one engine and skewing the ratio.
-    array_arm = scalar_arm = None
-    for _ in range(max(1, args.engine_repeats)):
-        a = run_repeated(args, "shared", engine="array", label="array")
-        s = run_repeated(args, "shared", engine="scalar", label="scalar")
-        if array_arm is None or a["wall_s"] < array_arm["wall_s"]:
-            array_arm = a
-        if scalar_arm is None or s["wall_s"] < scalar_arm["wall_s"]:
-            scalar_arm = s
-    print_table(f"Engine arms — shared backend, {args.queries} warm CONN "
-                f"queries, array vs scalar substrate",
-                (array_arm, scalar_arm))
-    speedup = (scalar_arm["wall_s"] / array_arm["wall_s"]
-               if array_arm["wall_s"] > 0 else float("inf"))
-    print(f"\n  array engine speedup over scalar oracle: {speedup:.2f}x "
-          f"({array_arm['batch_calls']} batched kernel calls, "
-          f"{array_arm['batched_edges']} edges tested in batch, "
-          f"{array_arm['pruned_edges']} bbox-pruned, "
-          f"{array_arm['bulk_pushes']} bulk heap pushes)")
-    if not answers_agree(array_arm["answers"], scalar_arm["answers"]):
-        failures.append("engine arms disagree: array vs scalar answers")
-    if args.require_speedup is not None and speedup < args.require_speedup:
-        failures.append(
-            f"array engine speedup {speedup:.2f}x below required "
-            f"{args.require_speedup:.2f}x")
-
     s_storm = run_storm(args, "shared")
     p_storm = run_storm(args, "per-query")
     print_table(f"Monitor-storm workload — {args.monitors} monitors, "
@@ -340,12 +299,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "repeated_query": {"shared": strip(shared), "per_query": strip(per)},
         "monitor_storm": {"shared": strip(s_storm),
                           "per_query": strip(p_storm)},
-        "engines": {"array": strip(array_arm), "scalar": strip(scalar_arm),
-                    "speedup": speedup},
         "identical_results": not failures,
     }, path=args.emit)
-    # The PR's headline number, diffable with one key lookup.
-    emit_scalar("corridor_speedup", round(speedup, 3), path=args.emit)
 
     if failures:
         for f in failures:

@@ -85,11 +85,8 @@ from .monitor import (
 )
 from .routing import (
     BackendStats,
-    DEFAULT_ROUTING,
     ObstructedDistanceBackend,
     PerQueryVGBackend,
-    RoutingConfig,
-    SCALAR_ROUTING,
     SharedVGBackend,
     VGSession,
 )
@@ -128,15 +125,12 @@ from .obstacles import (
     visible_region,
 )
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AddObstacle",
     "AddSite",
     "BackendStats",
-    "DEFAULT_ROUTING",
-    "RoutingConfig",
-    "SCALAR_ROUTING",
     "CacheReadView",
     "CacheStats",
     "Capsule",

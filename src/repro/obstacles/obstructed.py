@@ -7,11 +7,12 @@ number of vertices, no pruning.  The CONN machinery never calls it; it exists
 as the public pairwise-distance API, as the correctness oracle for the local
 visibility graph, and as the engine of the naive baselines.
 
-The adjacency construction stays independent of the engine's lazy
-visibility graph (so the oracle remains a genuinely independent check of
-the sight-line predicates), but the shortest-path traversal itself runs on
-the library's single Dijkstra implementation
-(:mod:`repro.routing.dijkstra`) — the same expansion loop the engines use.
+Both halves stay independent of the engines: the adjacency comes from
+per-source ``visibility_mask`` calls rather than the lazy visibility graph's
+batched rows, and the shortest paths from the textbook ``heapq`` Dijkstra
+:func:`~repro.routing.dijkstra.dijkstra_all` rather than the engines'
+:class:`~repro.routing.dijkstra.ArrayTraversal`, so the oracle remains a
+genuinely independent check.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def build_full_graph(points: Sequence[Tuple[float, float]],
 def _dijkstra(adj: List[dict], source: int) -> Tuple[List[float], List[int]]:
     """Single-source shortest paths over a materialized adjacency.
 
-    A thin adapter over the library-wide traversal
+    A thin adapter over the textbook Dijkstra
     (:func:`repro.routing.dijkstra.dijkstra_all`); kept under its
     historical name for the baselines that import it.
     """

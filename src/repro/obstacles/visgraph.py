@@ -17,8 +17,9 @@ Two design points keep it fast at benchmark scale:
 * **Incremental repair.**  When IOR inserts obstacles, cached rows are
   repaired in place: entries blocked by the new obstacles are dropped (one
   vectorized test per batch) and sight lines to the new vertices are added
-  (one pairwise kernel per batch).  Transient data points participate through
-  the same rows and are unlinked on removal via a mentions index.
+  (one pairwise kernel per batch).  Rows hold permanent nodes only; edges to
+  transient data points are appended at read time from per-transient
+  visibility cells, so binding and removing a point never touches a row.
 
 The graph also caches each node's visible region ``VR_{v,q}`` with an
 obstacle watermark, so a cached region is lazily narrowed by exactly the
@@ -27,7 +28,7 @@ the shadows of every missing or stale region at once when they fit one
 kernel tile (a *region wave*, see :meth:`visible_region_of`).
 
 Traversals run on the library-wide resumable Dijkstra
-(:class:`repro.routing.dijkstra.Traversal`) and are memoized per source:
+(:class:`repro.routing.dijkstra.ArrayTraversal`) and are memoized per source:
 a repeated ``dijkstra_order`` / ``shortest_path`` / ``shortest_distances``
 call over an unchanged graph replays the settled shortest-path tree and
 resumes the frontier instead of restarting from scratch.  Any mutation
@@ -43,7 +44,6 @@ skeleton alive across many queries.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import (
     Callable,
@@ -65,19 +65,22 @@ from ..geometry.segment import Segment
 from ..geometry.vectorized import (
     BATCH_TILE_ELEMS,
     blocked_batch,
-    crosses_convex_polygon,
-    crosses_rect_interior,
     primitive_bounds,
     primitive_kinds,
-    proper_cross_segments,
 )
-from ..routing.config import ARRAY_ENGINE, SCALAR_ENGINE
-from ..routing.dijkstra import ArrayTraversal, Traversal
+from ..routing.dijkstra import ArrayTraversal
 from .obstacle import Obstacle, ObstacleSet
 from .shadow import shadow_gaps, viewpoint_shadows
 
 _MAX_TRAVERSAL_MEMO = 64
 """Memoized shortest-path trees kept per graph (oldest dropped first)."""
+
+FRONTIER_WAVE = 16
+"""Frontier-wave width: when a traversal settles a node whose row is
+missing, the rows of up to this many nodes (it and the nearest frontier
+nodes) materialize in one batched pass; see
+:meth:`LocalVisibilityGraph._prefetch_rows`.  Row content and settle order
+do not depend on it, only the number of kernel launches does."""
 
 _REACH_SLACK = 1e-9
 """Relative slack of :meth:`LocalVisibilityGraph._reach_row`'s ``np.hypot``
@@ -129,33 +132,15 @@ class LocalVisibilityGraph:
             graph with (e.g. from a :class:`~repro.service.ObstacleCache`);
             equivalent to calling :meth:`add_obstacles` right after
             construction.
-        engine: ``"array"`` (default) stores adjacency as flat CSR-style
-            arrays — one pooled ``indices``/``weights`` slab plus a
-            per-node span map — materializes rows through the batched
-            visibility kernel, and traverses on the array-backed Dijkstra;
-            ``"scalar"`` keeps the original dict-of-dict rows and scalar
-            traversal as the byte-identical parity oracle.
-        prefetch: frontier-prefetch wave width.  When an array traversal
-            settles a node whose row is missing, up to this many frontier
-            rows (nearest first) materialize in one batched pass via
-            :meth:`materialize_rows`, and the gathered frontier's unknown
-            transient cells fill in one more; ``0``/``1`` installs no
-            prefetch hook, so each row read fills its own.  Row content
-            and settle order are unchanged.
+
+    Adjacency is stored as flat CSR-style arrays — one pooled
+    ``indices``/``weights`` slab plus a per-node span map — cut by the
+    batched visibility kernels and traversed by
+    :class:`~repro.routing.dijkstra.ArrayTraversal`.
     """
 
     def __init__(self, qseg: Optional[Segment] = None,
-                 obstacles: Optional[Iterable[Obstacle]] = None,
-                 engine: str = ARRAY_ENGINE, prefetch: int = 0,
-                 bulk_build: bool = True):
-        if engine not in (ARRAY_ENGINE, SCALAR_ENGINE):
-            raise ValueError(f"unknown visibility-graph engine {engine!r}")
-        self.engine = engine
-        self.frontier_prefetch = prefetch
-        # Eager warmups (build_all) cut all missing rows in one batched
-        # pass when set; cleared, they walk the per-node path — the
-        # parity oracle the bulk path must match byte-for-byte.
-        self.bulk_build = bulk_build
+                 obstacles: Optional[Iterable[Obstacle]] = None):
         self.qseg = qseg
         self.obstacles = ObstacleSet()
         self._obstacle_keys: Set[Obstacle] = set()
@@ -165,10 +150,8 @@ class LocalVisibilityGraph:
         self._xy: List[Tuple[float, float]] = []
         self._alive: List[bool] = []
         self._transient: List[bool] = []
-        # Scalar engine: lazily computed adjacency rows, node ->
-        # {neighbor: weight}.  Both engines stamp each row with a staleness
-        # watermark (rect rows, seg rows, polys, node count).
-        self._rows: Dict[int, Dict[int, float]] = {}
+        # Each cached row's staleness watermark (rect rows, seg rows,
+        # polys, permanent nodes); see _row_mark.
         self._row_marks: Dict[int, Tuple[int, int, int, int]] = {}
         # Epoch stamps backing the O(1) staleness checks of the hot paths:
         # _struct_epoch advances on every structural insertion (obstacles,
@@ -177,8 +160,8 @@ class LocalVisibilityGraph:
         # without rebuilding and comparing count tuples.
         self._struct_epoch = 0
         self._row_epochs: Dict[int, int] = {}
-        # Array engine: the same rows as spans into one pooled flat slab —
-        # but *permanent* targets only.  A row's entries sit at
+        # Adjacency rows as spans into one pooled flat slab — *permanent*
+        # targets only.  A row's entries sit at
         # _indices[s:e] / _weights[s:e] with (s, e) = _indptr[node];
         # shrinks happen in place, growth relocates the row to the end of
         # the pool (compact() repacks).  Edges to the short-lived transient
@@ -189,8 +172,8 @@ class LocalVisibilityGraph:
         self._weights = np.empty(0, dtype=np.float64)
         self._pool_used = 0
         self._indptr: Dict[int, Tuple[int, int]] = {}
-        # Permanent-node slot ids in insertion order: the array engine's
-        # row watermark counts these (transients never invalidate rows).
+        # Permanent-node slot ids in insertion order: the row watermark
+        # counts these (transients never invalidate rows).
         self._perm_ids: List[int] = []
         # Currently-bound transient slot ids in binding order, and the
         # same ids as an array (what row reads append).
@@ -201,7 +184,7 @@ class LocalVisibilityGraph:
         self._coords_np = np.empty((16, 2), dtype=np.float64)
         self._alive_np = np.zeros(16, dtype=bool)
         self._transient_np = np.zeros(16, dtype=bool)
-        # Array engine: (slot, transient) visibility cells, filled only
+        # (slot, transient) visibility cells, filled only
         # when a row read asks for them (see _fill_cells).  Column j
         # belongs to _live_transients[j]; rows follow the mirrors'
         # capacity.  A cell is _CELL_UNKNOWN until filled, then
@@ -213,8 +196,6 @@ class LocalVisibilityGraph:
         self._cell_w = np.zeros((16, 4), dtype=np.float64)
         self._cell_omark = (0, 0, 0)
         self._cell_epoch = 0
-        # For transient nodes: which cached rows mention them.
-        self._mentions: Dict[int, Set[int]] = {}
         # node -> (visible region as of its last read, (rect rows, seg
         # rows, polys) watermark, struct epoch at which that watermark was
         # recorded, shadows filled since the last read or None); see
@@ -235,10 +216,9 @@ class LocalVisibilityGraph:
         self.batched_edges_tested = 0
         self.kernel_pruned_edges = 0
         self.heap_bulk_pushes = 0
-        self.array_traversals = 0
         self.rows_bulk_materialized = 0
         self.bulk_pair_launches = 0
-        self.removal_repairs = 0
+        self.graph_repairs = 0
         self.repair_retested_pairs = 0
         self.region_waves = 0
         self.regions_computed = 0
@@ -250,7 +230,7 @@ class LocalVisibilityGraph:
         self._bounds_cache: Optional[Tuple[Tuple[int, int, int],
                                            Tuple[np.ndarray, ...]]] = None
         self._generation = 0
-        self._traversals: Dict[int, Traversal] = {}
+        self._traversals: Dict[int, ArrayTraversal] = {}
         self.S = -1
         self.E = -1
         if qseg is not None:
@@ -404,7 +384,7 @@ class LocalVisibilityGraph:
         what its traversals reach.  Sight lines run from the row owner v
         to the transient t and weights go through
         ``math.hypot(vx - tx, vy - ty)``, exactly like a materialized row,
-        so a cell is bit-identical to the scalar engine's edge.
+        so a cell is bit-identical to the edge a full row would hold.
         """
         t = len(self._live_transients)
         n = len(self._xy)
@@ -441,7 +421,7 @@ class LocalVisibilityGraph:
         self._cell_w[src, ji] = w
 
     def _alive_view(self) -> np.ndarray:
-        """The current alive mask (array engine's ``skip`` equivalent)."""
+        """The current alive mask (dead neighbors are never relaxed)."""
         return self._alive_np[:len(self._xy)]
 
     def _alive_ids(self) -> List[int]:
@@ -464,21 +444,8 @@ class LocalVisibilityGraph:
         """Remove a transient node added by :meth:`add_point`."""
         if not self._transient[node]:
             raise ValueError(f"node {node} is not transient")
-        for holder in self._mentions.pop(node, ()):
-            row = self._rows.get(holder)
-            if row is not None:
-                row.pop(node, None)
-            span = self._indptr.get(holder)
-            if span is not None:
-                s, e = span
-                ids = self._indices[s:e]
-                keep = ids != node
-                k = int(keep.sum())
-                if k != e - s:
-                    self._indices[s:s + k] = ids[keep]
-                    self._weights[s:s + k] = self._weights[s:e][keep]
-                    self._indptr[holder] = (s, s + k)
-        self._rows.pop(node, None)
+        # Slab rows never hold transient targets, so only the node's own
+        # row and its cell column go.
         self._indptr.pop(node, None)
         self._row_marks.pop(node, None)
         self._row_epochs.pop(node, None)
@@ -529,28 +496,16 @@ class LocalVisibilityGraph:
         self._xy = [self._xy[i] for i in alive_ids]
         self._alive = [True] * len(alive_ids)
         self._transient = [self._transient[i] for i in alive_ids]
-        # Rows only ever reference alive nodes (removal scrubs mentions),
-        # so remapping entries is total.  A row's node-count watermark
-        # records how many nodes it has wired; under the order-preserving
-        # remap that becomes the number of *alive* ids below the old mark.
-        self._rows = {remap[v]: {remap[u]: w for u, w in row.items()}
-                      for v, row in self._rows.items()}
-        if self.engine == ARRAY_ENGINE:
-            # Array marks count permanent insertions, which compaction
-            # never removes — only the row's key needs remapping.
-            self._row_marks = {remap[v]: m
-                               for v, m in self._row_marks.items()}
-        else:
-            self._row_marks = {
-                remap[v]: (r, s, p, bisect.bisect_left(alive_ids, n_nodes))
-                for v, (r, s, p, n_nodes) in self._row_marks.items()}
+        # Row marks count permanent insertions, which compaction never
+        # removes — only the row's key needs remapping.
+        self._row_marks = {remap[v]: m for v, m in self._row_marks.items()}
         self._row_epochs = {remap[v]: e
                             for v, e in self._row_epochs.items()}
         self._perm_ids = [remap[i] for i in self._perm_ids]
         self._live_transients = [remap[t] for t in self._live_transients
                                  if t in remap]
         # Repack the flat slab densely in one pass: rows only reference
-        # alive nodes, so the vectorized id remap is total.
+        # alive permanent nodes, so the vectorized id remap is total.
         if self._indptr:
             remap_np = np.full(old_len, -1, dtype=np.int64)
             remap_np[np.asarray(alive_ids, dtype=np.int64)] = \
@@ -573,10 +528,6 @@ class LocalVisibilityGraph:
             self._indices = np.empty(0, dtype=np.int64)
             self._weights = np.empty(0, dtype=np.float64)
             self._pool_used = 0
-        # A holder may itself have been removed since it was recorded (its
-        # row died with it, so the stale entry is inert) — drop those.
-        self._mentions = {remap[v]: {remap[u] for u in holders if u in remap}
-                          for v, holders in self._mentions.items()}
         self._obstacle_nodes = {o: [remap[i] for i in ids]
                                 for o, ids in self._obstacle_nodes.items()}
         if self.S >= 0:
@@ -613,9 +564,7 @@ class LocalVisibilityGraph:
             raise RuntimeError("clone_skeleton needs an unbound graph; "
                                "unbind() first")
         self.compact()
-        clone = LocalVisibilityGraph(engine=self.engine,
-                                     prefetch=self.frontier_prefetch,
-                                     bulk_build=self.bulk_build)
+        clone = LocalVisibilityGraph()
         clone.obstacles = ObstacleSet(self.obstacles)
         clone._obstacle_keys = set(self._obstacle_keys)
         clone._obstacle_nodes = {o: list(ids)
@@ -623,7 +572,6 @@ class LocalVisibilityGraph:
         clone._xy = list(self._xy)
         clone._alive = list(self._alive)
         clone._transient = list(self._transient)
-        clone._rows = {v: dict(row) for v, row in self._rows.items()}
         clone._indices = self._indices[:self._pool_used].copy()
         clone._weights = self._weights[:self._pool_used].copy()
         clone._pool_used = self._pool_used
@@ -633,7 +581,6 @@ class LocalVisibilityGraph:
         clone._struct_epoch = self._struct_epoch
         clone._perm_ids = list(self._perm_ids)
         clone._live_transients = list(self._live_transients)
-        clone._mentions = {v: set(h) for v, h in self._mentions.items()}
         clone._rebuild_mirrors()
         return clone
 
@@ -678,8 +625,8 @@ class LocalVisibilityGraph:
 
         1. brings stale cached rows current (obstacle counts are still
            monotone until the deletion lands),
-        2. deletes the obstacle's own vertices (their rows and mentions
-           die with them) and scrubs them from surviving rows,
+        2. deletes the obstacle's own vertices (their rows die with
+           them) and scrubs them from surviving rows,
         3. re-tests, in one batched launch, exactly the absent
            (row, candidate) pairs whose sight segment's bbox overlaps the
            removed obstacle's padded bbox, appending the newly visible
@@ -704,28 +651,20 @@ class LocalVisibilityGraph:
             return None
         # (1) Stale rows must repair against the *pre-removal* obstacle
         # arrays: their recorded counts index into those arrays.
-        if self.engine == ARRAY_ENGINE:
-            self._refresh_rows_bulk(self._indptr)
-        else:
-            for v in list(self._rows):
-                if self._alive[v]:
-                    self.neighbors(v)
+        self._refresh_rows_bulk(self._indptr)
         mbr = obstacle.mbr()
         removed = self._obstacle_nodes.pop(obstacle, [])
         removed_set = set(removed)
         self._obstacle_keys.discard(obstacle)
         self.obstacles.remove(obstacle)
         # (2) The obstacle's own nodes die; their cached state goes with
-        # them.  Stale holder ids left behind in _mentions are inert (the
-        # dead row is never read), same as compact() documents.
+        # them.
         for nid in removed:
             self._alive[nid] = False
             self._alive_np[nid] = False
-            self._rows.pop(nid, None)
             self._indptr.pop(nid, None)
             self._row_marks.pop(nid, None)
             self._row_epochs.pop(nid, None)
-            self._mentions.pop(nid, None)
             self._traversals.pop(nid, None)
         if removed_set:
             self._perm_ids = [i for i in self._perm_ids
@@ -736,28 +675,24 @@ class LocalVisibilityGraph:
         # (3) + (4)
         generation_was = self._generation
         retested, reopened = self._reopen_rows(removed_set, mbr)
-        self.removal_repairs += 1
+        self.graph_repairs += 1
         self.repair_retested_pairs += retested
         # A memoized traversal's tree is untouched iff no sight line
         # re-opened (edge set of survivors unchanged) and it never relaxed
         # a now-deleted node (dist through one would be stale).
-        survivors: List[Traversal] = []
+        survivors: List[ArrayTraversal] = []
         if reopened == 0:
             for src, t in self._traversals.items():
                 if t.stamp != generation_was:
                     continue
-                if isinstance(t, ArrayTraversal):
-                    ids = [r for r in removed_set if r < t.dist.size]
-                    reached = bool(ids) and bool(
-                        np.isfinite(t.dist[np.asarray(ids)]).any())
-                else:
-                    reached = any(r in t.dist for r in removed_set)
+                ids = [r for r in removed_set if r < t.dist.size]
+                reached = bool(ids) and bool(
+                    np.isfinite(t.dist[np.asarray(ids)]).any())
                 if not reached:
                     survivors.append(t)
         self._struct_epoch += 1
         epoch = self._struct_epoch
-        for v in (self._indptr if self.engine == ARRAY_ENGINE
-                  else self._rows):
+        for v in self._indptr:
             self._row_epochs[v] = epoch
         self._generation += 1
         for t in survivors:
@@ -793,234 +728,112 @@ class LocalVisibilityGraph:
         pad = 8.0 * EPS * scale
         xlo, ylo = mbr.xlo - pad, mbr.ylo - pad
         xhi, yhi = mbr.xhi + pad, mbr.yhi + pad
-        mark_now = (self._array_mark() if self.engine == ARRAY_ENGINE
-                    else self._current_mark())
+        mark_now = self._row_mark()
         hypot = math.hypot
         xy = self._xy
-        if self.engine == ARRAY_ENGINE:
-            removed_np = (np.fromiter(removed_set, dtype=np.int64)
-                          if removed_set else np.empty(0, dtype=np.int64))
-            cand_all = np.nonzero(alive & ~self._transient_np[:n])[0]
-            rows_list = list(self._indptr)
-            nrows = len(rows_list)
-            if nrows == 0:
-                return 0, 0
-            rows_arr = np.asarray(rows_list, dtype=np.int64)
+        removed_np = (np.fromiter(removed_set, dtype=np.int64)
+                      if removed_set else np.empty(0, dtype=np.int64))
+        cand_all = np.nonzero(alive & ~self._transient_np[:n])[0]
+        rows_list = list(self._indptr)
+        nrows = len(rows_list)
+        if nrows == 0:
+            return 0, 0
+        rows_arr = np.asarray(rows_list, dtype=np.int64)
 
-            def _slab_snapshot():
-                spans = np.asarray([self._indptr[v] for v in rows_list],
-                                   dtype=np.int64).reshape(nrows, 2)
-                lens = spans[:, 1] - spans[:, 0]
-                if int(lens.sum()):
-                    ids = np.concatenate(
-                        [self._indices[s:e] for s, e in spans])
-                else:
-                    ids = np.empty(0, dtype=np.int64)
-                return lens, ids
+        def _slab_snapshot():
+            spans = np.asarray([self._indptr[v] for v in rows_list],
+                               dtype=np.int64).reshape(nrows, 2)
+            lens = spans[:, 1] - spans[:, 0]
+            if int(lens.sum()):
+                ids = np.concatenate(
+                    [self._indices[s:e] for s, e in spans])
+            else:
+                ids = np.empty(0, dtype=np.int64)
+            return lens, ids
 
-            lens, idsall = _slab_snapshot()
-            # Scrub deleted targets: one membership pass over the whole
-            # slab finds the rows that lost entries; only those compact.
-            if removed_np.size and idsall.size:
-                gone = np.isin(idsall, removed_np)
-                if gone.any():
-                    row_rep = np.repeat(np.arange(nrows), lens)
-                    lost = np.bincount(row_rep[gone], minlength=nrows)
-                    starts = np.zeros(nrows + 1, dtype=np.int64)
-                    np.cumsum(lens, out=starts[1:])
-                    for ri in np.nonzero(lost)[0].tolist():
-                        v = rows_list[ri]
-                        s, e = self._indptr[v]
-                        keep = ~gone[starts[ri]:starts[ri + 1]]
-                        k = int(keep.sum())
-                        self._indices[s:s + k] = self._indices[s:e][keep]
-                        self._weights[s:s + k] = self._weights[s:e][keep]
-                        self._indptr[v] = (s, s + k)
-                    lens, idsall = _slab_snapshot()
-            # Absent pairs in one scatter: presence[r, c] marks cached
-            # entries, the row's own id and non-candidates are masked, the
-            # rest is exactly the setdiff the per-row path computed —
-            # row-major nonzero keeps each row's candidates ascending,
-            # matching the sorted order setdiff1d produced.
-            pres = np.zeros((nrows, n), dtype=bool)
-            if idsall.size:
-                pres[np.repeat(np.arange(nrows), lens), idsall] = True
-            base = np.zeros(n, dtype=bool)
-            base[cand_all] = True
-            absent = ~pres
-            absent &= base[None, :]
-            absent[np.arange(nrows), rows_arr] = False
-            ri, ci = np.nonzero(absent)
-            # Keep only pairs whose sight segment crosses the removed
-            # obstacle's padded box (the slab clip); everything else
-            # cannot have been blocked by it alone.
-            if ri.size:
-                hit = _segment_hits_box(coords[rows_arr[ri], 0],
-                                        coords[rows_arr[ri], 1],
-                                        coords[ci, 0], coords[ci, 1],
-                                        xlo, ylo, xhi, yhi)
-                ri, ci = ri[hit], ci[hit]
-            for v in rows_list:
-                self._row_marks[v] = mark_now
-            retested = int(ri.size)
-            reopened = 0
-            if retested:
-                # Early-terminating bulk launch: most retested pairs are
-                # still blocked by some surviving obstacle and drop out
-                # after the first chunk or two.  (_blocked_bulk ticks the
-                # batch counters itself.)
-                blocked = self._blocked_bulk(coords[rows_arr[ri]],
-                                             coords[ci])
-                self.bulk_pair_launches += 1
-                ok = ~blocked
-                ri2, ci2 = ri[ok], ci[ok]
-                reopened = int(ri2.size)
-                if reopened:
-                    edges = np.searchsorted(ri2, np.arange(nrows + 1))
-                    for rix in np.unique(ri2).tolist():
-                        v = rows_list[rix]
-                        vis = ci2[edges[rix]:edges[rix + 1]]
-                        vx, vy = xy[v]
-                        add_w = np.empty(vis.size, dtype=np.float64)
-                        for j, i in enumerate(vis.tolist()):
-                            tx, ty = xy[i]
-                            add_w[j] = hypot(vx - tx, vy - ty)
-                        s, e = self._indptr[v]
-                        self._row_write(
-                            v,
-                            np.concatenate([self._indices[s:e],
-                                            vis.astype(np.int64,
-                                                       copy=False)]),
-                            np.concatenate([self._weights[s:e], add_w]))
-            return retested, reopened
-        # Scalar oracle: same repair, dict rows (transient targets join the
-        # candidate set — scalar rows carry them inline).
-        retested = reopened = 0
-        srcs: List[int] = []
-        tgts: List[int] = []
-        for v in list(self._rows):
-            row = self._rows[v]
-            for r in removed_set:
-                row.pop(r, None)
-            vx, vy = xy[v]
-            for u in range(n):
-                if (u == v or not self._alive[u] or u in row):
-                    continue
-                tx, ty = xy[u]
-                if bool(_segment_hits_box(vx, vy, np.float64(tx),
-                                          np.float64(ty),
-                                          xlo, ylo, xhi, yhi)):
-                    srcs.append(v)
-                    tgts.append(u)
+        lens, idsall = _slab_snapshot()
+        # Scrub deleted targets: one membership pass over the whole
+        # slab finds the rows that lost entries; only those compact.
+        if removed_np.size and idsall.size:
+            gone = np.isin(idsall, removed_np)
+            if gone.any():
+                row_rep = np.repeat(np.arange(nrows), lens)
+                lost = np.bincount(row_rep[gone], minlength=nrows)
+                starts = np.zeros(nrows + 1, dtype=np.int64)
+                np.cumsum(lens, out=starts[1:])
+                for ri in np.nonzero(lost)[0].tolist():
+                    v = rows_list[ri]
+                    s, e = self._indptr[v]
+                    keep = ~gone[starts[ri]:starts[ri + 1]]
+                    k = int(keep.sum())
+                    self._indices[s:s + k] = self._indices[s:e][keep]
+                    self._weights[s:s + k] = self._weights[s:e][keep]
+                    self._indptr[v] = (s, s + k)
+                lens, idsall = _slab_snapshot()
+        # Absent pairs in one scatter: presence[r, c] marks cached
+        # entries, the row's own id and non-candidates are masked, the
+        # rest is exactly the setdiff the per-row path computed —
+        # row-major nonzero keeps each row's candidates ascending,
+        # matching the sorted order setdiff1d produced.
+        pres = np.zeros((nrows, n), dtype=bool)
+        if idsall.size:
+            pres[np.repeat(np.arange(nrows), lens), idsall] = True
+        base = np.zeros(n, dtype=bool)
+        base[cand_all] = True
+        absent = ~pres
+        absent &= base[None, :]
+        absent[np.arange(nrows), rows_arr] = False
+        ri, ci = np.nonzero(absent)
+        # Keep only pairs whose sight segment crosses the removed
+        # obstacle's padded box (the slab clip); everything else
+        # cannot have been blocked by it alone.
+        if ri.size:
+            hit = _segment_hits_box(coords[rows_arr[ri], 0],
+                                    coords[rows_arr[ri], 1],
+                                    coords[ci, 0], coords[ci, 1],
+                                    xlo, ylo, xhi, yhi)
+            ri, ci = ri[hit], ci[hit]
+        for v in rows_list:
             self._row_marks[v] = mark_now
-        retested = len(srcs)
+        retested = int(ri.size)
+        reopened = 0
         if retested:
-            tgt_idx = np.asarray(tgts, dtype=np.int64)
-            tally = {}
-            blocked = blocked_batch(
-                coords[np.asarray(srcs, dtype=np.int64)], coords[tgt_idx],
-                self.obstacles.rects, self.obstacles.segs,
-                self.obstacles.poly_slab,
-                bounds=self._prim_bounds(), tally=tally)
-            self._count_batch(retested, self._prims_now(), tally)
+            # Early-terminating bulk launch: most retested pairs are
+            # still blocked by some surviving obstacle and drop out
+            # after the first chunk or two.  (_blocked_bulk ticks the
+            # batch counters itself.)
+            blocked = self._blocked_bulk(coords[rows_arr[ri]],
+                                         coords[ci])
             self.bulk_pair_launches += 1
-            for v, u, dead in zip(srcs, tgts, blocked.tolist()):
-                if not dead:
-                    reopened += 1
+            ok = ~blocked
+            ri2, ci2 = ri[ok], ci[ok]
+            reopened = int(ri2.size)
+            if reopened:
+                edges = np.searchsorted(ri2, np.arange(nrows + 1))
+                for rix in np.unique(ri2).tolist():
+                    v = rows_list[rix]
+                    vis = ci2[edges[rix]:edges[rix + 1]]
                     vx, vy = xy[v]
-                    tx, ty = xy[u]
-                    self._rows[v][u] = hypot(vx - tx, vy - ty)
-                    if self._transient[u]:
-                        self._mentions.setdefault(u, set()).add(v)
+                    add_w = np.empty(vis.size, dtype=np.float64)
+                    for j, i in enumerate(vis.tolist()):
+                        tx, ty = xy[i]
+                        add_w[j] = hypot(vx - tx, vy - ty)
+                    s, e = self._indptr[v]
+                    self._row_write(
+                        v,
+                        np.concatenate([self._indices[s:e],
+                                        vis.astype(np.int64,
+                                                   copy=False)]),
+                        np.concatenate([self._weights[s:e], add_w]))
         return retested, reopened
 
     # ------------------------------------------------------------ adjacency
-    def _current_mark(self) -> Tuple[int, int, int, int]:
-        return (self.obstacles.rects.shape[0], self.obstacles.segs.shape[0],
-                len(self.obstacles.polys), len(self._xy))
-
-    def _array_mark(self) -> Tuple[int, int, int, int]:
-        """Array-row watermark: node component counts *permanent* nodes only,
+    def _row_mark(self) -> Tuple[int, int, int, int]:
+        """Row watermark: the node component counts *permanent* nodes only,
         so bind/unbind churn never invalidates a cached flat row."""
         return (self.obstacles.rects.shape[0], self.obstacles.segs.shape[0],
                 len(self.obstacles.polys), len(self._perm_ids))
 
-    def _visible_from(self, x: float, y: float, targets: np.ndarray,
-                      chunk: int = 64) -> np.ndarray:
-        """Visibility of ``targets`` (K, 2) from ``(x, y)``, early-terminating.
-
-        Obstacles are tested nearest-first in chunks; targets already proven
-        blocked drop out of later chunks.  Because a sight line is almost
-        always cut by an obstacle near its source, most targets die in the
-        first chunk and the effective cost is far below ``K x N``.
-        """
-        k = targets.shape[0]
-        alive = np.ones(k, dtype=bool)
-        if k == 0:
-            return alive
-        tx = targets[:, 0]
-        ty = targets[:, 1]
-        rects = self.obstacles.rects
-        if rects.size:
-            cdist = np.hypot((rects[:, 0] + rects[:, 2]) * 0.5 - x,
-                             (rects[:, 1] + rects[:, 3]) * 0.5 - y)
-            order = np.argsort(cdist)
-            for start in range(0, order.size, chunk):
-                idx = np.nonzero(alive)[0]
-                if idx.size == 0:
-                    return alive
-                batch = rects[order[start:start + chunk]]
-                blocked = crosses_rect_interior(
-                    x, y, tx[idx][:, None], ty[idx][:, None],
-                    batch[None, :, 0], batch[None, :, 1],
-                    batch[None, :, 2], batch[None, :, 3],
-                ).any(axis=1)
-                self.visibility_tests += idx.size * batch.shape[0]
-                alive[idx[blocked]] = False
-        segs = self.obstacles.segs
-        if segs.size:
-            cdist = np.hypot((segs[:, 0] + segs[:, 2]) * 0.5 - x,
-                             (segs[:, 1] + segs[:, 3]) * 0.5 - y)
-            order = np.argsort(cdist)
-            for start in range(0, order.size, chunk):
-                idx = np.nonzero(alive)[0]
-                if idx.size == 0:
-                    return alive
-                batch = segs[order[start:start + chunk]]
-                blocked = proper_cross_segments(
-                    x, y, tx[idx][:, None], ty[idx][:, None],
-                    batch[None, :, 0], batch[None, :, 1],
-                    batch[None, :, 2], batch[None, :, 3],
-                ).any(axis=1)
-                self.visibility_tests += idx.size * batch.shape[0]
-                alive[idx[blocked]] = False
-        for poly in self.obstacles.polys:
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                return alive
-            arr = poly.as_array()
-            blocked = crosses_convex_polygon(x, y, tx[idx], ty[idx], arr)
-            self.visibility_tests += idx.size
-            alive[idx[blocked]] = False
-        return alive
-
-    def _add_edges_to(self, node: int, row: Dict[int, float],
-                      candidate_ids: List[int]) -> None:
-        """Add visible ``candidate_ids`` to ``row`` (tested vs all obstacles)."""
-        if not candidate_ids:
-            return
-        x, y = self._xy[node]
-        targets = np.asarray([self._xy[i] for i in candidate_ids],
-                             dtype=np.float64)
-        mask = self._visible_from(x, y, targets)
-        for i, visible in zip(candidate_ids, mask):
-            if visible:
-                tx, ty = self._xy[i]
-                row[i] = math.hypot(x - tx, y - ty)
-                if self._transient[i]:
-                    self._mentions.setdefault(i, set()).add(node)
-
-    # ----------------------------------------------------- adjacency (flat)
     def _prims_now(self) -> int:
         return (self.obstacles.rects.shape[0] + self.obstacles.segs.shape[0]
                 + len(self.obstacles.polys))
@@ -1097,7 +910,8 @@ class LocalVisibilityGraph:
             vis = cand
         idx = vis.astype(np.int64, copy=False)
         # Weights go through math.hypot, not np.hypot: the two differ in
-        # the last ulp on ~0.5% of inputs, and engine parity is bit-exact.
+        # the last ulp on ~0.5% of inputs, and every path that cuts a row
+        # (per node, bulk, repair, transient cells) must agree bit for bit.
         w = np.empty(idx.size, dtype=np.float64)
         xy = self._xy
         for j, i in enumerate(idx.tolist()):
@@ -1212,25 +1026,16 @@ class LocalVisibilityGraph:
         to what the per-node path would have produced.
 
         Rows already materialized (even stale ones — they repair lazily on
-        access, as always) and dead nodes are skipped.  On the scalar
-        engine this falls back to per-node materialization: the oracle
-        stays the reference implementation.
+        access, as always) and dead nodes are skipped.
 
         Returns:
             Number of rows materialized.
         """
-        if self.engine != ARRAY_ENGINE:
-            made = 0
-            for v in dict.fromkeys(nodes):
-                if self._alive[v] and v not in self._rows:
-                    self.neighbors(v)
-                    made += 1
-            return made
         todo = [v for v in dict.fromkeys(nodes)
                 if self._alive[v] and v not in self._indptr]
         if not todo:
             return 0
-        mark_now = self._array_mark()
+        mark_now = self._row_mark()
         epoch = self._struct_epoch
         n = len(self._xy)
         base = self._alive_np[:n] & ~self._transient_np[:n]
@@ -1290,7 +1095,7 @@ class LocalVisibilityGraph:
                           mark_now: Tuple[int, int, int, int]) -> None:
         """Repair cached rows sharing one watermark in two batched launches.
 
-        The one repair path of the array engine, in two phases: drop
+        The one row repair path, in two phases: drop
         entries blocked by obstacles added since ``mark``, then wire up
         permanent vertices added since ``mark`` (appended in id order) —
         each over the concatenated pairs of every row, so a refresh of R
@@ -1396,7 +1201,7 @@ class LocalVisibilityGraph:
         pair of launches.  Missing rows and dead nodes are skipped.
         Returns the number of rows repaired.
         """
-        mark_now = self._array_mark()
+        mark_now = self._row_mark()
         epoch = self._struct_epoch
         groups: Dict[Tuple[int, int, int, int], List[int]] = {}
         for v in rows:
@@ -1416,25 +1221,10 @@ class LocalVisibilityGraph:
 
         The bulk warm-up behind cold shared-backend builds, clone spare
         provisioning and merged shard environments: missing rows cut in
-        one batched launch, stale rows repaired in grouped launches.  On
-        the scalar oracle it walks :meth:`neighbors` per node (reference
-        semantics), and with :attr:`bulk_build` cleared the array engine
-        does the same one-row-one-launch walk — the baseline the bulk
-        pass is benchmarked against and must match byte-for-byte.
+        one batched launch, stale rows repaired in grouped launches.
         Returns the number of rows freshly materialized.
         """
-        ids = self._alive_ids()
-        if self.engine != ARRAY_ENGINE:
-            made = sum(1 for v in ids if v not in self._rows)
-            for v in ids:
-                self.neighbors(v)
-            return made
-        if not self.bulk_build:
-            made = sum(1 for v in ids if v not in self._indptr)
-            for v in ids:
-                self.row_arrays(v)
-            return made
-        made = self.materialize_rows(ids)
+        made = self.materialize_rows(self._alive_ids())
         self._refresh_rows_bulk(self._indptr)
         return made
 
@@ -1448,7 +1238,7 @@ class LocalVisibilityGraph:
         epoch = self._struct_epoch
         if self._row_epochs.get(node) == epoch:
             return False
-        if self._row_marks[node] != self._array_mark():
+        if self._row_marks[node] != self._row_mark():
             return True
         self._row_epochs[node] = epoch
         return False
@@ -1462,8 +1252,8 @@ class LocalVisibilityGraph:
         row is missing or stale or one of its transient cells is unknown,
         so the frontier gather (a sort of the heap contents) is only paid
         once per wave, not once per settle.  Then, in at most one launch
-        each: missing rows of up to :attr:`frontier_prefetch` frontier
-        nodes materialize; stale rows of the node and the gathered frontier
+        each: missing rows of the node and of frontier nodes, up to
+        :data:`FRONTIER_WAVE` rows, materialize; stale rows of the node and the gathered frontier
         repair (one pair of launches per watermark group); unknown cells of
         the node and the gathered frontier fill.  A transient node without
         a cached row read under a finite ``reach`` gets a reach-limited row
@@ -1488,7 +1278,7 @@ class LocalVisibilityGraph:
         if row_missing:
             wave = [node]
             for nb in front:
-                if len(wave) >= self.frontier_prefetch:
+                if len(wave) >= FRONTIER_WAVE:
                     break
                 if nb not in self._indptr:
                     wave.append(nb)
@@ -1505,10 +1295,10 @@ class LocalVisibilityGraph:
                    ) -> Tuple[np.ndarray, np.ndarray]:
         """The flat adjacency row of ``node``: ``(ids, weights)``.
 
-        The array engine's counterpart of :meth:`neighbors`: same lazy
-        materialization, same two-step incremental repair, but each step
-        is one batched kernel call instead of one per candidate edge, and
-        the result feeds the array traversal without building a dict.
+        Rows materialize lazily on first read and repair incrementally
+        after growth (entries blocked by newer obstacles drop, sight lines
+        to newer permanent nodes join), one batched kernel call per step,
+        and feed the traversal without building a dict.
 
         The slab row covers permanent endpoints only and is keyed on a
         watermark that ignores transients, so steady-state query traffic
@@ -1531,7 +1321,7 @@ class LocalVisibilityGraph:
         if span is None:
             if reach < math.inf and self._transient[node]:
                 return self._reach_row(node, reach)
-            idx, w = self._materialize_row(node, self._array_mark())
+            idx, w = self._materialize_row(node, self._row_mark())
             self._row_epochs[node] = epoch
         else:
             if self._row_stale(node):
@@ -1611,67 +1401,14 @@ class LocalVisibilityGraph:
                 np.array(ws, dtype=np.float64))
 
     def neighbors(self, node: int) -> Dict[int, float]:
-        """The adjacency row of ``node``, computed/repaired lazily.
+        """The adjacency row of ``node`` as ``{neighbor: weight}``.
 
-        A cached row records the obstacle and node counts it is current for.
-        On access after growth, exactly two incremental fixes run: existing
-        entries are retested against the *new* obstacles only, and sight
-        lines to the *new* nodes only are added (tested against all
-        obstacles).  Rows are therefore always current when returned.
-
-        On the array engine the row lives in the flat slab; the dict view
-        here is built on demand for the non-hot-path consumers (tests,
-        the session surface, :func:`num_edges`).
+        A dict view of :meth:`row_arrays` (same lazy materialization and
+        repair, transient edges included) for the non-hot-path consumers:
+        tests, the session surface and diagnostics.
         """
-        if self.engine == ARRAY_ENGINE:
-            idx, w = self.row_arrays(node)
-            return dict(zip(idx.tolist(), w.tolist()))
-        row = self._rows.get(node)
-        mark_now = self._current_mark()
-        if row is not None:
-            n_rects, n_segs, n_polys, n_nodes = self._row_marks[node]
-            if (n_rects, n_segs, n_polys, n_nodes) == mark_now:
-                return row
-            # Drop entries blocked by obstacles added since the row was cut.
-            new_rects = self.obstacles.rects[n_rects:]
-            new_segs = self.obstacles.segs[n_segs:]
-            new_polys = self.obstacles.polys[n_polys:]
-            if row and (new_rects.size or new_segs.size or new_polys):
-                x, y = self._xy[node]
-                ids = list(row.keys())
-                arr = np.asarray([self._xy[i] for i in ids], dtype=np.float64)
-                blocked = np.zeros(len(ids), dtype=bool)
-                if new_rects.size:
-                    blocked |= crosses_rect_interior(
-                        x, y, arr[:, 0][:, None], arr[:, 1][:, None],
-                        new_rects[None, :, 0], new_rects[None, :, 1],
-                        new_rects[None, :, 2], new_rects[None, :, 3],
-                    ).any(axis=1)
-                if new_segs.size:
-                    blocked |= proper_cross_segments(
-                        x, y, arr[:, 0][:, None], arr[:, 1][:, None],
-                        new_segs[None, :, 0], new_segs[None, :, 1],
-                        new_segs[None, :, 2], new_segs[None, :, 3],
-                    ).any(axis=1)
-                for poly in new_polys:
-                    blocked |= crosses_convex_polygon(
-                        x, y, arr[:, 0], arr[:, 1], poly.as_array())
-                self.visibility_tests += len(ids)
-                for i, dead in zip(ids, blocked):
-                    if dead:
-                        del row[i]
-            # Wire up nodes added since the row was cut.
-            fresh = [i for i in range(n_nodes, len(self._xy))
-                     if self._alive[i] and i != node]
-            self._add_edges_to(node, row, fresh)
-            self._row_marks[node] = mark_now
-            return row
-        row = {}
-        self._rows[node] = row
-        self._row_marks[node] = mark_now
-        self._add_edges_to(node, row,
-                           [i for i in self._alive_ids() if i != node])
-        return row
+        idx, w = self.row_arrays(node)
+        return dict(zip(idx.tolist(), w.tolist()))
 
     def num_edges(self, materialize: bool = False) -> int:
         """Count sight-line edges (cached rows only, unless ``materialize``)."""
@@ -1681,31 +1418,24 @@ class LocalVisibilityGraph:
             # small-benchmark profiles through exactly this loop).
             self.build_all()
         seen = set()
-        if self.engine == ARRAY_ENGINE:
-            for v, (s, e) in self._indptr.items():
-                if not self._alive[v]:
-                    continue
-                for n in self._indices[s:e].tolist():
-                    seen.add((v, n) if v < n else (n, v))
-            # Slab rows cover permanent endpoints only; fold in the bound
-            # transients' edges from their visibility cells.
-            t = len(self._live_transients)
-            if t:
-                self._sync_cells()
-                alive_ids = self._alive_ids()
-                if materialize:
-                    self._fill_cells(alive_ids)
-                vs, js = np.nonzero(
-                    self._cell_state[alive_ids, :t] == _CELL_VISIBLE)
-                for v, u in zip(np.asarray(alive_ids)[vs].tolist(),
-                                self._tids[js].tolist()):
-                    seen.add((v, u) if v < u else (u, v))
-            return len(seen)
-        for v, row in self._rows.items():
+        for v, (s, e) in self._indptr.items():
             if not self._alive[v]:
                 continue
-            for n in row:
-                seen.add((min(v, n), max(v, n)))
+            for n in self._indices[s:e].tolist():
+                seen.add((v, n) if v < n else (n, v))
+        # Slab rows cover permanent endpoints only; fold in the bound
+        # transients' edges from their visibility cells.
+        t = len(self._live_transients)
+        if t:
+            self._sync_cells()
+            alive_ids = self._alive_ids()
+            if materialize:
+                self._fill_cells(alive_ids)
+            vs, js = np.nonzero(
+                self._cell_state[alive_ids, :t] == _CELL_VISIBLE)
+            for v, u in zip(np.asarray(alive_ids)[vs].tolist(),
+                            self._tids[js].tolist()):
+                seen.add((v, u) if v < u else (u, v))
         return len(seen)
 
     # ------------------------------------------------------ visible regions
@@ -1820,36 +1550,52 @@ class LocalVisibilityGraph:
         """Per-node Euclidean distance to the bound query segment.
 
         The admissible heuristic behind bounded-traversal pruning.  Values
-        are produced by the very same scalar ``qseg.dist_point`` that CPLC's
-        Euclidean prefilter calls, so the traversal's prune test and CPLC's
-        ``dist + dist(v, q) >= bound`` skip agree bit for bit — a node the
-        traversal declines to relax is guaranteed to be skipped (not
-        trusted) downstream.  Extended lazily as nodes appear; dead slots
-        keep stale values harmlessly (their coordinates never change).
-        Returns a view covering exactly the current node slots.
+        equal, bit for bit, the scalar ``qseg.dist_point`` that CPLC's
+        Euclidean prefilter calls: the clamp parameter and the closest
+        point are computed with numpy ufuncs in ``point_seg_dist``'s
+        operation order (elementwise IEEE doubles round like Python
+        floats), and the distance goes through ``math.hypot``, not
+        ``np.hypot`` (they differ in the last ulp on some inputs).  So the
+        traversal's prune test and CPLC's ``dist + dist(v, q) >= bound``
+        skip agree exactly — a node the traversal declines to relax is
+        guaranteed to be skipped (not trusted) downstream.  Extended lazily
+        as nodes appear; dead slots keep stale values harmlessly (their
+        coordinates never change).  Returns a view covering exactly the
+        current node slots.
         """
         q = self.qseg
         n = len(self._xy)
         if self._h_qseg is not q:
             self._h_qseg = q
             self._h_len = 0
-        if self._h_len < n:
+        lo = self._h_len
+        if lo < n:
             if self._h_np.size < n:
                 grown = np.empty(max(n, 2 * self._h_np.size, 64),
                                  dtype=np.float64)
-                grown[:self._h_len] = self._h_np[:self._h_len]
+                grown[:lo] = self._h_np[:lo]
                 self._h_np = grown
-            dp = q.dist_point
-            xy = self._xy
-            h = self._h_np
-            for i in range(self._h_len, n):
-                x, y = xy[i]
-                h[i] = dp(x, y)
+            px = self._coords_np[lo:n, 0]
+            py = self._coords_np[lo:n, 1]
+            ax, ay = q.ax, q.ay
+            abx = q.bx - ax
+            aby = q.by - ay
+            denom = abx * abx + aby * aby
+            if denom <= 0.0:
+                dx = px - ax
+                dy = py - ay
+            else:
+                t = ((px - ax) * abx + (py - ay) * aby) / denom
+                t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+                dx = px - (ax + t * abx)
+                dy = py - (ay + t * aby)
+            self._h_np[lo:n] = list(map(math.hypot, dx.tolist(),
+                                        dy.tolist()))
             self._h_len = n
         return self._h_np[:n]
 
     def _traversal(self, source: int,
-                   prune_bound: float = math.inf) -> Traversal:
+                   prune_bound: float = math.inf) -> ArrayTraversal:
         """The memoized traversal for ``source``, rebuilt when stale.
 
         A traversal is valid exactly while the graph is unchanged since it
@@ -1875,23 +1621,13 @@ class LocalVisibilityGraph:
                 self._traversals.pop(next(iter(self._traversals)))
         heur = (self._segment_heuristic() if prune_bound < math.inf
                 else None)
-        if self.engine == ARRAY_ENGINE:
-            t = ArrayTraversal(self.row_arrays, source, len(self._xy),
-                               alive=self._alive_view,
-                               prune_bound=prune_bound, heur=heur,
-                               on_bulk_push=self._count_bulk_push,
-                               stamp=self._generation,
-                               prefetch=(self._prefetch_rows
-                                         if self.frontier_prefetch > 1
-                                         else None),
-                               on_prune=self._count_pruned)
-            self.array_traversals += 1
-        else:
-            t = Traversal(self.neighbors, source,
-                          skip=lambda n: not self._alive[n],
-                          prune_bound=prune_bound, heur=heur,
-                          stamp=self._generation,
-                          on_prune=self._count_pruned)
+        t = ArrayTraversal(self.row_arrays, source, len(self._xy),
+                           alive=self._alive_view,
+                           prune_bound=prune_bound, heur=heur,
+                           on_bulk_push=self._count_bulk_push,
+                           stamp=self._generation,
+                           prefetch=self._prefetch_rows,
+                           on_prune=self._count_pruned)
         self._traversals[source] = t
         self.dijkstra_runs += 1
         return t
@@ -1909,7 +1645,8 @@ class LocalVisibilityGraph:
         used to make ``shortest_path`` re-run a full Dijkstra per call).
 
         ``prune_bound`` enables goal-directed relaxation pruning toward the
-        bound query segment (see :class:`~repro.routing.dijkstra.Traversal`):
+        bound query segment (see
+        :class:`~repro.routing.dijkstra.ArrayTraversal`):
         yielded nodes with ``dist + dist(node, qseg) < prune_bound`` are
         exact — distance, predecessor and position.  The bound is applied
         when an edge would be relaxed, so nodes beyond it are normally not
@@ -1962,7 +1699,7 @@ class LocalVisibilityGraph:
         # dijkstra_order generator: this loop touches every settled entry
         # of every warm-corridor Dijkstra, and the generator resume per
         # entry profiled at several percent of the arm.  Replay-cursor
-        # discipline matches _ReplayCore.order, including the re-check
+        # discipline matches ArrayTraversal.order, including the re-check
         # after an exhausted advance (a concurrent consumer may have
         # settled the tail between the length check and the locked
         # advance).

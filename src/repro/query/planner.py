@@ -158,10 +158,6 @@ class QueryPlan:
     est_graph_builds: int = 1
     """Full visibility-graph builds this query is priced to pay (0 when the
     workspace-shared graph is already resident)."""
-    engine: str = "array"
-    """The substrate engine (:class:`~repro.routing.RoutingConfig`) the
-    chosen backend runs on: ``"array"`` (batched kernels, flat adjacency,
-    array Dijkstra) or ``"scalar"`` (the parity oracle)."""
     backend_batch_calls: int = 0
     """Cumulative batched visibility-kernel launches on the chosen backend
     at plan time (see ``BackendStats.batch_visibility_calls``)."""
@@ -174,18 +170,18 @@ class QueryPlan:
     backend_bulk_pushes: int = 0
     """Cumulative relaxed rows bulk-pushed into the sequence heap on the
     chosen backend (``BackendStats.heap_bulk_pushes``)."""
-    backend_array_traversals: int = 0
-    """Cumulative array-engine traversals on the chosen backend at plan
-    time (``BackendStats.array_traversals``)."""
+    backend_dijkstra_runs: int = 0
+    """Cumulative fresh traversals on the chosen backend at plan time
+    (``BackendStats.dijkstra_runs``)."""
     backend_bulk_rows: int = 0
     """Cumulative adjacency rows the chosen backend materialized through
     the bulk path (``BackendStats.rows_bulk_materialized``)."""
     backend_bulk_launches: int = 0
     """Cumulative bulk pair launches on the chosen backend
     (``BackendStats.bulk_pair_launches``)."""
-    backend_removal_repairs: int = 0
+    backend_graph_repairs: int = 0
     """Cumulative surgical removal repairs absorbed by the chosen backend
-    (``BackendStats.removal_repairs``)."""
+    (``BackendStats.graph_repairs``)."""
     backend_repair_retests: int = 0
     """Cumulative absent pairs re-tested by those repairs
     (``BackendStats.repair_retested_pairs``)."""
@@ -238,15 +234,14 @@ class QueryPlan:
             f"  backend   : {self.backend} "
             f"(est. {self.est_graph_builds} visibility-graph "
             f"build{'' if self.est_graph_builds == 1 else 's'})",
-            f"  engine    : {self.engine} "
-            f"({self.backend_batch_calls} batch visibility calls, "
-            f"{self.backend_batched_edges} batched edges tested, "
+            f"  kernels   : {self.backend_batch_calls} batch visibility "
+            f"calls, {self.backend_batched_edges} batched edges tested, "
             f"{self.backend_pruned_edges} bbox-pruned, "
             f"{self.backend_bulk_pushes} bulk heap pushes, "
-            f"{self.backend_array_traversals} array traversals so far)",
+            f"{self.backend_dijkstra_runs} traversals so far",
             f"  cold/churn: {self.backend_bulk_rows} bulk rows in "
             f"{self.backend_bulk_launches} bulk pair launches, "
-            f"{self.backend_removal_repairs} removal repairs "
+            f"{self.backend_graph_repairs} removal repairs "
             f"({self.backend_repair_retests} pairs retested so far)",
             f"  parallel  : est. {self.est_parallel_speedup:.2f}x speedup "
             f"on this plan's independent units",
@@ -322,21 +317,19 @@ def _estimate_pages(obstacle_tree: RStarTree, footprint: Optional[Rect],
     return obstacle_tree.height + max(1, math.ceil(leaf_pages * frac))
 
 
-def _engine_fields(ws: "Workspace", chosen: str) -> dict:
-    """The plan's substrate-engine fields: selection + counter snapshot."""
-    cfg = getattr(ws, "routing_config", None)
+def _backend_fields(ws: "Workspace", chosen: str) -> dict:
+    """The plan's snapshot of the chosen backend's work counters."""
     stats = (ws.routing.stats if chosen == SHARED_VG
              else ws.per_query_backend.stats)
     return {
-        "engine": cfg.engine if cfg is not None else "array",
         "backend_batch_calls": stats.batch_visibility_calls,
         "backend_batched_edges": stats.batched_edges_tested,
         "backend_pruned_edges": stats.kernel_pruned_edges,
         "backend_bulk_pushes": stats.heap_bulk_pushes,
-        "backend_array_traversals": stats.array_traversals,
+        "backend_dijkstra_runs": stats.dijkstra_runs,
         "backend_bulk_rows": stats.rows_bulk_materialized,
         "backend_bulk_launches": stats.bulk_pair_launches,
-        "backend_removal_repairs": stats.removal_repairs,
+        "backend_graph_repairs": stats.graph_repairs,
         "backend_repair_retests": stats.repair_retested_pairs,
     }
 
@@ -381,7 +374,7 @@ def build_plan(workspace: "Workspace", query: Query,
                          backend_override=backend,
                          workspace_version=ws.version,
                          tree_versions=tree_versions(ws),
-                         **_engine_fields(ws, PAIRWISE_VG))
+                         **_backend_fields(ws, PAIRWISE_VG))
 
     if not isinstance(query, (CoknnQuery, OnnQuery, RangeQuery,
                               TrajectoryQuery)):
@@ -461,4 +454,4 @@ def build_plan(workspace: "Workspace", query: Query,
                      est_parallel_speedup=est_speedup,
                      backend_override=backend, workspace_version=ws.version,
                      tree_versions=tree_versions(ws),
-                     **_engine_fields(ws, chosen))
+                     **_backend_fields(ws, chosen))

@@ -17,22 +17,15 @@ across every query.  This package makes the choice a first-class, planner
   graph, patched by announced updates and version-guarded against
   unannounced index mutations;
 * :class:`VGSession` — the engine-facing view of one query's graph;
-* :class:`~repro.routing.dijkstra.Traversal` — the library's single
-  resumable Dijkstra implementation (the engines, the reference oracle
-  and the FULL baseline all run on it);
+* :class:`~repro.routing.dijkstra.ArrayTraversal` — the library's
+  resumable Dijkstra over flat adjacency rows (the engines and the FULL
+  baseline run on it);
 * :class:`~repro.routing.stats.BackendStats` — the counter block that
   attributes query time to graph build vs Dijkstra vs visibility tests.
 """
 
 from .stats import BackendStats
-from .config import (
-    ARRAY_ENGINE,
-    DEFAULT_ROUTING,
-    SCALAR_ENGINE,
-    SCALAR_ROUTING,
-    RoutingConfig,
-)
-from .dijkstra import ArrayTraversal, Traversal, dijkstra_all
+from .dijkstra import ArrayTraversal, dijkstra_all
 from .backends import (
     PER_QUERY_VG,
     SHARED_VG,
@@ -44,20 +37,14 @@ from .backends import (
 )
 
 __all__ = [
-    "ARRAY_ENGINE",
     "ArrayTraversal",
     "BackendStats",
-    "DEFAULT_ROUTING",
     "ObstructedDistanceBackend",
     "ObstructedGraph",
     "PER_QUERY_VG",
     "PerQueryVGBackend",
-    "RoutingConfig",
-    "SCALAR_ENGINE",
-    "SCALAR_ROUTING",
     "SharedVGBackend",
     "SHARED_VG",
-    "Traversal",
     "VGSession",
     "dijkstra_all",
 ]

@@ -1,13 +1,9 @@
-"""The library's one Dijkstra: a resumable, replayable traversal.
+"""The library's resumable, replayable Dijkstra over flat adjacency rows.
 
-Every shortest-path consumer in the repository — the local visibility
-graph's ``dijkstra_order`` (which CPLC, IOR and the ONN/range scans drive),
-the full-graph reference oracle of :mod:`repro.obstacles.obstructed`, and
-the FULL baseline of :mod:`repro.baselines.global_vg` — runs on this class,
-so there is exactly one implementation of the expansion loop to test and
-optimize.
-
-Two properties make it more than a plain loop:
+Every shortest-path consumer of the engines — the local visibility graph's
+``dijkstra_order`` (which CPLC, IOR and the ONN/range scans drive) and the
+FULL baseline of :mod:`repro.baselines.global_vg` — runs on
+:class:`ArrayTraversal`.  Two properties make it more than a plain loop:
 
 * **Resumable.**  A consumer that stops early (an early-terminating
   ``shortest_distances``, Lemma 7's CPLC cutoff) leaves the heap and
@@ -18,6 +14,10 @@ Two properties make it more than a plain loop:
   memoized shortest-path tree for free.  Validity across graph mutations
   is the *owner's* responsibility: the visibility graph stamps each
   traversal with its mutation generation and discards mismatches.
+
+:func:`dijkstra_all` is the textbook eager ``heapq`` Dijkstra behind the
+full-graph reference oracle of :mod:`repro.obstacles.obstructed`; it shares
+no code with the traversal, so the oracle stays an independent check.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import threading
 from typing import (
     Any,
     Callable,
-    Dict,
     Iterator,
     List,
     Mapping,
@@ -48,9 +47,6 @@ paths perform the identical float operations, so the constant — like
 ``_MIN_RUN`` — is purely a performance knob; warm-corridor rows average
 ~5 improved neighbors, well inside it."""
 
-Adjacency = Callable[[int], Mapping[int, float]]
-"""Lazily supplied adjacency: node -> {neighbor: edge weight}."""
-
 ArrayAdjacency = Callable[[int], Tuple[np.ndarray, np.ndarray]]
 """Lazily supplied flat adjacency: node -> (neighbor ids, edge weights)."""
 
@@ -58,63 +54,31 @@ SettledEntry = Tuple[float, int, Optional[int]]
 """One settled node: ``(distance, node, shortest-path predecessor)``."""
 
 
-class _ReplayCore:
-    """Replay-then-extend iteration shared by both traversal engines."""
-
-    __slots__ = ()
-
-    settled: List[SettledEntry]
-
-    def advance(self) -> Optional[SettledEntry]:  # pragma: no cover
-        raise NotImplementedError
-
-    def order(self, on_advance: Optional[Callable[[SettledEntry], None]]
-              = None) -> Iterator[SettledEntry]:
-        """Yield ``(dist, node, pred)`` ascending: replay, then extend.
-
-        Multiple iterators over one traversal are safe: each keeps its own
-        replay cursor, and whichever reaches the frontier first extends the
-        shared settled prefix for the others.
-
-        Args:
-            on_advance: invoked once per *freshly settled* node (replayed
-                prefix entries excluded) — the owner's counter hook.
-        """
-        i = 0
-        while True:
-            if i < len(self.settled):
-                yield self.settled[i]
-                i += 1
-            else:
-                entry = self.advance()
-                if entry is None:
-                    # Another consumer may have settled the tail between
-                    # our length check and the (locked) advance; drain the
-                    # replay cursor before concluding exhaustion, or those
-                    # entries would be silently dropped.
-                    if i < len(self.settled):
-                        continue
-                    return
-                if on_advance is not None:
-                    on_advance(entry)
-
-    def run_to_completion(self) -> None:
-        """Settle every reachable node (the classic eager Dijkstra)."""
-        while self.advance() is not None:
-            pass
-
-
-class Traversal(_ReplayCore):
+class ArrayTraversal:
     """A single-source best-first expansion with a memoized settled prefix.
 
+    Per-node state lives in preallocated numpy arrays, and a whole
+    adjacency row is relaxed in one vectorized pass.  Relaxation uses a
+    strict ``<`` and each neighbor appears at most once per row, so the
+    vectorized compare-and-assign matches an element-wise loop exactly.
+    The frontier is split by row length: short relaxed rows go straight
+    into a plain C-``heapq`` list (per-element pushes are fastest below
+    ``heap._MIN_RUN`` entries), long rows into a
+    :class:`~repro.routing.heap.BulkRowHeap` sequence heap as one sorted
+    run.  Each pop takes the lexicographically smaller of the two tops
+    (ties favor the plain heap — equal pairs are interchangeable), so the
+    combined structure surfaces the minimum ``(dist, node)`` pair like a
+    single binary heap would: a binary heap's pop sequence depends only on
+    the multiset of pushed pairs, not on their push order.
+
     Args:
-        neighbors: adjacency callback, invoked once per settled node (so
-            lazily materialized rows are only paid for nodes the traversal
-            actually reaches).
+        rows: flat adjacency callback: node -> ``(indices, weights)``
+            arrays, invoked once per settled node.
         source: the source node.
-        skip: optional predicate; neighbors for which it returns True are
-            never relaxed (the visibility graph uses it to exclude
-            removed transient nodes).
+        size: node-slot capacity to preallocate; the arrays grow on demand
+            when the owning graph adds slots mid-traversal.
+        alive: optional callback returning the owner's current alive mask;
+            neighbors dead at relaxation time are not relaxed.
         prune_bound: with ``heur``, goal-directed relaxation pruning,
             applied when a relaxation would happen: an edge whose tentative
             distance lands at or past the bound, ``(dist + w) + heur[nbr]
@@ -130,121 +94,7 @@ class Traversal(_ReplayCore):
             Dijkstra distance, predecessor and settled position; callers
             must still treat any ``dist + heur >= prune_bound`` entry as
             "beyond the bound" (a memoized traversal may serve a smaller
-            bound than its own).
-        stamp: opaque validity token recorded for the owner; the traversal
-            itself never inspects it.
-        on_prune: optional hook ``on_prune(count)`` invoked after each row
-            with the number of improving relaxations the bound declined
-            (only when nonzero) — the owner's ``relaxations_pruned``
-            counter.
-    """
-
-    __slots__ = ("_neighbors", "_skip", "source", "dist", "pred",
-                 "settled", "_heap", "_done", "stamp", "_lock",
-                 "prune_bound", "_heur", "_on_prune")
-
-    def __init__(self, neighbors: Adjacency, source: int,
-                 skip: Optional[Callable[[int], bool]] = None,
-                 prune_bound: float = math.inf,
-                 heur: Optional[np.ndarray] = None,
-                 stamp: Any = None,
-                 on_prune: Optional[Callable[[int], None]] = None):
-        self._neighbors = neighbors
-        self._skip = skip
-        self.source = source
-        self.dist: Dict[int, float] = {source: 0.0}
-        self.pred: Dict[int, Optional[int]] = {source: None}
-        self.settled: List[SettledEntry] = []
-        self._heap: List[Tuple[float, int]] = [(0.0, source)]
-        self._done: set = set()
-        self.prune_bound = prune_bound
-        self._heur = heur if prune_bound < math.inf else None
-        self.stamp = stamp
-        self._on_prune = on_prune
-        self._lock = threading.Lock()
-
-    @property
-    def exhausted(self) -> bool:
-        """True when no frontier remains (every reachable node settled)."""
-        return not self._heap
-
-    def advance(self) -> Optional[SettledEntry]:
-        """Settle and record the next node; ``None`` when exhausted.
-
-        Serialized by a per-traversal lock: a memoized traversal can be
-        replayed-and-extended by several consumers (the settled prefix is
-        the shared asset), and two threads racing the frontier would
-        otherwise pop the heap and grow ``settled`` inconsistently.  The
-        replay path of :meth:`order` stays lock-free — it only reads the
-        append-only settled prefix.
-        """
-        skip = self._skip
-        with self._lock:
-            while self._heap:
-                d, node = heapq.heappop(self._heap)
-                if node in self._done:
-                    continue
-                self._done.add(node)
-                entry = (d, node, self.pred[node])
-                self.settled.append(entry)
-                heur = self._heur
-                bound = self.prune_bound
-                if heur is not None:
-                    hn = heur.size
-                    if d + (heur[node] if node < hn else 0.0) >= bound:
-                        return entry
-                pruned = 0
-                for nbr, w in self._neighbors(node).items():
-                    if skip is not None and skip(nbr):
-                        continue
-                    nd = d + w
-                    if nd < self.dist.get(nbr, math.inf):
-                        if heur is not None and nd + (
-                                heur[nbr] if nbr < hn else 0.0) >= bound:
-                            pruned += 1
-                            continue
-                        self.dist[nbr] = nd
-                        self.pred[nbr] = node
-                        heapq.heappush(self._heap, (nd, nbr))
-                if pruned and self._on_prune is not None:
-                    self._on_prune(pruned)
-                return entry
-            return None
-
-
-class ArrayTraversal(_ReplayCore):
-    """The array-backed engine behind the same resumable/replayable API.
-
-    Semantically identical to :class:`Traversal` — same settled order, same
-    distances, same predecessors, bit for bit — but the per-node state lives
-    in preallocated numpy arrays instead of dicts, and a whole adjacency row
-    is relaxed in one vectorized pass.  Identity holds because a binary
-    heap's pop sequence is determined by the multiset of pushed ``(d, node)``
-    pairs (not their push order), relaxation uses the same strict ``<`` on
-    the same IEEE doubles, and each neighbor appears at most once per row so
-    the vectorized compare-and-assign matches the scalar loop exactly.  The
-    frontier is split by row length: short relaxed rows go straight into a
-    plain C-``heapq`` list (per-element pushes are fastest below
-    ``heap._MIN_RUN`` entries), long rows into a
-    :class:`~repro.routing.heap.BulkRowHeap` sequence heap as one sorted
-    run.  Each pop takes the lexicographically smaller of the two tops
-    (ties favor the plain heap — equal pairs are interchangeable), so the
-    combined structure still surfaces the multiset minimum and the settle
-    order stays identical to a single binary heap.
-
-    Args:
-        rows: flat adjacency callback: node -> ``(indices, weights)``
-            arrays, invoked once per settled node.
-        source: the source node.
-        size: node-slot capacity to preallocate; the arrays grow on demand
-            when the owning graph adds slots mid-traversal.
-        alive: optional callback returning the owner's current alive mask
-            (the array engine's equivalent of the scalar ``skip``
-            predicate); neighbors dead at relaxation time are not relaxed.
-        prune_bound: goal-directed relaxation pruning, identical in
-            semantics to :class:`Traversal`'s (see there): a relaxation
-            whose ``(dist + w) + heur[nbr]`` reaches the bound is skipped
-            at push time.  A bounded traversal also tells the owner how far
+            bound than its own).  A bounded traversal also tells the owner how far
             a row needs to reach: it reads ``rows(node, reach)`` with
             ``reach = prune_bound - dist``, and the owner may leave out any
             entry whose ``w + h(nbr) > reach`` for an admissible,
@@ -263,7 +113,10 @@ class ArrayTraversal(_ReplayCore):
             batched pass.  Purely a materialization hint — the traversal's
             own state is untouched, so settle order, distances and
             predecessors are unchanged.
-        on_prune: as :class:`Traversal`'s.
+        on_prune: optional hook ``on_prune(count)`` invoked after each row
+            with the number of improving relaxations the bound declined
+            (only when nonzero) — the owner's ``relaxations_pruned``
+            counter.
     """
 
     __slots__ = ("_rows", "_alive", "source", "dist", "pred", "settled",
@@ -305,6 +158,41 @@ class ArrayTraversal(_ReplayCore):
     def exhausted(self) -> bool:
         """True when no frontier remains (every reachable node settled)."""
         return not self._heap and not self._runs
+
+    def order(self, on_advance: Optional[Callable[[SettledEntry], None]]
+              = None) -> Iterator[SettledEntry]:
+        """Yield ``(dist, node, pred)`` ascending: replay, then extend.
+
+        Multiple iterators over one traversal are safe: each keeps its own
+        replay cursor, and whichever reaches the frontier first extends the
+        shared settled prefix for the others.
+
+        Args:
+            on_advance: invoked once per *freshly settled* node (replayed
+                prefix entries excluded) — the owner's counter hook.
+        """
+        i = 0
+        while True:
+            if i < len(self.settled):
+                yield self.settled[i]
+                i += 1
+            else:
+                entry = self.advance()
+                if entry is None:
+                    # Another consumer may have settled the tail between
+                    # our length check and the (locked) advance; drain the
+                    # replay cursor before concluding exhaustion, or those
+                    # entries would be silently dropped.
+                    if i < len(self.settled):
+                        continue
+                    return
+                if on_advance is not None:
+                    on_advance(entry)
+
+    def run_to_completion(self) -> None:
+        """Settle every reachable node (the classic eager Dijkstra)."""
+        while self.advance() is not None:
+            pass
 
     def _grow(self, n: int) -> None:
         old = self.dist.size
@@ -356,8 +244,12 @@ class ArrayTraversal(_ReplayCore):
     def advance(self) -> Optional[SettledEntry]:
         """Settle and record the next node; ``None`` when exhausted.
 
-        Locking mirrors :meth:`Traversal.advance`: the settled prefix is
-        the shared asset, replay stays lock-free.
+        Serialized by a per-traversal lock: a memoized traversal can be
+        replayed-and-extended by several consumers (the settled prefix is
+        the shared asset), and two threads racing the frontier would
+        otherwise pop the heap and grow ``settled`` inconsistently.  The
+        replay path of :meth:`order` stays lock-free — it only reads the
+        append-only settled prefix.
         """
         with self._lock:
             heap = self._heap
@@ -514,17 +406,24 @@ def dijkstra_all(adj: List[Mapping[int, float]], source: int
                  ) -> Tuple[List[float], List[int]]:
     """Eager single-source shortest paths over a dense adjacency list.
 
-    The drop-in replacement for the reference oracle's historical private
-    Dijkstra: returns ``(dist, pred)`` arrays indexed by node, with ``inf``
-    / ``-1`` for unreachable nodes.
+    The textbook ``heapq`` Dijkstra: returns ``(dist, pred)`` lists indexed
+    by node, with ``inf`` / ``-1`` for unreachable nodes.
     """
-    t = Traversal(adj.__getitem__, source)
-    t.run_to_completion()
     n = len(adj)
-    dist = [t.dist.get(i, math.inf) for i in range(n)]
+    dist = [math.inf] * n
     pred = [-1] * n
-    for i in range(n):
-        p = t.pred.get(i)
-        if p is not None:
-            pred[i] = p
+    done = [False] * n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in adj[u].items():
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
     return dist, pred

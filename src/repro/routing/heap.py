@@ -13,8 +13,9 @@ Pop order is *identical* to ``heapq`` over individual ``(dist, node)``
 tuples: both structures always surface the lexicographic minimum of the
 currently stored multiset of pairs, and pairs that compare equal are
 interchangeable (Dijkstra skips the duplicate once the node is settled).
-That is the property the array engine's bit-parity promise rests on, and
-``tests/test_bulk_heap.py`` drives it with adversarial distance ties.
+So the traversal settles nodes in exactly the order a single binary heap
+would, and ``tests/test_bulk_heap.py`` drives that with adversarial
+distance ties.
 
 A run only pays for itself when the row is long enough for one C sort to
 beat ``m`` binary-heap sifts: rows shorter than ``_MIN_RUN`` are pushed

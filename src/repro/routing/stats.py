@@ -89,13 +89,12 @@ class BackendStats:
     """Sight-line tests performed while adjacency rows materialized."""
 
     batch_visibility_calls: int = 0
-    """Batched visibility-kernel launches (array engine: one per
-    materialized row, repair step, or fill of transient visibility
-    cells)."""
+    """Batched visibility-kernel launches (one per materialized row,
+    repair step, or fill of transient visibility cells)."""
 
     batched_edges_tested: int = 0
     """Candidate-edge x obstacle-primitive pairs evaluated inside batched
-    kernel launches (the array engine's share of ``visibility_tests``)."""
+    kernel launches."""
 
     kernel_pruned_edges: int = 0
     """Candidate-edge x primitive pairs the batch kernel's bbox prefilter
@@ -103,13 +102,9 @@ class BackendStats:
     disjoint).  Not counted in ``batched_edges_tested``."""
 
     heap_bulk_pushes: int = 0
-    """Relaxed adjacency rows long enough to enter the array engine's
+    """Relaxed adjacency rows long enough to enter the traversal's
     sequence heap as one sorted run (shorter rows push per-element, which
     profiles faster below ~16 entries)."""
-
-    array_traversals: int = 0
-    """Fresh traversals run on the array-backed Dijkstra engine (0 under
-    the scalar parity oracle)."""
 
     rows_bulk_materialized: int = 0
     """Adjacency rows cut by the bulk path (``materialize_rows``: eager
@@ -121,10 +116,10 @@ class BackendStats:
     repair paths, each covering the concatenated candidate pairs of many
     rows (also counted in ``batch_visibility_calls``)."""
 
-    removal_repairs: int = 0
+    graph_repairs: int = 0
     """Announced obstacle removals absorbed by surgically repairing a
     resident graph in place (nodes deleted, re-opened sight lines
-    re-tested) instead of dropping it (``evicted``)."""
+    re-tested)."""
 
     repair_retested_pairs: int = 0
     """Absent (source, target) pairs re-tested by removal repairs: pairs
@@ -154,10 +149,6 @@ class BackendStats:
 
     patched: int = 0
     """Announced obstacle inserts patched into a shared graph in place."""
-
-    evicted: int = 0
-    """Announced obstacle removals that dropped the shared graph (vertex
-    removal cannot be proven sound in place; the graph rebuilds lazily)."""
 
     invalidations: int = 0
     """Shared graphs dropped by the version guard (unannounced obstacle

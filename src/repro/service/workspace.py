@@ -74,7 +74,6 @@ from ..query.queries import (
     as_range_args,
 )
 from ..query.results import QueryResult
-from ..routing.config import DEFAULT_ROUTING, RoutingConfig
 from ..routing.backends import (
     PER_QUERY_VG,
     SHARED_VG,
@@ -129,10 +128,6 @@ class Workspace:
             cold I/O pattern bit-identical to the free functions.
         planner: :class:`~repro.query.planner.PlannerOptions` — algorithm
             fallback threshold and batch-scheduler knobs.
-        routing: :class:`~repro.routing.RoutingConfig` — which substrate
-            engine (array-native hot path vs scalar parity oracle) both
-            distance backends run on.  Answers are byte-identical either
-            way.
     """
 
     def __init__(self, data_tree: Optional[RStarTree] = None,
@@ -140,8 +135,7 @@ class Workspace:
                  unified_tree: Optional[RStarTree] = None, *,
                  config: ConnConfig = DEFAULT_CONFIG,
                  overfetch: float = 1.0,
-                 planner: PlannerOptions = DEFAULT_PLANNER,
-                 routing: RoutingConfig = DEFAULT_ROUTING):
+                 planner: PlannerOptions = DEFAULT_PLANNER):
         if unified_tree is not None:
             if data_tree is not None or obstacle_tree is not None:
                 raise ValueError("pass either unified_tree or the "
@@ -160,14 +154,12 @@ class Workspace:
         self.cache = ObstacleCache(
             obstacle_tree if obstacle_tree is not None else unified_tree,
             overfetch=overfetch)
-        self.routing_config = routing
-        """The substrate engine selection both backends were built with."""
         backing = obstacle_tree if obstacle_tree is not None else unified_tree
-        self.routing = SharedVGBackend(backing, self.cache, routing=routing)
+        self.routing = SharedVGBackend(backing, self.cache)
         """The workspace-shared obstructed-distance backend: one persistent
         visibility graph, patched by :meth:`apply` and selected by the
         planner for warm queries (see :mod:`repro.routing`)."""
-        self.per_query_backend = PerQueryVGBackend(routing=routing)
+        self.per_query_backend = PerQueryVGBackend()
         """The throwaway-graph backend cold one-shot queries run on."""
         self._service = QueryService(self)
         self.version = 0

@@ -74,7 +74,6 @@ from ..query.queries import (
     as_range_args,
 )
 from ..query.results import QueryResult
-from ..routing.config import DEFAULT_ROUTING, RoutingConfig
 from ..service.concurrency import ReadWriteLock, SnapshotExpired
 from ..service.updates import (
     AddObstacle,
@@ -106,17 +105,12 @@ class ShardedWorkspace:
         partitioner: the ownership map the shards were split by.
         config: default pruning configuration for queries.
         planner: planner options handed to every shard.
-        routing: substrate configuration for merged border environments
-            (engine, bulk build, removal repair); defaults to the first
-            shard's routing so the border path runs on the same substrate
-            as the home shards.
     """
 
     def __init__(self, shards: Sequence[Workspace],
                  partitioner: Partitioner, *,
                  config: ConnConfig = DEFAULT_CONFIG,
-                 planner: PlannerOptions = DEFAULT_PLANNER,
-                 routing: Optional[RoutingConfig] = None):
+                 planner: PlannerOptions = DEFAULT_PLANNER):
         if len(shards) != partitioner.num_shards:
             raise ValueError(
                 f"partitioner expects {partitioner.num_shards} shards, "
@@ -129,10 +123,6 @@ class ShardedWorkspace:
         self.partitioner = partitioner
         self.config = config
         self.planner = planner
-        if routing is None:
-            routing = (self.shards[0].routing_config if self.shards
-                       else DEFAULT_ROUTING)
-        self.routing_config = routing
         self.layout = "2T"
         self.version = 0
         """Mutation counter: bumped by every applied update (the sharded
@@ -159,7 +149,6 @@ class ShardedWorkspace:
                     page_size: int = 4096,
                     config: ConnConfig = DEFAULT_CONFIG,
                     planner: PlannerOptions = DEFAULT_PLANNER,
-                    routing: RoutingConfig = DEFAULT_ROUTING,
                     overfetch: float = 1.0) -> "ShardedWorkspace":
         """Partition raw points and obstacles into per-shard workspaces.
 
@@ -197,10 +186,9 @@ class ShardedWorkspace:
         built = [Workspace.from_points(site_lists[sid], obstacle_lists[sid],
                                        layout="2T", page_size=page_size,
                                        config=config, planner=planner,
-                                       routing=routing, overfetch=overfetch)
+                                       overfetch=overfetch)
                  for sid in range(partitioner.num_shards)]
-        sws = cls(built, partitioner, config=config, planner=planner,
-                  routing=routing)
+        sws = cls(built, partitioner, config=config, planner=planner)
         sws.stats.replicated_obstacles = replicas
         return sws
 
@@ -217,8 +205,7 @@ class ShardedWorkspace:
         return cls.from_points(
             points, obstacles, shards=shards, partitioner=partitioner,
             page_size=workspace.obstacle_tree.page_size,
-            config=workspace.config, planner=workspace.planner,
-            routing=workspace.routing_config)
+            config=workspace.config, planner=workspace.planner)
 
     # -------------------------------------------------------------- structure
     @property
@@ -323,8 +310,7 @@ class ShardedWorkspace:
                     seen.setdefault(obstacle)
             merged = Workspace.from_points(
                 points, list(seen), layout="2T", page_size=self._page_size,
-                config=self.config, planner=self.planner,
-                routing=self.routing_config)
+                config=self.config, planner=self.planner)
             # Warm the merged environment's shared graph eagerly: every
             # adjacency row over the member obstacles is cut in one bulk
             # pass now, so the border crossing that triggered this merge —

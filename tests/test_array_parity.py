@@ -1,52 +1,58 @@
-"""Hypothesis property suite for array/scalar engine parity.
+"""Hypothesis property suite: the visibility graph against brute force.
 
-The array-native hot path (flat CSR-style adjacency rows, batched
-visibility kernels, :class:`~repro.routing.dijkstra.ArrayTraversal`)
-promises *byte-identical* behaviour to the scalar dict implementation it
-replaced — same distances, same predecessors, same settled order, same
-query answers.  That promise is what lets :class:`~repro.routing.config.
-RoutingConfig` swap engines freely and keeps the scalar engine alive as
-the parity oracle; this suite is the net under it.
+The graph's rows are cut, repaired and extended by several batched paths
+(bulk materialization, frontier waves, per-row reads, stale-row repair,
+transient visibility cells, reach-limited rows), and traversed by
+:class:`~repro.routing.dijkstra.ArrayTraversal`.  Every path is checked
+here against the naive references of :mod:`tests.reference`:
 
-Three layers are pinned:
-
-* **rows** — every adjacency row, read through ``row_arrays`` on the
-  array graph and ``neighbors`` on the scalar one, holds the same
-  neighbor set with bit-equal weights, whichever way the array graph
+* **rows** — every adjacency row holds exactly the brute-force neighbor
+  set with bit-equal ``math.hypot`` weights, whichever way the graph
   filled its transient visibility cells (whole graph in one tile, per
-  frontier wave through the traversal's prefetch hook, or row by row);
+  frontier wave through the traversal's prefetch hook, or row by row) and
+  whatever the frontier-wave width;
 * **traversals** — full Dijkstra runs from the query endpoints and from
-  transient data points settle the same ``(dist, node, pred)`` sequence,
-  entry for entry, including under goal-directed ``prune_bound`` pruning
-  and across bind/unbind churn, obstacle insertion, point removal,
-  ``compact()`` and ``clone_skeleton()``;
-* **queries** — whole workspaces forced onto each engine return
-  identical CONN / COkNN / ONN / range tuples.
+  transient data points settle every reachable node at its networkx
+  distance, in ascending order, each through an exact predecessor edge;
+  under goal-directed ``prune_bound`` pruning the safe prefix equals the
+  unpruned run; and all of it across bind/unbind churn, obstacle
+  insertion, point removal, ``compact()`` and ``clone_skeleton()``;
+* **queries** — a workspace on the shared backend returns the per-query
+  backend's CONN / COkNN / ONN / range answers.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SegmentObstacle, Workspace
+from repro import PlannerOptions, SegmentObstacle, Workspace
 from repro.geometry.vectorized import BATCH_TILE_ELEMS
+from repro.obstacles import visgraph
 from repro.obstacles.visgraph import LocalVisibilityGraph
-from repro.routing.config import (
-    ARRAY_ENGINE,
-    SCALAR_ENGINE,
-    RoutingConfig,
+from tests.conftest import random_query, random_scene, same_values
+from tests.reference import (
+    assert_row_matches,
+    assert_traversal_matches,
+    reference_graph,
+    reference_row,
 )
-from tests.conftest import random_query, random_scene
 
-# Op pattern the churn property drives through both graphs in lock step.
+# Op pattern the churn property drives through the graph.
 OPS = ("bind", "unbind", "add_obstacle", "add_point", "remove_point",
        "compact")
+
+
+def _wave(width: int):
+    """Run with the frontier-wave width set to ``width`` (0: each
+    traversal wave materializes only the settled node's own row)."""
+    return mock.patch.object(visgraph, "FRONTIER_WAVE", width)
 
 
 def _wall_lattice(rng: random.Random):
@@ -68,28 +74,19 @@ def _wall_lattice(rng: random.Random):
     return points, walls
 
 
-def _twin_graphs(rng: random.Random, n_obstacles: int = 5,
-                 anchored: bool = True, prefetch: int = 0,
-                 lattice: bool = False):
-    """The same scene as one array and one scalar graph (plus points)."""
+def _graph(rng: random.Random, n_obstacles: int = 5,
+           anchored: bool = True, lattice: bool = False):
+    """A random scene as one graph, its transient points and the query."""
     if lattice:
         points, obstacles = _wall_lattice(rng)
     else:
         points, obstacles = random_scene(rng, n_points=6,
                                          n_obstacles=n_obstacles)
     qseg = random_query(rng)
-    pair = []
-    for engine in (ARRAY_ENGINE, SCALAR_ENGINE):
-        g = LocalVisibilityGraph(qseg if anchored else None, engine=engine,
-                                 prefetch=prefetch)
-        g.add_obstacles(obstacles)
-        pair.append(g)
-    nodes = []
-    for _payload, (x, y) in points:
-        ids = {g.add_point(x, y) for g in pair}
-        assert len(ids) == 1, "engines must allocate identical node ids"
-        nodes.append(ids.pop())
-    return pair[0], pair[1], nodes, qseg
+    g = LocalVisibilityGraph(qseg if anchored else None)
+    g.add_obstacles(obstacles)
+    nodes = [g.add_point(x, y) for _payload, (x, y) in points]
+    return g, nodes, qseg
 
 
 def _settled(graph: LocalVisibilityGraph, source: int,
@@ -98,34 +95,26 @@ def _settled(graph: LocalVisibilityGraph, source: int,
     return list(graph.dijkstra_order(source, prune_bound))
 
 
-def _assert_rows_match(array_g: LocalVisibilityGraph,
-                       scalar_g: LocalVisibilityGraph, node: int) -> None:
-    idx, w = array_g.row_arrays(node)
-    flat = dict(zip(idx.tolist(), w.tolist()))
-    assert flat == scalar_g.neighbors(node)
-
-
-def _assert_traversals_match(array_g, scalar_g, sources,
-                             prune_bound: float = math.inf) -> None:
+def _assert_traversals_match(graph, sources) -> None:
+    ref = reference_graph(graph)
     for source in sources:
-        got = _settled(array_g, source, prune_bound)
-        want = _settled(scalar_g, source, prune_bound)
-        assert got == want  # dist, node and pred — exact, in order
-        for _d, node, _p in want:
-            _assert_rows_match(array_g, scalar_g, node)
+        settled = _settled(graph, source)
+        assert_traversal_matches(graph, source, settled, ref)
+        for _d, node, _p in settled:
+            assert_row_matches(graph, node)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_rows_and_traversals_identical(seed):
     rng = random.Random(seed)
-    array_g, scalar_g, nodes, _qseg = _twin_graphs(rng)
-    sources = [array_g.S, array_g.E] + nodes[:2]
-    _assert_traversals_match(array_g, scalar_g, sources)
+    g, nodes, _qseg = _graph(rng)
+    sources = [g.S, g.E] + nodes[:2]
+    _assert_traversals_match(g, sources)
     for source in sources:
-        got = array_g.shortest_distances(source, (array_g.S, array_g.E))
-        want = scalar_g.shortest_distances(source, (scalar_g.S, scalar_g.E))
-        assert got == want
+        settled = {v: d for d, v, _p in _settled(g, source)}
+        got = g.shortest_distances(source, (g.S, g.E))
+        assert got == {t: settled.get(t, math.inf) for t in (g.S, g.E)}
 
 
 def _known_cells(g: LocalVisibilityGraph):
@@ -144,21 +133,20 @@ def _known_cells(g: LocalVisibilityGraph):
 @settings(max_examples=6, deadline=None)
 def test_every_row_identical_in_both_fill_regimes(lattice, prefetch, seed):
     rng = random.Random(seed)
-    array_g, scalar_g, nodes, _qseg = _twin_graphs(
-        rng, n_obstacles=8, prefetch=prefetch, lattice=lattice)
-    n_alive = len(array_g._alive_ids())
-    work = n_alive * len(array_g._live_transients) * array_g._prims_now()
+    g, nodes, _qseg = _graph(rng, n_obstacles=8, lattice=lattice)
+    n_alive = len(g._alive_ids())
+    work = n_alive * len(g._live_transients) * g._prims_now()
     assert (work > BATCH_TILE_ELEMS) == lattice
     # A first row read fills the whole graph only when it fits one tile.
-    array_g.row_arrays(array_g.S)
-    known, total = _known_cells(array_g)
+    g.row_arrays(g.S)
+    known, total = _known_cells(g)
     assert (known == total) != lattice
-    # Traversals read rows through the prefetch hook (when installed),
-    # which fills the cells of each frontier wave.
-    _assert_traversals_match(array_g, scalar_g,
-                             [array_g.S, array_g.E] + nodes[:2])
-    for v in array_g._alive_ids():
-        _assert_rows_match(array_g, scalar_g, v)
+    # Traversals read rows through the prefetch hook, which fills the
+    # rows and cells of each frontier wave.
+    with _wave(prefetch):
+        _assert_traversals_match(g, [g.S, g.E] + nodes[:2])
+    for v in g._alive_ids():
+        assert_row_matches(g, v)
 
 
 def _heuristic(graph: LocalVisibilityGraph, qseg):
@@ -173,52 +161,52 @@ def _heuristic(graph: LocalVisibilityGraph, qseg):
        frac=st.floats(min_value=0.1, max_value=0.9))
 @settings(max_examples=25, deadline=None)
 def test_pruned_traversals_identical_and_safe_prefix_exact(seed, frac):
-    """Pruning must agree across engines *and* keep the safe set exact.
+    """Pruning must keep the safe set exact and settle nothing beyond it.
 
     The source is a transient point (``add_point``), like a data point
-    under evaluation, so the array engine reads its row reach-limited;
-    both with the frontier-prefetch hook (16) and without it (0).
+    under evaluation, so its row is read reach-limited; both with the
+    default frontier wave (16) and with single-row waves (0).
     """
-    for prefetch in (16, 0):
-        _check_pruned_traversal(seed, frac, prefetch)
+    for width in (16, 0):
+        with _wave(width):
+            _check_pruned_traversal(seed, frac)
 
 
-def _check_pruned_traversal(seed: int, frac: float, prefetch: int) -> None:
+def _check_pruned_traversal(seed: int, frac: float) -> None:
     rng = random.Random(seed)
-    array_g, _scalar_g, nodes, qseg = _twin_graphs(rng, prefetch=prefetch)
+    g, nodes, qseg = _graph(rng)
     source = nodes[0]
-    assert array_g._transient[source]
-    full = _settled(array_g, source)
+    assert g._transient[source]
+    full = _settled(g, source)
+    assert_traversal_matches(g, source, full)
     reach = [d for d, _n, _p in full if math.isfinite(d)]
     if not reach:
         return
     bound = max(reach[-1] * frac, 1e-9)
-    # Fresh twins for the pruned run: the first pair's memoized *unpruned*
-    # traversal would (correctly) serve the pruned request by replay, and
-    # beyond-bound entries of a replayed-unpruned vs fresh-pruned run may
-    # differ — only the safe set is pinned across construction states.
-    array_p, scalar_p, nodes_p, _q = _twin_graphs(random.Random(seed),
-                                                  prefetch=prefetch)
+    # A fresh graph for the pruned run: the first graph's memoized
+    # *unpruned* traversal would (correctly) serve the pruned request by
+    # replay, and beyond-bound entries of a replayed-unpruned vs
+    # fresh-pruned run may differ — only the safe set is pinned across
+    # construction states.
+    g_p, nodes_p, _q = _graph(random.Random(seed))
     assert nodes_p[0] == source
-    _assert_traversals_match(array_p, scalar_p, [source], prune_bound=bound)
-    h = _heuristic(array_g, qseg)
+    pruned = _settled(g_p, source, prune_bound=bound)
+    h = _heuristic(g, qseg)
     # The source's row was read reach-limited (unless the source itself
-    # lies past the bound, when it relaxes nothing); the scalar oracle
-    # reads full rows, so it prunes at least every relaxation the array
-    # engine does (the rest never left the reach-limited rows).
-    assert (array_p.bounded_rows > 0) == (h(source) < bound)
-    assert scalar_p.bounded_rows == 0
-    assert array_p.relaxations_pruned <= scalar_p.relaxations_pruned
+    # lies past the bound, when it relaxes nothing).
+    assert (g_p.bounded_rows > 0) == (h(source) < bound)
     # Safe nodes (dist + h < bound) keep their exact distance, predecessor
     # and settled position from the unpruned traversal.
-    pruned = _settled(array_p, source, prune_bound=bound)
     safe_full = [e for e in full if e[0] + h(e[1]) < bound]
     safe_pruned = [e for e in pruned if e[0] + h(e[1]) < bound]
     assert safe_pruned == safe_full
     # The bound is applied at push time: nothing past it settles but the
-    # source.
-    assert pruned[0][1] == source
-    assert all(d + h(v) < bound for d, v, _p in pruned[1:])
+    # source, and every settled node hangs off an exact reference edge.
+    assert pruned[0] == (0.0, source, None)
+    dist = {v: d for d, v, _p in pruned}
+    for d, v, p in pruned[1:]:
+        assert d + h(v) < bound
+        assert dist[p] + reference_row(g_p, p)[v] == d
 
 
 def _bits(w: np.ndarray):
@@ -239,8 +227,8 @@ def test_reach_limited_row_is_the_full_row_filtered(anchored, seed, fracs):
     candidates span permanent nodes and several live transients.
     """
     def graph():
-        g, _scalar_g, nodes, qseg = _twin_graphs(
-            random.Random(seed), n_obstacles=8, anchored=anchored)
+        g, nodes, qseg = _graph(random.Random(seed), n_obstacles=8,
+                                anchored=anchored)
         if not anchored:
             g.bind(qseg)
         return g, nodes[0], _heuristic(g, qseg)
@@ -249,10 +237,11 @@ def test_reach_limited_row_is_the_full_row_filtered(anchored, seed, fracs):
     # entry's own w + h is tried too (a reach exactly there keeps it).
     g, source, h = graph()
     idx_f, w_f = g.row_arrays(source)
+    assert_row_matches(g, source, (idx_f, w_f))
     sums = [w + h(i) for i, w in zip(idx_f.tolist(), w_f.tolist())]
     scale = max(sums, default=1.0)
     reaches = [scale * frac for frac in fracs] + sums[len(sums) // 2:][:1]
-    # A fresh twin reads the same rows reach-limited.
+    # A fresh graph reads the same rows reach-limited.
     g2, source2, _h = graph()
     assert source2 == source and g2._transient[source]
     launches = g2.batch_visibility_calls
@@ -276,47 +265,39 @@ def test_reach_limited_row_is_the_full_row_filtered(anchored, seed, fracs):
                                   st.integers(min_value=0, max_value=31)),
                         min_size=1, max_size=8))
 @settings(max_examples=20, deadline=None)
-def test_engines_agree_under_graph_churn(seed, pattern):
+def test_graph_matches_reference_under_churn(seed, pattern):
     rng = random.Random(seed)
-    array_g, scalar_g, nodes, qseg = _twin_graphs(rng, anchored=False)
-    pair = (array_g, scalar_g)
+    g, nodes, qseg = _graph(rng, anchored=False)
     bound_seg = None
 
     def check():
         sources = list(nodes[:2])
         if bound_seg is not None:
-            sources += [array_g.S, array_g.E]
+            sources += [g.S, g.E]
         if sources:
-            _assert_traversals_match(array_g, scalar_g, sources)
+            _assert_traversals_match(g, sources)
 
     check()
     for op, victim in pattern:
         if op == "bind" and bound_seg is None:
             bound_seg = random_query(rng)
-            for g in pair:
-                g.bind(bound_seg)
-            assert array_g.S == scalar_g.S and array_g.E == scalar_g.E
+            g.bind(bound_seg)
         elif op == "unbind" and bound_seg is not None:
-            for g in pair:
-                g.unbind()
+            g.unbind()
             bound_seg = None
         elif op == "add_obstacle":
             _pts, extra = random_scene(rng, n_points=1, n_obstacles=1)
-            for g in pair:
-                g.add_obstacles(extra)
+            g.add_obstacles(extra)
         elif op == "add_point":
-            x, y = rng.uniform(0, 100), rng.uniform(0, 100)
-            ids = {g.add_point(x, y) for g in pair}
-            assert len(ids) == 1
-            nodes.append(ids.pop())
+            nodes.append(g.add_point(rng.uniform(0, 100),
+                                     rng.uniform(0, 100)))
         elif op == "remove_point" and nodes:
-            node = nodes.pop(victim % len(nodes))
-            for g in pair:
-                g.remove_point(node)
+            g.remove_point(nodes.pop(victim % len(nodes)))
         elif op == "compact" and bound_seg is None and not nodes:
-            # Only safe while no external node ids are held: compaction
-            # remaps live slots identically on both engines.
-            assert array_g.compact() == scalar_g.compact()
+            # Only safe while no external node ids are held.
+            dead = g.dead_slots
+            assert g.compact() == dead
+            assert g.dead_slots == 0
         check()
 
 
@@ -324,40 +305,51 @@ def test_engines_agree_under_graph_churn(seed, pattern):
 @settings(max_examples=15, deadline=None)
 def test_clone_skeleton_preserves_parity(seed):
     rng = random.Random(seed)
-    array_g, scalar_g, nodes, _qseg = _twin_graphs(rng, anchored=False)
-    for g in (array_g, scalar_g):
-        for node in nodes:
-            g.remove_point(node)
-    clones = [g.clone_skeleton() for g in (array_g, scalar_g)]
-    qseg = random_query(rng)
-    for c in clones:
-        c.bind(qseg)
-    _assert_traversals_match(clones[0], clones[1],
-                             [clones[0].S, clones[0].E])
+    g, nodes, _qseg = _graph(rng, anchored=False)
+    for node in nodes:
+        g.remove_point(node)
+    g.build_all()
+    clone = g.clone_skeleton()
+    # The clone carries every cached row, and each is still exact.
+    assert set(clone._indptr) == set(g._indptr)
+    for v in clone._indptr:
+        assert_row_matches(clone, v)
+    clone.bind(random_query(rng))
+    _assert_traversals_match(clone, [clone.S, clone.E])
+
+
+def _assert_same_answers(got, want) -> None:
+    assert [owner for owner, _iv in got] == [owner for owner, _iv in want]
+    assert same_values([x for _o, iv in got for x in iv],
+                       [x for _o, iv in want for x in iv], atol=1e-9)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000),
        k=st.integers(min_value=1, max_value=2),
        prefetch=st.sampled_from([16, 0]))
 @settings(max_examples=10, deadline=None)
-def test_workspace_answers_identical_across_engines(seed, k, prefetch):
+def test_workspace_answers_identical_across_backends(seed, k, prefetch):
     rng = random.Random(seed)
     points, obstacles = random_scene(rng, n_points=8, n_obstacles=5)
-    ws_array = Workspace.from_points(
+    shared = Workspace.from_points(
         list(points), list(obstacles),
-        routing=RoutingConfig(engine=ARRAY_ENGINE,
-                              frontier_prefetch=prefetch))
-    ws_scalar = Workspace.from_points(
+        planner=PlannerOptions(backend="shared"))
+    per = Workspace.from_points(
         list(points), list(obstacles),
-        routing=RoutingConfig(engine=SCALAR_ENGINE))
+        planner=PlannerOptions(backend="per-query"))
     qseg = random_query(rng)
-    got = ws_array.coknn(qseg, k=k)
-    want = ws_scalar.coknn(qseg, k=k)
-    assert got.tuples() == want.tuples()  # owners AND interval floats
     x, y = qseg.point_at(0.5 * qseg.length)
-    got_nn, _ = ws_array.onn(x, y, k=k)
-    want_nn, _ = ws_scalar.onn(x, y, k=k)
-    assert got_nn == want_nn
-    got_r, _ = ws_array.range(x, y, 18.0)
-    want_r, _ = ws_scalar.range(x, y, 18.0)
-    assert sorted(got_r, key=str) == sorted(want_r, key=str)
+    with _wave(prefetch):
+        for _ in range(2):  # the second round reuses the shared graph
+            _assert_same_answers(shared.coknn(qseg, k=k).tuples(),
+                                 per.coknn(qseg, k=k).tuples())
+            got_nn, _ = shared.onn(x, y, k=k)
+            want_nn, _ = per.onn(x, y, k=k)
+            _assert_same_answers([(p, (d,)) for p, d in got_nn],
+                                 [(p, (d,)) for p, d in want_nn])
+            got_r, _ = shared.range(x, y, 18.0)
+            want_r, _ = per.range(x, y, 18.0)
+            _assert_same_answers(
+                [(p, (d,)) for p, d in sorted(got_r, key=str)],
+                [(p, (d,)) for p, d in sorted(want_r, key=str)])
+    assert shared.routing.stats.graphs_built == 1

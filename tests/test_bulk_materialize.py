@@ -1,19 +1,19 @@
-"""Bulk row materialization: byte-identity with the per-node path.
+"""Bulk row materialization: byte-identity with rows read one at a time.
 
 Contract under test:
 
-* **Row identity** — ``materialize_rows`` / ``build_all`` with
-  ``bulk_build`` set produce, for every node, exactly the ids (same
-  order), exactly the weights (bitwise float equality) and exactly the
-  staleness watermarks the per-node ``row_arrays`` walk produces — across
-  mixed obstacle kinds, bind/unbind churn, point insertion/removal and
-  ``compact()``;
+* **Row identity** — ``materialize_rows`` / ``build_all`` produce, for
+  every node, exactly the ids (same order), exactly the weights (bitwise
+  float equality) and exactly the staleness watermarks that reading the
+  rows one at a time through ``row_arrays``, outside any traversal,
+  produces — and both equal the brute-force rows of
+  :mod:`tests.reference` — across mixed obstacle kinds, bind/unbind
+  churn, point insertion/removal and ``compact()``;
 * **Counters** — the bulk path ticks ``rows_bulk_materialized`` and
-  ``bulk_pair_launches``; the per-node oracle (``bulk_build=False``)
-  leaves them untouched;
-* **Prefetch** — an array traversal with frontier prefetch settles the
-  exact ``(dist, node, pred)`` sequence of an unprefetched one while
-  cutting its rows through the bulk pass;
+  ``bulk_pair_launches``; one-at-a-time reads leave them untouched;
+* **Prefetch** — a traversal whose prefetch hook cuts rows in frontier
+  waves settles the exact ``(dist, node, pred)`` sequence of a traversal
+  over rows read one at a time (no hook);
 * **Diagnostics** — ``num_edges(materialize=True)`` rides the bulk pass
   and counts the same edge set either way.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +33,9 @@ from repro.obstacles import (
     RectObstacle,
     SegmentObstacle,
 )
+from repro.routing.dijkstra import ArrayTraversal
 from tests.conftest import random_query, random_scene
+from tests.reference import assert_row_matches
 
 Q = Segment(0, 50, 100, 50)
 
@@ -59,13 +60,24 @@ def mixed_scene(rng: random.Random, n: int = 9):
 
 
 def twin_graphs(rng: random.Random, n_obstacles: int = 9):
-    """One bulk graph and one per-node oracle over the same scene."""
+    """The same scene twice: one graph for the bulk path, one whose rows
+    are read one at a time (:func:`per_row_build`)."""
     obstacles = mixed_scene(rng, n_obstacles)
-    bulk = LocalVisibilityGraph(Q, bulk_build=True)
-    oracle = LocalVisibilityGraph(Q, bulk_build=False)
+    bulk = LocalVisibilityGraph(Q)
+    oracle = LocalVisibilityGraph(Q)
     for g in (bulk, oracle):
         g.add_obstacles(obstacles)
     return bulk, oracle
+
+
+def per_row_build(g: LocalVisibilityGraph) -> int:
+    """Read every alive row one at a time, outside any traversal (one
+    kernel launch per missing row); returns the rows it cut."""
+    ids = g._alive_ids()
+    made = sum(1 for v in ids if v not in g._indptr)
+    for v in ids:
+        g.row_arrays(v)
+    return made
 
 
 def assert_rows_identical(bulk: LocalVisibilityGraph,
@@ -77,20 +89,21 @@ def assert_rows_identical(bulk: LocalVisibilityGraph,
         assert bi.tolist() == oi.tolist()          # same ids, same order
         assert bw.tolist() == ow.tolist()          # bitwise-equal weights
         assert bulk._row_marks[v] == oracle._row_marks[v]
+        assert_row_matches(bulk, v, (bi, bw))
 
 
 class TestBuildAllIdentity:
     def test_rows_and_marks_byte_identical(self):
         bulk, oracle = twin_graphs(random.Random(7))
         made_b = bulk.build_all()
-        made_o = oracle.build_all()
+        made_o = per_row_build(oracle)
         assert made_b == made_o > 0
         assert_rows_identical(bulk, oracle)
 
     def test_bulk_counters_tick_only_on_bulk_path(self):
         bulk, oracle = twin_graphs(random.Random(8))
         bulk.build_all()
-        oracle.build_all()
+        per_row_build(oracle)
         assert bulk.rows_bulk_materialized > 0
         assert bulk.bulk_pair_launches > 0
         assert oracle.rows_bulk_materialized == 0
@@ -112,6 +125,7 @@ class TestBuildAllIdentity:
             oi, ow = oracle.row_arrays(v)
             assert bi.tolist() == oi.tolist()
             assert bw.tolist() == ow.tolist()
+            assert_row_matches(bulk, v, (bi, bw))
 
     def test_materialize_rows_empty_scene(self):
         g = LocalVisibilityGraph(Q)
@@ -121,9 +135,10 @@ class TestBuildAllIdentity:
 
     def test_num_edges_materialize_agrees(self):
         bulk, oracle = twin_graphs(random.Random(11))
-        assert bulk.num_edges(materialize=True) == \
-            oracle.num_edges(materialize=True)
+        per_row_build(oracle)
+        assert bulk.num_edges(materialize=True) == oracle.num_edges()
         assert bulk.rows_bulk_materialized > 0
+        assert oracle.rows_bulk_materialized == 0
 
 
 class TestChurnIdentity:
@@ -132,8 +147,8 @@ class TestChurnIdentity:
     def test_bind_unbind_obstacle_point_compact_storm(self, seed):
         rng = random.Random(seed)
         points, _ = random_scene(rng, n_points=5, n_obstacles=0)
-        bulk = LocalVisibilityGraph(None, bulk_build=True)
-        oracle = LocalVisibilityGraph(None, bulk_build=False)
+        bulk = LocalVisibilityGraph(None)
+        oracle = LocalVisibilityGraph(None)
         pair = (bulk, oracle)
         shared = mixed_scene(rng, 6)
         for g in pair:
@@ -168,7 +183,7 @@ class TestChurnIdentity:
                 for g in pair:
                     g.compact()
             else:
-                assert bulk.build_all() == oracle.build_all()
+                assert bulk.build_all() == per_row_build(oracle)
             assert_rows_identical(bulk, oracle)
 
 
@@ -176,29 +191,35 @@ class TestFrontierPrefetch:
     def test_settle_order_identical_with_prefetch(self):
         rng = random.Random(13)
         obstacles = mixed_scene(rng, 9)
-        plain = LocalVisibilityGraph(Q, prefetch=0)
-        waved = LocalVisibilityGraph(Q, prefetch=16)
+        plain = LocalVisibilityGraph(Q)
+        waved = LocalVisibilityGraph(Q)
         for g in (plain, waved):
             g.add_obstacles(obstacles)
         got = list(waved.dijkstra_order(waved.S))
-        want = list(plain.dijkstra_order(plain.S))
-        assert got == want                     # dist, node, pred — exact
+        # The same traversal without the prefetch hook: each settle reads
+        # (and cuts) its own row.
+        bare = ArrayTraversal(plain.row_arrays, plain.S, len(plain._xy),
+                              alive=plain._alive_view)
+        bare.run_to_completion()
+        assert got == bare.settled             # dist, node, pred — exact
         assert waved.rows_bulk_materialized > 0
         assert plain.rows_bulk_materialized == 0
 
     def test_prefetched_rows_match_lazy_rows(self):
         rng = random.Random(14)
         obstacles = mixed_scene(rng, 9)
-        plain = LocalVisibilityGraph(Q, prefetch=0)
-        waved = LocalVisibilityGraph(Q, prefetch=8)
+        plain = LocalVisibilityGraph(Q)
+        waved = LocalVisibilityGraph(Q)
         for g in (plain, waved):
             g.add_obstacles(obstacles)
         waved.shortest_distances(waved.S, (waved.E,))
+        assert waved.rows_bulk_materialized > 0
         for v in waved._alive_ids():
             wi, ww = waved.row_arrays(v)
             pi, pw = plain.row_arrays(v)
             assert wi.tolist() == pi.tolist()
             assert ww.tolist() == pw.tolist()
+        assert plain.rows_bulk_materialized == 0
 
 
 class TestBulkVisibilityKernel:

@@ -42,7 +42,6 @@ from repro.obstacles.shadow import (
     viewpoint_shadows,
 )
 from repro.obstacles.visgraph import LocalVisibilityGraph
-from repro.routing.config import ARRAY_ENGINE, SCALAR_ENGINE, RoutingConfig
 from tests.conftest import random_query, random_scene
 
 
@@ -211,17 +210,15 @@ class PerNodeRegions:
         return region.intervals
 
 
-@pytest.mark.parametrize("engine", [ARRAY_ENGINE, SCALAR_ENGINE])
 @pytest.mark.parametrize("regime", ["wave", "per-node"])
 @pytest.mark.parametrize("seed", range(3))
-def test_regions_in_rounds_equal_per_node_reads(seed, regime, engine,
-                                                monkeypatch):
+def test_regions_in_rounds_equal_per_node_reads(seed, regime, monkeypatch):
     if regime == "per-node":
         monkeypatch.setattr(visgraph, "BATCH_TILE_ELEMS", -1)
     rng = random.Random(100 + seed)
     obstacles = mixed_obstacles(rng, 15)
     q = Segment(10.0, 20.0, 90.0, 70.0)
-    g = LocalVisibilityGraph(q, engine=engine)
+    g = LocalVisibilityGraph(q)
     ref = PerNodeRegions(q)
     points = []
     for start in range(0, len(obstacles), 3):
@@ -256,7 +253,7 @@ def test_query_answers_match_across_regimes(seed, monkeypatch):
     queries = [random_query(rng) for _ in range(4)]
 
     def answers():
-        ws = Workspace.from_points(points, obstacles, routing=RoutingConfig())
+        ws = Workspace.from_points(points, obstacles)
         out, waves = [], 0
         for q in queries:
             for res in (ws.coknn(q, k=2), ws.conn(q)):

@@ -1,4 +1,4 @@
-"""Surgical removal repair: byte-identity with drop-and-rebuild.
+"""Surgical removal repair: byte-identity with a fresh build.
 
 Contract under test:
 
@@ -6,11 +6,12 @@ Contract under test:
   removals, a surgically repaired graph holds exactly the adjacency
   (same neighbor sets, bitwise-equal weights), exactly the visible
   regions and exactly the shortest distances of a graph freshly built
-  over the surviving obstacles;
-* **Workspace answers** — the repair arm (``removal_repair=True``) and
-  the drop-and-rebuild oracle answer every query of an insert/remove
-  storm with float-identical tuples, while their counters prove which
-  maintenance path ran;
+  over the surviving obstacles, and every row equals the brute-force
+  row of :mod:`tests.reference`;
+* **Workspace answers** — a shared-backend workspace that repairs every
+  removal in place answers every query of an insert/remove storm with
+  the float-identical tuples of the per-query backend, which builds a
+  fresh graph per query (what a drop-and-rebuild would serve);
 * **Sharding** — removing a boundary obstacle replicated into several
   shards repairs every replica, and the sharded answers stay identical
   to the unsharded workspace's;
@@ -39,7 +40,7 @@ from repro import (
 from repro.geometry import Segment
 from repro.obstacles import LocalVisibilityGraph
 from repro.obstacles.visgraph import _segment_hits_box
-from repro.routing import RoutingConfig
+from tests.reference import assert_row_matches
 from tests.test_bulk_materialize import mixed_scene
 
 Q = Segment(0, 50, 100, 50)
@@ -72,6 +73,7 @@ def assert_graphs_equivalent(repaired: LocalVisibilityGraph,
                if u in remap}
         want = {u: w for u, w in row_dict(fresh, remap[v]).items()}
         assert got == want
+        assert_row_matches(repaired, v)
         assert list(repaired.visible_region_of(v)) == \
             list(fresh.visible_region_of(remap[v]))
     d_rep = repaired.shortest_distances(repaired.S, (repaired.E,))
@@ -89,14 +91,14 @@ class TestGraphRepair:
         assert retested is not None and retested > 0
         clean = LocalVisibilityGraph(Q)
         assert row_dict(g, g.S)[g.E] == row_dict(clean, clean.S)[clean.E]
-        assert g.removal_repairs == 1
+        assert g.graph_repairs == 1
         assert g.repair_retested_pairs == retested
 
     def test_remove_nonresident_is_none(self):
         g = LocalVisibilityGraph(Q)
         g.add_obstacles([RectObstacle(10, 10, 20, 20)])
         assert g.remove_obstacle(RectObstacle(70, 70, 80, 80)) is None
-        assert g.removal_repairs == 0
+        assert g.graph_repairs == 0
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -153,10 +155,9 @@ def storm_script(rng: random.Random, n_rounds: int):
 POINTS = [(i, (11.0 * i + 3.0, 47.0 + (i % 3))) for i in range(9)]
 
 
-def run_storm(routing: RoutingConfig, rounds) -> tuple:
+def run_storm(backend: str, rounds) -> tuple:
     ws = Workspace.from_points(POINTS, [RectObstacle(40, 44, 46, 56)],
-                               planner=PlannerOptions(backend="shared"),
-                               routing=routing)
+                               planner=PlannerOptions(backend=backend))
     answers = []
     for o, q in rounds:
         ws.add_obstacle(o)
@@ -165,7 +166,7 @@ def run_storm(routing: RoutingConfig, rounds) -> tuple:
         assert ws.remove_obstacle(o)
         answers.append([(owner, lo, hi)
                         for owner, (lo, hi) in ws.execute(q).tuples()])
-    return answers, ws.routing.stats
+    return answers, ws
 
 
 class TestWorkspaceStorm:
@@ -173,17 +174,18 @@ class TestWorkspaceStorm:
     @settings(max_examples=10, deadline=None)
     def test_repair_and_rebuild_answers_identical(self, seed):
         rounds = storm_script(random.Random(seed), 4)
-        got, s_rep = run_storm(RoutingConfig(), rounds)
-        want, s_reb = run_storm(RoutingConfig(removal_repair=False), rounds)
+        got, shared = run_storm("shared", rounds)
+        want, per = run_storm("per-query", rounds)
         assert got == want                      # exact floats, all rounds
-        assert s_rep.removal_repairs >= 4       # every removal repaired
-        assert s_reb.removal_repairs == 0
-        assert s_reb.evicted >= 4               # every removal dropped
+        stats = shared.routing.stats
+        assert stats.graph_repairs >= 4         # every removal repaired
+        assert stats.graphs_built == 1 and stats.invalidations == 0
+        assert per.per_query_backend.stats.graphs_built >= 8
 
     def test_repair_keeps_graph_resident(self):
         rounds = storm_script(random.Random(3), 3)
-        _answers, stats = run_storm(RoutingConfig(), rounds)
-        assert stats.graphs_built == 1          # never rebuilt
+        _answers, ws = run_storm("shared", rounds)
+        assert ws.routing.stats.graphs_built == 1   # never rebuilt
 
 
 class TestShardedRepair:
@@ -211,7 +213,7 @@ class TestShardedRepair:
         # The corridor query spans shards, so the resident graph lives in
         # the router's merged environment; replicas in individual shard
         # backends repair too when resident.
-        repairs = sum(w.routing.stats.removal_repairs
+        repairs = sum(w.routing.stats.graph_repairs
                       for w in (*sws.shards, *sws._merged.values()))
         assert repairs >= 1                     # a resident replica repaired
 

@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -37,7 +38,7 @@ from repro import (
 from repro.core.stats import QueryStats
 from repro.geometry import Segment
 from repro.obstacles import LocalVisibilityGraph
-from repro.routing import ObstructedDistanceBackend, Traversal
+from repro.routing import ArrayTraversal, ObstructedDistanceBackend
 from tests.conftest import (
     build_obstacle_tree,
     build_point_tree,
@@ -56,18 +57,23 @@ def make_ws(points=POINTS, obstacles=OBS, **kwargs):
 
 
 def assert_same_result(a, b, qseg):
-    import numpy as np
-
     ts = np.linspace(0.0, qseg.length, 101)
     for lv_a, lv_b in zip(a.levels, b.levels):
         assert same_values(lv_a.values(ts), lv_b.values(ts))
     assert [o for o, _iv in a.tuples()] == [o for o, _iv in b.tuples()]
 
 
+def flat_rows(adj):
+    """A dict-of-weights adjacency list as an ``ArrayTraversal`` row source."""
+    rows = [(np.array(list(row), dtype=np.int64),
+             np.array(list(row.values()), dtype=np.float64)) for row in adj]
+    return rows.__getitem__
+
+
 class TestTraversal:
     def test_resume_after_early_stop(self):
         adj = [{1: 1.0}, {0: 1.0, 2: 1.0}, {1: 1.0, 3: 5.0}, {2: 5.0}]
-        t = Traversal(adj.__getitem__, 0)
+        t = ArrayTraversal(flat_rows(adj), 0, len(adj))
         first = t.advance()
         assert first == (0.0, 0, None)
         # A second consumer replays the prefix and extends the frontier.
@@ -76,10 +82,13 @@ class TestTraversal:
         assert t.dist[3] == pytest.approx(7.0)
 
     def test_skip_predicate_blocks_relaxation(self):
+        # The alive mask is the traversal's skip predicate: a node dead at
+        # relaxation time is never relaxed.
         adj = [{1: 1.0, 2: 10.0}, {0: 1.0, 2: 1.0}, {0: 10.0, 1: 1.0}]
-        t = Traversal(adj.__getitem__, 0, skip=lambda n: n == 1)
+        alive = np.array([True, False, True])
+        t = ArrayTraversal(flat_rows(adj), 0, len(adj), alive=lambda: alive)
         t.run_to_completion()
-        assert 1 not in t.dist
+        assert not np.isfinite(t.dist[1])
         assert t.dist[2] == pytest.approx(10.0)  # forced the long way
 
 
@@ -166,30 +175,15 @@ class TestSharedGraphLifecycle:
         assert ws.routing.ready
         built = ws.routing.stats.graphs_built
         assert ws.remove_obstacle(OBS[0])
-        # Default routing: surgical repair — the graph survives, nothing
-        # is evicted, and the removal shows up in the repair counters.
-        assert ws.routing.stats.evicted == 0
-        assert ws.routing.stats.removal_repairs >= 1
+        # Surgical repair: the graph survives, nothing is invalidated,
+        # and the removal shows up in the repair counters.
+        assert ws.routing.stats.invalidations == 0
+        assert ws.routing.stats.graph_repairs >= 1
         assert ws.routing.ready  # still resident, repaired in place
         got = ws.execute(ws.plan(ConnQuery(SEG), backend="shared"))
         want = Workspace.from_points(POINTS, OBS[1:]).conn(SEG)
         assert_same_result(got, want, SEG)
         assert ws.routing.stats.graphs_built == built  # no rebuild
-
-    def test_remove_drops_graph_with_repair_disabled(self):
-        from repro.routing import RoutingConfig
-
-        ws = make_ws(routing=RoutingConfig(removal_repair=False))
-        ws.prefetch_all()
-        ws.conn(SEG)
-        assert ws.routing.ready
-        assert ws.remove_obstacle(OBS[0])
-        assert ws.routing.stats.evicted == 1
-        assert not ws.routing.ready  # dropped, not yet rebuilt
-        got = ws.execute(ws.plan(ConnQuery(SEG), backend="shared"))
-        want = Workspace.from_points(POINTS, OBS[1:]).conn(SEG)
-        assert_same_result(got, want, SEG)
-        assert ws.routing.stats.graphs_built == 2
 
     def test_unannounced_tree_mutation_invalidates_at_attach(self):
         ws = make_ws()

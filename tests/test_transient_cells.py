@@ -1,4 +1,4 @@
-"""Lifecycle of the array engine's transient visibility cells.
+"""Lifecycle of the visibility graph's transient visibility cells.
 
 Edges between graph slots and the short-lived transient nodes (query
 endpoints, evaluated data points) live in a (slot, transient) cell store
@@ -11,41 +11,41 @@ small and never stale:
   cell of the wrong node;
 * an obstacle removal followed by an insert that restores the same
   rect/segment/polygon counts still recomputes every cell.
+
+Rows are checked against the brute-force reference of
+:mod:`tests.reference`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
+import networkx as nx
 import numpy as np
 
 from repro.geometry import Segment
 from repro.obstacles import RectObstacle, SegmentObstacle
 from repro.obstacles.visgraph import LocalVisibilityGraph
-from repro.routing.config import ARRAY_ENGINE, SCALAR_ENGINE
 from tests.conftest import random_query, random_scene
+from tests.reference import assert_row_matches, reference_graph
 
 
-def _twins(obstacles, qseg=None):
-    pair = []
-    for engine in (ARRAY_ENGINE, SCALAR_ENGINE):
-        g = LocalVisibilityGraph(qseg, engine=engine)
-        g.add_obstacles(obstacles)
-        pair.append(g)
-    return pair
+def _graph(obstacles, qseg=None) -> LocalVisibilityGraph:
+    g = LocalVisibilityGraph(qseg)
+    g.add_obstacles(obstacles)
+    return g
 
 
-def _assert_all_rows_match(array_g, scalar_g) -> None:
-    assert array_g._alive_ids() == scalar_g._alive_ids()
-    for v in array_g._alive_ids():
-        idx, w = array_g.row_arrays(v)
-        assert dict(zip(idx.tolist(), w.tolist())) == scalar_g.neighbors(v)
+def _assert_all_rows_match(g: LocalVisibilityGraph) -> None:
+    for v in g._alive_ids():
+        assert_row_matches(g, v)
 
 
 def test_bind_unbind_cycles_keep_cell_store_bounded():
     rng = random.Random(5)
     points, obstacles = random_scene(rng, n_points=20, n_obstacles=6)
-    g = LocalVisibilityGraph(None, obstacles=obstacles, prefetch=16)
+    g = LocalVisibilityGraph(None, obstacles=obstacles)
     shapes = set()
     for i in range(500):
         g.bind(random_query(rng))
@@ -75,25 +75,25 @@ def test_bind_unbind_cycles_keep_cell_store_bounded():
 def test_compact_remaps_cells_of_live_transients():
     rng = random.Random(11)
     _points, obstacles = random_scene(rng, n_points=1, n_obstacles=6)
-    array_g, scalar_g = _twins(obstacles, random_query(rng))
+    g = _graph(obstacles, random_query(rng))
     coords = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(4)]
-    ids = [[g.add_point(x, y) for x, y in coords] for g in (array_g,
-                                                            scalar_g)]
-    assert ids[0] == ids[1]
+    ids = [g.add_point(x, y) for x, y in coords]
     # Fill every cell, then kill two transients so compaction moves the
     # survivors (and their columns' slots) to new ids.
-    _assert_all_rows_match(array_g, scalar_g)
-    for g in (array_g, scalar_g):
-        g.remove_point(ids[0][0])
-        g.remove_point(ids[0][2])
-    assert array_g.compact() == scalar_g.compact() == 2
-    assert array_g._tids.tolist() == array_g._live_transients
-    assert array_g._live_transients == [
-        i for i in array_g._alive_ids() if array_g._transient[i]]
-    _assert_all_rows_match(array_g, scalar_g)
-    for src in array_g._live_transients:
-        assert (array_g.shortest_distances(src, (array_g.S, array_g.E))
-                == scalar_g.shortest_distances(src, (scalar_g.S, scalar_g.E)))
+    _assert_all_rows_match(g)
+    g.remove_point(ids[0])
+    g.remove_point(ids[2])
+    assert g.compact() == 2
+    assert g._tids.tolist() == g._live_transients
+    assert g._live_transients == [
+        i for i in g._alive_ids() if g._transient[i]]
+    _assert_all_rows_match(g)
+    ref = reference_graph(g)
+    for src in g._live_transients:
+        want = nx.single_source_dijkstra_path_length(ref, src)
+        for t, d in g.shortest_distances(src, (g.S, g.E)).items():
+            assert math.isclose(d, want.get(t, math.inf), rel_tol=0.0,
+                                abs_tol=1e-9)
 
 
 def test_remove_then_add_obstacle_recomputes_cells():
@@ -104,19 +104,17 @@ def test_remove_then_add_obstacle_recomputes_cells():
     decoy = RectObstacle(85.0, 85.0, 90.0, 90.0)
     blocker = RectObstacle(30.0, 35.0, 35.0, 65.0)
     qseg = Segment(5.0, 5.0, 5.0, 95.0)
-    array_g, scalar_g = _twins([wall, decoy], qseg)
-    p = array_g.add_point(10.0, 50.0)
-    assert scalar_g.add_point(10.0, 50.0) == p
-    far = array_g._obstacle_nodes[wall]
+    g = _graph([wall, decoy], qseg)
+    p = g.add_point(10.0, 50.0)
+    far = g._obstacle_nodes[wall]
     for v in far:
-        idx, _w = array_g.row_arrays(v)
+        idx, _w = g.row_arrays(v)
         assert p in idx.tolist()                 # cell filled: visible
-    counts = array_g._cell_omark
-    for g in (array_g, scalar_g):
-        g.remove_obstacle(decoy)
-        g.add_obstacles([blocker])
-    assert array_g._array_mark()[:3] == counts   # same counts as before
+    counts = g._cell_omark
+    g.remove_obstacle(decoy)
+    g.add_obstacles([blocker])
+    assert g._row_mark()[:3] == counts           # same counts as before
     for v in far:
-        idx, _w = array_g.row_arrays(v)
+        idx, _w = g.row_arrays(v)
         assert p not in idx.tolist()             # recomputed: now blocked
-    _assert_all_rows_match(array_g, scalar_g)
+    _assert_all_rows_match(g)

@@ -1,11 +1,11 @@
-"""Frontier-wave stale-row repair on the array engine.
+"""Frontier-wave stale-row repair.
 
 When obstacles grow a graph whose rows are already cut, the next
 traversal finds those rows stale.  The traversal's prefetch hook repairs
 the stale rows of the settling node and its gathered frontier in one
-batched pass per watermark group; a read outside a traversal (or with
-``frontier_prefetch=0``) repairs just its row through the same bulk path.
-Either way every row read must equal the scalar engine's row.
+batched pass per watermark group; a read outside a traversal repairs
+just its row through the same bulk path.  Either way every row read must
+equal the brute-force reference row of :mod:`tests.reference`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,12 @@ from hypothesis import strategies as st
 
 from repro import RectObstacle, SegmentObstacle
 from repro.obstacles.visgraph import LocalVisibilityGraph
-from repro.routing.config import ARRAY_ENGINE, SCALAR_ENGINE
 from tests.conftest import random_query, random_scene
+from tests.reference import (
+    assert_traversal_matches,
+    reference_graph,
+    reference_row,
+)
 
 
 def _growth(rng: random.Random, n: int):
@@ -65,39 +69,38 @@ def _record_reads(g: LocalVisibilityGraph):
     return reads
 
 
-@pytest.mark.parametrize("prefetch", [16, 0])
+@pytest.mark.parametrize("reader", ["traversal", "one-row"])
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=10, deadline=None)
-def test_rows_read_after_growth_match_the_scalar_engine(prefetch, seed):
+def test_rows_read_after_growth_match_the_reference(reader, seed):
     rng = random.Random(seed)
     points, obstacles = random_scene(rng, n_points=5, n_obstacles=10)
     qseg = random_query(rng)
     growth = [_growth(rng, 4), _growth(rng, 3)]
-    array_g = LocalVisibilityGraph(qseg, engine=ARRAY_ENGINE,
-                                   prefetch=prefetch)
-    scalar_g = LocalVisibilityGraph(qseg, engine=SCALAR_ENGINE)
-    sizes = _record_repairs(array_g)
-    reads = _record_reads(array_g)
-    pair = (array_g, scalar_g)
-    for g in pair:
-        g.add_obstacles(obstacles)
-    nodes = [array_g.add_point(x, y) for _p, (x, y) in points]
-    assert nodes == [scalar_g.add_point(x, y) for _p, (x, y) in points]
-    sources = [array_g.S, array_g.E] + nodes[:2]
+    g = LocalVisibilityGraph(qseg)
+    sizes = _record_repairs(g)
+    reads = _record_reads(g)
+    g.add_obstacles(obstacles)
+    nodes = [g.add_point(x, y) for _p, (x, y) in points]
+    sources = [g.S, g.E] + nodes[:2]
     for batch in [None] + growth:
         if batch is not None:
-            for g in pair:
-                g.add_obstacles(batch)
+            g.add_obstacles(batch)
         del reads[:]
-        for source in sources:
-            want = list(scalar_g.dijkstra_order(source))
-            assert list(array_g.dijkstra_order(source)) == want
-        assert reads, "traversals must read rows"
+        if reader == "traversal":
+            ref = reference_graph(g)
+            for source in sources:
+                assert_traversal_matches(
+                    g, source, list(g.dijkstra_order(source)), ref)
+        else:
+            for v in g._alive_ids():
+                g.row_arrays(v)
+        assert reads, "rows must be read"
         for node, row in reads:
-            assert row == scalar_g.neighbors(node)
+            assert row == reference_row(g, node)
     repaired = sum(sizes)
     assert repaired, "growth must leave rows to repair"
-    if prefetch:
+    if reader == "traversal":
         # Waves: fewer repair batches than rows repaired.
         assert max(sizes) > 1 and len(sizes) < repaired
     else:
