@@ -157,12 +157,6 @@ def compute_cpl(vg: ObstructedGraph, point_node: int, owner: Any,
             # (Unlike the CPLMAX gate above this works even while parts of
             # the envelope are still unknown: the check itself refuses to
             # skip wherever the region overlaps an unknown piece.)
-            # Once the envelope grows past a few pieces this check runs on
-            # the envelope's numpy piece table: whole overlapping piece
-            # ranges are screened per region interval, and only entries
-            # within the float screen band are re-decided in exact scalar
-            # arithmetic — so the skip/keep decision is identical to the
-            # scalar loop's.
             stats.prefilter_skips += 1
             continue
         challenger = PiecewiseDistance.from_region(qseg, region, (vx, vy),

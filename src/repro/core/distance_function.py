@@ -28,80 +28,11 @@ from ..geometry.interval import MERGE_EPS, IntervalSet
 from ..geometry.predicates import point_seg_dist
 from ..geometry.segment import Segment
 from .config import DEFAULT_CONFIG, ConnConfig
-from .split import crossing_params, dist_quadratic_batch, perpendicular_distance
+from .split import crossing_params, perpendicular_distance
 from .stats import QueryStats
 
 _TIE_EPS = 1e-9
 """Value difference below which two paths are considered tied."""
-
-_VEC_MIN_PIECES = 8
-"""Piece count below which the scalar loops beat numpy dispatch overhead.
-
-Both paths make identical decisions (the vectorized screens defer every
-near-tie to the exact scalar math), so the threshold is purely a
-performance knob.
-"""
-
-_VEC_MIN_SPAN = 16
-"""Overlapped-piece count below which one region interval is resolved by
-the scalar walk even when the envelope is table-backed.
-
-Lemma 5/6 subtraction fragments challenger regions into many short
-intervals, each overlapping a handful of pieces; ~15 numpy dispatches on
-a 3-element slice lose badly to a 3-iteration Python loop.  Same
-decisions either way (performance knob, like :data:`_VEC_MIN_PIECES`).
-"""
-
-_VEC_MIN_CHECK = 32
-"""Piece count below which the *check* methods (dominance, window
-minimum, endpoint maximum) stay fully scalar.
-
-Unlike :meth:`PiecewiseDistance.values` — whose broadcast grows with the
-evaluation-point count and pays off almost immediately — a check touches
-each piece once, so the piece table (one O(n) build per envelope) plus
-per-call numpy dispatch only amortizes on piece-rich envelopes.  Warm
-corridor profiling puts typical CPLC envelopes at 8-15 pieces with
-region overlaps under 4 pieces; vectorizing those was a measured net
-loss.
-"""
-
-_SCREEN_BAND = 1e-12
-"""Relative ambiguity band of the vectorized comparison screens.
-
-``np.hypot`` and ``math.hypot`` may disagree in the last ulp (~2e-16
-relative), so a vectorized comparison is only trusted when its margin
-exceeds this band — four orders of magnitude above the worst hypot
-discrepancy — and everything inside the band is re-decided with the
-scalar functions.  That is what keeps the numpy piece table bit-faithful
-to the scalar ``Piece`` loops it replaces.
-"""
-
-
-class _PieceTable(NamedTuple):
-    """Columnar (structure-of-arrays) view of a piece list.
-
-    Built lazily by :meth:`PiecewiseDistance._table` and cached on the
-    instance; envelopes are immutable after construction (``merge_min`` /
-    ``replace_span`` return fresh objects), so the cache never goes stale.
-
-    Attributes:
-        lo, hi: piece parameter ranges (sorted, contiguous partition).
-        cpx, cpy: control point coordinates (NaN for unknown pieces).
-        base: path length to the control point.
-        finite: mask of pieces with a known control point.
-        qb, qc: per-piece ``dist_quadratic`` coefficients (NaN when
-            unknown), cached for the split solver.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    cpx: np.ndarray
-    cpy: np.ndarray
-    base: np.ndarray
-    finite: np.ndarray
-    qb: np.ndarray
-    qc: np.ndarray
-
 
 class Piece(NamedTuple):
     """One interval of a piecewise distance function.
@@ -162,40 +93,6 @@ def _piece_value(qseg: Segment, ln: float, cp: Tuple[float, float],
     return base + math.hypot(x - cp[0], y - cp[1])
 
 
-def _q_points_arr(qseg: Segment, ln: float, a: np.ndarray, b: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`_q_point` at two parameter arrays (``ln > 0``).
-
-    Same clamp / divide / lerp operation sequence as the scalar helper, so
-    coordinates are elementwise bit-identical to per-parameter calls.
-    """
-    dx = qseg.bx - qseg.ax
-    dy = qseg.by - qseg.ay
-    fa = np.minimum(np.maximum(a, 0.0), ln) / ln
-    fb = np.minimum(np.maximum(b, 0.0), ln) / ln
-    return (qseg.ax + fa * dx, qseg.ay + fa * dy,
-            qseg.ax + fb * dx, qseg.ay + fb * dy)
-
-
-def _point_seg_dist_arr(px, py, ax, ay, bx, by) -> np.ndarray:
-    """Vectorized :func:`~repro.geometry.predicates.point_seg_dist`.
-
-    Identical IEEE operations except the final ``np.hypot`` (which may
-    differ from ``math.hypot`` in the last ulp) — callers comparing its
-    output against scalar values must screen with :data:`_SCREEN_BAND`.
-    """
-    abx = bx - ax
-    aby = by - ay
-    denom = abx * abx + aby * aby
-    safe = np.where(denom > 0.0, denom, 1.0)
-    t = ((px - ax) * abx + (py - ay) * aby) / safe
-    t = np.minimum(np.maximum(t, 0.0), 1.0)
-    cx = ax + t * abx
-    cy = ay + t * aby
-    return np.where(denom > 0.0, np.hypot(px - cx, py - cy),
-                    np.hypot(px - ax, py - ay))
-
-
 def _clip(p: Piece, lo: float, hi: float) -> Piece:
     """``p.clipped(lo, hi)`` without allocating when the range is unchanged."""
     if lo == p.lo and hi == p.hi:
@@ -235,47 +132,11 @@ def _append(pieces: List[Piece], piece: Piece) -> None:
 class PiecewiseDistance:
     """A piecewise distance function partitioning ``[0, length(q)]``."""
 
-    __slots__ = ("qseg", "pieces", "_tab")
+    __slots__ = ("qseg", "pieces")
 
     def __init__(self, qseg: Segment, pieces: Sequence[Piece]):
         self.qseg = qseg
         self.pieces: List[Piece] = list(pieces)
-        self._tab: Optional[_PieceTable] = None
-
-    def _table(self) -> _PieceTable:
-        """The cached columnar view of :attr:`pieces` (built on demand).
-
-        Merges never mutate an envelope in place — ``merge_min`` and
-        ``replace_span`` construct new :class:`PiecewiseDistance` objects,
-        whose cache starts empty — but the length check below also guards
-        against any future in-place edit of the piece list.
-        """
-        tab = self._tab
-        pieces = self.pieces
-        n = len(pieces)
-        if tab is None or tab.lo.shape[0] != n:
-            lo = np.empty(n)
-            hi = np.empty(n)
-            cpx = np.empty(n)
-            cpy = np.empty(n)
-            base = np.empty(n)
-            finite = np.empty(n, dtype=bool)
-            for i, p in enumerate(pieces):
-                lo[i] = p.lo
-                hi[i] = p.hi
-                base[i] = p.base
-                c = p.cp
-                if c is None:
-                    finite[i] = False
-                    cpx[i] = cpy[i] = np.nan
-                else:
-                    finite[i] = True
-                    cpx[i] = c[0]
-                    cpy[i] = c[1]
-            qb, qc = dist_quadratic_batch(self.qseg, cpx, cpy)
-            tab = _PieceTable(lo, hi, cpx, cpy, base, finite, qb, qc)
-            self._tab = tab
-        return tab
 
     # ------------------------------------------------------------ factories
     @classmethod
@@ -335,30 +196,13 @@ class PiecewiseDistance:
         return self.piece_at(t).owner
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at sorted parameters ``ts``."""
+        """Vectorized evaluation at parameters ``ts`` (one pass per piece)."""
         ts = np.asarray(ts, dtype=np.float64)
         out = np.full(ts.shape, np.inf)
         ln = self.qseg.length
         ux = (self.qseg.bx - self.qseg.ax) / ln
         uy = (self.qseg.by - self.qseg.ay) / ln
-        pieces = self.pieces
-        n = len(pieces)
-        if (n >= _VEC_MIN_PIECES and ts.ndim == 1 and
-                n * ts.size <= 2_000_000):
-            # One pieces x ts broadcast via the piece table.  Bit-identical
-            # to the loop below: the per-element arithmetic is the same
-            # sequence of IEEE operations, and a sequential minimum equals
-            # a columnwise one.
-            tab = self._table()
-            qx = self.qseg.ax + ts * ux
-            qy = self.qseg.ay + ts * uy
-            mask = ((ts >= tab.lo[:, None] - MERGE_EPS) &
-                    (ts <= tab.hi[:, None] + MERGE_EPS) &
-                    tab.finite[:, None])
-            vals = tab.base[:, None] + np.hypot(qx - tab.cpx[:, None],
-                                                qy - tab.cpy[:, None])
-            return np.where(mask, vals, np.inf).min(axis=0)
-        for p in pieces:
+        for p in self.pieces:
             mask = (ts >= p.lo - MERGE_EPS) & (ts <= p.hi + MERGE_EPS)
             if p.cp is None or not mask.any():
                 continue
@@ -374,34 +218,6 @@ class PiecewiseDistance:
         Infinite while any part of ``q`` has no known path (the paper's
         ``p_i = emptyset  =>  RLMAX = inf`` convention).
         """
-        pieces = self.pieces
-        if len(pieces) < _VEC_MIN_CHECK or self.qseg.length == 0.0:
-            return self._max_endpoint_scalar()
-        tab = self._table()
-        if not tab.finite.all():
-            return math.inf
-        qseg = self.qseg
-        ln = qseg.length
-        xa, ya, xb, yb = _q_points_arr(qseg, ln, tab.lo, tab.hi)
-        per = np.maximum(tab.base + np.hypot(xa - tab.cpx, ya - tab.cpy),
-                         tab.base + np.hypot(xb - tab.cpx, yb - tab.cpy))
-        top = float(per.max())
-        # Any piece whose screened value sits within the hypot-error band
-        # of the screened maximum could be the true argmax; re-evaluate
-        # those with the scalar math so the result is bit-identical to the
-        # scalar loop.
-        band = _SCREEN_BAND * (abs(top) + 1.0)
-        worst = 0.0
-        for k in np.nonzero(per >= top - band)[0]:
-            p = pieces[int(k)]
-            v = max(_piece_value(qseg, ln, p.cp, p.base, p.lo),
-                    _piece_value(qseg, ln, p.cp, p.base, p.hi))
-            if v > worst:
-                worst = v
-        return worst
-
-    def _max_endpoint_scalar(self) -> float:
-        """The scalar reference loop behind :meth:`max_endpoint_value`."""
         worst = 0.0
         qseg = self.qseg
         ln = qseg.length
@@ -413,90 +229,6 @@ class PiecewiseDistance:
             if v > worst:
                 worst = v
         return worst
-
-    def min_over(self, lo: float, hi: float) -> float:
-        """Exact minimum of the envelope over the window ``[lo, hi]``.
-
-        Per finite piece the minimum of ``base + dist(cp, q(t))`` over the
-        overlapped sub-interval is ``base`` plus the point-to-segment
-        distance from ``cp`` to the overlapped sub-segment of ``q``
-        (convexity); unknown pieces contribute ``+inf``.  The window is
-        clipped to ``[0, length]``; a window that misses every finite
-        piece — or is empty after clipping — yields ``inf``.  Pieces are
-        counted as overlapping when they share more than a single point
-        with the window, except that a degenerate window ``lo == hi``
-        evaluates the pieces containing it.
-        """
-        ln = self.qseg.length
-        lo = max(lo, 0.0)
-        hi = min(hi, ln)
-        if hi < lo:
-            return math.inf
-        if hi == lo:
-            return self.value(lo)
-        pieces = self.pieces
-        if len(pieces) < _VEC_MIN_CHECK or ln == 0.0:
-            return self._min_over_scalar(lo, hi)
-        tab = self._table()
-        qseg = self.qseg
-        i0 = int(tab.hi.searchsorted(lo, side="right"))
-        j1 = int(tab.lo.searchsorted(hi, side="left"))
-        if j1 <= i0:
-            return math.inf
-        if j1 - i0 < _VEC_MIN_SPAN:
-            best = math.inf
-            for k in range(i0, j1):
-                p = pieces[k]
-                if p.cp is None or p.hi <= lo or p.lo >= hi:
-                    continue
-                v = self._piece_min_over(p, lo, hi)
-                if v < best:
-                    best = v
-            return best
-        fin = tab.finite[i0:j1]
-        if not fin.any():
-            return math.inf
-        a = np.maximum(tab.lo[i0:j1], lo)
-        b = np.minimum(tab.hi[i0:j1], hi)
-        xa, ya, xb, yb = _q_points_arr(qseg, ln, a, b)
-        lb = tab.base[i0:j1] + _point_seg_dist_arr(
-            tab.cpx[i0:j1], tab.cpy[i0:j1], xa, ya, xb, yb)
-        lb = np.where(fin, lb, np.inf)
-        best_np = float(lb.min())
-        if best_np == math.inf:
-            return math.inf
-        # Screen + exact confirm (see _SCREEN_BAND): every candidate within
-        # the hypot-error band of the screened minimum is re-evaluated with
-        # the scalar math, so the result matches _min_over_scalar exactly.
-        band = _SCREEN_BAND * (abs(best_np) + 1.0)
-        best = math.inf
-        for k in np.nonzero(lb <= best_np + band)[0]:
-            p = pieces[i0 + int(k)]
-            v = self._piece_min_over(p, lo, hi)
-            if v < best:
-                best = v
-        return best
-
-    def _min_over_scalar(self, lo: float, hi: float) -> float:
-        """The scalar reference loop behind :meth:`min_over`."""
-        best = math.inf
-        for p in self.pieces:
-            if p.cp is None or p.hi <= lo or p.lo >= hi:
-                continue
-            v = self._piece_min_over(p, lo, hi)
-            if v < best:
-                best = v
-        return best
-
-    def _piece_min_over(self, p: Piece, lo: float, hi: float) -> float:
-        """Scalar minimum of one finite piece over the clipped window."""
-        qseg = self.qseg
-        ln = qseg.length
-        a = p.lo if p.lo > lo else lo
-        b = p.hi if p.hi < hi else hi
-        x0, y0 = _q_point(qseg, ln, a)
-        x1, y1 = _q_point(qseg, ln, b)
-        return p.base + point_seg_dist(p.cp[0], p.cp[1], x0, y0, x1, y1)
 
     def dominates_challenger(self, region, cp: Tuple[float, float],
                              base: float) -> bool:
@@ -511,20 +243,6 @@ class PiecewiseDistance:
         keep the incumbent and :meth:`merge_min` would return ``changed ==
         False`` with an identical winner — so the caller can skip it.
         Returns False conservatively whenever any overlap is inconclusive.
-
-        Above :data:`_VEC_MIN_CHECK` pieces the check runs on the numpy
-        piece table, evaluating every overlapped piece of a region interval
-        in one shot and deferring only near-ties (within
-        :data:`_SCREEN_BAND`) to the scalar math — decisions are identical
-        to the scalar loop on every input.
-        """
-        if len(self.pieces) < _VEC_MIN_CHECK or self.qseg.length == 0.0:
-            return self._dominates_scalar(region, cp, base)
-        return self._dominates_vec(region, cp, base)
-
-    def _dominates_scalar(self, region, cp: Tuple[float, float],
-                          base: float) -> bool:
-        """The scalar reference loop behind :meth:`dominates_challenger`.
 
         :func:`_q_point` / :func:`_piece_value` are inlined here (same
         clamp / divide / lerp / hypot operation sequence, so values are
@@ -579,78 +297,6 @@ class PiecewiseDistance:
                     if lb < inc:
                         return False
                 j += 1
-        return True
-
-    def _dominates_vec(self, region, cp: Tuple[float, float],
-                       base: float) -> bool:
-        """Piece-table evaluation of :meth:`dominates_challenger`.
-
-        Per region interval the overlapped piece range is located with two
-        ``searchsorted`` calls (the partition is sorted, so the range is
-        exactly the pieces the scalar loop would walk), evaluated in one
-        vectorized pass, and compared under the :data:`_SCREEN_BAND`
-        screen; ambiguous overlaps fall back to the scalar per-piece math.
-        """
-        qseg = self.qseg
-        ln = qseg.length
-        tab = self._table()
-        pieces = self.pieces
-        cx, cy = cp
-        for rlo, rhi in region:
-            rlo = max(rlo, 0.0)
-            rhi = min(rhi, ln)
-            if rhi < rlo:
-                continue
-            i0 = int(tab.hi.searchsorted(rlo, side="right"))
-            j1 = int(tab.lo.searchsorted(rhi, side="left"))
-            if j1 <= i0:
-                continue
-            if j1 - i0 < _VEC_MIN_SPAN:
-                # Narrow overlap: the scalar walk beats numpy dispatch.
-                for k in range(i0, j1):
-                    p = pieces[k]
-                    if p.cp is None:
-                        return False
-                    a_s = p.lo if p.lo > rlo else rlo
-                    b_s = p.hi if p.hi < rhi else rhi
-                    if b_s >= a_s:
-                        x0, y0 = _q_point(qseg, ln, a_s)
-                        x1, y1 = _q_point(qseg, ln, b_s)
-                        lb_s = base + point_seg_dist(cx, cy, x0, y0, x1, y1)
-                        inc_s = max(
-                            _piece_value(qseg, ln, p.cp, p.base, a_s),
-                            _piece_value(qseg, ln, p.cp, p.base, b_s))
-                        if lb_s < inc_s:
-                            return False
-                continue
-            if not tab.finite[i0:j1].all():
-                return False
-            a = np.maximum(tab.lo[i0:j1], rlo)
-            b = np.minimum(tab.hi[i0:j1], rhi)
-            xa, ya, xb, yb = _q_points_arr(qseg, ln, a, b)
-            cpx = tab.cpx[i0:j1]
-            cpy = tab.cpy[i0:j1]
-            pbase = tab.base[i0:j1]
-            inc = np.maximum(pbase + np.hypot(xa - cpx, ya - cpy),
-                             pbase + np.hypot(xb - cpx, yb - cpy))
-            lb = base + _point_seg_dist_arr(cx, cy, xa, ya, xb, yb)
-            diff = lb - inc
-            band = _SCREEN_BAND * (np.abs(lb) + np.abs(inc))
-            if bool((diff < -band).any()):
-                return False
-            ambiguous = ~(diff > band)
-            if bool(ambiguous.any()):
-                for k in np.nonzero(ambiguous)[0]:
-                    p = pieces[i0 + int(k)]
-                    a_s = p.lo if p.lo > rlo else rlo
-                    b_s = p.hi if p.hi < rhi else rhi
-                    x0, y0 = _q_point(qseg, ln, a_s)
-                    x1, y1 = _q_point(qseg, ln, b_s)
-                    lb_s = base + point_seg_dist(cx, cy, x0, y0, x1, y1)
-                    inc_s = max(_piece_value(qseg, ln, p.cp, p.base, a_s),
-                                _piece_value(qseg, ln, p.cp, p.base, b_s))
-                    if lb_s < inc_s:
-                        return False
         return True
 
     def all_unknown(self) -> bool:
@@ -760,12 +406,6 @@ class PiecewiseDistance:
         ia = ib = 0
         A = self.pieces
         B = other.pieces
-        # Reuse the piece table's cached dist_quadratic coefficients for
-        # incumbent pieces when a preceding dominance check already built it
-        # (bit-identical to recomputing; the table is never built here —
-        # a one-shot merge would not amortize it).
-        tab = self._tab if (self._tab is not None and
-                            self._tab.lo.shape[0] == len(A)) else None
         cursor = 0.0
         while ia < len(A) and ib < len(B):
             pa = A[ia]
@@ -783,11 +423,8 @@ class PiecewiseDistance:
                     _append(lose, _clip(pa, cursor, nxt))
                     changed = True
                 else:
-                    a_quad = ((tab.qb[ia], tab.qc[ia])
-                              if tab is not None else None)
                     challenger_won = self._resolve(pa, pb, cursor, nxt, ln,
-                                                   win, lose, cfg, stats,
-                                                   a_quad)
+                                                   win, lose, cfg, stats)
                     changed = changed or challenger_won
             cursor = nxt
             if pa.hi <= nxt + MERGE_EPS:
@@ -799,8 +436,7 @@ class PiecewiseDistance:
 
     def _resolve(self, pa: Piece, pb: Piece, lo: float, hi: float, ln: float,
                  win: List[Piece], lose: List[Piece],
-                 cfg: ConnConfig, stats: QueryStats,
-                 a_quad: Optional[Tuple[float, float]] = None) -> bool:
+                 cfg: ConnConfig, stats: QueryStats) -> bool:
         """Resolve one overlap interval; returns True when challenger won any part."""
         qseg = self.qseg
         a_cp = pa.cp
@@ -851,8 +487,7 @@ class PiecewiseDistance:
                 return True
 
         stats.split_solves += 1
-        roots = crossing_params(qseg, b_cp, b_base, a_cp, a_base, lo, hi,
-                                v_quad=a_quad)
+        roots = crossing_params(qseg, b_cp, b_base, a_cp, a_base, lo, hi)
         edges = [lo, *roots, hi]
         challenger_won = False
         for x0, x1 in zip(edges, edges[1:]):

@@ -28,9 +28,7 @@ paper notes would need separate case analyses.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from ..geometry.segment import Segment
 
@@ -68,29 +66,6 @@ def dist_quadratic(qseg: Segment, px: float, py: float) -> Tuple[float, float]:
     return b, c
 
 
-def dist_quadratic_batch(qseg: Segment, pxs: "np.ndarray", pys: "np.ndarray"
-                         ) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Vectorized :func:`dist_quadratic` over arrays of control points.
-
-    Elementwise bit-identical to the scalar function (the arithmetic is
-    the same IEEE add/multiply/divide sequence, with no transcendental in
-    sight), which is what lets the envelope piece table cache these
-    coefficients for the split solver without perturbing any tie decision.
-    Degenerate query segments yield NaN columns — callers never evaluate
-    them (the piecewise machinery falls back to scalar paths at zero
-    length).
-    """
-    ln = qseg.length
-    if ln == 0.0:
-        nan = np.full(np.shape(pxs), np.nan)
-        return nan, nan.copy()
-    ux = (qseg.bx - qseg.ax) / ln
-    uy = (qseg.by - qseg.ay) / ln
-    wx = qseg.ax - pxs
-    wy = qseg.ay - pys
-    return 2.0 * (ux * wx + uy * wy), wx * wx + wy * wy
-
-
 def _value(b: float, c: float, t: float) -> float:
     """dist(p, q(t)) from the quadratic coefficients."""
     return math.sqrt(max(t * t + b * t + c, 0.0))
@@ -99,27 +74,18 @@ def _value(b: float, c: float, t: float) -> float:
 def crossing_params(qseg: Segment,
                     u_cp: Tuple[float, float], u_base: float,
                     v_cp: Tuple[float, float], v_base: float,
-                    lo: float, hi: float,
-                    u_quad: Optional[Tuple[float, float]] = None,
-                    v_quad: Optional[Tuple[float, float]] = None
-                    ) -> List[float]:
+                    lo: float, hi: float) -> List[float]:
     """Parameters in the open interval ``(lo, hi)`` where the two paths tie.
 
     Args:
         u_cp, u_base: challenger's control point and path length to it.
         v_cp, v_base: incumbent's control point and path length to it.
-        u_quad, v_quad: optional precomputed :func:`dist_quadratic`
-            coefficients for the respective control point (the envelope
-            piece table caches them); must equal what the scalar function
-            would return.
 
     Returns:
         Sorted tie parameters (at most two by Theorem 1).
     """
-    b1, c1 = (u_quad if u_quad is not None
-              else dist_quadratic(qseg, u_cp[0], u_cp[1]))
-    b2, c2 = (v_quad if v_quad is not None
-              else dist_quadratic(qseg, v_cp[0], v_cp[1]))
+    b1, c1 = dist_quadratic(qseg, u_cp[0], u_cp[1])
+    b2, c2 = dist_quadratic(qseg, v_cp[0], v_cp[1])
     # Tie condition: sqrt(g) - sqrt(h) = d, with g the challenger's squared
     # distance, h the incumbent's, and d the base-length gap.
     d = v_base - u_base

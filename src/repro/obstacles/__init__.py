@@ -15,11 +15,9 @@ from .obstructed import (
 )
 from .shadow import (
     shadow_intervals_rects,
-    shadow_intervals_scalar,
     shadow_intervals_segs,
     shadow_set,
     visible_region,
-    visible_region_scalar,
 )
 from .visgraph import LocalVisibilityGraph
 
@@ -35,9 +33,7 @@ __all__ = [
     "obstructed_distance",
     "obstructed_path",
     "shadow_intervals_rects",
-    "shadow_intervals_scalar",
     "shadow_intervals_segs",
     "shadow_set",
     "visible_region",
-    "visible_region_scalar",
 ]

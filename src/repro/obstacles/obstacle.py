@@ -83,6 +83,10 @@ class RectObstacle(Obstacle):
         require_finite("rectangle obstacle", xlo, ylo, xhi, yhi)
         if xhi < xlo or yhi < ylo:
             raise ValueError("rectangle highs must not be below lows")
+        # Zero width *or* height is fine (an axis-parallel wall's MBR);
+        # zero extent on both axes is a point, which blocks nothing.
+        if xhi == xlo and yhi == ylo:
+            raise ValueError("degenerate rectangle (a point)")
         self.rect = Rect(float(xlo), float(ylo), float(xhi), float(yhi))
 
     @classmethod
@@ -182,6 +186,8 @@ class SegmentObstacle(Obstacle):
                  oid: int | None = None):
         super().__init__(oid)
         require_finite("segment obstacle", ax, ay, bx, by)
+        if ax == bx and ay == by:
+            raise ValueError("degenerate segment (zero length)")
         self.seg = Segment(float(ax), float(ay), float(bx), float(by))
 
     @classmethod

@@ -12,13 +12,13 @@ passes through an obstacle vertex or where ``q`` itself crosses an obstacle's
 supporting line.  We collect those candidate parameters, classify each
 elementary gap by testing its midpoint, and take the blocked span.
 
-Scalar versions are the readable reference.  The numpy versions are in
-*pair form*: each kind's function (rectangles, segments, the padded
-convex-polygon slab) takes the viewpoint either as scalars or as arrays
-aligned with the primitive rows, so one call classifies the gap grid of
-many (viewpoint, primitive) pairs.  Every element runs the one-viewpoint
-operations in the same order, so a pair's intervals are bit-identical to
-those of a call with that viewpoint alone.
+The functions are numpy and in *pair form*: each kind's function
+(rectangles, segments, the padded convex-polygon slab) takes the
+viewpoint either as scalars or as arrays aligned with the primitive
+rows, so one call classifies the gap grid of many (viewpoint, primitive)
+pairs.  Every element runs the one-viewpoint operations in the same
+order, so a pair's intervals are bit-identical to those of a call with
+that viewpoint alone.
 
 :func:`viewpoint_shadows` builds those pairs for K viewpoints with an
 exact triangle prefilter: the sight lines ``[v, q(t)]`` lie inside the
@@ -27,9 +27,9 @@ triangle's AABB (padded like the batch visibility kernel's prefilter)
 are paired with ``v``; a pruned pair casts no shadow.  The visibility
 graph fills the regions of a whole wave of nodes with it, and
 :func:`shadow_set` / :func:`visible_region` are its one-viewpoint case.
-The test suite checks the vectorized and scalar versions agree (tuple
-for tuple on polygons), that both agree with dense sampling, and that
-the pair grid equals the one-viewpoint calls.
+The test suite checks them against a scalar per-obstacle reference
+(``tests/reference.py``; tuple for tuple on polygons), both against dense
+sampling, and the pair grid against the one-viewpoint calls.
 """
 
 from __future__ import annotations
@@ -39,128 +39,19 @@ from typing import List, Tuple
 import numpy as np
 
 from ..geometry.interval import IntervalSet
-from ..geometry.predicates import (
-    EPS,
-    segment_crosses_rect_interior,
-    segments_properly_cross,
-)
+from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
 from ..geometry.vectorized import (
     PolygonSlab,
-    crosses_convex_polygon,
     crosses_convex_polygons,
     crosses_rect_interior,
     polygon_slab,
     primitive_bounds,
     proper_cross_segments,
 )
-from .obstacle import (
-    Obstacle,
-    ObstacleSet,
-    PolygonObstacle,
-    RectObstacle,
-    SegmentObstacle,
-)
+from .obstacle import ObstacleSet
 
 _WIDTH_EPS = 1e-9
-
-
-# --------------------------------------------------------------------- scalar
-def _line_param(qseg: Segment, vx: float, vy: float, cx: float, cy: float):
-    """Arc-length parameter where line ``v -> c`` meets the line of ``q``."""
-    ln = qseg.length
-    ux = (qseg.bx - qseg.ax) / ln
-    uy = (qseg.by - qseg.ay) / ln
-    dx = cx - vx
-    dy = cy - vy
-    denom = ux * dy - uy * dx
-    scale = max(abs(dx) + abs(dy), 1.0)
-    if abs(denom) <= EPS * scale:
-        return None
-    num = (vx - qseg.ax) * dy - (vy - qseg.ay) * dx
-    return num / denom
-
-
-def _classify_blocked(qseg: Segment, vx: float, vy: float,
-                      candidates: List[float], blocked_at) -> List[Tuple[float, float]]:
-    """Merge elementary gaps between ``candidates`` whose midpoint is blocked."""
-    ln = qseg.length
-    ts = sorted({min(max(t, 0.0), ln) for t in candidates} | {0.0, ln})
-    out: List[Tuple[float, float]] = []
-    for lo, hi in zip(ts, ts[1:]):
-        if hi - lo <= _WIDTH_EPS:
-            continue
-        mid = qseg.point_at((lo + hi) * 0.5)
-        if blocked_at(mid.x, mid.y):
-            if out and abs(out[-1][1] - lo) <= _WIDTH_EPS:
-                out[-1] = (out[-1][0], hi)
-            else:
-                out.append((lo, hi))
-    return out
-
-
-def shadow_intervals_scalar(vx: float, vy: float, qseg: Segment,
-                            obstacle: Obstacle) -> List[Tuple[float, float]]:
-    """Blocked parameter intervals of one obstacle, scalar reference version."""
-    candidates: List[float] = []
-    if isinstance(obstacle, RectObstacle):
-        r = obstacle.rect
-        for cx, cy in r.corners():
-            t = _line_param(qseg, vx, vy, cx, cy)
-            if t is not None:
-                candidates.append(t)
-        ln = qseg.length
-        ux = (qseg.bx - qseg.ax) / ln
-        uy = (qseg.by - qseg.ay) / ln
-        if abs(ux) > EPS:
-            candidates.append((r.xlo - qseg.ax) / ux)
-            candidates.append((r.xhi - qseg.ax) / ux)
-        if abs(uy) > EPS:
-            candidates.append((r.ylo - qseg.ay) / uy)
-            candidates.append((r.yhi - qseg.ay) / uy)
-
-        def blocked_at(mx: float, my: float) -> bool:
-            return segment_crosses_rect_interior(vx, vy, mx, my,
-                                                 r.xlo, r.ylo, r.xhi, r.yhi)
-    elif isinstance(obstacle, SegmentObstacle):
-        s = obstacle.seg
-        for cx, cy in ((s.ax, s.ay), (s.bx, s.by)):
-            t = _line_param(qseg, vx, vy, cx, cy)
-            if t is not None:
-                candidates.append(t)
-        t = qseg.line_intersection_param(s.ax, s.ay, s.bx, s.by)
-        if t is not None:
-            candidates.append(t)
-
-        def blocked_at(mx: float, my: float) -> bool:
-            return segments_properly_cross(vx, vy, mx, my, s.ax, s.ay, s.bx, s.by)
-    elif isinstance(obstacle, PolygonObstacle):
-        arr = obstacle.as_array()
-        n = arr.shape[0]
-        for i in range(n):
-            t = _line_param(qseg, vx, vy, arr[i, 0], arr[i, 1])
-            if t is not None:
-                candidates.append(t)
-            j = (i + 1) % n
-            t = qseg.line_intersection_param(arr[i, 0], arr[i, 1],
-                                             arr[j, 0], arr[j, 1])
-            if t is not None:
-                candidates.append(t)
-
-        def blocked_at(mx: float, my: float) -> bool:
-            return bool(crosses_convex_polygon(vx, vy, mx, my, arr))
-    else:
-        raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
-    return _classify_blocked(qseg, vx, vy, candidates, blocked_at)
-
-
-def visible_region_scalar(vx: float, vy: float, qseg: Segment,
-                          obstacles: ObstacleSet) -> IntervalSet:
-    """Visible region via the scalar path (reference / small inputs)."""
-    blocked: List[Tuple[float, float]] = []
-    for o in obstacles:
-        blocked.extend(shadow_intervals_scalar(vx, vy, qseg, o))
-    return IntervalSet.full(0.0, qseg.length).subtract(IntervalSet(blocked))
 
 
 # ----------------------------------------------------------------- vectorized
@@ -319,8 +210,8 @@ def shadow_intervals_polys(vx, vy, qseg: Segment,
     """Blocked intervals cast by the convex polygons of a slab.
 
     The viewpoint is a scalar pair or (P,) arrays, one per polygon.  Per
-    polygon, tuple-for-tuple equal to :func:`shadow_intervals_scalar`:
-    the candidates are the scalar reference's (vertex sight lines, q's
+    polygon, tuple-for-tuple equal to the scalar per-obstacle reference:
+    the candidates are the reference's (vertex sight lines, q's
     crossings of the edge lines), each gap midpoint is placed exactly as
     :meth:`Segment.point_at` places it, one ``(gaps, P)`` grid is
     classified by the bit-identical batch kernel, and blocked gaps merge
@@ -336,7 +227,7 @@ def shadow_intervals_polys(vx, vy, qseg: Segment,
     uy = ry / ln
     px, py = polys.px, polys.py
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Vertex sight lines meeting q's line (_line_param).
+        # Vertex sight lines meeting q's line.
         dx = px - vx
         dy = py - vy
         denom = ux * dy - uy * dx
@@ -368,7 +259,7 @@ def shadow_intervals_polys(vx, vy, qseg: Segment,
     lo = lows[gaps, rows]
     hi = highs[gaps, rows]
     # A blocked gap extends the previous interval when it starts within
-    # _WIDTH_EPS of that interval's end (the scalar merge rule).
+    # _WIDTH_EPS of that interval's end.
     start = np.ones(rows.size, dtype=bool)
     start[1:] = ((rows[1:] != rows[:-1]) |
                  (np.abs(hi[:-1] - lo[1:]) > _WIDTH_EPS))

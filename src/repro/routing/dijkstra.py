@@ -37,15 +37,15 @@ from typing import (
 
 import numpy as np
 
-from .heap import _MIN_RUN, BulkRowHeap
+from .heap import BulkRowHeap
 
 _SCALAR_RELAX = 8
 """Row length below which element-wise relaxation beats the vectorized
 compare-and-assign, and improved-entry count below which the bound test,
 assignment and pushes of a vectorized row go element-wise too.  Both
-paths perform the identical float operations, so the constant — like
-``_MIN_RUN`` — is purely a performance knob; warm-corridor rows average
-~5 improved neighbors, well inside it."""
+paths perform the identical float operations, so the constant is purely
+a performance knob; warm-corridor rows average ~5 improved neighbors,
+well inside it."""
 
 ArrayAdjacency = Callable[[int], Tuple[np.ndarray, np.ndarray]]
 """Lazily supplied flat adjacency: node -> (neighbor ids, edge weights)."""
@@ -61,15 +61,10 @@ class ArrayTraversal:
     adjacency row is relaxed in one vectorized pass.  Relaxation uses a
     strict ``<`` and each neighbor appears at most once per row, so the
     vectorized compare-and-assign matches an element-wise loop exactly.
-    The frontier is split by row length: short relaxed rows go straight
-    into a plain C-``heapq`` list (per-element pushes are fastest below
-    ``heap._MIN_RUN`` entries), long rows into a
-    :class:`~repro.routing.heap.BulkRowHeap` sequence heap as one sorted
-    run.  Each pop takes the lexicographically smaller of the two tops
-    (ties favor the plain heap — equal pairs are interchangeable), so the
-    combined structure surfaces the minimum ``(dist, node)`` pair like a
-    single binary heap would: a binary heap's pop sequence depends only on
-    the multiset of pushed pairs, not on their push order.
+    The frontier is one :class:`~repro.routing.heap.BulkRowHeap`: short
+    relaxed rows go in as singleton entries, long rows as one sorted run,
+    and every pop surfaces the minimum ``(dist, node)`` pair exactly like
+    a single binary heap of the pushed pairs would.
 
     Args:
         rows: flat adjacency callback: node -> ``(indices, weights)``
@@ -120,7 +115,7 @@ class ArrayTraversal:
     """
 
     __slots__ = ("_rows", "_alive", "source", "dist", "pred", "settled",
-                 "_heap", "_runs", "_done", "stamp", "_lock", "prune_bound",
+                 "_frontier", "_done", "stamp", "_lock", "prune_bound",
                  "_heur", "_on_bulk_push", "_prefetch", "_on_prune")
 
     def __init__(self, rows: ArrayAdjacency, source: int, size: int,
@@ -148,8 +143,8 @@ class ArrayTraversal:
         self.dist[source] = 0.0
         self.pred = np.full(n, -1, dtype=np.int64)
         self.settled: List[SettledEntry] = []
-        self._heap: List[Tuple[float, int]] = [(0.0, source)]
-        self._runs = BulkRowHeap()
+        self._frontier = BulkRowHeap()
+        self._frontier.push(0.0, source)
         self._done = np.zeros(n, dtype=bool)
         self.stamp = stamp
         self._lock = threading.Lock()
@@ -157,7 +152,7 @@ class ArrayTraversal:
     @property
     def exhausted(self) -> bool:
         """True when no frontier remains (every reachable node settled)."""
-        return not self._heap and not self._runs
+        return not self._frontier
 
     def order(self, on_advance: Optional[Callable[[SettledEntry], None]]
               = None) -> Iterator[SettledEntry]:
@@ -211,25 +206,16 @@ class ArrayTraversal:
     def _frontier_ids(self, cap: int = 64) -> List[int]:
         """Not-yet-settled frontier node ids, nearest (tentative) first.
 
-        The prefetch hook's view of the heap top: entries from the plain
-        heap, the run heads, and a bounded prefix of each run's tail,
-        sorted by ``(dist, node)`` and deduplicated.  Advisory only — a
-        stale entry (node already improved elsewhere) merely wastes a
-        prefetch slot.  Called from inside :meth:`advance` (lock already
-        held), so it must not lock.
+        The prefetch hook's view of the heap top:
+        :meth:`BulkRowHeap.near_top` sorted by ``(dist, node)``, settled
+        nodes dropped and deduplicated.  Advisory only — a stale entry
+        (node already improved elsewhere) merely wastes a prefetch slot.
+        Called from inside :meth:`advance` (lock already held), so it must
+        not lock.
         """
         done = self._done
-        cand: List[Tuple[float, int]] = [
-            (d, v) for d, v in self._heap if not done[v]]
-        runs = self._runs
-        for d, v, _rid in runs._heads:
-            if not done[v]:
-                cand.append((d, v))
-        for dl, nl, cursor in runs._runs.values():
-            for j in range(cursor + 1, min(cursor + 1 + cap, len(dl))):
-                v = nl[j]
-                if not done[v]:
-                    cand.append((dl[j], v))
+        cand = [(d, v) for d, v in self._frontier.near_top(cap)
+                if not done[v]]
         cand.sort()
         out: List[int] = []
         seen = set()
@@ -252,34 +238,9 @@ class ArrayTraversal:
         append-only settled prefix.
         """
         with self._lock:
-            heap = self._heap
-            runs = self._runs
-            heappop = heapq.heappop
-            while heap or runs._len:
-                # The run heap's entries are (dist, node, rid) while the
-                # plain heap holds (dist, node): on an exact (dist, node)
-                # tie the longer tuple compares greater, which is the same
-                # "tie favors the plain heap" rule BulkRowHeap.peek gives —
-                # so comparing the raw head entries inline is decision-
-                # identical while skipping two method calls per pop.
-                # _heads/_runs are re-read each pass because push_row may
-                # compact (reassigning both) between pops.
-                if runs._len and (not heap or runs._heads[0] < heap[0]):
-                    rheads = runs._heads
-                    d, node, rid = heappop(rheads)
-                    if rid >= 0:
-                        run = runs._runs[rid]
-                        cursor = run[2] + 1
-                        dl = run[0]
-                        if cursor < len(dl):
-                            run[2] = cursor
-                            heapq.heappush(
-                                rheads, (dl[cursor], run[1][cursor], rid))
-                        else:
-                            del runs._runs[rid]
-                    runs._len -= 1
-                else:
-                    d, node = heappop(heap)
+            frontier = self._frontier
+            while frontier:
+                d, node = frontier.pop()
                 if self._done[node]:
                     continue
                 self._done[node] = True
@@ -317,7 +278,7 @@ class ArrayTraversal:
                                 self._grow(hi + 1)
                         dist = self.dist
                         pred = self.pred
-                        push = heapq.heappush
+                        push = frontier.push
                         heur = self._heur
                         pruned = 0
                         for iv, wv in zip(il, w.tolist()):
@@ -330,7 +291,7 @@ class ArrayTraversal:
                                     continue
                                 dist[iv] = dv
                                 pred[iv] = node
-                                push(heap, (dv, iv))
+                                push(dv, iv)
                         if pruned and self._on_prune is not None:
                             self._on_prune(pruned)
                         return entry
@@ -357,7 +318,7 @@ class ArrayTraversal:
                         # than the numpy dispatches below at this size.
                         dist = self.dist
                         pred = self.pred
-                        push = heapq.heappush
+                        push = frontier.push
                         heur = self._heur
                         pruned = 0
                         for dv, iv in zip(vv.tolist(), ii.tolist()):
@@ -366,7 +327,7 @@ class ArrayTraversal:
                                 continue
                             dist[iv] = dv
                             pred[iv] = node
-                            push(heap, (dv, iv))
+                            push(dv, iv)
                         if pruned and self._on_prune is not None:
                             self._on_prune(pruned)
                         return entry
@@ -381,14 +342,9 @@ class ArrayTraversal:
                     if ii.size:
                         self.dist[ii] = vv
                         self.pred[ii] = node
-                        if ii.size < _MIN_RUN:
-                            push = heapq.heappush
-                            for dv, iv in zip(vv.tolist(), ii.tolist()):
-                                push(heap, (dv, iv))
-                        else:
-                            runs.push_row(vv, ii)
-                            if self._on_bulk_push is not None:
-                                self._on_bulk_push()
+                        if frontier.push_row(vv, ii) and \
+                                self._on_bulk_push is not None:
+                            self._on_bulk_push()
                 return entry
             return None
 

@@ -1,29 +1,29 @@
-"""A bulk-push priority queue with ``heapq``-identical pop order.
+"""The frontier of :class:`~repro.routing.dijkstra.ArrayTraversal`: a
+bulk-push priority queue with ``heapq``-identical pop order.
 
-:class:`~repro.routing.dijkstra.ArrayTraversal` relaxes a whole adjacency
-row per settle, but historically fed the results into a binary heap one
-``heappush`` at a time — a pure-Python loop that profiled at ~13% of the
-warm-corridor wall.  :class:`BulkRowHeap` replaces it with the *sequence
-heap* idea (Sanders 2000): each relaxed row is sorted **once** in C
-(``np.lexsort``) and stored as a run consumed from the front, and a tiny
-C-``heapq`` of run heads yields the global minimum.  A bulk push is then
-one lexsort plus one ``heappush`` instead of ``len(row)`` of them.
+The traversal relaxes a whole adjacency row per settle.  Feeding the
+results into a binary heap one ``heappush`` at a time is a pure-Python
+loop that profiled at ~13% of the warm-corridor wall, so
+:class:`BulkRowHeap` uses the *sequence heap* idea (Sanders 2000): a long
+relaxed row is sorted **once** in C (``np.lexsort``) and stored as a run
+consumed from the front, and a C-``heapq`` of entries yields the global
+minimum.  A bulk push is then one lexsort plus one ``heappush`` instead of
+``len(row)`` of them.
 
 Pop order is *identical* to ``heapq`` over individual ``(dist, node)``
-tuples: both structures always surface the lexicographic minimum of the
+tuples: the structure always surfaces the lexicographic minimum of the
 currently stored multiset of pairs, and pairs that compare equal are
 interchangeable (Dijkstra skips the duplicate once the node is settled).
 So the traversal settles nodes in exactly the order a single binary heap
-would, and ``tests/test_bulk_heap.py`` drives that with adversarial
-distance ties.
+would; ``tests/test_bulk_heap.py`` drives the heap and the traversal with
+adversarial distance ties.
 
 A run only pays for itself when the row is long enough for one C sort to
-beat ``m`` binary-heap sifts: rows shorter than ``_MIN_RUN`` are pushed
-as individual singleton entries (rid ``-1``, no run storage) — exactly
-the classic per-edge path, minus the numpy round trip.  Runs are
-compacted (concatenated and re-sorted) once more than ``max_runs``
-accumulate, so the head heap stays small even on traversals that settle
-thousands of nodes.
+beat ``m`` binary-heap sifts: single pushes and rows shorter than
+``_MIN_RUN`` go in as individual singleton entries (rid ``-1``, no run
+storage) — the classic per-edge path.  Runs are compacted (concatenated
+and re-sorted) once more than ``max_runs`` accumulate, so the number of
+live runs stays small even on traversals that settle thousands of nodes.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ same pop order, so the constant is purely a performance knob."""
 class BulkRowHeap:
     """Min-heap of ``(dist, node)`` pairs with O(sort) whole-row pushes."""
 
-    __slots__ = ("_heads", "_runs", "_next", "_len", "_max_runs",
-                 "bulk_pushes")
+    __slots__ = ("_heads", "_runs", "_next", "_len", "_max_runs")
 
     def __init__(self, max_runs: int = 48):
-        # One entry per live run: (head dist, head node, run id).  The run
-        # id breaks head ties deterministically and is never surfaced.
+        # One entry per singleton (run id -1) and per live run's head:
+        # (dist, node, run id).  The run id breaks head ties
+        # deterministically and is never surfaced.
         self._heads: List[Tuple[float, int, int]] = []
         # run id -> [dists, nodes, cursor]; dists/nodes are plain lists so
         # the per-pop advance costs two C-level indexing ops, no numpy.
@@ -60,7 +60,6 @@ class BulkRowHeap:
         self._next = 0
         self._len = 0
         self._max_runs = max_runs
-        self.bulk_pushes = 0
 
     def __len__(self) -> int:
         return self._len
@@ -69,21 +68,25 @@ class BulkRowHeap:
         return self._len > 0
 
     def push(self, dist: float, node: int) -> None:
-        """Push a single pair (used for traversal sources)."""
+        """Push a single pair."""
         heappush(self._heads, (dist, node, -1))
         self._len += 1
 
-    def push_row(self, dists: np.ndarray, nodes: np.ndarray) -> None:
-        """Push a whole relaxed row of ``(dists[i], nodes[i])`` pairs."""
+    def push_row(self, dists: np.ndarray, nodes: np.ndarray) -> bool:
+        """Push a whole relaxed row of ``(dists[i], nodes[i])`` pairs.
+
+        Returns:
+            True when the row was stored as one sorted run (a bulk push),
+            False when it went in as singletons (shorter than
+            ``_MIN_RUN``, or empty).
+        """
         m = dists.shape[0]
-        if m == 0:
-            return
         if m < _MIN_RUN:
             heads = self._heads
             for d, n in zip(dists.tolist(), nodes.tolist()):
                 heappush(heads, (d, n, -1))
             self._len += m
-            return
+            return False
         order = np.lexsort((nodes, dists))
         dl = dists[order].tolist()
         nl = nodes[order].tolist()
@@ -92,14 +95,9 @@ class BulkRowHeap:
         self._runs[rid] = [dl, nl, 0]
         heappush(self._heads, (dl[0], nl[0], rid))
         self._len += m
-        self.bulk_pushes += 1
         if len(self._runs) > self._max_runs:
             self._compact()
-
-    def peek(self) -> Tuple[float, int]:
-        """The smallest stored ``(dist, node)`` pair, without removing it."""
-        head = self._heads[0]
-        return (head[0], head[1])
+        return True
 
     def pop(self) -> Tuple[float, int]:
         """Pop the lexicographically smallest ``(dist, node)`` pair."""
@@ -115,6 +113,20 @@ class BulkRowHeap:
                 del self._runs[rid]
         self._len -= 1
         return dist, node
+
+    def near_top(self, cap: int) -> List[Tuple[float, int]]:
+        """Stored pairs near the top, unordered: every singleton and run
+        head, plus up to ``cap`` more entries from each run's front.
+
+        Holds the ``cap`` smallest stored pairs (a run's entries past its
+        first ``cap + 1`` are preceded by that many in the same run), so a
+        caller can sort this to preview the next pops without popping.
+        """
+        out = [(d, v) for d, v, _rid in self._heads]
+        for dl, nl, cursor in self._runs.values():
+            end = min(cursor + 1 + cap, len(dl))
+            out.extend(zip(dl[cursor + 1:end], nl[cursor + 1:end]))
+        return out
 
     def _compact(self) -> None:
         """Merge every live run into one freshly sorted run.

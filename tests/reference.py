@@ -1,4 +1,4 @@
-"""Brute-force references the visibility-graph suites check against.
+"""Brute-force references the visibility-graph and shadow suites check against.
 
 Deliberately naive, and independent of the production graph's code paths:
 
@@ -14,6 +14,11 @@ Rows must match bit for bit (the production paths all weight edges with
 ``math.hypot`` too); distances must match within ``abs_tol=1e-9``, and every
 predecessor ``p`` of a settled node ``v`` must satisfy ``dist[p] + w(p, v)
 == dist[v]`` exactly.
+
+The visible-region suites check the numpy shadow functions of
+:mod:`repro.obstacles.shadow` against :func:`shadow_intervals_scalar` and
+:func:`visible_region_scalar`: the same candidate-line method written one
+obstacle and one gap at a time with the scalar predicates.
 """
 
 from __future__ import annotations
@@ -24,7 +29,20 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.geometry.vectorized import visibility_mask
+from repro.geometry import IntervalSet, Segment
+from repro.geometry.predicates import (
+    EPS,
+    segment_crosses_rect_interior,
+    segments_properly_cross,
+)
+from repro.geometry.vectorized import crosses_convex_polygon, visibility_mask
+from repro.obstacles import (
+    Obstacle,
+    ObstacleSet,
+    PolygonObstacle,
+    RectObstacle,
+    SegmentObstacle,
+)
 
 SettledEntry = Tuple[float, int, Optional[int]]
 
@@ -86,3 +104,105 @@ def assert_traversal_matches(graph, source: int,
     assert settled[0] == (0.0, source, None)
     for d, v, p in settled[1:]:
         assert got[p] + ref[p][v]["weight"] == d, (v, p)
+
+
+_WIDTH_EPS = 1e-9
+"""Gaps this narrow are dropped and intervals this close merge (the
+production shadow functions use the same tolerance)."""
+
+
+def _line_param(qseg: Segment, vx: float, vy: float, cx: float, cy: float):
+    """Arc-length parameter where line ``v -> c`` meets the line of ``q``."""
+    ln = qseg.length
+    ux = (qseg.bx - qseg.ax) / ln
+    uy = (qseg.by - qseg.ay) / ln
+    dx = cx - vx
+    dy = cy - vy
+    denom = ux * dy - uy * dx
+    scale = max(abs(dx) + abs(dy), 1.0)
+    if abs(denom) <= EPS * scale:
+        return None
+    num = (vx - qseg.ax) * dy - (vy - qseg.ay) * dx
+    return num / denom
+
+
+def _classify_blocked(qseg: Segment, vx: float, vy: float,
+                      candidates: List[float], blocked_at) -> List[Tuple[float, float]]:
+    """Merge elementary gaps between ``candidates`` whose midpoint is blocked."""
+    ln = qseg.length
+    ts = sorted({min(max(t, 0.0), ln) for t in candidates} | {0.0, ln})
+    out: List[Tuple[float, float]] = []
+    for lo, hi in zip(ts, ts[1:]):
+        if hi - lo <= _WIDTH_EPS:
+            continue
+        mid = qseg.point_at((lo + hi) * 0.5)
+        if blocked_at(mid.x, mid.y):
+            if out and abs(out[-1][1] - lo) <= _WIDTH_EPS:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+    return out
+
+
+def shadow_intervals_scalar(vx: float, vy: float, qseg: Segment,
+                            obstacle: Obstacle) -> List[Tuple[float, float]]:
+    """Blocked parameter intervals of one obstacle, one gap at a time."""
+    candidates: List[float] = []
+    if isinstance(obstacle, RectObstacle):
+        r = obstacle.rect
+        for cx, cy in r.corners():
+            t = _line_param(qseg, vx, vy, cx, cy)
+            if t is not None:
+                candidates.append(t)
+        ln = qseg.length
+        ux = (qseg.bx - qseg.ax) / ln
+        uy = (qseg.by - qseg.ay) / ln
+        if abs(ux) > EPS:
+            candidates.append((r.xlo - qseg.ax) / ux)
+            candidates.append((r.xhi - qseg.ax) / ux)
+        if abs(uy) > EPS:
+            candidates.append((r.ylo - qseg.ay) / uy)
+            candidates.append((r.yhi - qseg.ay) / uy)
+
+        def blocked_at(mx: float, my: float) -> bool:
+            return segment_crosses_rect_interior(vx, vy, mx, my,
+                                                 r.xlo, r.ylo, r.xhi, r.yhi)
+    elif isinstance(obstacle, SegmentObstacle):
+        s = obstacle.seg
+        for cx, cy in ((s.ax, s.ay), (s.bx, s.by)):
+            t = _line_param(qseg, vx, vy, cx, cy)
+            if t is not None:
+                candidates.append(t)
+        t = qseg.line_intersection_param(s.ax, s.ay, s.bx, s.by)
+        if t is not None:
+            candidates.append(t)
+
+        def blocked_at(mx: float, my: float) -> bool:
+            return segments_properly_cross(vx, vy, mx, my, s.ax, s.ay, s.bx, s.by)
+    elif isinstance(obstacle, PolygonObstacle):
+        arr = obstacle.as_array()
+        n = arr.shape[0]
+        for i in range(n):
+            t = _line_param(qseg, vx, vy, arr[i, 0], arr[i, 1])
+            if t is not None:
+                candidates.append(t)
+            j = (i + 1) % n
+            t = qseg.line_intersection_param(arr[i, 0], arr[i, 1],
+                                             arr[j, 0], arr[j, 1])
+            if t is not None:
+                candidates.append(t)
+
+        def blocked_at(mx: float, my: float) -> bool:
+            return bool(crosses_convex_polygon(vx, vy, mx, my, arr))
+    else:
+        raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
+    return _classify_blocked(qseg, vx, vy, candidates, blocked_at)
+
+
+def visible_region_scalar(vx: float, vy: float, qseg: Segment,
+                          obstacles: ObstacleSet) -> IntervalSet:
+    """Visible region: all of ``q`` minus the per-obstacle shadows."""
+    blocked: List[Tuple[float, float]] = []
+    for o in obstacles:
+        blocked.extend(shadow_intervals_scalar(vx, vy, qseg, o))
+    return IntervalSet.full(0.0, qseg.length).subtract(IntervalSet(blocked))

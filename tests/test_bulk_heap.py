@@ -1,25 +1,29 @@
-"""BulkRowHeap parity with heapq — the array engine's settle-order proof.
+"""BulkRowHeap parity with heapq — the traversal's settle-order proof.
 
-The sequence heap replaces the per-edge ``heappush`` loop in
-``ArrayTraversal.advance``, so its pop order must be *identical* to a
-binary heap of individual ``(dist, node)`` tuples under every workload,
-including adversarial distance ties.  Hypothesis drives both structures
-through the same operation sequences (distances drawn from a tiny pool to
-force ties) and a randomized Dijkstra settle-order comparison.
+The sequence heap is ``ArrayTraversal``'s only frontier, so its pop order
+must be *identical* to a binary heap of individual ``(dist, node)`` tuples
+under every workload, including adversarial distance ties.  Hypothesis
+drives both structures through the same operation sequences (distances
+drawn from a tiny pool to force ties), a randomized Dijkstra settle-order
+comparison, and ``ArrayTraversal`` itself against a textbook ``heapq``
+Dijkstra.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.heap import BulkRowHeap
+from repro.routing.dijkstra import _SCALAR_RELAX, ArrayTraversal
+from repro.routing.heap import _MIN_RUN, BulkRowHeap
 
 # A tiny distance pool makes (dist, node) ties — and even exact duplicate
 # pairs — common instead of vanishingly rare.
@@ -70,16 +74,18 @@ class TestHeapqParity:
 
     def test_empty_row_is_noop(self):
         h = BulkRowHeap()
-        h.push_row(np.empty(0), np.empty(0, dtype=np.int64))
-        assert len(h) == 0 and not h and h.bulk_pushes == 0
+        assert not h.push_row(np.empty(0), np.empty(0, dtype=np.int64))
+        assert len(h) == 0 and not h
 
     def test_bulk_push_counter_counts_runs_only(self):
         h = BulkRowHeap()
         h.push(0.0, 0)
-        h.push_row(np.array([2.0, 1.0]), np.array([5, 7]))  # short: per-elem
-        h.push_row(np.arange(20.0) + 3.0,
-                   np.arange(20, dtype=np.int64))  # long: one sorted run
-        assert h.bulk_pushes == 1
+        bulk = [
+            h.push_row(np.array([2.0, 1.0]), np.array([5, 7])),  # singletons
+            h.push_row(np.arange(20.0) + 3.0,
+                       np.arange(20, dtype=np.int64)),  # one sorted run
+        ]
+        assert bulk == [False, True]
         assert [h.pop() for _ in range(3)] == [(0.0, 0), (1.0, 7), (2.0, 5)]
         assert [h.pop() for _ in range(20)] == [
             (3.0 + i, i) for i in range(20)]
@@ -152,6 +158,105 @@ class TestSettleOrderIdentity:
         order_blk, dist_blk = _dijkstra_settle_order(n, rows, use_bulk=True)
         assert order_blk == order_ref
         assert dist_blk == dist_ref  # exact — same float additions
+
+
+def _textbook_settled(n, rows):
+    """``(dist, node, pred)`` in settle order from a plain ``heapq``
+    Dijkstra over ``rows`` (node -> list of ``(neighbor, weight)``)."""
+    dist = [math.inf] * n
+    pred = [-1] * n
+    done = [False] * n
+    dist[0] = 0.0
+    heap = [(0.0, 0)]
+    out = []
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        out.append((d, u, None if pred[u] < 0 else pred[u]))
+        for v, w in rows[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+    return out
+
+
+def _random_rows(rng):
+    """Sparse random digraph; degrees straddle both relax thresholds."""
+    n = rng.randrange(2, 60)
+    weights = [1.0, 1.0, 2.0, 0.5, 3.0, 1.0 + 2 ** -52]
+    degrees = [1, _SCALAR_RELAX - 1, _SCALAR_RELAX + 2, _MIN_RUN + 4]
+    rows = []
+    for u in range(n):
+        others = [v for v in range(n) if v != u]
+        k = min(rng.choice(degrees), len(others))
+        rows.append([(v, rng.choice(weights)) for v in rng.sample(others, k)])
+    return rows
+
+
+def _layered_rows(rng):
+    """Complete bipartite layers in which *every* settle improves the whole
+    next layer, so rows of up to ``_MIN_RUN + 6`` improvements recur and
+    the larger graphs push enough runs to compact the frontier.
+
+    Forward weights fall by 4 with the sender's settle rank, while a
+    layer's distances spread by under 1/8, and ties within a layer are
+    exact (offsets from a tiny pool).  Back edges to earlier layers never
+    improve (the forward weights keep every layer at least 12 beyond the
+    previous one), which yields long rows with few improvements.
+    """
+    sizes = [1] + [rng.choice([3, _SCALAR_RELAX - 1, _SCALAR_RELAX + 3,
+                               _MIN_RUN + 1, _MIN_RUN + 6])
+                   for _ in range(rng.randrange(1, 7))]
+    layers, start = [], 0
+    for size in sizes:
+        layers.append(range(start, start + size))
+        start += size
+    rows = [[] for _ in range(start)]
+    offset = {}
+    for layer in layers:
+        offs = sorted(rng.choice([0.0, 0.0, 2 ** -40, 1 / 16]) for _ in layer)
+        offset.update(zip(layer, offs))
+    for a, b in zip(layers, layers[1:]):
+        for rank, u in enumerate(a):
+            rows[u] = [(v, 100.0 - 4.0 * rank + offset[v]) for v in b]
+    for layer in layers[1:]:
+        earlier = range(layer.start)
+        for u in layer:
+            k = min(rng.randrange(0, 12), len(earlier))
+            rows[u] += [(v, rng.choice([0.5, 1.0, 2.0]))
+                        for v in rng.sample(earlier, k)]
+            rng.shuffle(rows[u])
+    return rows
+
+
+class TestTraversalSettleOrder:
+    @given(st.booleans(), st.sampled_from([2, 48]), st.integers())
+    @settings(max_examples=80, deadline=None)
+    def test_traversal_matches_textbook_dijkstra(self, layered, max_runs,
+                                                 seed):
+        # ArrayTraversal itself: tiny rows, few-improved rows, singleton
+        # pushes and sorted runs interleave in one frontier, with exact
+        # distance ties throughout.  max_runs=2 makes the layered graphs
+        # compact the frontier mid-traversal; 48 is the production default.
+        rng = random.Random(seed)
+        rows = _layered_rows(rng) if layered else _random_rows(rng)
+        n = len(rows)
+
+        def adjacency(u):
+            row = rows[u]
+            return (np.asarray([v for v, _ in row], dtype=np.int64),
+                    np.asarray([w for _, w in row], dtype=np.float64))
+
+        frontier = functools.partial(BulkRowHeap, max_runs=max_runs)
+        with mock.patch("repro.routing.dijkstra.BulkRowHeap", frontier):
+            tr = ArrayTraversal(adjacency, 0, n)
+        tr.run_to_completion()
+        assert tr.exhausted
+        assert tr.settled == _textbook_settled(n, rows)  # exact floats
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from repro.obstacles import (
     obstructed_distance,
     obstructed_path,
     visible_region,
-    visible_region_scalar,
 )
 from tests.conftest import (
     build_obstacle_tree,
@@ -29,6 +28,7 @@ from tests.conftest import (
     random_scene,
     same_values,
 )
+from tests.reference import visible_region_scalar
 
 
 def random_convex_polygon(rng, cx, cy, radius, n_vertices=None):

@@ -14,12 +14,11 @@ from repro.obstacles import (
     PolygonObstacle,
     RectObstacle,
     SegmentObstacle,
-    shadow_intervals_scalar,
     shadow_set,
     visible_region,
-    visible_region_scalar,
 )
 from repro.obstacles.shadow import shadow_intervals_polys
+from tests.reference import shadow_intervals_scalar, visible_region_scalar
 
 
 def random_polygon(rng: random.Random, cx: float, cy: float,

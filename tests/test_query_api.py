@@ -186,12 +186,22 @@ class TestNonFiniteInput:
 
 
 class TestNonFiniteSitesAndObstacles:
-    """NaN / infinite site and obstacle coordinates raise ``ValueError``.
+    """NaN / infinite site and obstacle coordinates raise ``ValueError``,
+    and so do point-degenerate obstacles.
 
     Before validation, ``Workspace.from_points`` indexed a NaN site and
     ``RectObstacle(0, 0, nan, 1)`` built an obstacle, and queries went on
     answering over them.
     """
+
+    def test_point_degenerate_obstacles(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            RectObstacle(1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            SegmentObstacle(2.0, 2.0, 2.0, 2.0)
+        # Zero width or height alone is an axis-parallel wall's MBR.
+        assert RectObstacle(1.0, 1.0, 1.0, 5.0).rect.area() == 0.0
+        assert RectObstacle(1.0, 1.0, 5.0, 1.0).rect.area() == 0.0
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("slot", range(4))
