@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Parallel snapshot serving vs serial execution (the PR 5 tentpole bench).
+"""Parallel snapshot serving vs serial execution.
 
 A warm mixed CONN/COkNN/ONN workload — the obstacle cache holds the whole
 scene, the shared visibility graph is resident — is executed three ways
@@ -17,8 +17,9 @@ The guard asserts **byte-identical result tuples** across all arms —
 parallelism must change wall clock only — and, when the host has the
 cores for it (or ``--require-speedup`` insists), that fork-mode
 throughput reaches the configured multiple of serial at the configured
-worker count.  Results are emitted to the shared benchmark JSON (see
-:mod:`_emit`) for the artifact trail.
+worker count.  It is a wall-clock gate, so it runs as its own process
+rather than inside the test suite, where parallel test workers would
+steal its cores.
 
 Run from the repository root::
 
@@ -35,8 +36,6 @@ import random
 import sys
 import time
 from typing import List, Sequence
-
-from _emit import add_emit_argument, emit
 
 from repro import (
     CoknnQuery,
@@ -129,7 +128,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="fail unless fork-mode throughput reaches this "
                              "multiple of serial (skipped with a warning "
                              "when the host lacks the cores)")
-    add_emit_argument(parser)
     args = parser.parse_args(argv)
 
     points, obstacles = build_scene(args)
@@ -186,17 +184,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             failures.append(
                 f"fork speedup {fork_speedup:.2f}x at {fork_workers} "
                 f"workers below required {args.require_speedup:.2f}x")
-
-    emit("bench_concurrent", {
-        "workload": {"queries": len(queries), "points": args.points,
-                     "obstacles": len(obstacles), "seed": args.seed,
-                     "kind": "warm mixed CONN/COkNN/ONN"},
-        "workers_requested": args.workers,
-        "arms": best,
-        "serial_wall_s": serial_wall,
-        "fork_speedup": fork_speedup,
-        "identical_results": not failures,
-    }, path=args.emit)
 
     if failures:
         for f in failures:

@@ -1,12 +1,6 @@
 """Benchmark harness: metrics, workloads, and per-figure experiment drivers."""
 
 from .metrics import AggregateStats, Row, format_table
-from .warmcold import (
-    run_batch_cold,
-    run_batch_warm,
-    warm_cold_rows,
-    workload_bbox,
-)
 from .workloads import (
     clustered_query_workload,
     query_workload,
@@ -20,8 +14,4 @@ __all__ = [
     "format_table",
     "query_workload",
     "random_query_segment",
-    "run_batch_cold",
-    "run_batch_warm",
-    "warm_cold_rows",
-    "workload_bbox",
 ]

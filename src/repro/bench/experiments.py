@@ -16,9 +16,8 @@ Run from the command line::
 
 ``--scale`` trades fidelity for runtime: ``paper`` uses the original
 cardinalities (|CA| = 60,344, |LA| = 131,461 — hours in pure Python),
-``default`` is 10x smaller, ``small``/``tiny`` are for CI and the pytest
-benchmarks.  Curve shapes, not absolute times, are the reproduction target
-(EXPERIMENTS.md).
+``default`` is 10x smaller, ``small``/``tiny`` are for smoke runs and the
+tests.  Curve shapes, not absolute times, are the reproduction target.
 """
 
 from __future__ import annotations

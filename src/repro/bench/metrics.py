@@ -26,10 +26,6 @@ class AggregateStats:
     lemma6_prunes: float = 0.0
     lemma7_cutoffs: float = 0.0
     nodes_expanded: float = 0.0
-    cache_hits: float = 0.0
-    cache_misses: float = 0.0
-    cache_served: float = 0.0
-    obstacle_reads: float = 0.0
 
     @classmethod
     def of(cls, stats: Iterable[QueryStats]) -> "AggregateStats":
@@ -51,10 +47,6 @@ class AggregateStats:
         agg.lemma6_prunes = sum(s.lemma6_prunes for s in stats) / n
         agg.lemma7_cutoffs = sum(s.lemma7_cutoffs for s in stats) / n
         agg.nodes_expanded = sum(s.nodes_expanded for s in stats) / n
-        agg.cache_hits = sum(s.cache_hits for s in stats) / n
-        agg.cache_misses = sum(s.cache_misses for s in stats) / n
-        agg.cache_served = sum(s.cache_served for s in stats) / n
-        agg.obstacle_reads = sum(s.obstacle_reads for s in stats) / n
         return agg
 
 

@@ -83,8 +83,10 @@ class RectObstacle(Obstacle):
         require_finite("rectangle obstacle", xlo, ylo, xhi, yhi)
         if xhi < xlo or yhi < ylo:
             raise ValueError("rectangle highs must not be below lows")
-        # Zero width *or* height is fine (an axis-parallel wall's MBR);
-        # zero extent on both axes is a point, which blocks nothing.
+        # Zero width *or* height is accepted here, as a clearance proxy for
+        # an axis-parallel segment's MBR, but such a rect has no open
+        # interior and blocks nothing: workspaces refuse it (see
+        # ``require_blocking``).  Zero extent on both axes is a point.
         if xhi == xlo and yhi == ylo:
             raise ValueError("degenerate rectangle (a point)")
         self.rect = Rect(float(xlo), float(ylo), float(xhi), float(yhi))
@@ -107,6 +109,26 @@ class RectObstacle(Obstacle):
     def contains_interior(self, x: float, y: float) -> bool:
         """True iff ``(x, y)`` is strictly inside (data points may not be)."""
         return self.rect.contains_point_open(x, y)
+
+
+def require_blocking(obstacle: Obstacle) -> None:
+    """Refuse an obstacle that can block no sight line.
+
+    A rectangle blocks only sight lines that cross its open interior, and a
+    zero-area rectangle has none: as a workspace obstacle it would be
+    silently transparent.  A wall is a :class:`SegmentObstacle`.
+
+    Raises:
+        ValueError: on a zero-width or zero-height :class:`RectObstacle`.
+    """
+    if not isinstance(obstacle, RectObstacle):
+        return
+    r = obstacle.rect
+    if r.xlo == r.xhi or r.ylo == r.yhi:
+        raise ValueError(
+            f"zero-area RectObstacle({r.xlo:g}, {r.ylo:g}, {r.xhi:g}, "
+            f"{r.yhi:g}) blocks nothing; model the wall as "
+            f"SegmentObstacle({r.xlo:g}, {r.ylo:g}, {r.xhi:g}, {r.yhi:g})")
 
 
 class PolygonObstacle(Obstacle):

@@ -56,7 +56,7 @@ from ..geometry.point import require_finite_points
 from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
 from ..index.rstar import RStarTree
-from ..obstacles.obstacle import Obstacle
+from ..obstacles.obstacle import Obstacle, require_blocking
 from ..query.executor import execute as _execute
 from ..query.executor import execute_many as _execute_many
 from ..query.planner import DEFAULT_PLANNER, PlannerOptions, QueryPlan, build_plan
@@ -198,11 +198,14 @@ class Workspace:
                 ``"1T"`` (one unified tree).
 
         Raises:
-            ValueError: on a site with a NaN or infinite coordinate.
+            ValueError: on a site with a NaN or infinite coordinate, or a
+                zero-area :class:`~repro.obstacles.obstacle.RectObstacle`.
         """
         points = list(points)
         require_finite_points("site", (xy for _payload, xy in points))
         obstacles = list(obstacles)
+        for o in obstacles:
+            require_blocking(o)
         if layout == "1T":
             return cls.from_unified(
                 build_unified_tree(points, obstacles, page_size=page_size),
@@ -324,7 +327,13 @@ class Workspace:
         together.  Monitor repair runs *after* the write releases: repair
         executes queries of its own, which take read holds on the freshly
         published version.
+
+        Raises:
+            ValueError: on an obstacle insert that could block nothing (a
+                zero-area rect), before anything is mutated.
         """
+        if isinstance(update, AddObstacle):
+            require_blocking(update.obstacle)
         with self._rw.write():
             if isinstance(update, (AddSite, RemoveSite)):
                 tree = (self.data_tree if self.layout == "2T"

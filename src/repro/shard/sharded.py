@@ -30,7 +30,8 @@ edge — widens ``S`` with the neighbors the ball touches and re-executes
 on the merged environment (neighbor margins + home, obstacles deduped by
 identity).  The shard set grows monotonically, so the loop terminates,
 and at the fixpoint the answer equals the unsharded one bit for bit
-(asserted by the equivalence suite and the ``bench_shards`` guard).
+(asserted by ``tests/test_shard_equivalence.py`` and
+``tests/test_sharded_workspace.py``).
 
 Updates fan out through :meth:`ShardedWorkspace.apply` only to affected
 shards; per-shard snapshot isolation falls out of each shard's

@@ -9,7 +9,12 @@ import pytest
 
 from repro.geometry import Rect, Segment
 from repro.index import RStarTree
-from repro.obstacles import Obstacle, RectObstacle, SegmentObstacle
+from repro.obstacles import (
+    Obstacle,
+    PolygonObstacle,
+    RectObstacle,
+    SegmentObstacle,
+)
 
 
 def same_values(a, b, atol: float = 1e-5) -> bool:
@@ -97,3 +102,44 @@ def build_obstacle_tree(obstacles, page_size: int = 256) -> RStarTree:
     for o in obstacles:
         tree.insert(o, o.mbr())
     return tree
+
+
+def building_lattice(side: int, width: float = 0.4, height: float = 0.3,
+                     mixed: bool = False) -> list:
+    """A ``side`` x ``side`` lattice of buildings over a 100 x 100 space.
+
+    ``width`` and ``height`` are fractions of the lattice step.  All
+    buildings are rects, or with ``mixed`` the kinds cycle wall segment,
+    rect, triangle.  This is the city the serving-layer guards run on.
+    """
+    step = (100.0 - 6.0) / side
+    out: list[Obstacle] = []
+    for gx in range(side):
+        for gy in range(side):
+            x, y = 3 + step * gx, 3 + step * gy
+            w, h = width * step, height * step
+            kind = (gx + gy) % 3 if mixed else 1
+            if kind == 0:
+                out.append(SegmentObstacle(x, y, x + w, y + h))
+            elif kind == 1:
+                out.append(RectObstacle(x, y, x + w, y + h))
+            else:
+                out.append(PolygonObstacle(
+                    [(x, y), (x + w, y), (x + 0.5 * w, y + h)]))
+    return out
+
+
+def lattice_sites(obstacles, n: int, seed: int) -> list:
+    """``n`` uniform sites outside every building's interior.
+
+    A site inside a building would be unreachable and force every query
+    to drain the whole obstacle tree.
+    """
+    rng = random.Random(seed)
+    out: list[tuple[int, tuple[float, float]]] = []
+    while len(out) < n:
+        x, y = rng.uniform(0, 100), rng.uniform(0, 100)
+        if not any(o.contains_interior(x, y) for o in obstacles
+                   if not isinstance(o, SegmentObstacle)):
+            out.append((len(out), (x, y)))
+    return out

@@ -1,54 +1,30 @@
 """The locality-aware batch executor: ordering, equivalence, I/O savings.
 
-The scene replicates ``benchmarks/bench_batch_scheduler.py`` at its fast
-verified configuration: a 10 x 10 building lattice, 250 reachable data
-points, and two interleaved fleets of jittered ONN queries.
+The scene is a 10 x 10 building lattice with 250 reachable data points
+and two interleaved fleets of jittered ONN queries.
 """
 
 from __future__ import annotations
 
-import pathlib
 import random
-import subprocess
-import sys
 
 import pytest
 
 from repro import (
     OnnQuery,
-    RectObstacle,
     RStarTree,
     Segment,
     SemiJoinQuery,
     Workspace,
 )
-
-
-def grid_obstacles(side=10):
-    """A lattice of small buildings over a 100 x 100 space."""
-    step = (100.0 - 6.0) / side
-    return [RectObstacle(3 + step * gx, 3 + step * gy,
-                         3 + step * gx + 0.4 * step,
-                         3 + step * gy + 0.3 * step)
-            for gx in range(side) for gy in range(side)]
-
-
-def scattered_points(obstacles, seed=7, n=250):
-    """Points outside the buildings (interior points would be unreachable)."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < n:
-        x, y = rng.uniform(0, 100), rng.uniform(0, 100)
-        if not any(o.contains_interior(x, y) for o in obstacles):
-            out.append((len(out), (x, y)))
-    return out
+from tests.conftest import building_lattice, lattice_sites
 
 
 def make_ws(**kwargs) -> Workspace:
     """A deterministic scene; page_size=256 gives the obstacle tree depth."""
-    obstacles = grid_obstacles()
-    return Workspace.from_points(scattered_points(obstacles), obstacles,
-                                 page_size=256, **kwargs)
+    obstacles = building_lattice(10)
+    return Workspace.from_points(lattice_sites(obstacles, 250, seed=7),
+                                 obstacles, page_size=256, **kwargs)
 
 
 def clustered_batch(per_cluster=5, clusters=2, seed=8):
@@ -151,14 +127,3 @@ class TestLocalityScheduling:
         assert [r.query for r in rest] == queries[1:]
         ref = make_ws()
         assert first.tuples() == ref.execute(queries[0]).tuples()
-
-    def test_benchmark_script_shows_savings(self):
-        """The bench exits non-zero unless locality saves obstacle reads."""
-        script = (pathlib.Path(__file__).parent.parent / "benchmarks" /
-                  "bench_batch_scheduler.py")
-        proc = subprocess.run(
-            [sys.executable, str(script), "--points", "250",
-             "--obstacle-side", "10", "--per-cluster", "5"],
-            capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-        assert "fewer obstacle pages" in proc.stdout

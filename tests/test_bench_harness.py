@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench import experiments
 from repro.bench.experiments import (
     PARAM_DEFAULTS,
     PARAM_GRID,
@@ -17,6 +18,7 @@ from repro.bench.experiments import (
     build_trees,
     figure9,
     figure10,
+    figure11,
     figure12,
     make_dataset,
     run_batch,
@@ -164,3 +166,35 @@ class TestFigureDrivers:
         rows = ablation("tiny", queries=1)
         labels = [r.label for r in rows]
         assert "default" in labels and "paper (+lemma6)" in labels
+
+    def test_figure11_rows_follow_ratio_grid(self):
+        out = figure11("tiny", queries=1)
+        assert list(out) == ["UL", "ZL"]
+        for rows in out.values():
+            assert [r.label for r in rows] == \
+                [f"{ratio:g}" for ratio in PARAM_GRID["ratio"]]
+            assert all(r.agg.queries == 1 for r in rows)
+
+    def test_cli_runs_figure13(self, monkeypatch, capsys):
+        """``main`` is the one figure runner; Fig 13 rows time both layouts."""
+        seen = {}
+        real = experiments.figure13
+
+        def spy(*args, **kwargs):
+            seen.update(real(*args, **kwargs))
+            return seen
+
+        monkeypatch.setattr(experiments, "figure13", spy)
+        assert experiments.main(
+            ["--figure", "13", "--scale", "tiny", "--queries", "1"]) == 0
+        sweeps = ([f"ql={ql:g}%" for ql in PARAM_GRID["ql"]] +
+                  [f"k={int(k)}" for k in PARAM_GRID["k"]])
+        ratios = [f"|P|/|O|={ratio:g}" for ratio in PARAM_GRID["ratio"]]
+        assert {name: [r.label for r in rows] for name, rows in seen.items()} \
+            == {"CL": sweeps, "UL": sweeps,
+                "UL-ratio": ratios, "ZL-ratio": ratios}
+        for rows in seen.values():
+            for r in rows:
+                assert r.extra["time_2T_ms"] == r.agg.total_time_ms
+                assert r.extra["time_1T_ms"] > 0
+        assert "Figure 13: 1T vs 2T (ZL-ratio)" in capsys.readouterr().out

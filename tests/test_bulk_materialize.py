@@ -15,7 +15,9 @@ Contract under test:
   waves settles the exact ``(dist, node, pred)`` sequence of a traversal
   over rows read one at a time (no hook);
 * **Diagnostics** — ``num_edges(materialize=True)`` rides the bulk pass
-  and counts the same edge set either way.
+  and counts the same edge set either way;
+* **Cold rebuilds** — a shared backend invalidated and bulk-warmed before
+  every query answers exactly like the per-query backend.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import ConnQuery, PlannerOptions, Workspace
 from repro.geometry import Segment
 from repro.obstacles import (
     LocalVisibilityGraph,
@@ -34,7 +37,12 @@ from repro.obstacles import (
     SegmentObstacle,
 )
 from repro.routing.dijkstra import ArrayTraversal
-from tests.conftest import random_query, random_scene
+from tests.conftest import (
+    building_lattice,
+    lattice_sites,
+    random_query,
+    random_scene,
+)
 from tests.reference import assert_row_matches
 
 Q = Segment(0, 50, 100, 50)
@@ -220,6 +228,46 @@ class TestFrontierPrefetch:
             assert wi.tolist() == pi.tolist()
             assert ww.tolist() == pw.tolist()
         assert plain.rows_bulk_materialized == 0
+
+
+class TestColdRebuilds:
+    def test_invalidated_shared_backend_answers_like_per_query(self):
+        """Every query on a freshly rebuilt shared graph returns exactly the
+        per-query backend's tuples; each rebuild is a new graph whose rows
+        are cut in bulk.
+
+        Scene: a 7 x 7 lattice cycling wall/rect/triangle, 50 sites and 20
+        CONN queries along one corridor, the obstacle cache fully warm.
+        """
+        obstacles = building_lattice(7, width=0.5, height=0.375, mixed=True)
+        points = lattice_sites(obstacles, 50, seed=11)
+        rng = random.Random(12)
+        queries = []
+        for _ in range(20):
+            y = 50.0 + rng.uniform(-4.0, 4.0)
+            ax = rng.uniform(5.0, 25.0)
+            queries.append(ConnQuery(Segment(ax, y,
+                                             ax + rng.uniform(25, 55), y)))
+
+        def workspace(backend):
+            ws = Workspace.from_points(
+                points, obstacles, page_size=256,
+                planner=PlannerOptions(backend=backend))
+            ws.prefetch_all()
+            return ws
+
+        ref = workspace("per-query")
+        want = [ref.execute(q).tuples() for q in queries]
+        ws = workspace("shared")
+        ws.routing.warm()
+        got = []
+        for q in queries:
+            ws.routing.invalidate()
+            ws.routing.warm()
+            got.append(ws.execute(q).tuples())
+        assert got == want
+        assert ws.routing.stats.graphs_built > len(queries)
+        assert ws.routing.stats.rows_bulk_materialized > 0
 
 
 class TestBulkVisibilityKernel:

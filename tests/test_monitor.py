@@ -20,11 +20,15 @@ import numpy as np
 import pytest
 
 from repro import (
+    AddObstacle,
+    AddSite,
     CoknnQuery,
     ConnQuery,
     OnnQuery,
     RangeQuery,
     RectObstacle,
+    RemoveObstacle,
+    RemoveSite,
     SegmentObstacle,
     SemiJoinQuery,
     Workspace,
@@ -33,6 +37,8 @@ from repro.geometry import Segment
 from repro.monitor import NO_OP, REPAIR, RERUN
 from tests.conftest import (
     build_point_tree,
+    building_lattice,
+    lattice_sites,
     random_query,
     random_scene,
     same_values,
@@ -397,3 +403,87 @@ def test_repair_spans_reuse_workspace_backend():
                          obstacles + [RectObstacle(15.0 + 18.0 * i, 46.0,
                                                    17.0 + 18.0 * i, 49.0)
                                       for i in range(4)])
+
+
+def hot_spot_updates(obstacles, n: int, seed: int, next_id: int) -> list:
+    """``n`` draws of site and obstacle inserts/removals within 6 units of
+    one spot."""
+    radius = 6.0
+    rng = random.Random(seed)
+    hx, hy = rng.uniform(25, 75), rng.uniform(25, 75)
+    updates, live_sites, live_obs = [], [], []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.4:
+            x = hx + rng.uniform(-radius, radius)
+            y = hy + rng.uniform(-radius, radius)
+            if any(o.contains_interior(x, y) for o in obstacles):
+                continue
+            updates.append(AddSite(next_id, x, y))
+            live_sites.append((next_id, (x, y)))
+            next_id += 1
+        elif roll < 0.55 and live_sites:
+            pid, (x, y) = live_sites.pop(rng.randrange(len(live_sites)))
+            updates.append(RemoveSite(pid, x, y))
+        elif roll < 0.85:
+            x = hx + rng.uniform(-radius, radius)
+            y = hy + rng.uniform(-radius, radius)
+            obs = RectObstacle(x, y, x + rng.uniform(0.5, 2.5),
+                               y + rng.uniform(0.5, 2.0))
+            updates.append(AddObstacle(obs))
+            live_obs.append(obs)
+        elif live_obs:
+            updates.append(RemoveObstacle(
+                live_obs.pop(rng.randrange(len(live_obs)))))
+    return updates
+
+
+def test_incremental_maintenance_reads_less_than_recompute():
+    """Monitors match recomputing every query cold after every update, and
+    read fewer obstacle-tree pages doing it.
+
+    Scene: a 5 x 5 building lattice, 30 sites, 2 CONN and 2 ONN (k=2)
+    monitors spread over the city, and 6 site/obstacle updates clustered
+    around one hot spot.
+    """
+    obstacles = building_lattice(5)
+    points = lattice_sites(obstacles, 30, seed=7)
+    rng = random.Random(8)
+    queries = []
+    for i in range(4):
+        ax, ay = rng.uniform(10, 90), rng.uniform(10, 90)
+        if i % 2 == 0:
+            bx = min(95.0, ax + rng.uniform(8, 15))
+            by = min(95.0, ay + rng.uniform(-6, 6))
+            queries.append(ConnQuery(Segment(ax, ay, bx, by)))
+        else:
+            queries.append(OnnQuery((ax, ay), knn=2))
+    updates = hot_spot_updates(obstacles, 6, seed=9, next_id=len(points))
+    assert updates
+
+    ws = Workspace.from_points(points, obstacles, page_size=256)
+    for q in queries:
+        ws.execute(q)
+    tracker = ws.obstacle_tree.tracker.stats
+    snap = tracker.snapshot()
+    recomputed = [ws.execute(q) for q in queries]
+    for u in updates:
+        ws.apply([u])
+        ws.cache.invalidate()
+        recomputed = [ws.execute(q) for q in queries]
+    recompute_reads = tracker.delta(snap).logical_reads
+
+    ws = Workspace.from_points(points, obstacles, page_size=256)
+    monitors = [ws.monitors.register(q) for q in queries]
+    tracker = ws.obstacle_tree.tracker.stats
+    snap = tracker.snapshot()
+    ws.apply(updates)
+    incremental_reads = tracker.delta(snap).logical_reads
+
+    for m, res in zip(monitors, recomputed):
+        got, want = m.result.tuples(), res.tuples()
+        assert [row[0] for row in got] == [row[0] for row in want]
+        assert np.ravel([row[1] for row in got]).tolist() == pytest.approx(
+            np.ravel([row[1] for row in want]).tolist(), abs=1e-5)
+    assert incremental_reads < recompute_reads, \
+        (incremental_reads, recompute_reads)

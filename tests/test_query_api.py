@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro import (
+    AddObstacle,
     AddSite,
     ClosestPairQuery,
     CoknnQuery,
@@ -199,7 +200,9 @@ class TestNonFiniteSitesAndObstacles:
             RectObstacle(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="degenerate"):
             SegmentObstacle(2.0, 2.0, 2.0, 2.0)
-        # Zero width or height alone is an axis-parallel wall's MBR.
+        # Zero width or height alone still constructs (perfbench builds
+        # such rects as clearance proxies); workspaces refuse them, see
+        # TestZeroAreaRects.
         assert RectObstacle(1.0, 1.0, 1.0, 5.0).rect.area() == 0.0
         assert RectObstacle(1.0, 1.0, 5.0, 1.0).rect.area() == 0.0
 
@@ -251,6 +254,48 @@ class TestNonFiniteSitesAndObstacles:
             sws.add_site("c", bad, 3.0)
         assert sws.version == before
         assert sws.size == len(points)
+
+
+class TestZeroAreaRects:
+    """A zero-width or zero-height ``RectObstacle`` has no open interior, so
+    it blocks no sight line.  Workspaces refuse one and name
+    ``SegmentObstacle``, the kind that models a wall.
+
+    Before the check such a rect was indexed, and every answer came out as
+    if the wall were not there.
+    """
+
+    WALL = (50.0, 30.0, 50.0, 70.0)
+    POINTS = [("a", (45.0, 50.0)), ("b", (20.0, 50.0)), ("c", (70.0, 50.0))]
+
+    @pytest.mark.parametrize("layout", ["2T", "1T"])
+    @pytest.mark.parametrize("wall", [WALL, (30.0, 50.0, 70.0, 50.0)])
+    def test_workspace_refuses_flat_rect(self, layout, wall):
+        with pytest.raises(ValueError, match="SegmentObstacle"):
+            Workspace.from_points(self.POINTS, [RectObstacle(*wall)],
+                                  layout=layout)
+
+    def test_updates_refuse_flat_rect(self):
+        ws = Workspace.from_points(self.POINTS, [])
+        flat = RectObstacle(*self.WALL)
+        with pytest.raises(ValueError, match="SegmentObstacle"):
+            ws.add_obstacle(flat)
+        with pytest.raises(ValueError, match="SegmentObstacle"):
+            ws.apply([AddObstacle(flat)])
+        assert ws.version == 0 and ws.obstacle_tree.size == 0
+
+    def test_sharded_workspace_refuses_flat_rect(self):
+        flat = RectObstacle(*self.WALL)
+        with pytest.raises(ValueError, match="SegmentObstacle"):
+            ShardedWorkspace.from_points(self.POINTS, [flat], shards=2)
+        sws = ShardedWorkspace.from_points(
+            self.POINTS, [SegmentObstacle(*self.WALL)], shards=2)
+        before = sws.version
+        with pytest.raises(ValueError, match="SegmentObstacle"):
+            sws.add_obstacle(flat)
+        with pytest.raises(ValueError, match="SegmentObstacle"):
+            sws.apply([AddObstacle(flat)])
+        assert sws.version == before
 
 
 class TestResultProtocol:

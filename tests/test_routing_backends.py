@@ -42,6 +42,8 @@ from repro.routing import ArrayTraversal, ObstructedDistanceBackend
 from tests.conftest import (
     build_obstacle_tree,
     build_point_tree,
+    building_lattice,
+    lattice_sites,
     random_query,
     random_scene,
     same_values,
@@ -152,6 +154,40 @@ class TestSharedGraphLifecycle:
         assert ws.routing.stats.graphs_built == 1
         assert ws.routing.stats.graph_reuses == 11
         assert ws.routing.stats.invalidations == 0
+
+    def test_monitor_storm_reuses_the_shared_graph(self):
+        """A storm of monitor repairs runs on fewer shared-graph builds than
+        repair sessions.
+
+        Scene: a 9 x 9 building lattice, 50 sites, 2 CONN monitors near
+        the centre and 4 site/obstacle updates clustered around it.
+        """
+        obstacles = building_lattice(9)
+        ws = make_ws(lattice_sites(obstacles, 50, seed=11), obstacles,
+                     page_size=256, planner=PlannerOptions(backend="shared"))
+        rng = random.Random(14)
+        for _ in range(2):
+            ax, ay = rng.uniform(35, 65), rng.uniform(42, 58)
+            seg = Segment(ax, ay, min(95.0, ax + rng.uniform(10, 18)), ay)
+            ws.monitors.register(ConnQuery(seg))
+        rng = random.Random(13)
+        live, next_id = [], 100_000
+        for _ in range(4):
+            roll = rng.random()
+            x, y = 50.0 + rng.uniform(-8, 8), 50.0 + rng.uniform(-8, 8)
+            if roll < 0.5 and not any(o.contains_interior(x, y)
+                                      for o in obstacles):
+                ws.add_site(next_id, x, y)
+                live.append((next_id, (x, y)))
+                next_id += 1
+            elif roll < 0.7 and live:
+                ws.remove_site(*live.pop(rng.randrange(len(live))))
+            else:
+                ws.add_obstacle(RectObstacle(x, y, x + rng.uniform(0.4, 1.5),
+                                             y + rng.uniform(0.4, 1.2)))
+        stats = ws.routing.stats
+        assert stats.sessions > 0
+        assert stats.graphs_built < stats.sessions
 
     def test_insert_patches_graph_in_place(self):
         ws = make_ws()
