@@ -260,7 +260,6 @@ def run_query(source: DataSource, retriever: ObstacleSource,
         env.insert(cpl, cfg, stats)
     stats.cpu_time_s += time.perf_counter() - started
     stats.svg_size = vg.svg_size
-    stats.visibility_tests = vg.visibility_tests
     for tracker, snap in snapshots:
         delta = tracker.local_stats.delta(snap)
         stats.io.logical_reads += delta.logical_reads

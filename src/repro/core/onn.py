@@ -110,7 +110,6 @@ def run_onn_scan(source, retriever: ObstacleSource,
             bisect.insort(best, (odist, payload))
     stats.cpu_time_s += time.perf_counter() - started
     stats.svg_size = vg.svg_size
-    stats.visibility_tests = vg.visibility_tests
     for tracker, snap in snapshots:
         delta = tracker.local_stats.delta(snap)
         stats.io.logical_reads += delta.logical_reads

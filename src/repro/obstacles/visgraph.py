@@ -69,6 +69,7 @@ from ..geometry.vectorized import (
     primitive_kinds,
 )
 from ..routing.dijkstra import ArrayTraversal
+from ..routing.stats import BackendStats
 from .obstacle import Obstacle, ObstacleSet
 from .shadow import shadow_gaps, viewpoint_shadows
 
@@ -208,22 +209,10 @@ class LocalVisibilityGraph:
         self._h_np = np.empty(0, dtype=np.float64)
         self._h_len = 0
         self._h_qseg: Optional[Segment] = None
-        self.visibility_tests = 0
-        self.dijkstra_runs = 0
-        self.dijkstra_replays = 0
-        self.nodes_settled = 0
-        self.batch_visibility_calls = 0
-        self.batched_edges_tested = 0
-        self.kernel_pruned_edges = 0
-        self.heap_bulk_pushes = 0
-        self.rows_bulk_materialized = 0
-        self.bulk_pair_launches = 0
-        self.graph_repairs = 0
-        self.repair_retested_pairs = 0
-        self.region_waves = 0
-        self.regions_computed = 0
-        self.relaxations_pruned = 0
-        self.bounded_rows = 0
+        # Work counters since the block was last taken: whoever needs a
+        # share (a backend session, a maintenance step) swaps in a fresh
+        # block and keeps the old one.
+        self.work = BackendStats()
         # (rect, seg, polygon rows) watermark -> primitive-bounds slabs for
         # the batch kernel's bbox prefilter; obstacle arrays are append-only
         # (removal drops the cache), so the counts key validity.
@@ -675,8 +664,8 @@ class LocalVisibilityGraph:
         # (3) + (4)
         generation_was = self._generation
         retested, reopened = self._reopen_rows(removed_set, mbr)
-        self.graph_repairs += 1
-        self.repair_retested_pairs += retested
+        self.work.graph_repairs += 1
+        self.work.repair_retested_pairs += retested
         # A memoized traversal's tree is untouched iff no sight line
         # re-opened (edge set of survivors unchanged) and it never relaxed
         # a now-deleted node (dist through one would be stale).
@@ -804,7 +793,7 @@ class LocalVisibilityGraph:
             # batch counters itself.)
             blocked = self._blocked_bulk(coords[rows_arr[ri]],
                                          coords[ci])
-            self.bulk_pair_launches += 1
+            self.work.bulk_pair_launches += 1
             ok = ~blocked
             ri2, ci2 = ri[ok], ci[ok]
             reopened = int(ri2.size)
@@ -852,17 +841,17 @@ class LocalVisibilityGraph:
 
     def _count_batch(self, edges: int, prims: int,
                      tally: Optional[dict] = None) -> None:
-        self.batch_visibility_calls += 1
+        self.work.batch_visibility_calls += 1
         if tally is not None:
             tested = tally["tested"]
-            self.kernel_pruned_edges += tally["pruned"]
+            self.work.kernel_pruned_edges += tally["pruned"]
         else:
             tested = edges * prims
-        self.batched_edges_tested += tested
-        self.visibility_tests += tested
+        self.work.batched_edges_tested += tested
+        self.work.visibility_tests += tested
 
     def _count_bulk_push(self) -> None:
-        self.heap_bulk_pushes += 1
+        self.work.heap_bulk_pushes += 1
 
     def _row_write(self, node: int, idx: np.ndarray, w: np.ndarray) -> None:
         """Place a row in the slab: in place when it fits, else appended."""
@@ -940,7 +929,7 @@ class LocalVisibilityGraph:
 
         Accounts one batched-call tick with everything not evaluated by a
         kernel (bbox-pruned or dropped by early termination) counted as
-        pruned.  Callers still tick :attr:`bulk_pair_launches` once per
+        pruned.  Callers still tick ``work.bulk_pair_launches`` once per
         logical bulk pass.
         """
         m = sources.shape[0]
@@ -1063,7 +1052,7 @@ class LocalVisibilityGraph:
         if total:
             sources = np.repeat(self._coords_np[todo_arr], counts, axis=0)
             blocked = self._blocked_bulk(sources, self._coords_np[tgt_idx])
-            self.bulk_pair_launches += 1
+            self.work.bulk_pair_launches += 1
         # One pass builds every row's visible-id block and weight block in
         # flat arrays; rows then slab-write slices of them.  Weights go
         # element-by-element through math.hypot — np.hypot rounds the last
@@ -1087,7 +1076,7 @@ class LocalVisibilityGraph:
             self._row_write(v, vis_idx_all[pos:pos + c], w_all[pos:pos + c])
             self._row_epochs[v] = epoch
             pos += c
-        self.rows_bulk_materialized += len(todo)
+        self.work.rows_bulk_materialized += len(todo)
         return len(todo)
 
     def _repair_rows_bulk(self, rows: List[int],
@@ -1135,7 +1124,7 @@ class LocalVisibilityGraph:
                                         tally=tally)
                 self._count_batch(tgt_idx.size, new_rects.shape[0]
                                   + new_segs.shape[0] + len(new_polys), tally)
-                self.bulk_pair_launches += 1
+                self.work.bulk_pair_launches += 1
                 pos = 0
                 for v, (s, e) in zip(holders, spans):
                     dead = blocked[pos:pos + (e - s)]
@@ -1167,7 +1156,7 @@ class LocalVisibilityGraph:
                     self.obstacles.poly_slab,
                     bounds=self._prim_bounds(), tally=tally)
                 self._count_batch(total, self._prims_now(), tally)
-                self.bulk_pair_launches += 1
+                self.work.bulk_pair_launches += 1
                 pos = 0
                 for v, fresh in zip(rows, per_row):
                     x, y = xy[v]
@@ -1363,7 +1352,7 @@ class LocalVisibilityGraph:
         every edge a push could keep: ``(d + w) + h < bound`` implies
         ``w + h <= bound - d`` in floating point too.  Nothing is cached.
         """
-        self.bounded_rows += 1
+        self.work.bounded_rows += 1
         n = len(self._xy)
         h = self._segment_heuristic()
         x, y = self._xy[node]
@@ -1471,7 +1460,7 @@ class LocalVisibilityGraph:
             if wave is None:
                 wave = [node]
             else:
-                self.region_waves += 1
+                self.work.region_waves += 1
             self._fill_regions(wave, mark, epoch)
             cached = self._vr_cache[node]
         region, _mark, _epoch, pending = cached
@@ -1543,7 +1532,7 @@ class LocalVisibilityGraph:
                     region, pending = cached[0], cached[3]
                     pending = blocked if pending is None else pending + blocked
                 self._vr_cache[v] = (region, mark, epoch, pending)
-        self.regions_computed += len(nodes)
+        self.work.regions_computed += len(nodes)
 
     # -------------------------------------------------------------- dijkstra
     def _segment_heuristic(self) -> np.ndarray:
@@ -1611,7 +1600,7 @@ class LocalVisibilityGraph:
         t = self._traversals.get(source)
         if t is not None and t.stamp == self._generation \
                 and t.prune_bound >= prune_bound:
-            self.dijkstra_replays += 1
+            self.work.dijkstra_replays += 1
             return t
         if len(self._traversals) >= _MAX_TRAVERSAL_MEMO:
             gen = self._generation
@@ -1629,7 +1618,7 @@ class LocalVisibilityGraph:
                            prefetch=self._prefetch_rows,
                            on_prune=self._count_pruned)
         self._traversals[source] = t
-        self.dijkstra_runs += 1
+        self.work.dijkstra_runs += 1
         return t
 
     def dijkstra_order(self, source: int, prune_bound: float = math.inf
@@ -1666,15 +1655,15 @@ class LocalVisibilityGraph:
         directly — same entries in the same order as the generator, minus
         one generator resume per settled node — and must invoke
         ``on_settle(entry)`` once per *fresh* advance so the graph's
-        ``nodes_settled`` counter stays identical to the generator path.
+        ``work.nodes_settled`` stays identical to the generator path.
         """
         return self._traversal(source, prune_bound), self._count_settle
 
     def _count_settle(self, _entry: Tuple[float, int, Optional[int]]) -> None:
-        self.nodes_settled += 1
+        self.work.nodes_settled += 1
 
     def _count_pruned(self, count: int) -> None:
-        self.relaxations_pruned += count
+        self.work.relaxations_pruned += count
 
     def shortest_distances(self, source: int, targets: Iterable[int],
                            cutoff: float = math.inf,
@@ -1715,7 +1704,7 @@ class LocalVisibilityGraph:
                     if i < len(settled):
                         continue
                     break
-                self.nodes_settled += 1
+                self.work.nodes_settled += 1
                 continue
             if d > cutoff:
                 break

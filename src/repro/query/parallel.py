@@ -37,7 +37,16 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..geometry.rectangle import Rect
 from .executor import _execute_bucket, _locality_buckets, execute
@@ -117,29 +126,18 @@ class ConcurrencyStats:
                 f"{self.lock_contention} contended lock acquisitions")
 
 
-# --------------------------------------------------------------- fork plumbing
-_fork_workspace: Optional["Workspace"] = None
-_fork_queries: Optional[List[Query]] = None
+# ----------------------------------------------------------------- pool runner
+_fork_run_group: Optional[Callable[[List[int]], Any]] = None
 
 
-def _fork_run_shard(shard: Sequence[Sequence[int]]
-                    ) -> List[Tuple[int, QueryResult, float]]:
-    """Run one shard of buckets inside a forked worker.
+def _fork_run_pile(pile: Sequence[List[int]]) -> List[Any]:
+    """Run one pile of groups inside a forked worker.
 
-    The workspace and query list arrive through the fork (module globals
-    set just before the pool was created), so only bucket indices go down
-    and pickled results come back.
+    The per-group callable, and everything it closes over, arrives through
+    the fork (the module global set just before the pool was created), so
+    only index groups go down and the callable's pickled outputs come back.
     """
-    ws, qs = _fork_workspace, _fork_queries
-    out: List[Tuple[int, QueryResult, float]] = []
-    for bucket in shard:
-        t0 = time.perf_counter()
-        results: List[Optional[QueryResult]] = [None] * len(qs)
-        _execute_bucket(ws, qs, list(bucket), results)
-        dt = time.perf_counter() - t0
-        for i in bucket:
-            out.append((i, results[i], dt / len(bucket)))
-    return out
+    return [_fork_run_group(group) for group in pile]
 
 
 def _shard_round_robin(buckets: List[List[int]],
@@ -162,6 +160,60 @@ def effective_workers(workers: int, mode: str = THREAD) -> int:
     if mode == FORK:
         return min(workers, max(1, os.cpu_count() or 1))
     return workers
+
+
+def resolve_pool(workers: int, mode: str) -> Tuple[int, str]:
+    """Validate a pool mode and clamp its size: ``(workers, mode)``.
+
+    Fork mode falls back to threads on hosts without ``os.fork``.
+    """
+    if mode not in (THREAD, FORK):
+        raise ValueError(f"unknown mode {mode!r}; expected 'thread' "
+                         "or 'fork'")
+    if mode == FORK and not hasattr(os, "fork"):
+        mode = THREAD  # pragma: no cover - non-POSIX hosts
+    return effective_workers(workers, mode), mode
+
+
+def run_groups(groups: List[List[int]],
+               run_group: Callable[[List[int]], Any], workers: int,
+               mode: str) -> List[Any]:
+    """``run_group(group)`` for every group on a ``workers``-sized pool.
+
+    Thread mode runs each group as one task over this process's shared
+    state.  Fork mode deals the groups into at most ``workers`` piles
+    (largest first, lightest pile next) and runs each pile in a forked
+    worker process; ``run_group`` reaches the workers through the fork,
+    so it may close over anything, but its output must pickle.
+
+    Returns:
+        The outputs of every group, in no particular order: an output
+        should name the query indices it belongs to.
+    """
+    if mode == THREAD:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # The caller's read hold excludes writers for the whole pool, so
+        # groups run lock-free entry points and never queue behind a
+        # waiting writer mid-batch.
+        with ThreadPoolExecutor(max_workers=workers,
+                                thread_name_prefix="repro-batch") as pool:
+            return list(pool.map(run_group, groups))
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _fork_run_group
+    piles = _shard_round_robin(groups, workers)
+    _fork_run_group = run_group
+    try:
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=len(piles),
+                                 mp_context=ctx) as pool:
+            futures = [pool.submit(_fork_run_pile, pile) for pile in piles]
+            return [out for future in futures for out in future.result()]
+    finally:
+        _fork_run_group = None
 
 
 def execute_many_parallel(snapshot: "WorkspaceSnapshot",
@@ -196,12 +248,7 @@ def execute_many_parallel(snapshot: "WorkspaceSnapshot",
     qs = list(queries)
     if schedule not in ("locality", "fifo"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    if mode not in (THREAD, FORK):
-        raise ValueError(f"unknown mode {mode!r}; expected 'thread' "
-                         "or 'fork'")
-    if mode == FORK and not hasattr(os, "fork"):
-        mode = THREAD  # pragma: no cover - non-POSIX hosts
-    workers = effective_workers(workers, mode)
+    workers, mode = resolve_pool(workers, mode)
 
     stats = ConcurrencyStats(workers=workers, mode=mode, queries=len(qs),
                              snapshots_taken=1)
@@ -243,12 +290,24 @@ def _run_pool(ws: "Workspace", qs: List[Query], schedule: str, workers: int,
               mode: str, stats: ConcurrencyStats) -> List[QueryResult]:
     buckets, other = _partition(ws, qs, schedule)
     results: List[Optional[QueryResult]] = [None] * len(qs)
+
+    def run_bucket(bucket: List[int]
+                   ) -> Tuple[List[Tuple[int, QueryResult]], float]:
+        t1 = time.perf_counter()
+        # Each bucket fills its own slot list; _execute_bucket's cache
+        # interactions are serialized by the cache lock.
+        slots: List[Optional[QueryResult]] = [None] * len(qs)
+        _execute_bucket(ws, qs, bucket, slots)
+        return [(i, slots[i]) for i in bucket], time.perf_counter() - t1
+
     t0 = time.perf_counter()
     if mode == THREAD:
         stats.graph_clones = ws.routing.prepare_sessions(workers)
-        _run_threads(ws, qs, buckets, workers, results, stats)
-    else:
-        _run_forks(ws, qs, buckets, workers, results, stats)
+    for done, dt in run_groups(buckets, run_bucket, workers, mode):
+        for i, result in done:
+            results[i] = result
+        stats.per_task_s.append(dt)
+        stats.tasks += 1
     # Non-spatial queries (the joins) run on the coordinating thread, in
     # submission order — exactly the serial executor's tail behavior.
     for i in other:
@@ -259,56 +318,6 @@ def _run_pool(ws: "Workspace", qs: List[Query], schedule: str, workers: int,
     stats.wall_time_s = time.perf_counter() - t0
     stats.busy_time_s = math.fsum(stats.per_task_s)
     return results  # type: ignore[return-value]
-
-
-def _run_threads(ws: "Workspace", qs: List[Query], buckets: List[List[int]],
-                 workers: int, results: List[Optional[QueryResult]],
-                 stats: ConcurrencyStats) -> None:
-    from concurrent.futures import ThreadPoolExecutor
-
-    record_lock = threading.Lock()
-
-    def run_bucket(bucket: List[int]) -> None:
-        t1 = time.perf_counter()
-        # Buckets write disjoint result slots; _execute_bucket's cache
-        # interactions are serialized by the cache lock.
-        _execute_bucket(ws, qs, bucket, results)
-        dt = time.perf_counter() - t1
-        with record_lock:
-            stats.per_task_s.append(dt)
-            stats.tasks += 1
-
-    with ThreadPoolExecutor(max_workers=workers,
-                            thread_name_prefix="repro-batch") as pool:
-        # Workers run the lock-free executor entry points; the
-        # coordinator's read hold (our caller) is what excludes writers
-        # for the whole pool, so workers never queue behind a waiting
-        # writer mid-batch.
-        for future in [pool.submit(run_bucket, b) for b in buckets]:
-            future.result()
-
-
-def _run_forks(ws: "Workspace", qs: List[Query], buckets: List[List[int]],
-               workers: int, results: List[Optional[QueryResult]],
-               stats: ConcurrencyStats) -> None:
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    global _fork_workspace, _fork_queries
-    shards = _shard_round_robin(buckets, workers)
-    _fork_workspace, _fork_queries = ws, qs
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=len(shards),
-                                 mp_context=ctx) as pool:
-            for future in [pool.submit(_fork_run_shard, shard)
-                           for shard in shards]:
-                for i, result, dt in future.result():
-                    results[i] = result
-                    stats.per_task_s.append(dt)
-            stats.tasks += len(shards)
-    finally:
-        _fork_workspace = _fork_queries = None
 
 
 class _LastBatch(threading.local):

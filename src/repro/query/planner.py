@@ -28,7 +28,7 @@ leaf count by the footprint's share of the indexed area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..core.config import ConnConfig
@@ -36,6 +36,7 @@ from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
 from ..index.rstar import RStarTree
 from ..routing.backends import PER_QUERY_VG, SHARED_VG
+from ..routing.stats import BackendStats
 from .queries import (
     ClosestPairQuery,
     CoknnQuery,
@@ -158,33 +159,10 @@ class QueryPlan:
     est_graph_builds: int = 1
     """Full visibility-graph builds this query is priced to pay (0 when the
     workspace-shared graph is already resident)."""
-    backend_batch_calls: int = 0
-    """Cumulative batched visibility-kernel launches on the chosen backend
-    at plan time (see ``BackendStats.batch_visibility_calls``)."""
-    backend_batched_edges: int = 0
-    """Cumulative edge x primitive pairs those launches evaluated
-    (``BackendStats.batched_edges_tested``)."""
-    backend_pruned_edges: int = 0
-    """Cumulative edge x primitive pairs the bbox prefilter skipped on the
-    chosen backend (``BackendStats.kernel_pruned_edges``)."""
-    backend_bulk_pushes: int = 0
-    """Cumulative relaxed rows bulk-pushed into the sequence heap on the
-    chosen backend (``BackendStats.heap_bulk_pushes``)."""
-    backend_dijkstra_runs: int = 0
-    """Cumulative fresh traversals on the chosen backend at plan time
-    (``BackendStats.dijkstra_runs``)."""
-    backend_bulk_rows: int = 0
-    """Cumulative adjacency rows the chosen backend materialized through
-    the bulk path (``BackendStats.rows_bulk_materialized``)."""
-    backend_bulk_launches: int = 0
-    """Cumulative bulk pair launches on the chosen backend
-    (``BackendStats.bulk_pair_launches``)."""
-    backend_graph_repairs: int = 0
-    """Cumulative surgical removal repairs absorbed by the chosen backend
-    (``BackendStats.graph_repairs``)."""
-    backend_repair_retests: int = 0
-    """Cumulative absent pairs re-tested by those repairs
-    (``BackendStats.repair_retested_pairs``)."""
+    backend_stats: Optional[BackendStats] = None
+    """A copy of the chosen backend's cumulative work counters at plan
+    time (``None`` for the joins, whose pairwise oracle runs its own
+    graph outside the backends)."""
     est_parallel_speedup: float = 1.0
     """Estimated wall-clock speedup of executing this plan on the
     workspace's configured worker pool
@@ -234,15 +212,21 @@ class QueryPlan:
             f"  backend   : {self.backend} "
             f"(est. {self.est_graph_builds} visibility-graph "
             f"build{'' if self.est_graph_builds == 1 else 's'})",
-            f"  kernels   : {self.backend_batch_calls} batch visibility "
-            f"calls, {self.backend_batched_edges} batched edges tested, "
-            f"{self.backend_pruned_edges} bbox-pruned, "
-            f"{self.backend_bulk_pushes} bulk heap pushes, "
-            f"{self.backend_dijkstra_runs} traversals so far",
-            f"  cold/churn: {self.backend_bulk_rows} bulk rows in "
-            f"{self.backend_bulk_launches} bulk pair launches, "
-            f"{self.backend_graph_repairs} removal repairs "
-            f"({self.backend_repair_retests} pairs retested so far)",
+        ]
+        work = self.backend_stats
+        if work is not None:
+            lines += [
+                f"  kernels   : {work.batch_visibility_calls} batch "
+                f"visibility calls, {work.batched_edges_tested} batched "
+                f"edges tested, {work.kernel_pruned_edges} bbox-pruned, "
+                f"{work.heap_bulk_pushes} bulk heap pushes, "
+                f"{work.dijkstra_runs} traversals so far",
+                f"  cold/churn: {work.rows_bulk_materialized} bulk rows in "
+                f"{work.bulk_pair_launches} bulk pair launches, "
+                f"{work.graph_repairs} removal repairs "
+                f"({work.repair_retested_pairs} pairs retested so far)",
+            ]
+        lines += [
             f"  parallel  : est. {self.est_parallel_speedup:.2f}x speedup "
             f"on this plan's independent units",
             f"  config    : {flags}",
@@ -317,23 +301,6 @@ def _estimate_pages(obstacle_tree: RStarTree, footprint: Optional[Rect],
     return obstacle_tree.height + max(1, math.ceil(leaf_pages * frac))
 
 
-def _backend_fields(ws: "Workspace", chosen: str) -> dict:
-    """The plan's snapshot of the chosen backend's work counters."""
-    stats = (ws.routing.stats if chosen == SHARED_VG
-             else ws.per_query_backend.stats)
-    return {
-        "backend_batch_calls": stats.batch_visibility_calls,
-        "backend_batched_edges": stats.batched_edges_tested,
-        "backend_pruned_edges": stats.kernel_pruned_edges,
-        "backend_bulk_pushes": stats.heap_bulk_pushes,
-        "backend_dijkstra_runs": stats.dijkstra_runs,
-        "backend_bulk_rows": stats.rows_bulk_materialized,
-        "backend_bulk_launches": stats.bulk_pair_launches,
-        "backend_graph_repairs": stats.graph_repairs,
-        "backend_repair_retests": stats.repair_retested_pairs,
-    }
-
-
 def build_plan(workspace: "Workspace", query: Query,
                backend: Optional[str] = None) -> QueryPlan:
     """Select algorithm + layout + backend and estimate I/O for ``query``.
@@ -373,8 +340,7 @@ def build_plan(workspace: "Workspace", query: Query,
                          backend=PAIRWISE_VG, est_graph_builds=1,
                          backend_override=backend,
                          workspace_version=ws.version,
-                         tree_versions=tree_versions(ws),
-                         **_backend_fields(ws, PAIRWISE_VG))
+                         tree_versions=tree_versions(ws))
 
     if not isinstance(query, (CoknnQuery, OnnQuery, RangeQuery,
                               TrajectoryQuery)):
@@ -447,11 +413,12 @@ def build_plan(workspace: "Workspace", query: Query,
     else:
         legs = len(spines) if isinstance(query, TrajectoryQuery) else 1
         builds = max(1, legs)
+    work = replace(ws.routing.stats if chosen == SHARED_VG
+                   else ws.per_query_backend.stats)
 
     return QueryPlan(query, algorithm, layout, k, cfg, footprint, est_radius,
                      warm, est_io, len(ws.cache), ws.cache.coverage_regions,
                      tuple(notes), backend=chosen, est_graph_builds=builds,
                      est_parallel_speedup=est_speedup,
                      backend_override=backend, workspace_version=ws.version,
-                     tree_versions=tree_versions(ws),
-                     **_backend_fields(ws, chosen))
+                     tree_versions=tree_versions(ws), backend_stats=work)

@@ -9,8 +9,9 @@ across every query.  This package makes the choice a first-class, planner
 -selectable decision behind one protocol:
 
 * :class:`ObstructedDistanceBackend` — the protocol
-  (``attach_endpoints`` / ``shortest_distances`` / ``dijkstra_order`` /
-  ``note_obstacle_insert`` / ``note_obstacle_remove`` / ``stats``);
+  (``attach_endpoints`` / ``note_obstacle_insert`` /
+  ``note_obstacle_remove`` / ``stats``); the session it returns is the
+  graph surface (``shortest_distances`` / ``dijkstra_order`` / ...);
 * :class:`PerQueryVGBackend` — a fresh local visibility graph per query
   (the seed algorithm's behavior, bit-for-bit);
 * :class:`SharedVGBackend` — the workspace-shared incremental visibility
@@ -21,7 +22,8 @@ across every query.  This package makes the choice a first-class, planner
   resumable Dijkstra over flat adjacency rows (the engines and the FULL
   baseline run on it);
 * :class:`~repro.routing.stats.BackendStats` — the counter block that
-  attributes query time to graph build vs Dijkstra vs visibility tests.
+  attributes query time to graph build vs Dijkstra vs visibility tests;
+  every graph counts into one, and sessions take it whole.
 """
 
 from .stats import BackendStats

@@ -71,34 +71,17 @@ SHARED_VG = "shared-vg"
 """Backend name: the workspace-shared incremental visibility graph."""
 
 
-def _kernel_counters(graph: "LocalVisibilityGraph") -> Tuple[int, ...]:
-    """Snapshot of a graph's kernel-work counters.
+def _take_work(graph: "LocalVisibilityGraph") -> BackendStats:
+    """Take a graph's work block whole, leaving a fresh one in its place.
 
-    Backend maintenance (eager bulk builds, removal repairs) runs while no
-    session is attached, so its work would otherwise vanish from
-    :class:`BackendStats` — sessions only report deltas over their own
-    lifetime.  Maintenance sites snapshot before/after and merge the
-    difference via :func:`_kernel_delta`.
+    A graph hosts one session at a time and maintenance runs under the
+    workspace write lock, so whoever takes the block (a detaching session,
+    a maintenance step) gets exactly the work done since the last take.
+    Sessions and maintenance steps also take it when they start, dropping
+    work that is nobody's share (endpoint binding, release bookkeeping).
     """
-    return (graph.visibility_tests, graph.batch_visibility_calls,
-            graph.batched_edges_tested, graph.kernel_pruned_edges,
-            graph.rows_bulk_materialized, graph.bulk_pair_launches,
-            graph.graph_repairs, graph.repair_retested_pairs)
-
-
-def _kernel_delta(before: Tuple[int, ...],
-                  after: Tuple[int, ...]) -> BackendStats:
-    """The :class:`BackendStats` increment between two counter snapshots."""
-    return BackendStats(
-        visibility_tests=after[0] - before[0],
-        batch_visibility_calls=after[1] - before[1],
-        batched_edges_tested=after[2] - before[2],
-        kernel_pruned_edges=after[3] - before[3],
-        rows_bulk_materialized=after[4] - before[4],
-        bulk_pair_launches=after[5] - before[5],
-        graph_repairs=after[6] - before[6],
-        repair_retested_pairs=after[7] - before[7],
-    )
+    work, graph.work = graph.work, BackendStats()
+    return work
 
 
 @runtime_checkable
@@ -132,10 +115,11 @@ class VGSession:
     * obstacle admission is tracked per session, so ``add_obstacles``
       returns the count *new to this query* and ``svg_size`` reports this
       query's |SVG| even when the shared graph already held everything;
-    * work counters (visibility tests, Dijkstra runs, settled nodes) are
-      reported as deltas over the session's lifetime and flushed into both
-      the backend's cumulative :class:`~repro.routing.stats.BackendStats`
-      and the query's own stats block on :meth:`detach`.
+    * the graph's work block is taken at attach (what came before is not
+      this query's) and again on :meth:`detach`, which flushes it into
+      both the backend's cumulative
+      :class:`~repro.routing.stats.BackendStats` and the query's own
+      stats block.
     """
 
     def __init__(self, backend: "ObstructedDistanceBackend",
@@ -155,22 +139,7 @@ class VGSession:
         self.E = graph.E
         self._admitted: Set["Obstacle"] = set()
         self._svg_vertices = 0
-        self._vt0 = graph.visibility_tests
-        self._runs0 = graph.dijkstra_runs
-        self._replays0 = graph.dijkstra_replays
-        self._settled0 = graph.nodes_settled
-        self._batch0 = graph.batch_visibility_calls
-        self._edges0 = graph.batched_edges_tested
-        self._pruned0 = graph.kernel_pruned_edges
-        self._bulk0 = graph.heap_bulk_pushes
-        self._bulkrows0 = graph.rows_bulk_materialized
-        self._bulklaunch0 = graph.bulk_pair_launches
-        self._repairs0 = graph.graph_repairs
-        self._retested0 = graph.repair_retested_pairs
-        self._waves0 = graph.region_waves
-        self._regions0 = graph.regions_computed
-        self._pruned_relax0 = graph.relaxations_pruned
-        self._bounded0 = graph.bounded_rows
+        _take_work(graph)
         self._closed = False
 
     # ------------------------------------------------------- graph surface
@@ -228,11 +197,6 @@ class VGSession:
         """|SVG| of this query: endpoints plus admitted obstacle vertices."""
         return 2 + self._svg_vertices
 
-    @property
-    def visibility_tests(self) -> int:
-        """Sight-line tests charged to this session so far."""
-        return self.graph.visibility_tests - self._vt0
-
     # ------------------------------------------------------------ lifecycle
     def detach(self) -> None:
         """End the session: flush counters, release the graph.
@@ -243,43 +207,18 @@ class VGSession:
         if self._closed:
             return
         self._closed = True
-        delta = BackendStats(
-            sessions=1,
-            graphs_built=1 if self._built else 0,
-            graph_reuses=0 if self._built else (1 if self.shared else 0),
-            graph_spawns=1 if self._spawned else 0,
-            build_time_s=self._build_time_s,
-            dijkstra_runs=self.graph.dijkstra_runs - self._runs0,
-            dijkstra_replays=self.graph.dijkstra_replays - self._replays0,
-            nodes_settled=self.graph.nodes_settled - self._settled0,
-            visibility_tests=self.graph.visibility_tests - self._vt0,
-            batch_visibility_calls=(self.graph.batch_visibility_calls
-                                    - self._batch0),
-            batched_edges_tested=(self.graph.batched_edges_tested
-                                  - self._edges0),
-            kernel_pruned_edges=(self.graph.kernel_pruned_edges
-                                 - self._pruned0),
-            heap_bulk_pushes=self.graph.heap_bulk_pushes - self._bulk0,
-            rows_bulk_materialized=(self.graph.rows_bulk_materialized
-                                    - self._bulkrows0),
-            bulk_pair_launches=(self.graph.bulk_pair_launches
-                                - self._bulklaunch0),
-            graph_repairs=self.graph.graph_repairs - self._repairs0,
-            repair_retested_pairs=(self.graph.repair_retested_pairs
-                                   - self._retested0),
-            region_waves=self.graph.region_waves - self._waves0,
-            regions_computed=self.graph.regions_computed - self._regions0,
-            relaxations_pruned=(self.graph.relaxations_pruned
-                                - self._pruned_relax0),
-            bounded_rows=self.graph.bounded_rows - self._bounded0,
-        )
-        # Counters accumulate per session (this graph is exclusively ours
-        # for the session's lifetime, so the deltas are exact) and merge at
-        # collection under the backend's stats lock — parallel sessions
-        # detaching together must not race the shared integers.
-        self._backend._merge_stats(delta)
+        work = _take_work(self.graph)
+        work.sessions = 1
+        work.graphs_built = int(self._built)
+        work.graph_reuses = int(self.shared and not self._built)
+        work.graph_spawns = int(self._spawned)
+        work.build_time_s = self._build_time_s
+        # The block merges under the backend's stats lock: parallel
+        # sessions detaching together must not race the shared integers.
+        self._backend._merge_stats(work)
         if self._qstats is not None:
-            self._qstats.backend.merge(delta)
+            self._qstats.backend.merge(work)
+            self._qstats.visibility_tests += work.visibility_tests
             self._qstats.backend_name = self._backend.name
         self._backend._release(self)
 
@@ -301,22 +240,13 @@ class ObstructedDistanceBackend(Protocol):
                          stats: Optional["QueryStats"] = None
                          ) -> VGSession: ...  # pragma: no cover
 
-    def shortest_distances(self, session: VGSession, source: int,
-                           targets: Iterable[int], cutoff: float = math.inf,
-                           prune_bound: float = math.inf
-                           ) -> Dict[int, float]: ...  # pragma: no cover
-
-    def dijkstra_order(self, session: VGSession, source: int,
-                       prune_bound: float = math.inf
-                       ) -> Iterator[Tuple[float, int, Optional[int]]]: ...  # pragma: no cover
-
     def note_obstacle_insert(self, obstacle: "Obstacle") -> None: ...  # pragma: no cover
 
     def note_obstacle_remove(self, obstacle: "Obstacle") -> None: ...  # pragma: no cover
 
 
 class _BackendBase:
-    """Shared protocol plumbing: session delegation and no-op maintenance."""
+    """Shared protocol plumbing: the stats block and no-op maintenance."""
 
     name = "backend"
 
@@ -325,23 +255,10 @@ class _BackendBase:
         self._stats_lock = threading.Lock()
 
     def _merge_stats(self, delta: BackendStats) -> None:
-        """Fold one session's counter deltas into the cumulative block."""
+        """Fold one session's or maintenance step's work into the
+        cumulative block."""
         with self._stats_lock:
             self.stats.merge(delta)
-
-    def shortest_distances(self, session: VGSession, source: int,
-                           targets: Iterable[int],
-                           cutoff: float = math.inf,
-                           prune_bound: float = math.inf) -> Dict[int, float]:
-        """Early-terminating Dijkstra distances on a session's graph."""
-        return session.shortest_distances(source, targets, cutoff,
-                                          prune_bound)
-
-    def dijkstra_order(self, session: VGSession, source: int,
-                       prune_bound: float = math.inf
-                       ) -> Iterator[Tuple[float, int, Optional[int]]]:
-        """The ascending settled order a session's graph yields."""
-        return session.dijkstra_order(source, prune_bound)
 
     def note_obstacle_insert(self, obstacle: "Obstacle") -> None:
         """Announced obstacle insert; stateless backends ignore it."""
@@ -395,8 +312,8 @@ class SharedVGBackend(_BackendBase):
     (:meth:`prepare_sessions`, cached adjacency rows included) or a fresh
     build from the obstacle cache — and returns it to the pool on detach.
     Each graph serves exactly one session at a time, so no query ever
-    traverses a graph another thread is mutating; per-session counter
-    deltas stay exact.
+    traverses a graph another thread is mutating, and the work block a
+    session takes from its graph is its own.
 
     Maintenance runs with the workspace write lock held (no session in
     flight): ``note_obstacle_insert`` patches every resident graph in
@@ -517,10 +434,9 @@ class SharedVGBackend(_BackendBase):
             if not self._absorb_announced_mutation():
                 return
             for graph in self._resident_graphs():
-                before = _kernel_counters(graph)
+                _take_work(graph)
                 graph.remove_obstacle(obstacle)
-                self._merge_stats(_kernel_delta(before,
-                                                _kernel_counters(graph)))
+                self._merge_stats(_take_work(graph))
 
     def _resident_graphs(self) -> Iterator["LocalVisibilityGraph"]:
         if self._graph is not None:
@@ -556,14 +472,13 @@ class SharedVGBackend(_BackendBase):
                 return len(self._graph.obstacles)
             graph = self._graph
             t0 = time.perf_counter()
-            before = _kernel_counters(graph)
+            _take_work(graph)
             if obstacles is not None:
                 graph.add_obstacles(obstacles)
             graph.build_all()
-            self._merge_stats(_kernel_delta(before,
-                                            _kernel_counters(graph)))
-            with self._stats_lock:
-                self.stats.build_time_s += time.perf_counter() - t0
+            work = _take_work(graph)
+            work.build_time_s = time.perf_counter() - t0
+            self._merge_stats(work)
             return len(self._graph.obstacles)
 
     # ------------------------------------------------------------- sessions
@@ -574,9 +489,9 @@ class SharedVGBackend(_BackendBase):
         Every adjacency row of the seeded skeleton is cut eagerly in one
         batched pass (``build_all``) — the cold-start cost moves from one
         kernel launch per settled node to a handful per build.  The build's
-        kernel work is merged straight into the backend stats: the session
-        that triggered the build snapshots its counter baselines *after*
-        construction, so nothing is double-counted.
+        work is taken from the fresh graph and merged straight into the
+        backend stats, so a session that triggered the build does not
+        count it again.
         """
         from ..obstacles.visgraph import LocalVisibilityGraph
 
@@ -591,9 +506,7 @@ class SharedVGBackend(_BackendBase):
             graph.add_obstacles(extra)
         if len(graph.obstacles):
             graph.build_all()
-            # Fresh graph: its counters *are* the build work.
-            self._merge_stats(_kernel_delta((0,) * 8,
-                                            _kernel_counters(graph)))
+            self._merge_stats(_take_work(graph))
         return graph, time.perf_counter() - t0
 
     def prepare_sessions(self, n: int) -> int:
@@ -617,10 +530,9 @@ class SharedVGBackend(_BackendBase):
                 # Warm the primary's full row set once, in bulk, so every
                 # clone carries a complete adjacency cache instead of each
                 # worker paying the per-settle launches separately.
-                before = _kernel_counters(self._graph)
+                _take_work(self._graph)
                 self._graph.build_all()
-                self._merge_stats(_kernel_delta(
-                    before, _kernel_counters(self._graph)))
+                self._merge_stats(_take_work(self._graph))
             made = 0
             for _ in range(max(0, want)):
                 clone = self._graph.clone_skeleton()

@@ -1,13 +1,16 @@
 """Counters attributing obstructed-distance work to its routing backend.
 
 One :class:`BackendStats` block lives on every backend (cumulative across
-the workspace's lifetime) and another on every
-:class:`~repro.core.stats.QueryStats` (that query's share), so warm/cold
-benchmarks can attribute time to graph build vs Dijkstra vs visibility
-tests without instrumenting the engine.
+the workspace's lifetime), another on every
+:class:`~repro.core.stats.QueryStats` (that query's share), and one on
+every visibility graph, which counts its work there until a session or a
+maintenance step takes the block.  So warm/cold benchmarks can attribute
+time to graph build vs Dijkstra vs visibility tests without instrumenting
+the engine, and a new counter is one field here.
 
 This module is deliberately import-free within the package: it is the
-bottom of the routing dependency stack (``core.stats`` imports it).
+bottom of the routing dependency stack (``core.stats`` and
+``obstacles.visgraph`` import it).
 """
 
 from __future__ import annotations

@@ -435,17 +435,10 @@ class ShardedWorkspace:
         Returns:
             Results in submission order, each with ``stats.shard`` filled.
         """
-        import os
-
-        from ..query.parallel import FORK, THREAD, effective_workers
+        from ..query.parallel import resolve_pool, run_groups
 
         qs = list(queries)
-        if mode not in (THREAD, FORK):
-            raise ValueError(f"unknown mode {mode!r}; expected 'thread' "
-                             "or 'fork'")
-        if mode == FORK and not hasattr(os, "fork"):
-            mode = THREAD  # pragma: no cover - non-POSIX hosts
-        workers = effective_workers(workers, mode)
+        workers, mode = resolve_pool(workers, mode)
         with self._rw.read():
             if workers <= 1 or len(qs) <= 1:
                 out: List[QueryResult] = []
@@ -456,10 +449,17 @@ class ShardedWorkspace:
                 return out
             groups, tail = self._shard_groups(qs)
             results: List[Optional[QueryResult]] = [None] * len(qs)
-            if mode == THREAD:
-                self._run_thread_groups(qs, groups, workers, results)
-            else:
-                self._run_fork_groups(qs, groups, workers, results)
+
+            def run_group(group: List[int]
+                          ) -> List[Tuple[int, QueryResult]]:
+                return [(i, self._route(qs[i])[0]) for i in group]
+
+            for done in run_groups(groups, run_group, workers, mode):
+                for i, result in done:
+                    results[i] = result
+                    # The routing block rides on the result (a forked
+                    # worker's own stats die with it).
+                    self._record(result.stats.shard)
             for i in tail:  # non-spatial queries: submission order, inline
                 results[i], block = self._route(qs[i])
                 self._record(block)
@@ -478,46 +478,6 @@ class ShardedWorkspace:
             home = min(self.partitioner.shards_for_rect(footprint))
             groups.setdefault(home, []).append(i)
         return [groups[sid] for sid in sorted(groups)], tail
-
-    def _run_thread_groups(self, qs: List[Query], groups: List[List[int]],
-                           workers: int,
-                           results: List[Optional[QueryResult]]) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def run_group(group: List[int]) -> None:
-            for i in group:
-                results[i], block = self._route(qs[i])
-                self._record(block)
-
-        with ThreadPoolExecutor(max_workers=workers,
-                                thread_name_prefix="repro-shard") as pool:
-            for future in [pool.submit(run_group, g) for g in groups]:
-                future.result()
-
-    def _run_fork_groups(self, qs: List[Query], groups: List[List[int]],
-                         workers: int,
-                         results: List[Optional[QueryResult]]) -> None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ..query.parallel import _shard_round_robin
-
-        global _fork_sharded, _fork_shard_queries
-        piles = _shard_round_robin(groups, workers)
-        _fork_sharded, _fork_shard_queries = self, qs
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=len(piles),
-                                     mp_context=ctx) as pool:
-                for future in [pool.submit(_fork_run_groups, pile)
-                               for pile in piles]:
-                    for i, result in future.result():
-                        results[i] = result
-                        # Child-process stats die with the child; merge the
-                        # per-query block that rode back on the result.
-                        self._record(result.stats.shard)
-        finally:
-            _fork_sharded = _fork_shard_queries = None
 
     # ------------------------------------------------------ legacy shortcuts
     def conn(self, query: Segment, config: Optional[ConnConfig] = None):
@@ -621,29 +581,6 @@ class ShardedWorkspace:
         if applied and self._monitors is not None:
             self._monitors.notify(update)
         return applied
-
-
-# --------------------------------------------------------------- fork plumbing
-_fork_sharded: Optional[ShardedWorkspace] = None
-_fork_shard_queries: Optional[List[Query]] = None
-
-
-def _fork_run_groups(pile: Sequence[Sequence[int]]
-                     ) -> List[Tuple[int, QueryResult]]:
-    """Run one pile of shard groups inside a forked worker.
-
-    The sharded workspace and query list arrive through the fork (module
-    globals set just before the pool was created); only indices go down
-    and pickled results come back, each carrying its ``stats.shard``
-    block for the parent to aggregate.
-    """
-    sws, qs = _fork_sharded, _fork_shard_queries
-    out: List[Tuple[int, QueryResult]] = []
-    for group in pile:
-        for i in group:
-            result, _block = sws._route(qs[i])
-            out.append((i, result))
-    return out
 
 
 class ShardedSnapshot:

@@ -194,7 +194,7 @@ def _check_pruned_traversal(seed: int, frac: float) -> None:
     h = _heuristic(g, qseg)
     # The source's row was read reach-limited (unless the source itself
     # lies past the bound, when it relaxes nothing).
-    assert (g_p.bounded_rows > 0) == (h(source) < bound)
+    assert (g_p.work.bounded_rows > 0) == (h(source) < bound)
     # Safe nodes (dist + h < bound) keep their exact distance, predecessor
     # and settled position from the unpruned traversal.
     safe_full = [e for e in full if e[0] + h(e[1]) < bound]
@@ -244,11 +244,11 @@ def test_reach_limited_row_is_the_full_row_filtered(anchored, seed, fracs):
     # A fresh graph reads the same rows reach-limited.
     g2, source2, _h = graph()
     assert source2 == source and g2._transient[source]
-    launches = g2.batch_visibility_calls
+    launches = g2.work.batch_visibility_calls
     rows = [(reach, g2.row_arrays(source, reach)) for reach in reaches]
     assert source not in g2._indptr, "reach-limited rows are not cached"
-    assert g2.bounded_rows == len(reaches)
-    assert g2.batch_visibility_calls - launches <= len(reaches)
+    assert g2.work.bounded_rows == len(reaches)
+    assert g2.work.batch_visibility_calls - launches <= len(reaches)
     assert g2.row_arrays(source)[0].tolist() == idx_f.tolist()
     for reach, (idx, w) in rows:
         keep = [j for j, s in enumerate(sums) if s <= reach]

@@ -112,17 +112,17 @@ class TestBuildAllIdentity:
         bulk, oracle = twin_graphs(random.Random(8))
         bulk.build_all()
         per_row_build(oracle)
-        assert bulk.rows_bulk_materialized > 0
-        assert bulk.bulk_pair_launches > 0
-        assert oracle.rows_bulk_materialized == 0
-        assert oracle.bulk_pair_launches == 0
+        assert bulk.work.rows_bulk_materialized > 0
+        assert bulk.work.bulk_pair_launches > 0
+        assert oracle.work.rows_bulk_materialized == 0
+        assert oracle.work.bulk_pair_launches == 0
 
     def test_build_all_idempotent(self):
         bulk, _ = twin_graphs(random.Random(9))
         assert bulk.build_all() > 0
-        rows_after_first = bulk.rows_bulk_materialized
+        rows_after_first = bulk.work.rows_bulk_materialized
         assert bulk.build_all() == 0          # nothing missing second time
-        assert bulk.rows_bulk_materialized == rows_after_first
+        assert bulk.work.rows_bulk_materialized == rows_after_first
 
     def test_materialize_rows_subset_matches_lazy(self):
         bulk, oracle = twin_graphs(random.Random(10))
@@ -145,8 +145,8 @@ class TestBuildAllIdentity:
         bulk, oracle = twin_graphs(random.Random(11))
         per_row_build(oracle)
         assert bulk.num_edges(materialize=True) == oracle.num_edges()
-        assert bulk.rows_bulk_materialized > 0
-        assert oracle.rows_bulk_materialized == 0
+        assert bulk.work.rows_bulk_materialized > 0
+        assert oracle.work.rows_bulk_materialized == 0
 
 
 class TestChurnIdentity:
@@ -210,8 +210,8 @@ class TestFrontierPrefetch:
                               alive=plain._alive_view)
         bare.run_to_completion()
         assert got == bare.settled             # dist, node, pred — exact
-        assert waved.rows_bulk_materialized > 0
-        assert plain.rows_bulk_materialized == 0
+        assert waved.work.rows_bulk_materialized > 0
+        assert plain.work.rows_bulk_materialized == 0
 
     def test_prefetched_rows_match_lazy_rows(self):
         rng = random.Random(14)
@@ -221,13 +221,13 @@ class TestFrontierPrefetch:
         for g in (plain, waved):
             g.add_obstacles(obstacles)
         waved.shortest_distances(waved.S, (waved.E,))
-        assert waved.rows_bulk_materialized > 0
+        assert waved.work.rows_bulk_materialized > 0
         for v in waved._alive_ids():
             wi, ww = waved.row_arrays(v)
             pi, pw = plain.row_arrays(v)
             assert wi.tolist() == pi.tolist()
             assert ww.tolist() == pw.tolist()
-        assert plain.rows_bulk_materialized == 0
+        assert plain.work.rows_bulk_materialized == 0
 
 
 class TestColdRebuilds:

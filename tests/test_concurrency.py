@@ -94,6 +94,15 @@ def rows_close(a, b, tol=1e-9):
     return True
 
 
+def assert_rows_close(got, want, names, tol=1e-9):
+    """:func:`rows_close` per result, failing with the name of the first
+    result that differs and both of its row lists."""
+    assert len(got) == len(want) == len(names)
+    for name, g, w in zip(names, got, want):
+        assert rows_close([g], [w], tol), (
+            f"{name}: rows differ\n  got:  {g}\n  want: {w}")
+
+
 class TestReadWriteLock:
     def test_readers_share_writers_exclude(self):
         lock = ReadWriteLock()
@@ -398,9 +407,10 @@ class TestParallelMonitors:
                 ws.apply([u])
             return [m.result.tuples() for m in monitors]
 
+        names = [q.describe() for q in queries]
         serial = run(1)
         parallel = run(3)
-        assert rows_close(parallel, serial)
+        assert_rows_close(parallel, serial, names)
         # Exactness: standing results equal fresh executions (to the same
         # splice tolerance the serial monitor suite uses).
         ws = make_ws(seed=18)
@@ -408,8 +418,8 @@ class TestParallelMonitors:
         monitors = [ws.monitors.register(q) for q in queries]
         for u in updates:
             ws.apply([u])
-        assert rows_close([m.result.tuples() for m in monitors],
-                          [ws.execute(q).tuples() for q in queries])
+        assert_rows_close([m.result.tuples() for m in monitors],
+                          [ws.execute(q).tuples() for q in queries], names)
 
 
 class TestInterleavedStress:

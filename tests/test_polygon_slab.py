@@ -255,5 +255,5 @@ class TestCounterConsistency:
         assert len(launches) == calls["batch"] + calls["bulk"]
         for edges, prims, tally in launches:
             assert tally["tested"] + tally["pruned"] == edges * prims
-        assert g.batched_edges_tested + g.kernel_pruned_edges == sum(
+        assert g.work.batched_edges_tested + g.work.kernel_pruned_edges == sum(
             e * p for e, p, _t in launches)

@@ -238,11 +238,11 @@ def test_regions_in_rounds_equal_per_node_reads(seed, regime, monkeypatch):
         assert g.visible_region_of(v).intervals == \
             ref.read(v, x, y, g.obstacles)
     if regime == "wave":
-        assert g.region_waves > 0
-        assert g.regions_computed >= ref.misses
+        assert g.work.region_waves > 0
+        assert g.work.regions_computed >= ref.misses
     else:
-        assert g.region_waves == 0
-        assert g.regions_computed == ref.misses
+        assert g.work.region_waves == 0
+        assert g.work.regions_computed == ref.misses
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -91,14 +91,14 @@ class TestGraphRepair:
         assert retested is not None and retested > 0
         clean = LocalVisibilityGraph(Q)
         assert row_dict(g, g.S)[g.E] == row_dict(clean, clean.S)[clean.E]
-        assert g.graph_repairs == 1
-        assert g.repair_retested_pairs == retested
+        assert g.work.graph_repairs == 1
+        assert g.work.repair_retested_pairs == retested
 
     def test_remove_nonresident_is_none(self):
         g = LocalVisibilityGraph(Q)
         g.add_obstacles([RectObstacle(10, 10, 20, 20)])
         assert g.remove_obstacle(RectObstacle(70, 70, 80, 80)) is None
-        assert g.graph_repairs == 0
+        assert g.work.graph_repairs == 0
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)

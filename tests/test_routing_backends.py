@@ -12,25 +12,32 @@ Contract under test:
   stale serve), and rebuilds are lazy;
 * **Planning** — ``auto`` picks per-query for cold one-shots and the
   shared graph when warm, forced choices are honored, and ``explain()``
-  names the selection.
+  names the selection and quotes its counters as of plan time;
+* **Conservation** — each query's counter block is exactly the change it
+  made to its backend's totals, and maintenance work is charged to the
+  backend alone.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro import (
+    AddObstacle,
     BackendStats,
     ConnQuery,
     OnnQuery,
     PerQueryVGBackend,
     PlannerOptions,
+    RangeQuery,
     RectObstacle,
+    RemoveObstacle,
+    SegmentObstacle,
     SharedVGBackend,
     Workspace,
     build_unified_tree,
@@ -105,7 +112,7 @@ class TestSessionParity:
         backend = PerQueryVGBackend()
         with backend.attach_endpoints(SEG) as session:
             assert session.add_obstacles(OBS) == len(OBS)
-            got = backend.shortest_distances(session, session.S,
+            got = session.shortest_distances(session.S,
                                              [session.E])[session.E]
         assert got == pytest.approx(want, abs=1e-9)
         assert backend.stats.sessions == 1
@@ -136,12 +143,13 @@ class TestSessionParity:
         assert qs.backend.visibility_tests > 0
 
     def test_dijkstra_order_delegation(self):
+        raw = LocalVisibilityGraph(SEG)
+        raw.add_obstacles(OBS)
+        want = list(raw.dijkstra_order(raw.S))
         backend = PerQueryVGBackend()
         with backend.attach_endpoints(SEG) as session:
             session.add_obstacles(OBS)
-            direct = list(session.dijkstra_order(session.S))
-            via_backend = list(backend.dijkstra_order(session, session.S))
-        assert direct == via_backend
+            assert list(session.dijkstra_order(session.S)) == want
 
 
 class TestSharedGraphLifecycle:
@@ -294,7 +302,7 @@ class TestSharedGraphLifecycle:
         for i in range(80):  # grow a dead-slot history
             p = g.add_point(float(i), 10.0)
             g.remove_point(p)
-        vt_before = g.visibility_tests
+        vt_before = g.work.visibility_tests
         assert g.compact() == 82  # 80 dead points + the 2 unbound endpoints
         assert g.dead_slots == 0
         g.bind(SEG)
@@ -302,7 +310,7 @@ class TestSharedGraphLifecycle:
         assert d_after == pytest.approx(d_before, abs=1e-9)
         # The skeleton rows survived: only edges to the two fresh endpoints
         # needed visibility tests, not the whole pairwise skeleton.
-        assert g.visibility_tests - vt_before < vt_before
+        assert g.work.visibility_tests - vt_before < vt_before
         g.unbind()
 
     def test_stale_plan_replan_keeps_backend_pin(self):
@@ -343,11 +351,11 @@ class TestTraversalMemo:
     def test_repeated_shortest_path_replays(self):
         vg = LocalVisibilityGraph(SEG, obstacles=OBS)
         d1, p1 = vg.shortest_path(vg.S, vg.E)
-        runs = vg.dijkstra_runs
+        runs = vg.work.dijkstra_runs
         d2, p2 = vg.shortest_path(vg.S, vg.E)
         assert (d1, p1) == (d2, p2)
-        assert vg.dijkstra_runs == runs  # no fresh traversal
-        assert vg.dijkstra_replays >= 1
+        assert vg.work.dijkstra_runs == runs  # no fresh traversal
+        assert vg.work.dijkstra_replays >= 1
 
     def test_mutation_invalidates_memo(self):
         vg = LocalVisibilityGraph(SEG, obstacles=OBS[:1])
@@ -355,7 +363,7 @@ class TestTraversalMemo:
         vg.add_obstacles(OBS[1:])
         d2, _ = vg.shortest_path(vg.S, vg.E)
         assert d2 > d1  # the new wall lengthens the detour
-        assert vg.dijkstra_runs >= 2
+        assert vg.work.dijkstra_runs >= 2
 
     def test_removed_transient_never_served_from_memo(self):
         vg = LocalVisibilityGraph(SEG, obstacles=OBS)
@@ -409,6 +417,52 @@ class TestPlannerSelection:
         plan = ws.plan(SemiJoinQuery(ws.data_tree, other))
         assert plan.backend == "pairwise-vg"
         assert "backend   : pairwise-vg" in plan.explain()
+
+    @staticmethod
+    def counter_lines(text):
+        return [line for line in text.splitlines()
+                if line.startswith(("  kernels   :", "  cold/churn:"))]
+
+    def test_explain_quotes_chosen_backend_at_plan_time(self):
+        ws = make_ws()
+        ws.prefetch_all()
+        other = Segment(0, 20, 100, 80)
+        for policy in ("per-query", "shared"):
+            ws.execute(ws.plan(ConnQuery(other), backend=policy))
+        assert ws.remove_obstacle(OBS[0])  # a repair on the shared graph
+        for policy, backend in (("per-query", ws.per_query_backend),
+                                ("shared", ws.routing)):
+            b = replace(backend.stats)
+            plan = ws.plan(ConnQuery(SEG), backend=policy)
+            ws.execute(plan)  # later work must not leak into the plan
+            assert backend.stats.dijkstra_runs > b.dijkstra_runs
+            assert self.counter_lines(plan.explain()) == [
+                f"  kernels   : {b.batch_visibility_calls} batch visibility "
+                f"calls, {b.batched_edges_tested} batched edges tested, "
+                f"{b.kernel_pruned_edges} bbox-pruned, "
+                f"{b.heap_bulk_pushes} bulk heap pushes, "
+                f"{b.dijkstra_runs} traversals so far",
+                f"  cold/churn: {b.rows_bulk_materialized} bulk rows in "
+                f"{b.bulk_pair_launches} bulk pair launches, "
+                f"{b.graph_repairs} removal repairs "
+                f"({b.repair_retested_pairs} pairs retested so far)",
+            ], policy
+        assert ws.routing.stats.graph_repairs >= 1
+        assert ws.per_query_backend.stats.graph_repairs == 0
+
+    def test_join_plan_quotes_no_backend_counters(self):
+        """The joins run their own pairwise graph, so no backend's totals
+        describe them."""
+        ws = make_ws(planner=PlannerOptions(backend="per-query"))
+        ws.conn(SEG)  # the per-query backend has counts to (mis)quote
+        from repro import SemiJoinQuery
+
+        other = build_point_tree([(100 + i, (9.0 * i, 60.0))
+                                  for i in range(4)])
+        plan = ws.plan(SemiJoinQuery(ws.data_tree, other))
+        assert plan.backend == "pairwise-vg"
+        assert plan.backend_stats is None
+        assert self.counter_lines(plan.explain()) == []
 
     def test_backends_satisfy_protocol(self):
         ws = make_ws()
@@ -483,3 +537,87 @@ class TestBackendStatsMerge:
         for i, n in enumerate(names):
             assert getattr(a, n) == 101 * (i + 1), n
         assert getattr(b, names[0]) == 100   # the argument is untouched
+
+
+def stats_diff(after: BackendStats, before: BackendStats) -> BackendStats:
+    """Field-wise ``after - before`` of two backend stats blocks."""
+    return BackendStats(**{f.name: getattr(after, f.name)
+                           - getattr(before, f.name)
+                           for f in fields(BackendStats)})
+
+
+def stats_mismatches(got: BackendStats, want: BackendStats,
+                     skip=("compactions",)):
+    """Names of the fields where two blocks disagree (floats approx)."""
+    return [f.name for f in fields(BackendStats) if f.name not in skip
+            and getattr(got, f.name)
+            != pytest.approx(getattr(want, f.name), rel=1e-9, abs=1e-12)]
+
+
+class TestCounterConservation:
+    """Every unit of backend work lands in exactly one place: a query's own
+    block, or (for maintenance) the backend's cumulative block only."""
+
+    def mixed_ops(self, rng, obstacles):
+        ops = []
+        for i in range(30):
+            if i % 3 == 0:
+                ops.append(ConnQuery(random_query(rng, min_length=10.0)))
+            elif i % 3 == 1:
+                ops.append(OnnQuery((rng.uniform(10, 90),
+                                     rng.uniform(10, 90)), knn=2))
+            else:
+                ops.append(RangeQuery((rng.uniform(10, 90),
+                                       rng.uniform(10, 90)), 20.0))
+        ops.insert(10, AddObstacle(SegmentObstacle(20.0, 33.0, 41.0, 37.0)))
+        ops.insert(20, RemoveObstacle(obstacles[0]))
+        return ops
+
+    @pytest.mark.parametrize("policy", ["shared", "per-query"])
+    def test_query_blocks_equal_backend_deltas(self, policy, monkeypatch):
+        # An independent witness: every kernel launch of every graph.
+        launches = []
+        count_batch = LocalVisibilityGraph._count_batch
+
+        def spy(graph, edges, prims, tally=None):
+            launches.append(graph)
+            count_batch(graph, edges, prims, tally)
+
+        monkeypatch.setattr(LocalVisibilityGraph, "_count_batch", spy)
+        rng = random.Random(5)
+        points, obstacles = random_scene(rng, n_points=14, n_obstacles=8)
+        ws = Workspace.from_points(points, obstacles,
+                                   planner=PlannerOptions(backend=policy))
+        backend = ws.routing if policy == "shared" else ws.per_query_backend
+        if policy == "shared":
+            ws.prefetch_all()
+            ws.routing.warm()
+        total = BackendStats()
+        queries = 0
+        for op in self.mixed_ops(rng, obstacles):
+            if isinstance(op, (AddObstacle, RemoveObstacle)):
+                assert ws.apply([op]) == [True]
+                continue
+            before = replace(backend.stats)
+            launched = len(launches)
+            res = ws.execute(op)
+            assert res.stats.backend_name == backend.name
+            delta = stats_diff(backend.stats, before)
+            assert stats_mismatches(res.stats.backend, delta) == [], op
+            assert res.stats.backend.batch_visibility_calls == \
+                len(launches) - launched, op
+            assert res.stats.visibility_tests == \
+                res.stats.backend.visibility_tests
+            total.merge(res.stats.backend)
+            queries += 1
+        assert queries == 30
+        assert total.sessions == 30
+        assert total.visibility_tests > 0 and total.nodes_settled > 0
+        # Every launch is counted once: by a query, or by maintenance.
+        assert backend.stats.batch_visibility_calls == len(launches)
+        if policy == "per-query":
+            # Nothing but queries ever touches the per-query backend.
+            assert stats_mismatches(backend.stats, total, skip=()) == []
+        else:
+            assert backend.stats.graph_repairs >= 1  # the removal's repair
+            assert total.graph_repairs == 0  # ... charged to no query
