@@ -74,7 +74,7 @@ assert [r.tuples() for r in parallel] == [r.tuples() for r in serial]
 stats = last_batch_stats()
 print(f"parallel batch: {stats.describe()}")
 
-# The planner prices intra-query parallelism too:
+# A snapshot plans against the version it pinned:
 plan = snap.plan(CoknnQuery(Segment(10, 10, 90, 90), 2))
 print("\n" + plan.explain())
 

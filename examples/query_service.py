@@ -35,7 +35,7 @@ def main() -> None:
         if not any(b.contains_interior(x, y) for b in buildings):
             stations.append((f"station-{len(stations)}", (x, y)))
 
-    ws = Workspace.from_points(stations, buildings, overfetch=2.0)
+    ws = Workspace.from_points(stations, buildings)
 
     # Prefetch the corridor the drone patrols, then fly.
     corridor = Rect(100, 480, 900, 560)

@@ -69,7 +69,6 @@ from .query import (
     JoinResult,
     NeighborsResult,
     OnnQuery,
-    PlannerOptions,
     Query,
     QueryPlan,
     QueryResult,
@@ -125,7 +124,7 @@ from .obstacles import (
     visible_region,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AddObstacle",
@@ -163,7 +162,6 @@ __all__ = [
     "OnnQuery",
     "PageTracker",
     "PerQueryVGBackend",
-    "PlannerOptions",
     "PolygonObstacle",
     "PiecewiseDistance",
     "Point",

@@ -8,10 +8,9 @@ visibility graph, terminating once the next candidate's Euclidean distance
 exceeds the current k-th best obstructed distance.
 
 The scan loop is factored into :func:`run_onn_scan`, parameterized over the
-candidate feed and the obstacle source, so the free function (cold, plain
-:class:`~repro.core.ior.ObstacleRetriever`) and the service layer
-(:class:`~repro.service.QueryService`, cache-backed) share one
-implementation.
+candidate feed and the obstacle source, so every layout and obstacle feed
+(the query executor's cache view or unified scan,
+:mod:`repro.query.executor`) shares one implementation.
 
 Also exposes :func:`obstructed_distance_indexed` — pairwise obstructed
 distance against an obstacle R*-tree without touching the full obstacle set

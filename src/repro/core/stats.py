@@ -79,9 +79,9 @@ class QueryStats:
     obstacle_reads: int = 0
     """Logical page reads charged to the obstacle index by this query.
 
-    Filled by the service layer (``QueryService``); for the single-tree
-    layout this is the unified tree's reads, since data and obstacle pages
-    are not separable there.
+    Filled by the query executor (:mod:`repro.query.executor`); for the
+    single-tree layout this is the unified tree's reads, since data and
+    obstacle pages are not separable there.
     """
 
     backend_name: str = ""

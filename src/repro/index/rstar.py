@@ -158,7 +158,7 @@ class RStarTree:
         path = self._choose_path(entry.rect, level)
         path[-1].entries.append(entry)
         self._refresh_path_rects(path)
-        self._handle_overflow(path)
+        self._treat_overfull(path)
 
     def _choose_path(self, rect: Rect, level: int) -> List[Node]:
         """Descend from the root to a node at ``level``, recording the path."""
@@ -214,7 +214,7 @@ class RStarTree:
                     parent.entries[j] = Entry(child.mbr(), child)
                     break
 
-    def _handle_overflow(self, path: List[Node]) -> None:
+    def _treat_overfull(self, path: List[Node]) -> None:
         level_index = len(path) - 1
         while level_index >= 0:
             node = path[level_index]

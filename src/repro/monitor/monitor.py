@@ -195,13 +195,13 @@ class Monitor:
         """Run a maintenance (sub-)query on the workspace-shared backend.
 
         Workspaces explicitly forced onto per-query graphs
-        (``PlannerOptions(backend="per-query")``) keep their policy; any
+        (``backend="per-query"``) keep their policy; any
         other policy (including ``auto``) pins maintenance onto the shared
         graph, whose skeleton repair spans revisit again and again.
         """
         from ..routing.backends import PER_QUERY_VG
 
-        override = (None if self._ws.planner.backend in
+        override = (None if self._ws.backend in
                     ("per-query", PER_QUERY_VG) else "shared")
         return self._ws.execute(self._ws.plan(query, backend=override))
 

@@ -5,11 +5,11 @@ through.  Clients describe *what* they want as frozen dataclasses
 (:class:`ConnQuery`, :class:`CoknnQuery`, :class:`OnnQuery`,
 :class:`RangeQuery`, :class:`TrajectoryQuery`, :class:`SemiJoinQuery`,
 :class:`EDistanceJoinQuery`, :class:`ClosestPairQuery`); the planner decides
-*how* (algorithm, tree layout, obstacle-I/O estimate, rendered by
-:meth:`QueryPlan.explain`); and the executor decides *when and in what
-order* (single ``execute``, lazy ``stream``, or a locality-scheduled
-``execute_many`` whose reordering and capsule-driven prefetches make cache
-hits compound across a batch).
+*how* (algorithm, tree layout, backend, obstacle-I/O estimate, rendered
+by :meth:`QueryPlan.explain`); and the executor runs the plan on the
+engines and decides *in what order* (single ``execute``, or a
+locality-scheduled ``execute_many`` whose reordering and capsule-driven
+prefetches make cache hits compound across a batch).
 
 The classic entry points — ``repro.conn(...)``, ``Workspace.coknn(...)``
 and friends — are thin shims over this machinery, so every query in the
@@ -24,19 +24,13 @@ library flows through one plannable code path::
     results = ws.execute_many(batch)       # locality-scheduled, same order
 """
 
-from .executor import execute, execute_many, stream
+from .executor import execute, execute_many
 from .parallel import (
     ConcurrencyStats,
     execute_many_parallel,
     last_batch_stats,
 )
-from .planner import (
-    DEFAULT_PLANNER,
-    NAIVE_PRELOAD,
-    PlannerOptions,
-    QueryPlan,
-    build_plan,
-)
+from .planner import QueryPlan, build_plan
 from .queries import (
     ClosestPairQuery,
     CoknnQuery,
@@ -63,13 +57,10 @@ __all__ = [
     "CoknnQuery",
     "ConcurrencyStats",
     "ConnQuery",
-    "DEFAULT_PLANNER",
     "EDistanceJoinQuery",
     "JoinResult",
-    "NAIVE_PRELOAD",
     "NeighborsResult",
     "OnnQuery",
-    "PlannerOptions",
     "Query",
     "QueryPlan",
     "QueryResult",
@@ -83,5 +74,4 @@ __all__ = [
     "execute_many",
     "execute_many_parallel",
     "last_batch_stats",
-    "stream",
 ]

@@ -1,9 +1,13 @@
-"""The query executor: single dispatch, lazy streams, scheduled batches.
+"""The query executor: the one place that runs a plan, and scheduled batches.
 
 :func:`execute` runs one :class:`~repro.query.planner.QueryPlan` (planning
 first when handed a bare query description) and attaches the submitted
 query to the result (the ``.query`` back-reference of the unified result
-protocol).
+protocol).  Running a plan calls the engines of :mod:`repro.core`
+directly: the workspace layout picks the sources (on 2T the data tree plus
+a view over the obstacle cache, on 1T the unified scan), the planned
+backend supplies the visibility graph, and the obstacle index's page reads
+are charged to ``result.stats.obstacle_reads``.
 
 :func:`execute_many` is the batch path the service layer's cache was built
 for.  Submission order is rarely the cheapest execution order: correlated
@@ -28,11 +32,25 @@ execution — scheduling only changes who pays which page read.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
+from ..core.config import ConnConfig
+from ..core.conn_1t import UnifiedSource
+from ..core.engine import ConnResult, TreeDataSource, run_query
+from ..core.joins import (
+    _closest_pair_impl,
+    _e_distance_join_impl,
+    _semi_join_impl,
+)
+from ..core.onn import PointScan, run_onn_scan
+from ..core.range_query import run_range_scan
+from ..core.stats import QueryStats
+from ..core.trajectory import TrajectoryResult
 from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
-from .planner import NAIVE_PRELOAD, QueryPlan, build_plan, tree_versions
+from ..obstacles.obstacle import Obstacle
+from .planner import QueryPlan, build_plan, tree_versions
 from .queries import (
     ClosestPairQuery,
     CoknnQuery,
@@ -46,7 +64,16 @@ from .queries import (
 from .results import ClosestPairResult, JoinResult, NeighborsResult, QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..index.rstar import RStarTree
+    from ..routing.backends import ObstructedDistanceBackend, ObstructedGraph
+    from ..service.cache import ObstacleCache
     from ..service.workspace import Workspace
+
+GRID_CELLS = 16
+"""Upper bound on the batch scheduler's locality grid, in cells per axis."""
+
+PREFETCH_MARGIN_FACTOR = 1.25
+"""Safety factor on the capsule-derived prefetch margin of a bucket."""
 
 
 def execute(workspace: "Workspace", query) -> QueryResult:
@@ -55,9 +82,8 @@ def execute(workspace: "Workspace", query) -> QueryResult:
     A prepared plan is version-checked against the workspace *and* its
     backing trees: when updates were applied after planning — through the
     workspace or directly on a tree — the plan is rebuilt from its query.
-    Its algorithm choice and estimates describe a dataset that no longer
-    exists, and executing it blindly could (e.g.) preload an obstacle set
-    that has grown far past the naive threshold.
+    Its backend choice and estimates describe a dataset that no longer
+    exists (e.g. a warm verdict from coverage capsules the mutation voided).
     """
     if isinstance(query, QueryPlan):
         plan = query
@@ -72,51 +98,124 @@ def execute(workspace: "Workspace", query) -> QueryResult:
 
 def _run_plan(ws: "Workspace", plan: QueryPlan) -> QueryResult:
     q = plan.query
-    svc = ws.service
     backend = ws.backend_for(plan.backend)
-    if plan.algorithm == NAIVE_PRELOAD and not ws.cache.covered(
-            Segment(0.0, 0.0, 0.0, 0.0), math.inf):
-        ws.cache.prefetch_all()
     if isinstance(q, TrajectoryQuery):
-        result = svc._run_trajectory(q.waypoints, q.k, plan.config, backend)
+        legs = [_run_coknn(ws, leg, q.k, plan.config, backend)
+                for leg in q.legs()]
+        result = TrajectoryResult(q.waypoints, legs, q.k)
         result.query = q
         return result
     if isinstance(q, CoknnQuery):  # covers ConnQuery too
-        result = svc._run_coknn(q.segment, q.k, plan.config, backend)
+        result = _run_coknn(ws, q.segment, q.k, plan.config, backend)
         result.query = q
         return result
-    if isinstance(q, OnnQuery):
-        neighbors, stats = svc._run_onn(q.point.x, q.point.y, q.k,
-                                        plan.config, backend)
-        return NeighborsResult(neighbors, stats, q)
-    if isinstance(q, RangeQuery):
-        matches, stats = svc._run_range(q.point.x, q.point.y, q.radius,
-                                        backend)
-        return NeighborsResult(matches, stats, q)
+    if isinstance(q, (OnnQuery, RangeQuery)):
+        x, y = q.point
+        with _sources(ws, Segment(x, y, x, y), backend,
+                      lambda: PointScan(ws.data_tree, x, y)) as (
+                          source, retriever, vg, stats, trackers):
+            if isinstance(q, OnnQuery):
+                rows = run_onn_scan(source, retriever, vg, q.k, plan.config,
+                                    stats, trackers)
+            else:
+                rows = run_range_scan(source, retriever, vg, q.radius, stats,
+                                      trackers)
+        return NeighborsResult(rows, stats, q)
     if isinstance(q, SemiJoinQuery):
-        rows, stats = svc._run_semi_join(q.left, q.right)
+        rows, stats = _semi_join_impl(q.left, q.right, ws.obstacle_tree,
+                                      cache=ws.cache)
         return JoinResult(rows, stats, q)
     if isinstance(q, EDistanceJoinQuery):
-        rows, stats = svc._run_e_distance_join(q.left, q.right, q.e)
+        rows, stats = _e_distance_join_impl(q.left, q.right, ws.obstacle_tree,
+                                            q.e, cache=ws.cache)
         return JoinResult(rows, stats, q)
     if isinstance(q, ClosestPairQuery):
-        pair, stats = svc._run_closest_pair(q.left, q.right)
+        pair, stats = _closest_pair_impl(q.left, q.right, ws.obstacle_tree,
+                                         cache=ws.cache)
         return ClosestPairResult(pair, stats, q)
     raise TypeError(f"no executor for query type {type(q).__name__}")
 
 
-def stream(workspace: "Workspace", queries: Iterable[Query]
-           ) -> Iterator[QueryResult]:
-    """Lazily execute ``queries`` one by one, in submission order.
+def _run_coknn(ws: "Workspace", segment: Segment, k: int, config: ConnConfig,
+               backend: "ObstructedDistanceBackend") -> ConnResult:
+    """One COkNN run of the paper's engine along ``segment``."""
+    with _sources(ws, segment, backend,
+                  lambda: TreeDataSource(ws.data_tree, segment)) as (
+                      source, retriever, vg, stats, trackers):
+        return run_query(source, retriever, vg, segment, k, config,
+                         trackers, stats)
 
-    The lazy sibling of :func:`execute_many`: nothing runs until the
-    iterator is advanced, results are yielded as they complete, and memory
-    stays O(1) in the number of queries.  No reordering is performed (a
-    stream's consumer controls the pace, so the scheduler cannot batch
-    ahead), but every query still shares the workspace obstacle cache.
+
+@contextmanager
+def _sources(ws: "Workspace", anchor: Segment,
+             backend: "ObstructedDistanceBackend", data_source):
+    """Attach ``anchor`` and open the layout's sources for one engine run.
+
+    Yields ``(source, retriever, vg, stats, trackers)``.  On 2T the data
+    source comes from ``data_source()`` and obstacles from a cache view; on
+    1T one unified scan plays both roles.  When the block ends, the obstacle
+    index's logical reads are charged to ``stats.obstacle_reads`` (the
+    unified tree's reads under 1T, where data and obstacle pages are not
+    separable).
     """
-    for q in queries:
-        yield execute(workspace, q)
+    stats = QueryStats()
+    with backend.attach_endpoints(anchor, stats) as vg:
+        if ws.layout == "2T":
+            tracker = ws.obstacle_tree.tracker
+            retriever = ws.cache.view(anchor, vg, stats)
+            source = data_source()
+            trackers = (ws.data_tree.tracker, tracker)
+        else:
+            tracker = ws.unified_tree.tracker
+            source = retriever = _CachingUnifiedSource(
+                ws.unified_tree, anchor, vg, stats, ws.cache)
+            trackers = (tracker,)
+        snap = tracker.local_stats.snapshot()
+        yield source, retriever, vg, stats, trackers
+    stats.obstacle_reads = tracker.local_stats.delta(snap).logical_reads
+
+
+class _CachingUnifiedSource(UnifiedSource):
+    """1T source that harvests de-heaped obstacles into the workspace cache.
+
+    The unified scan must traverse the tree for data points regardless, so
+    the cache cannot skip 1T page reads; harvesting still makes the
+    obstacles available to prefetch inspection and to any 2T-style consumers
+    sharing the cache.
+    """
+
+    def __init__(self, tree: "RStarTree", qseg: Segment,
+                 vg: "ObstructedGraph", stats: QueryStats,
+                 cache: "ObstacleCache"):
+        super().__init__(tree, qseg, vg, stats)
+        self._cache = cache
+
+    def _route_obstacle(self, obstacle: Obstacle) -> int:
+        self._cache.add(obstacle)
+        return super()._route_obstacle(obstacle)
+
+
+def split_batch(qs: List[Query], schedule: str = "locality"
+                ) -> Tuple[List[Tuple[int, Rect]], List[int]]:
+    """Split a batch into spatial ``(index, footprint)`` pairs and the
+    indices of the non-spatial queries (the joins), both in submission
+    order.
+
+    Raises:
+        ValueError: on a ``schedule`` other than ``"locality"`` or
+            ``"fifo"``.
+    """
+    if schedule not in ("locality", "fifo"):
+        raise ValueError(f"unknown schedule {schedule!r}")
+    spatial: List[Tuple[int, Rect]] = []
+    other: List[int] = []
+    for i, q in enumerate(qs):
+        fp = q.footprint() if isinstance(q, Query) else None
+        if fp is not None:
+            spatial.append((i, fp))
+        else:
+            other.append(i)
+    return spatial, other
 
 
 def execute_many(workspace: "Workspace", queries: Iterable[Query], *,
@@ -133,22 +232,12 @@ def execute_many(workspace: "Workspace", queries: Iterable[Query], *,
         Results in **submission order**, each carrying ``.query``.
     """
     qs = list(queries)
-    if schedule not in ("locality", "fifo"):
-        raise ValueError(f"unknown schedule {schedule!r}")
+    spatial, other = split_batch(qs, schedule)
     if schedule == "fifo" or len(qs) <= 2:
         return [execute(workspace, q) for q in qs]
 
     results: List[QueryResult] = [None] * len(qs)  # type: ignore[list-item]
-    spatial: List[Tuple[int, Rect]] = []
-    other: List[int] = []
-    for i, q in enumerate(qs):
-        fp = q.footprint() if isinstance(q, Query) else None
-        if fp is not None:
-            spatial.append((i, fp))
-        else:
-            other.append(i)
-
-    for bucket in _locality_buckets(workspace, spatial):
+    for bucket in _locality_buckets(spatial):
         _execute_bucket(workspace, qs, bucket, results)
     for i in other:
         results[i] = execute(workspace, qs[i])
@@ -156,8 +245,7 @@ def execute_many(workspace: "Workspace", queries: Iterable[Query], *,
 
 
 # --------------------------------------------------------------- scheduling
-def _locality_buckets(ws: "Workspace",
-                      spatial: List[Tuple[int, Rect]]) -> List[List[int]]:
+def _locality_buckets(spatial: List[Tuple[int, Rect]]) -> List[List[int]]:
     """Grid-bucket spatial queries and order buckets along a Hilbert curve."""
     if not spatial:
         return []
@@ -171,11 +259,11 @@ def _locality_buckets(ws: "Workspace",
     diags = sorted(math.hypot(fp.width, fp.height) for _i, fp in spatial)
     median_diag = diags[len(diags) // 2]
     # Aim for a handful of queries per bucket (so each bucket amortizes its
-    # prefetch), capped by the configured grid resolution; point queries
-    # have zero-size footprints, so occupancy — not footprint size — must
-    # drive the cell size.
+    # prefetch), capped by GRID_CELLS; point queries have zero-size
+    # footprints, so occupancy — not footprint size — must drive the cell
+    # size.
     occupancy_cells = max(1, round(math.sqrt(len(spatial) / 4.0)))
-    cells = max(1, min(ws.planner.grid_cells, occupancy_cells))
+    cells = max(1, min(GRID_CELLS, occupancy_cells))
     cell = max(2.0 * median_diag, span / cells, 1e-9)
     buckets: Dict[Tuple[int, int], List[int]] = {}
     for i, fp in spatial:
@@ -238,7 +326,7 @@ def _execute_bucket(ws: "Workspace", qs: List[Query], bucket: List[int],
             observed = capsules[-1].radius
         else:  # lead was a pure cache hit; fall back to the plan estimate
             observed = plan.est_radius
-        margin = observed * ws.planner.prefetch_margin_factor
+        margin = observed * PREFETCH_MARGIN_FACTOR
         union = qs[bucket[0]].footprint()
         for i in bucket[1:]:
             union = union.union(qs[i].footprint())

@@ -48,8 +48,7 @@ from typing import (
     Tuple,
 )
 
-from ..geometry.rectangle import Rect
-from .executor import _execute_bucket, _locality_buckets, execute
+from .executor import _execute_bucket, _locality_buckets, execute, split_batch
 from .queries import Query
 from .results import QueryResult
 
@@ -246,8 +245,7 @@ def execute_many_parallel(snapshot: "WorkspaceSnapshot",
         snapshot = snapshot.snapshot()
     ws = snapshot.workspace
     qs = list(queries)
-    if schedule not in ("locality", "fifo"):
-        raise ValueError(f"unknown schedule {schedule!r}")
+    spatial, other = split_batch(qs, schedule)
     workers, mode = resolve_pool(workers, mode)
 
     stats = ConcurrencyStats(workers=workers, mode=mode, queries=len(qs),
@@ -263,32 +261,19 @@ def execute_many_parallel(snapshot: "WorkspaceSnapshot",
             stats.tasks = len(qs)
             stats.wall_time_s = stats.busy_time_s = time.perf_counter() - t0
         else:
-            results = _run_pool(ws, qs, schedule, workers, mode, stats)
+            buckets = ([[i] for i, _fp in spatial] if schedule == "fifo"
+                       else _locality_buckets(spatial))
+            results = _run_pool(ws, qs, buckets, other, workers, mode,
+                                stats)
     stats.epoch_waits = ws._rw.write_waits - epoch0
     stats.lock_contention = ws.cache.lock.contended - contention0
     _LAST_BATCH.stats = stats
     return results
 
 
-def _partition(ws: "Workspace", qs: List[Query],
-               schedule: str) -> Tuple[List[List[int]], List[int]]:
-    """Spatial buckets plus the non-spatial tail, in executor order."""
-    spatial: List[Tuple[int, Rect]] = []
-    other: List[int] = []
-    for i, q in enumerate(qs):
-        fp = q.footprint() if isinstance(q, Query) else None
-        if fp is not None:
-            spatial.append((i, fp))
-        else:
-            other.append(i)
-    if schedule == "fifo":
-        return [[i] for i, _fp in spatial], other
-    return _locality_buckets(ws, spatial), other
-
-
-def _run_pool(ws: "Workspace", qs: List[Query], schedule: str, workers: int,
-              mode: str, stats: ConcurrencyStats) -> List[QueryResult]:
-    buckets, other = _partition(ws, qs, schedule)
+def _run_pool(ws: "Workspace", qs: List[Query], buckets: List[List[int]],
+              other: List[int], workers: int, mode: str,
+              stats: ConcurrencyStats) -> List[QueryResult]:
     results: List[Optional[QueryResult]] = [None] * len(qs)
 
     def run_bucket(bucket: List[int]

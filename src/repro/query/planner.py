@@ -10,12 +10,9 @@ via :meth:`QueryPlan.explain`, the declarative API's answer to SQL's
 Algorithm selection is deliberately simple and deterministic:
 
 * CONN / COkNN / trajectory / ONN / range run the paper's engine on the
-  workspace layout (``"2T"`` separate trees or ``"1T"`` unified tree);
-* on the 2T layout a workspace may opt into a *naive fallback*
-  (:attr:`PlannerOptions.naive_max_points`): for tiny datasets the plan
-  drains the whole obstacle tree into the cache once and serves every
-  retrieval round from memory — identical results, no incremental
-  retrieval machinery;
+  workspace layout (``"2T"`` separate trees or ``"1T"`` unified tree), on
+  the obstructed-distance backend the workspace's ``backend`` policy picks
+  (see :func:`_resolve_backend`);
 * the obstructed joins require the 2T layout (they need a dedicated
   obstacle tree), so planning them on 1T fails fast.
 
@@ -31,7 +28,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..core.config import ConnConfig
+from ..core.config import DEFAULT_CONFIG, ConnConfig
 from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
 from ..index.rstar import RStarTree
@@ -52,9 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..service.workspace import Workspace
 
 
-NAIVE_PRELOAD = "naive-preload"
-"""Algorithm name of the tiny-dataset fallback (exhaustive obstacle preload)."""
-
 PAIRWISE_VG = "pairwise-vg"
 """Backend name reported for the joins' anchored pairwise oracle."""
 
@@ -70,9 +64,11 @@ def _resolve_backend(workspace: "Workspace", override: Optional[str],
     was exhaustively fetched by an earlier query, so the shared skeleton
     has the obstacles that matter and the repeat amortizes the build).
     Cold one-shots keep the throwaway per-query graph, whose build they
-    would have to pay anyway.
+    would have to pay anyway.  ``shared`` / ``per-query`` force one
+    backend; results are identical either way (asserted by the backend
+    equivalence suite), only where the graph work lands changes.
     """
-    choice = override if override is not None else workspace.planner.backend
+    choice = override if override is not None else workspace.backend
     if choice == "auto":
         if warm or workspace.routing.ready:
             return SHARED_VG
@@ -85,43 +81,6 @@ def _resolve_backend(workspace: "Workspace", override: Optional[str],
         raise ValueError(f"unknown backend {choice!r}; expected 'auto', "
                          f"'shared' or 'per-query'")
     return alias[choice]
-
-
-@dataclass(frozen=True)
-class PlannerOptions:
-    """Workspace-level planner knobs.
-
-    Attributes:
-        naive_max_points: datasets whose data tree holds at most this many
-            points plan the :data:`NAIVE_PRELOAD` fallback on the 2T layout
-            (0 — the default — never; the incremental engine is always
-            used).  Results are identical either way; only the I/O pattern
-            changes.
-        grid_cells: granularity of the batch executor's locality grid (the
-            space is cut into roughly ``grid_cells`` cells per axis).
-        prefetch_margin_factor: safety factor applied to the capsule-derived
-            prefetch margin in scheduled batches.
-        backend: obstructed-distance backend policy — ``"auto"`` (default:
-            the workspace-shared graph when the query plans warm or the
-            shared graph is already built, a per-query graph for cold
-            one-shots), ``"shared"`` / ``"per-query"`` to force one.
-            Results are identical either way (asserted by the backend
-            equivalence suite); only where the visibility-test and
-            graph-build work lands changes.
-        parallel_workers: the worker-pool size the planner prices
-            parallelism against (``QueryPlan.est_parallel_speedup``) and
-            the trajectory executor uses for independent legs.  ``1``
-            (default) keeps every execution path strictly serial.
-    """
-
-    naive_max_points: int = 0
-    grid_cells: int = 16
-    prefetch_margin_factor: float = 1.25
-    backend: str = "auto"
-    parallel_workers: int = 1
-
-
-DEFAULT_PLANNER = PlannerOptions()
 
 
 @dataclass
@@ -163,14 +122,6 @@ class QueryPlan:
     """A copy of the chosen backend's cumulative work counters at plan
     time (``None`` for the joins, whose pairwise oracle runs its own
     graph outside the backends)."""
-    est_parallel_speedup: float = 1.0
-    """Estimated wall-clock speedup of executing this plan on the
-    workspace's configured worker pool
-    (:attr:`PlannerOptions.parallel_workers`): the query's independent
-    execution units (trajectory legs; single-segment queries have one)
-    divided by the pool rounds needed to drain them.  ``1.0`` means the
-    plan is inherently serial — parallelism then only pays across queries
-    (``execute_many(..., workers=N)``), not inside this one."""
     workspace_version: int = 0
     """The :attr:`Workspace.version` this plan was built at.  The executor
     re-plans automatically when the workspace has been mutated since — a
@@ -226,14 +177,9 @@ class QueryPlan:
                 f"{work.graph_repairs} removal repairs "
                 f"({work.repair_retested_pairs} pairs retested so far)",
             ]
-        lines += [
-            f"  parallel  : est. {self.est_parallel_speedup:.2f}x speedup "
-            f"on this plan's independent units",
-            f"  config    : {flags}",
-        ]
         if self.est_shard_fanout > 0:
-            lines.insert(-1, f"  shards    : est. fan-out "
-                         f"{self.est_shard_fanout}")
+            lines.append(f"  shards    : est. fan-out {self.est_shard_fanout}")
+        lines.append(f"  config    : {flags}")
         for note in self.notes:
             lines.append(f"  note      : {note}")
         return "\n".join(lines)
@@ -277,12 +223,7 @@ def _spines(query: Query) -> List[Segment]:
         x, y = query.point
         return [Segment(x, y, x, y)]
     if isinstance(query, TrajectoryQuery):
-        out = []
-        for (ax, ay), (bx, by) in zip(query.waypoints, query.waypoints[1:]):
-            seg = Segment(ax, ay, bx, by)
-            if not seg.is_degenerate():
-                out.append(seg)
-        return out
+        return query.legs()
     return []
 
 
@@ -306,15 +247,15 @@ def build_plan(workspace: "Workspace", query: Query,
     """Select algorithm + layout + backend and estimate I/O for ``query``.
 
     Args:
-        backend: optional per-plan override of
-            :attr:`PlannerOptions.backend` (``"shared"`` / ``"per-query"``
-            / ``"auto"``); the monitor subsystem uses it to pin repair
+        backend: optional per-plan override of the workspace's
+            ``backend`` policy (``"shared"`` / ``"per-query"`` /
+            ``"auto"``); the monitor subsystem uses it to pin repair
             sub-queries onto the workspace-shared graph.
     """
     if not isinstance(query, Query):
         raise TypeError(f"expected a Query description, got {type(query)!r}")
     ws = workspace
-    cfg = query.config if query.config is not None else ws.config
+    cfg = query.config if query.config is not None else DEFAULT_CONFIG
     k = query.k
     layout = ws.layout
     notes: List[str] = []
@@ -352,18 +293,9 @@ def build_plan(workspace: "Workspace", query: Query,
     if query.kind == "conn":
         notes.append("CONN is COkNN with k = 1 (shared engine)")
 
-    opts = ws.planner
     obstacle_tree = (ws.obstacle_tree if layout == "2T"
                      else ws.unified_tree)
-    naive = (layout == "2T" and opts.naive_max_points > 0
-             and ws.data_tree.size <= opts.naive_max_points)
-    if naive:
-        algorithm = NAIVE_PRELOAD
-        notes.append(f"dataset is tiny ({ws.data_tree.size} points <= "
-                     f"naive_max_points={opts.naive_max_points}): preload "
-                     "the whole obstacle set, skip incremental retrieval")
-    else:
-        algorithm = f"{base}-{layout.lower()}"
+    algorithm = f"{base}-{layout.lower()}"
 
     if isinstance(query, RangeQuery):
         est_radius = query.radius
@@ -390,16 +322,6 @@ def build_plan(workspace: "Workspace", query: Query,
         notes.append("1T unified scan reads data and obstacle pages "
                      "together; cache hits cannot skip them")
 
-    workers = max(1, opts.parallel_workers)
-    units = len(spines) if isinstance(query, TrajectoryQuery) else 1
-    # Units drain in ceil(units / workers) pool rounds; a serial pool (or a
-    # single-unit plan) gets exactly 1.0.
-    est_speedup = (units / math.ceil(units / workers)
-                   if workers > 1 and units > 1 else 1.0)
-    if est_speedup > 1.0:
-        notes.append(f"{units} independent legs over {workers} workers "
-                     "(see est_parallel_speedup)")
-
     chosen = _resolve_backend(ws, backend, warm, spines)
     if chosen == SHARED_VG:
         builds = 0 if ws.routing.ready else 1
@@ -419,6 +341,5 @@ def build_plan(workspace: "Workspace", query: Query,
     return QueryPlan(query, algorithm, layout, k, cfg, footprint, est_radius,
                      warm, est_io, len(ws.cache), ws.cache.coverage_regions,
                      tuple(notes), backend=chosen, est_graph_builds=builds,
-                     est_parallel_speedup=est_speedup,
                      backend_override=backend, workspace_version=ws.version,
                      tree_versions=tree_versions(ws), backend_stats=work)

@@ -16,7 +16,7 @@ query coordinate, ``k < 1``, or a negative or NaN range radius raise
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Optional, Tuple
+from typing import Any, ClassVar, List, Optional, Tuple
 
 from ..core.config import ConnConfig
 from ..geometry.point import Point, as_point, require_finite
@@ -90,7 +90,7 @@ class Query:
         label: free-form tag echoed through plans and results (handy for
             correlating batch submissions with their answers).
         config: per-query :class:`~repro.core.config.ConnConfig` override;
-            ``None`` uses the workspace default.
+            ``None`` uses :data:`~repro.core.config.DEFAULT_CONFIG`.
     """
 
     label: Optional[str] = None
@@ -222,8 +222,7 @@ class TrajectoryQuery(Query):
         if len(pts) < 2:
             raise ValueError("a trajectory needs at least two waypoints")
         require_finite("trajectory", *(c for p in pts for c in p))
-        if all(Segment(ax, ay, bx, by).is_degenerate()
-               for (ax, ay), (bx, by) in zip(pts, pts[1:])):
+        if not self.legs():
             raise ValueError("trajectory has no leg of positive length")
         if self.knn < 1:
             raise ValueError("k must be at least 1")
@@ -231,6 +230,14 @@ class TrajectoryQuery(Query):
     @property
     def k(self) -> int:
         return self.knn
+
+    def legs(self) -> List[Segment]:
+        """The polyline's legs of positive length, in order (zero-length
+        legs between repeated waypoints are skipped)."""
+        pts = self.waypoints
+        legs = (Segment(ax, ay, bx, by)
+                for (ax, ay), (bx, by) in zip(pts, pts[1:]))
+        return [leg for leg in legs if not leg.is_degenerate()]
 
     def footprint(self) -> Rect:
         return Rect.from_points(self.waypoints)

@@ -7,14 +7,14 @@ amortizes that cost across a workload:
 * :class:`Workspace` — owns one dataset's indexes (2T or 1T) plus a
   per-dataset :class:`ObstacleCache`, warmable via ``prefetch``, and the
   execution target of the declarative API (``plan`` / ``execute`` /
-  ``execute_many`` / ``stream``, see :mod:`repro.query`);
-* :class:`QueryService` — ``conn`` / ``coknn`` / ``onn`` / ``range`` /
-  ``batch`` / ``trajectory`` / join entry points (shims over
-  ``Workspace.execute``) plus the ``_run_*`` execution backend that serves
-  obstacle retrieval rounds from the cache whenever its coverage
-  bookkeeping proves the cached set complete for the requested footprint;
+  ``execute_many`` / ``stream``, see :mod:`repro.query`, whose executor
+  runs every plan);
+* :class:`QueryService` — the asynchronous front (``serve`` / ``submit``)
+  over ``Workspace.execute``;
 * :class:`CachedObstacleView` — the per-query obstacle feed, a drop-in
-  sibling of :class:`repro.core.ior.ObstacleRetriever`.
+  sibling of :class:`repro.core.ior.ObstacleRetriever`, which serves
+  obstacle retrieval rounds from the cache whenever its coverage
+  bookkeeping proves the cached set complete for the requested footprint.
 
 The free functions ``repro.conn`` / ``repro.coknn`` / ... are thin wrappers
 over a one-shot workspace, so the cold path and the classic API coincide.

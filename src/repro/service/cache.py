@@ -22,12 +22,6 @@ contains the request, the per-query view falls back to a best-first tree
 scan — exactly the cold path of :class:`~repro.core.ior.ObstacleRetriever` —
 and the scanned footprint becomes a new capsule.
 
-With ``overfetch > 1`` a miss scans ``overfetch`` times deeper than the
-round needs; the extra obstacles enter the cache only (never the current
-query's visibility graph, keeping per-query results and NOE bit-identical
-to the cold algorithm), so nearby follow-up queries land inside the wider
-capsule.
-
 Staleness under index mutations.  A capsule is a statement about the
 *dataset*, so any mutation of the obstacle tree can silently falsify it.
 The cache therefore records the tree's mutation counter
@@ -48,9 +42,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, NamedTuple, Sequence, Set, Tuple
+from typing import List, NamedTuple, Sequence, Set, Tuple
 
 from ..core.ior import TreeObstacleFetcher
 from ..core.stats import QueryStats
@@ -61,6 +54,10 @@ from ..index.rstar import RStarTree
 from ..obstacles.obstacle import Obstacle
 from ..obstacles.visgraph import LocalVisibilityGraph
 from .concurrency import CountingRLock
+
+MAX_CAPSULES = 128
+"""Coverage capsules kept per cache; the oldest go first (their obstacles
+stay cached — only the *proof of exhaustiveness* is dropped)."""
 
 
 class Capsule(NamedTuple):
@@ -162,22 +159,11 @@ class ObstacleCache:
         obstacle_tree: the obstacle R*-tree (2T) or the unified tree (1T —
             non-:class:`~repro.obstacles.obstacle.Obstacle` payloads are
             ignored when fetching).
-        overfetch: miss-path scan depth multiplier (``>= 1``).  ``1.0``
-            reproduces the cold algorithm's I/O exactly; larger values trade
-            a deeper first scan for wider coverage capsules that turn nearby
-            follow-up queries into pure cache hits.
-        max_capsules: coverage-region bookkeeping bound; oldest capsules are
-            evicted first (their obstacles stay cached — only the *proof of
-            exhaustiveness* is dropped).
     """
 
-    def __init__(self, obstacle_tree: RStarTree, overfetch: float = 1.0,
-                 max_capsules: int = 128):
-        if overfetch < 1.0:
-            raise ValueError("overfetch must be >= 1")
+    def __init__(self, obstacle_tree: RStarTree):
         self.tree = obstacle_tree
         self.fetcher = TreeObstacleFetcher(obstacle_tree)
-        self.overfetch = float(overfetch)
         self.stats = CacheStats()
         self.epoch = 0
         """Bumped on every insertion/eviction; views use it to refresh
@@ -186,7 +172,6 @@ class ObstacleCache:
         self._obstacles: List[Obstacle] = []
         self._mbrs: List[Rect] = []
         self._capsules: List[Capsule] = []
-        self._max_capsules = max_capsules
         self._ranked_memo = None  # (qseg key, epoch, LazyRanking)
         self._tree_version = obstacle_tree.version
         self.lock = CountingRLock()
@@ -350,7 +335,7 @@ class ObstacleCache:
                     if not new.contains(cap.spine, cap.radius)]
             if not any(cap.contains(qseg, radius) for cap in kept):
                 kept.append(new)
-            self._capsules = kept[-self._max_capsules:]
+            self._capsules = kept[-MAX_CAPSULES:]
 
     @property
     def coverage_regions(self) -> int:
@@ -552,9 +537,6 @@ class CachedObstacleView:
         self._ranked: Sequence[Tuple[float, Obstacle]] = ()
         self._cursor = 0
         self._epoch = -1
-        # Overfetched pops (mindist beyond the round's radius), ascending:
-        # cached only, still owed to the graph once the radius reaches them.
-        self._overflow: Deque[Tuple[float, Obstacle]] = deque()
 
     def _refresh_ranked(self) -> None:
         """Re-rank cached obstacles if the cache grew since the last hit.
@@ -609,28 +591,18 @@ class CachedObstacleView:
             cache.stats.misses += 1
             if self._scan is None:
                 self._scan = cache.fetcher.open_scan(self._qseg)
-            deep = radius if math.isinf(radius) else radius * cache.overfetch
             batch = []
-            # Overfetched pops from earlier rounds now inside the radius are
-            # owed to the graph first: the scan has moved past them, so they
-            # would otherwise never be inserted.  (Hit rounds serve them via
-            # the ranked cache instead.)
-            while self._overflow and self._overflow[0][0] <= radius:
-                batch.append(self._overflow.popleft()[1])
             while True:
                 key = self._scan.peek_key()
-                if math.isinf(key) or key > deep:
+                if math.isinf(key) or key > radius:
                     break
-                d, payload, _rect = self._scan.pop()
+                _d, payload, _rect = self._scan.pop()
                 cache.stats.fetched += 1
                 if isinstance(payload, Obstacle):
                     cache.add(payload)
-                    if d <= radius:
-                        batch.append(payload)
-                    else:
-                        self._overflow.append((d, payload))
+                    batch.append(payload)
             added = self._vg.add_obstacles(batch)
-            cache.record_coverage(self._qseg, deep)
+            cache.record_coverage(self._qseg, radius)
         self._stats.noe += added
         self.radius = radius
         return added

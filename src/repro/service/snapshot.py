@@ -41,8 +41,8 @@ class WorkspaceSnapshot:
     """A frozen, executable view of one workspace version.
 
     Obtained from :meth:`Workspace.snapshot`.  All read-side workspace
-    surface (``layout``, trees, ``cache``, ``config``, ``planner``,
-    ``service``, ``backend_for``) is exposed unchanged, so planner,
+    surface (``layout``, trees, ``cache``, ``backend``, ``service``,
+    ``backend_for``) is exposed unchanged, so planner,
     executor, and engines run against a snapshot exactly as they would
     against the live workspace — the snapshot's job is pinning *when* they
     run (inside a read hold) and refusing to run once the pinned version
@@ -65,8 +65,8 @@ class WorkspaceSnapshot:
         return self._ws
 
     def __getattr__(self, name: str):
-        # Read-side delegation: trees, cache, config, planner, service,
-        # layout, backend_for, routing...  Mutating entry points are
+        # Read-side delegation: trees, cache, backend, service, layout,
+        # backend_for, routing...  Mutating entry points are
         # explicitly blocked below.
         if name in ("apply", "add_site", "remove_site", "add_obstacle",
                     "remove_obstacle"):

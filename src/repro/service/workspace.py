@@ -8,14 +8,17 @@ the declarative query API (:mod:`repro.query`):
 * :meth:`Workspace.plan` turns a typed query description into a
   :class:`~repro.query.planner.QueryPlan` (algorithm + layout selection,
   capsule-based obstacle-I/O estimate, human-readable ``explain()``);
-* :meth:`Workspace.execute` runs one query, :meth:`Workspace.stream` runs a
-  lazy sequence, and :meth:`Workspace.execute_many` runs a batch reordered
-  by spatial locality with capsule-driven prefetches — results always come
+* :meth:`Workspace.execute` runs one query through
+  :mod:`repro.query.executor`, :meth:`Workspace.stream` runs a lazy
+  sequence, and :meth:`Workspace.execute_many` runs a batch reordered by
+  spatial locality with capsule-driven prefetches — results always come
   back in submission order;
 * the classic convenience methods (``conn``, ``coknn``, ``onn``, ``range``,
-  ``batch``, ``trajectory``, the obstructed joins) and the free functions
-  of :mod:`repro.core` are thin shims over ``execute()``, so the planner is
-  the single code path for every query in the library.
+  ``batch``, ``trajectory``) and the free functions of :mod:`repro.core`
+  are thin shims over ``execute()``, so the planner is the single code
+  path for every query in the library;
+* :class:`QueryService` is the asynchronous front (``serve`` / ``submit``)
+  over ``execute()``.
 
 Build a workspace whenever more than one query hits the same dataset::
 
@@ -40,16 +43,9 @@ from typing import (
 )
 
 
-from ..core.config import DEFAULT_CONFIG, ConnConfig
-from ..core.conn_1t import UnifiedSource, build_unified_tree
-from ..core.engine import ConnResult, TreeDataSource, run_query
-from ..core.joins import (
-    _closest_pair_impl,
-    _e_distance_join_impl,
-    _semi_join_impl,
-)
-from ..core.onn import PointScan, run_onn_scan
-from ..core.range_query import run_range_scan
+from ..core.config import ConnConfig
+from ..core.conn_1t import build_unified_tree
+from ..core.engine import ConnResult
 from ..core.stats import QueryStats
 from ..core.trajectory import TrajectoryResult
 from ..geometry.point import require_finite_points
@@ -59,16 +55,13 @@ from ..index.rstar import RStarTree
 from ..obstacles.obstacle import Obstacle, require_blocking
 from ..query.executor import execute as _execute
 from ..query.executor import execute_many as _execute_many
-from ..query.planner import DEFAULT_PLANNER, PlannerOptions, QueryPlan, build_plan
+from ..query.planner import QueryPlan, build_plan
 from ..query.queries import (
-    ClosestPairQuery,
     CoknnQuery,
     ConnQuery,
-    EDistanceJoinQuery,
     OnnQuery,
     Query,
     RangeQuery,
-    SemiJoinQuery,
     TrajectoryQuery,
     as_query_point,
     as_range_args,
@@ -78,7 +71,6 @@ from ..routing.backends import (
     PER_QUERY_VG,
     SHARED_VG,
     ObstructedDistanceBackend,
-    ObstructedGraph,
     PerQueryVGBackend,
     SharedVGBackend,
 )
@@ -94,26 +86,6 @@ from .updates import (
 )
 
 
-class _CachingUnifiedSource(UnifiedSource):
-    """1T source that harvests de-heaped obstacles into the workspace cache.
-
-    The unified scan must traverse the tree for data points regardless, so
-    the cache cannot skip 1T page reads; harvesting still makes the
-    obstacles available to prefetch inspection and to any 2T-style consumers
-    sharing the cache.
-    """
-
-    def __init__(self, tree: RStarTree, qseg: Segment,
-                 vg: ObstructedGraph, stats: QueryStats,
-                 cache: ObstacleCache):
-        super().__init__(tree, qseg, vg, stats)
-        self._cache = cache
-
-    def _route_obstacle(self, obstacle: Obstacle) -> int:
-        self._cache.add(obstacle)
-        return super()._route_obstacle(obstacle)
-
-
 class Workspace:
     """Shared state for answering many queries over one dataset.
 
@@ -122,20 +94,18 @@ class Workspace:
         obstacle_tree: R*-tree over obstacles (2T layout).
         unified_tree: one R*-tree holding both (1T layout); mutually
             exclusive with the pair above.
-        config: default pruning configuration for queries.
-        overfetch: obstacle-cache scan depth multiplier (see
-            :class:`~repro.service.cache.ObstacleCache`); ``1.0`` keeps the
-            cold I/O pattern bit-identical to the free functions.
-        planner: :class:`~repro.query.planner.PlannerOptions` — algorithm
-            fallback threshold and batch-scheduler knobs.
+        backend: obstructed-distance backend policy — ``"auto"`` (default:
+            the workspace-shared graph when a query plans warm or the
+            shared graph is already built, a per-query graph for cold
+            one-shots), or ``"shared"`` / ``"per-query"`` to force one.
+            Answers are identical either way; only where the visibility
+            graph work lands changes.
     """
 
     def __init__(self, data_tree: Optional[RStarTree] = None,
                  obstacle_tree: Optional[RStarTree] = None,
                  unified_tree: Optional[RStarTree] = None, *,
-                 config: ConnConfig = DEFAULT_CONFIG,
-                 overfetch: float = 1.0,
-                 planner: PlannerOptions = DEFAULT_PLANNER):
+                 backend: str = "auto"):
         if unified_tree is not None:
             if data_tree is not None or obstacle_tree is not None:
                 raise ValueError("pass either unified_tree or the "
@@ -149,12 +119,9 @@ class Workspace:
         self.data_tree = data_tree
         self.obstacle_tree = obstacle_tree
         self.unified_tree = unified_tree
-        self.config = config
-        self.planner = planner
-        self.cache = ObstacleCache(
-            obstacle_tree if obstacle_tree is not None else unified_tree,
-            overfetch=overfetch)
+        self.backend = backend
         backing = obstacle_tree if obstacle_tree is not None else unified_tree
+        self.cache = ObstacleCache(backing)
         self.routing = SharedVGBackend(backing, self.cache)
         """The workspace-shared obstructed-distance backend: one persistent
         visibility graph, patched by :meth:`apply` and selected by the
@@ -376,7 +343,7 @@ class Workspace:
     # ------------------------------------------------- declarative interface
     @property
     def service(self) -> "QueryService":
-        """The query service bound to this workspace."""
+        """The asynchronous serving front bound to this workspace."""
         return self._service
 
     def backend_for(self, name: str) -> Optional[ObstructedDistanceBackend]:
@@ -517,28 +484,21 @@ class Workspace:
 
 
 class QueryService:
-    """Query execution over a :class:`Workspace`'s shared obstacle cache.
+    """The asynchronous serving front of a workspace.
 
-    The public entry points are thin shims over the workspace's
-    :meth:`~Workspace.execute` (so the planner stays the single code path);
-    the private ``_run_*`` methods are the execution backend the
-    :mod:`repro.query.executor` dispatches to.  Every entry point matches
-    the semantics of the corresponding free function of :mod:`repro.core`
-    exactly — identical owners, split points and distances — while serving
-    obstacle retrieval rounds from the workspace cache whenever a coverage
-    capsule proves the cache complete for the requested footprint.
-    Per-query cache behavior is reported in ``result.stats``
-    (``cache_hits`` / ``cache_misses`` / ``cache_served`` /
-    ``obstacle_reads``).
+    :meth:`serve` starts a background worker pool and :meth:`submit`
+    hands it typed queries, returning futures; each query runs through the
+    workspace's own :meth:`~Workspace.execute`, so anything with an
+    ``execute`` method (a :class:`Workspace` or a
+    :class:`~repro.shard.ShardedWorkspace`) can sit behind it.
     """
 
-    def __init__(self, workspace: Workspace):
+    def __init__(self, workspace: Any):
         self._ws = workspace
         self._pool = None
         self._pool_workers = 0
         self._pool_lock = threading.Lock()
 
-    # --------------------------------------------------- async serving front
     def serve(self, workers: int = 2) -> "QueryService":
         """Start (or resize) the service's background worker pool.
 
@@ -594,196 +554,3 @@ class QueryService:
 
     def __exit__(self, *exc: Any) -> None:
         self.shutdown()
-
-    def _config(self, config: Optional[ConnConfig]) -> ConnConfig:
-        return config if config is not None else self._ws.config
-
-    def _backend(self, backend: Optional[ObstructedDistanceBackend]
-                 ) -> ObstructedDistanceBackend:
-        return (backend if backend is not None
-                else self._ws.per_query_backend)
-
-    def _open(self, anchor: Segment, vg: ObstructedGraph,
-              stats: QueryStats, data_source_factory):
-        """Layout dispatch shared by every query kind.
-
-        Returns ``(source, retriever, trackers, finish)`` where ``finish()``
-        must run after the scan to charge the obstacle index's logical reads
-        to ``stats.obstacle_reads`` (the unified tree's reads under 1T,
-        where data and obstacle pages are not separable).
-        """
-        ws = self._ws
-        if ws.layout == "2T":
-            tracker = ws.obstacle_tree.tracker
-            retriever = ws.cache.view(anchor, vg, stats)
-            source = data_source_factory()
-            trackers = (ws.data_tree.tracker, ws.obstacle_tree.tracker)
-        else:
-            tracker = ws.unified_tree.tracker
-            source = retriever = _CachingUnifiedSource(
-                ws.unified_tree, anchor, vg, stats, ws.cache)
-            trackers = (ws.unified_tree.tracker,)
-        snap = tracker.local_stats.snapshot()
-
-        def finish() -> None:
-            stats.obstacle_reads = \
-                tracker.local_stats.delta(snap).logical_reads
-
-        return source, retriever, trackers, finish
-
-    # ------------------------------------------------------------ conn/coknn
-    def coknn(self, query: Segment, k: int = 1,
-              config: Optional[ConnConfig] = None) -> ConnResult:
-        """Continuous obstructed k-NN of every point of ``query``."""
-        return self._ws.execute(CoknnQuery(query, k, config=config))
-
-    def conn(self, query: Segment,
-             config: Optional[ConnConfig] = None) -> ConnResult:
-        """Continuous obstructed nearest-neighbor query (k = 1)."""
-        return self._ws.execute(ConnQuery(query, config=config))
-
-    def _run_coknn(self, query: Segment, k: int,
-                   config: Optional[ConnConfig],
-                   backend: Optional[ObstructedDistanceBackend] = None
-                   ) -> ConnResult:
-        cfg = self._config(config)
-        stats = QueryStats()
-        with self._backend(backend).attach_endpoints(query, stats) as vg:
-            source, retriever, trackers, finish = self._open(
-                query, vg, stats,
-                lambda: TreeDataSource(self._ws.data_tree, query))
-            result = run_query(source, retriever, vg, query, k, cfg,
-                               trackers, stats)
-        finish()
-        return result
-
-    # --------------------------------------------------------------- points
-    def onn(self, x, y: Optional[float] = None, k: int = 1,
-            config: Optional[ConnConfig] = None
-            ) -> Tuple[List[Tuple[Any, float]], QueryStats]:
-        """The ``k`` obstructed nearest neighbors of a point.
-
-        Works on both layouts (the 1T path routes the unified scan's
-        obstacles straight into the visibility graph); accepts bare floats,
-        an ``(x, y)`` tuple, or a :class:`~repro.geometry.point.Point`.
-        """
-        return self._ws.onn(x, y, k=k, config=config)
-
-    def _run_onn(self, x: float, y: float, k: int,
-                 config: Optional[ConnConfig],
-                 backend: Optional[ObstructedDistanceBackend] = None
-                 ) -> Tuple[List[Tuple[Any, float]], QueryStats]:
-        cfg = self._config(config)
-        stats = QueryStats()
-        anchor = Segment(x, y, x, y)
-        with self._backend(backend).attach_endpoints(anchor, stats) as vg:
-            source, retriever, trackers, finish = self._open(
-                anchor, vg, stats,
-                lambda: PointScan(self._ws.data_tree, x, y))
-            neighbors = run_onn_scan(source, retriever, vg, k, cfg, stats,
-                                     trackers)
-        finish()
-        return neighbors, stats
-
-    def range(self, x, y: Optional[float] = None,
-              radius: Optional[float] = None
-              ) -> Tuple[List[Tuple[Any, float]], QueryStats]:
-        """All points within obstructed distance ``radius`` of a point."""
-        return self._ws.range(x, y, radius)
-
-    def _run_range(self, x: float, y: float, radius: float,
-                   backend: Optional[ObstructedDistanceBackend] = None
-                   ) -> Tuple[List[Tuple[Any, float]], QueryStats]:
-        stats = QueryStats()
-        anchor = Segment(x, y, x, y)
-        with self._backend(backend).attach_endpoints(anchor, stats) as vg:
-            source, retriever, trackers, finish = self._open(
-                anchor, vg, stats,
-                lambda: PointScan(self._ws.data_tree, x, y))
-            matches = run_range_scan(source, retriever, vg, radius, stats,
-                                     trackers)
-        finish()
-        return matches, stats
-
-    # ------------------------------------------------------------ composites
-    def batch(self, queries: Sequence[Segment], k: int = 1,
-              config: Optional[ConnConfig] = None) -> List[ConnResult]:
-        """Answer many CONN/COkNN queries; later ones reuse cached obstacles."""
-        return self._ws.batch(queries, k=k, config=config)
-
-    def trajectory(self, waypoints: Sequence[Tuple[float, float]],
-                   k: int = 1,
-                   config: Optional[ConnConfig] = None) -> TrajectoryResult:
-        """Trajectory CONN/COkNN along a polyline.
-
-        Each leg runs the standard engine with its own visibility graph
-        (keeping per-leg pruning radii tight), but all legs draw obstacles
-        from the shared cache, so adjacent legs — whose retrieval footprints
-        overlap around the common waypoint — stop re-reading the obstacle
-        tree for obstacles the previous leg already fetched.
-        """
-        return self._ws.trajectory(waypoints, k=k, config=config)
-
-    def _run_trajectory(self, waypoints: Sequence[Tuple[float, float]],
-                        k: int, config: Optional[ConnConfig],
-                        backend: Optional[ObstructedDistanceBackend] = None
-                        ) -> TrajectoryResult:
-        segs = [Segment(float(ax), float(ay), float(bx), float(by))
-                for (ax, ay), (bx, by) in zip(waypoints, waypoints[1:])]
-        segs = [s for s in segs if not s.is_degenerate()]
-        if not segs:
-            raise ValueError("trajectory has no leg of positive length")
-        workers = self._ws.planner.parallel_workers
-        if workers > 1 and len(segs) > 1:
-            # Legs are independent sub-queries over one frozen workspace
-            # state (the caller's read hold covers every worker thread's
-            # nested reads): run them on a throwaway pool, keep submission
-            # order.  Identical answers; this is what the planner's
-            # ``est_parallel_speedup`` prices.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                    max_workers=min(workers, len(segs))) as pool:
-                legs = list(pool.map(
-                    lambda seg: self._run_coknn(seg, k, config, backend),
-                    segs))
-        else:
-            legs = [self._run_coknn(seg, k, config, backend) for seg in segs]
-        return TrajectoryResult(waypoints, legs, k)
-
-    # ----------------------------------------------------------------- joins
-    def e_distance_join(self, tree_a: RStarTree, tree_b: RStarTree,
-                        e: float) -> Tuple[List[Tuple[Any, Any, float]],
-                                           QueryStats]:
-        """All cross pairs within obstructed distance ``e`` (shared cache)."""
-        res = self._ws.execute(EDistanceJoinQuery(tree_a, tree_b, e))
-        return res.tuples(), res.stats
-
-    def _run_e_distance_join(self, tree_a: RStarTree, tree_b: RStarTree,
-                             e: float) -> Tuple[List[Tuple[Any, Any, float]],
-                                                QueryStats]:
-        return _e_distance_join_impl(tree_a, tree_b, self._ws.obstacle_tree,
-                                     e, cache=self._ws.cache)
-
-    def closest_pair(self, tree_a: RStarTree, tree_b: RStarTree
-                     ) -> Tuple[Optional[Tuple[Any, Any, float]], QueryStats]:
-        """The cross-set pair with the smallest obstructed distance."""
-        res = self._ws.execute(ClosestPairQuery(tree_a, tree_b))
-        return res.pair, res.stats
-
-    def _run_closest_pair(self, tree_a: RStarTree, tree_b: RStarTree
-                          ) -> Tuple[Optional[Tuple[Any, Any, float]],
-                                     QueryStats]:
-        return _closest_pair_impl(tree_a, tree_b, self._ws.obstacle_tree,
-                                  cache=self._ws.cache)
-
-    def semi_join(self, tree_a: RStarTree, tree_b: RStarTree
-                  ) -> Tuple[List[Tuple[Any, Any, float]], QueryStats]:
-        """For each point of ``tree_a``: its obstructed NN in ``tree_b``."""
-        res = self._ws.execute(SemiJoinQuery(tree_a, tree_b))
-        return res.tuples(), res.stats
-
-    def _run_semi_join(self, tree_a: RStarTree, tree_b: RStarTree
-                       ) -> Tuple[List[Tuple[Any, Any, float]], QueryStats]:
-        return _semi_join_impl(tree_a, tree_b, self._ws.obstacle_tree,
-                               cache=self._ws.cache)

@@ -24,7 +24,7 @@ regions" as plain cell-set containment: ``shards_for_rect(ball) <= sids``.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from ..geometry.rectangle import Rect
 from ..query.executor import hilbert_index

@@ -57,13 +57,14 @@ from typing import (
     Tuple,
 )
 
-from ..core.config import DEFAULT_CONFIG, ConnConfig
+from ..core.config import ConnConfig
 from ..geometry.point import require_finite_points
 from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
 from ..monitor.monitor import influence_radius
 from ..obstacles.obstacle import Obstacle
-from ..query.planner import DEFAULT_PLANNER, PlannerOptions, QueryPlan
+from ..query.executor import split_batch
+from ..query.planner import QueryPlan
 from ..query.queries import (
     CoknnQuery,
     ConnQuery,
@@ -104,14 +105,12 @@ class ShardedWorkspace:
     Args:
         shards: the per-shard workspaces, indexed by shard id.
         partitioner: the ownership map the shards were split by.
-        config: default pruning configuration for queries.
-        planner: planner options handed to every shard.
+        backend: the obstructed-distance backend policy of every shard and
+            merged environment (see :class:`Workspace`).
     """
 
     def __init__(self, shards: Sequence[Workspace],
-                 partitioner: Partitioner, *,
-                 config: ConnConfig = DEFAULT_CONFIG,
-                 planner: PlannerOptions = DEFAULT_PLANNER):
+                 partitioner: Partitioner, *, backend: str = "auto"):
         if len(shards) != partitioner.num_shards:
             raise ValueError(
                 f"partitioner expects {partitioner.num_shards} shards, "
@@ -122,8 +121,7 @@ class ShardedWorkspace:
                                  "(per-shard obstacle trees)")
         self.shards = list(shards)
         self.partitioner = partitioner
-        self.config = config
-        self.planner = planner
+        self.backend = backend
         self.layout = "2T"
         self.version = 0
         """Mutation counter: bumped by every applied update (the sharded
@@ -148,9 +146,7 @@ class ShardedWorkspace:
                     shards: int = 4,
                     partitioner: Optional[Partitioner] = None,
                     page_size: int = 4096,
-                    config: ConnConfig = DEFAULT_CONFIG,
-                    planner: PlannerOptions = DEFAULT_PLANNER,
-                    overfetch: float = 1.0) -> "ShardedWorkspace":
+                    backend: str = "auto") -> "ShardedWorkspace":
         """Partition raw points and obstacles into per-shard workspaces.
 
         Args:
@@ -186,10 +182,9 @@ class ShardedWorkspace:
                 obstacle_lists[sid].append(o)
         built = [Workspace.from_points(site_lists[sid], obstacle_lists[sid],
                                        layout="2T", page_size=page_size,
-                                       config=config, planner=planner,
-                                       overfetch=overfetch)
+                                       backend=backend)
                  for sid in range(partitioner.num_shards)]
-        sws = cls(built, partitioner, config=config, planner=planner)
+        sws = cls(built, partitioner, backend=backend)
         sws.stats.replicated_obstacles = replicas
         return sws
 
@@ -206,7 +201,7 @@ class ShardedWorkspace:
         return cls.from_points(
             points, obstacles, shards=shards, partitioner=partitioner,
             page_size=workspace.obstacle_tree.page_size,
-            config=workspace.config, planner=workspace.planner)
+            backend=workspace.backend)
 
     # -------------------------------------------------------------- structure
     @property
@@ -230,9 +225,9 @@ class ShardedWorkspace:
     @property
     def service(self) -> QueryService:
         """An async serving front (``serve`` / ``submit``) routing through
-        this sharded workspace — the same
-        :class:`~repro.service.workspace.QueryService` machinery single
-        workspaces use."""
+        this sharded workspace's :meth:`execute` — the same
+        :class:`~repro.service.workspace.QueryService` single workspaces
+        use."""
         return self._service
 
     # --------------------------------------------------------------- warm-up
@@ -311,7 +306,7 @@ class ShardedWorkspace:
                     seen.setdefault(obstacle)
             merged = Workspace.from_points(
                 points, list(seen), layout="2T", page_size=self._page_size,
-                config=self.config, planner=self.planner)
+                backend=self.backend)
             # Warm the merged environment's shared graph eagerly: every
             # adjacency row over the member obstacles is cut in one bulk
             # pass now, so the border crossing that triggered this merge —
@@ -468,13 +463,9 @@ class ShardedWorkspace:
     def _shard_groups(self, qs: List[Query]
                       ) -> Tuple[List[List[int]], List[int]]:
         """Group query indices by home shard; non-spatial indices tail."""
+        spatial, tail = split_batch(qs)
         groups: Dict[int, List[int]] = {}
-        tail: List[int] = []
-        for i, q in enumerate(qs):
-            footprint = q.footprint() if isinstance(q, Query) else None
-            if footprint is None:
-                tail.append(i)
-                continue
+        for i, footprint in spatial:
             home = min(self.partitioner.shards_for_rect(footprint))
             groups.setdefault(home, []).append(i)
         return [groups[sid] for sid in sorted(groups)], tail

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.geometry import Rect, Segment
+from repro.geometry import Segment
 from repro.index import RStarTree
 from repro.obstacles import (
     Obstacle,

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PlannerOptions, SegmentObstacle, Workspace
+from repro import SegmentObstacle, Workspace
 from repro.geometry.vectorized import BATCH_TILE_ELEMS
 from repro.obstacles import visgraph
 from repro.obstacles.visgraph import LocalVisibilityGraph
@@ -333,10 +333,10 @@ def test_workspace_answers_identical_across_backends(seed, k, prefetch):
     points, obstacles = random_scene(rng, n_points=8, n_obstacles=5)
     shared = Workspace.from_points(
         list(points), list(obstacles),
-        planner=PlannerOptions(backend="shared"))
+        backend="shared")
     per = Workspace.from_points(
         list(points), list(obstacles),
-        planner=PlannerOptions(backend="per-query"))
+        backend="per-query")
     qseg = random_query(rng)
     x, y = qseg.point_at(0.5 * qseg.length)
     with _wave(prefetch):

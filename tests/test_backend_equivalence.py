@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PlannerOptions, RectObstacle, SegmentObstacle, Workspace
+from repro import RectObstacle, SegmentObstacle, Workspace
 from tests.conftest import random_query, random_scene, same_values
 
 OPS = ("add_site", "remove_site", "add_obstacle", "remove_obstacle")
@@ -73,9 +73,9 @@ def test_backends_agree_under_interleaved_updates(seed, pattern, k):
     points = list(points)
     obstacles = list(obstacles)
     ws_shared = Workspace.from_points(
-        points, obstacles, planner=PlannerOptions(backend="shared"))
+        points, obstacles, backend="shared")
     ws_per = Workspace.from_points(
-        points, obstacles, planner=PlannerOptions(backend="per-query"))
+        points, obstacles, backend="per-query")
     qseg = random_query(rng)
     _check_agreement(ws_shared, ws_per, qseg, k)  # warm both before mutating
     next_id = 10_000

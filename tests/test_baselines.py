@@ -18,7 +18,6 @@ from repro.baselines import (
 )
 from repro.geometry import Segment, dist
 from repro.obstacles import (
-    ObstacleSet,
     RectObstacle,
     SegmentObstacle,
     obstructed_distance,

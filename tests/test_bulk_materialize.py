@@ -28,7 +28,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ConnQuery, PlannerOptions, Workspace
+from repro import ConnQuery, Workspace
 from repro.geometry import Segment
 from repro.obstacles import (
     LocalVisibilityGraph,
@@ -252,7 +252,7 @@ class TestColdRebuilds:
         def workspace(backend):
             ws = Workspace.from_points(
                 points, obstacles, page_size=256,
-                planner=PlannerOptions(backend=backend))
+                backend=backend)
             ws.prefetch_all()
             return ws
 

@@ -291,6 +291,39 @@ class TestParallelExecutor:
         par = ws.snapshot().execute_many(qs, workers=2, mode="fork")
         assert tuple_rows(par) == tuple_rows(serial)
 
+    @pytest.mark.skipif(not hasattr(os, "fork")
+                        or effective_workers(2, "fork") < 2,
+                        reason="needs two fork workers (POSIX, 2+ CPUs)")
+    def test_dead_fork_worker_fails_batch_and_pool_recovers(self,
+                                                             monkeypatch):
+        """A forked worker that dies mid-batch fails the whole batch with
+        ``BrokenProcessPool`` (never a partial list) and leaves nothing
+        behind: the pool global is cleared, the read hold is released (an
+        update applies) and the next fork batch answers every query."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.query import parallel
+
+        ws = make_ws(n_points=60, n_obstacles=20)
+        qs = mixed_queries(random.Random(21), 12)
+        parent = os.getpid()
+        real = parallel._execute_bucket
+
+        def dies_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(parallel, "_execute_bucket", dies_in_worker)
+        with pytest.raises(BrokenProcessPool):
+            ws.execute_many(qs, workers=2, mode="fork")
+        monkeypatch.undo()
+        assert parallel._fork_run_group is None
+        assert ws.apply([AddSite("late", 500.0, 500.0)]) == [True]
+        out = ws.execute_many(qs, workers=2, mode="fork")
+        assert len(out) == len(qs)
+        assert tuple_rows(out) == tuple_rows(ws.execute_many(qs))
+
     def test_warm_workload_runs_parallel_on_shared_graph(self):
         ws = make_ws()
         ws.prefetch_all()

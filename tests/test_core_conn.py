@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines import cnn_euclidean, naive_conn
 from repro.core import ConnConfig, conn
-from repro.geometry import Rect, Segment
+from repro.geometry import Segment
 from repro.obstacles import RectObstacle, SegmentObstacle
 from tests.conftest import (
     build_obstacle_tree,

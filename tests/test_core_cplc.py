@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -15,7 +14,6 @@ from repro.geometry import Segment
 from repro.obstacles import (
     LocalVisibilityGraph,
     RectObstacle,
-    SegmentObstacle,
     obstructed_distance,
 )
 from tests.conftest import (

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import ConnConfig, PiecewiseDistance, QueryStats
 from repro.core.engine import ConnResult, KEnvelope, TreeDataSource
-from repro.geometry import IntervalSet, Rect, Segment
+from repro.geometry import IntervalSet, Segment
 from tests.conftest import build_point_tree, same_values
 
 Q = Segment(0, 0, 100, 0)

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.baselines import brute_distance_function, naive_onn
+from repro.baselines import naive_onn
 from repro.core import (
     coknn,
     conn,

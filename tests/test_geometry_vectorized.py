@@ -14,7 +14,6 @@ from repro.geometry.vectorized import (
     blocked_by_rects,
     blocked_by_segments,
     crosses_rect_interior,
-    proper_cross_segments,
     visibility_mask,
 )
 

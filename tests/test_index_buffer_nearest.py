@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from repro.geometry import Rect, Segment
+from repro.geometry import Segment
 from repro.index import (
     IO_MS_PER_FAULT,
     IncrementalNearest,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import conn
-from repro.geometry import Rect, Segment
+from repro.geometry import Rect
 from repro.index import RStarTree
 from repro.index.storage import load_tree, save_tree
 from repro.obstacles import PolygonObstacle, RectObstacle, SegmentObstacle

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import conn, coknn
 from repro.baselines import naive_conn
-from repro.geometry import IntervalSet, Segment
+from repro.geometry import Segment
 from repro.geometry.vectorized import crosses_convex_polygon
 from repro.obstacles import (
     ObstacleSet,

@@ -11,7 +11,6 @@ import pytest
 from repro.geometry import Segment
 from repro.obstacles import (
     LocalVisibilityGraph,
-    ObstacleSet,
     RectObstacle,
     SegmentObstacle,
     obstructed_distance,

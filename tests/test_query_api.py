@@ -97,7 +97,8 @@ class TestDescriptions:
         cfg = repro.ConnConfig.no_pruning()
         q = ConnQuery(Segment(0, 50, 100, 50), config=cfg)
         assert ws.plan(q).config == cfg
-        assert ws.plan(ConnQuery(Segment(0, 50, 100, 50))).config == ws.config
+        assert ws.plan(ConnQuery(Segment(0, 50, 100, 50))).config == \
+            repro.DEFAULT_CONFIG
         assert ws.execute(q).tuples() == \
             ws.conn(Segment(0, 50, 100, 50)).tuples()
 
@@ -111,14 +112,12 @@ class TestPointNormalization:
         base, _ = ws.onn(20.0, 30.0, k=3)
         assert ws.onn((20.0, 30.0), k=3)[0] == base
         assert ws.onn(Point(20.0, 30.0), k=3)[0] == base
-        assert ws.service.onn((20.0, 30.0), k=3)[0] == base
 
     def test_workspace_range_spellings(self):
         ws = small_scene()
         base, _ = ws.range(20.0, 30.0, 25.0)
         assert ws.range((20.0, 30.0), 25.0)[0] == base
         assert ws.range(Point(20.0, 30.0), radius=25.0)[0] == base
-        assert ws.service.range((20.0, 30.0), 25.0)[0] == base
 
     def test_free_function_spellings(self):
         ws = small_scene()
@@ -341,7 +340,6 @@ class TestExports:
 
     def test_query_types_in_all(self):
         for cls in self.QUERY_TYPES + [Query, repro.QueryPlan,
-                                       repro.PlannerOptions,
                                        repro.QueryResult,
                                        repro.NeighborsResult,
                                        repro.JoinResult,

@@ -18,7 +18,6 @@ from repro import (
     ConnQuery,
     EDistanceJoinQuery,
     OnnQuery,
-    PlannerOptions,
     RangeQuery,
     RectObstacle,
     RStarTree,
@@ -112,23 +111,6 @@ class TestPlanSelection:
         plan = make_ws(parts).plan(RangeQuery((10, 10), 17.5))
         assert plan.est_radius == 17.5
 
-    def test_planner_prices_parallelism(self, parts):
-        waypoints = tuple((10.0 * i, 20.0 + 5.0 * (i % 3))
-                          for i in range(7))  # 6 legs
-        traj = TrajectoryQuery(waypoints, 2)
-        serial_ws = make_ws(parts)
-        assert serial_ws.plan(traj).est_parallel_speedup == 1.0
-        ws = make_ws(parts, planner=PlannerOptions(parallel_workers=4))
-        plan = ws.plan(traj)
-        # 6 legs over 4 workers drain in 2 pool rounds: 3x.
-        assert plan.est_parallel_speedup == pytest.approx(3.0)
-        assert "speedup" in plan.explain()
-        # Single-segment plans are inherently serial.
-        assert ws.plan(ConnQuery(SEG)).est_parallel_speedup == 1.0
-        # And the trajectory executor honors the priced pool: identical
-        # answers with parallel legs.
-        assert ws.execute(traj).tuples() == serial_ws.execute(traj).tuples()
-
     def test_execute_accepts_prepared_plan(self, parts):
         ws = make_ws(parts)
         q = ConnQuery(SEG)
@@ -139,19 +121,12 @@ class TestPlanSelection:
 
 
 class TestNaiveFallback:
-    def test_threshold_selects_naive_preload(self, parts):
-        ws = make_ws(parts, planner=PlannerOptions(naive_max_points=1000))
-        plan = ws.plan(ConnQuery(SEG))
-        assert plan.algorithm == "naive-preload"
-        assert any("tiny" in n for n in plan.notes)
-        # Default planner never picks it.
-        assert make_ws(parts).plan(ConnQuery(SEG)).algorithm == "coknn-2t"
-        # Large thresholds don't apply below the dataset size.
-        ws_big = make_ws(parts, planner=PlannerOptions(naive_max_points=10))
-        assert ws_big.plan(ConnQuery(SEG)).algorithm == "coknn-2t"
+    """A workspace preloaded with ``prefetch_all()`` — the whole obstacle
+    set in memory — answers exactly like a cold one."""
 
     def test_naive_results_match_engine(self, parts):
-        ws = make_ws(parts, planner=PlannerOptions(naive_max_points=1000))
+        ws = make_ws(parts)
+        ws.prefetch_all()
         reference = make_ws(parts)
         for q in (ConnQuery(SEG), CoknnQuery(SEG, knn=2),
                   OnnQuery((20, 20), knn=2), RangeQuery((20, 20), 30.0),
@@ -160,9 +135,8 @@ class TestNaiveFallback:
             b = reference.execute(q)
             assert a.tuples() == b.tuples(), q
             assert a.stats.noe == b.stats.noe, q
-        # After the preload no query reads the obstacle tree again.
-        res = ws.execute(ConnQuery(SEG))
-        assert res.stats.obstacle_reads == 0
+            # After the preload no query reads the obstacle tree again.
+            assert a.stats.obstacle_reads == 0, q
         assert ws.plan(ConnQuery(SEG)).warm
 
 
@@ -231,17 +205,6 @@ class TestExecutorEquivalence:
             legacy_e
         got_cp = ws.execute(ClosestPairQuery(ws.data_tree, inner))
         assert got_cp.pair == legacy_cp
-
-    def test_service_shims_match_execute(self, parts):
-        """The convenience methods are shims over the same planner path."""
-        ws = make_ws(parts)
-        assert ws.service.conn(SEG).tuples() == \
-            ws.execute(ConnQuery(SEG)).tuples()
-        assert ws.service.coknn(SEG, k=2).tuples() == \
-            ws.execute(CoknnQuery(SEG, knn=2)).tuples()
-        inner = inner_tree()
-        rows, _ = ws.service.semi_join(ws.data_tree, inner)
-        assert rows == ws.execute(SemiJoinQuery(ws.data_tree, inner)).tuples()
 
     def test_unreachable_is_consistent(self, parts):
         """A query sealed inside an obstacle ring agrees across paths."""

@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 
 from repro import (
     ConnQuery,
-    PlannerOptions,
     RectObstacle,
     ShardedWorkspace,
     Workspace,
@@ -157,7 +156,7 @@ POINTS = [(i, (11.0 * i + 3.0, 47.0 + (i % 3))) for i in range(9)]
 
 def run_storm(backend: str, rounds) -> tuple:
     ws = Workspace.from_points(POINTS, [RectObstacle(40, 44, 46, 56)],
-                               planner=PlannerOptions(backend=backend))
+                               backend=backend)
     answers = []
     for o, q in rounds:
         ws.add_obstacle(o)
@@ -197,10 +196,10 @@ class TestShardedRepair:
         straddler = RectObstacle(44, 38, 56, 62)
         q = ConnQuery(Segment(5, 50, 90, 50), label="border")
         flat = Workspace.from_points(points, base,
-                                     planner=PlannerOptions(backend="shared"))
+                                     backend="shared")
         sws = ShardedWorkspace.from_points(
             points, base, shards=shards,
-            planner=PlannerOptions(backend="shared"))
+            backend="shared")
         for ws in (flat, sws):
             ws.add_obstacle(straddler)
         with_it = flat.execute(q).tuples()
@@ -224,9 +223,9 @@ class TestShardedRepair:
         rounds = storm_script(rng, 3)
         points = POINTS
         flat = Workspace.from_points(points, [],
-                                     planner=PlannerOptions(backend="shared"))
+                                     backend="shared")
         sws = ShardedWorkspace.from_points(
-            points, [], shards=4, planner=PlannerOptions(backend="shared"))
+            points, [], shards=4, backend="shared")
         for o, q in rounds:
             for ws in (flat, sws):
                 ws.add_obstacle(o)

@@ -33,7 +33,6 @@ from repro import (
     ConnQuery,
     OnnQuery,
     PerQueryVGBackend,
-    PlannerOptions,
     RangeQuery,
     RectObstacle,
     RemoveObstacle,
@@ -172,7 +171,7 @@ class TestSharedGraphLifecycle:
         """
         obstacles = building_lattice(9)
         ws = make_ws(lattice_sites(obstacles, 50, seed=11), obstacles,
-                     page_size=256, planner=PlannerOptions(backend="shared"))
+                     page_size=256, backend="shared")
         rng = random.Random(14)
         for _ in range(2):
             ax, ay = rng.uniform(35, 65), rng.uniform(42, 58)
@@ -326,7 +325,7 @@ class TestSharedGraphLifecycle:
 
     def test_monitor_respects_per_query_alias(self):
         for policy in ("per-query", "per-query-vg"):
-            ws = make_ws(planner=PlannerOptions(backend=policy))
+            ws = make_ws(backend=policy)
             m = ws.monitors.register(ConnQuery(SEG))
             ws.add_obstacle(RectObstacle(20.0, 46.0, 22.0, 49.0))
             assert m.result.stats.backend_name == "per-query-vg"
@@ -393,7 +392,7 @@ class TestPlannerSelection:
         assert any("resident" in n for n in after.notes)
 
     def test_forced_options_and_overrides(self):
-        ws = make_ws(planner=PlannerOptions(backend="shared"))
+        ws = make_ws(backend="shared")
         assert ws.plan(ConnQuery(SEG)).backend == "shared-vg"
         assert ws.plan(ConnQuery(SEG),
                        backend="per-query").backend == "per-query-vg"
@@ -453,7 +452,7 @@ class TestPlannerSelection:
     def test_join_plan_quotes_no_backend_counters(self):
         """The joins run their own pairwise graph, so no backend's totals
         describe them."""
-        ws = make_ws(planner=PlannerOptions(backend="per-query"))
+        ws = make_ws(backend="per-query")
         ws.conn(SEG)  # the per-query backend has counts to (mis)quote
         from repro import SemiJoinQuery
 
@@ -480,9 +479,9 @@ class TestBackendResultEquivalence:
         points, obstacles = random_scene(rng, n_points=10, n_obstacles=7)
         q = random_query(rng)
         shared = Workspace.from_points(
-            points, obstacles, planner=PlannerOptions(backend="shared"))
+            points, obstacles, backend="shared")
         per = Workspace.from_points(
-            points, obstacles, planner=PlannerOptions(backend="per-query"))
+            points, obstacles, backend="per-query")
         for _ in range(2):  # second round runs on the reused shared graph
             assert_same_result(shared.coknn(q, k=k), per.coknn(q, k=k), q)
         assert shared.routing.stats.graphs_built == 1
@@ -493,9 +492,9 @@ class TestBackendResultEquivalence:
         points, obstacles = random_scene(rng, n_points=10, n_obstacles=7)
         x, y = rng.uniform(10, 90), rng.uniform(10, 90)
         shared = Workspace.from_points(
-            points, obstacles, planner=PlannerOptions(backend="shared"))
+            points, obstacles, backend="shared")
         per = Workspace.from_points(
-            points, obstacles, planner=PlannerOptions(backend="per-query"))
+            points, obstacles, backend="per-query")
         for _ in range(2):
             nn_s, st_s = shared.onn(x, y, k=3)
             nn_p, st_p = per.onn(x, y, k=3)
@@ -516,9 +515,9 @@ class TestBackendResultEquivalence:
                  SegmentObstacle(52, 51, 48, 51), SegmentObstacle(49, 52, 49, 48)]
         points = [(0, (50.0, 50.0)), (1, (10.0, 50.0))]
         shared = Workspace.from_points(
-            points, walls, planner=PlannerOptions(backend="shared"))
+            points, walls, backend="shared")
         per = Workspace.from_points(
-            points, walls, planner=PlannerOptions(backend="per-query"))
+            points, walls, backend="per-query")
         for ws in (shared, per):
             nn, _ = ws.onn(5.0, 50.0, k=2)
             assert [p for p, _d in nn] == [1]  # 0 is sealed off
@@ -587,7 +586,7 @@ class TestCounterConservation:
         rng = random.Random(5)
         points, obstacles = random_scene(rng, n_points=14, n_obstacles=8)
         ws = Workspace.from_points(points, obstacles,
-                                   planner=PlannerOptions(backend=policy))
+                                   backend=policy)
         backend = ws.routing if policy == "shared" else ws.per_query_backend
         if policy == "shared":
             ws.prefetch_all()

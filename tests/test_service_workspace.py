@@ -4,7 +4,7 @@ The contract under test is twofold:
 
 * **Equivalence** — warm-cache results (owners, split points, distances)
   are identical to the cold free functions on randomized scenes, for every
-  query kind, with and without prefetch/overfetch;
+  query kind, with and without prefetch;
 * **Amortization** — a warm repeat of a query performs strictly fewer
   obstacle-tree logical reads than its cold first run (zero, once covered),
   and the cache counters in ``QueryStats`` / ``CacheStats`` report it.
@@ -21,6 +21,7 @@ import pytest
 from repro import (
     ObstacleCache,
     QueryService,
+    SemiJoinQuery,
     Workspace,
     coknn,
     coknn_single_tree,
@@ -73,12 +74,12 @@ class TestWarmEquivalence:
         assert warm.stats.noe == cold.stats.noe
 
     def test_overfetch_gap_obstacles_still_reach_graph(self):
-        """Regression: overfetched (cache-only) pops must reach the graph.
+        """Regression: a blocker the first round skips must reach the graph.
 
         A long wall makes the detour jump the retrieval radius far past the
-        overfetched capsule in one round; the small blocker, cached in the
-        overfetch gap of round 1, must still be inserted by the later miss
-        round or the warm path routes straight through it.
+        first round's capsule in one round; the small blocker just beyond
+        round 1 must still be inserted by the later miss round — cold,
+        warm and prefetched — or the path routes straight through it.
         """
         from repro.obstacles import SegmentObstacle
 
@@ -87,10 +88,13 @@ class TestWarmEquivalence:
         dt = build_point_tree([("p", (10.0, 0.0))])
         ot = build_obstacle_tree([wall, gap_blocker])
         cold, _ = onn(dt, ot, 0.0, 0.0, k=1)
-        ws = Workspace.from_trees(dt, ot, overfetch=2.5)
-        warm, _ = ws.onn(0.0, 0.0, k=1)
-        assert warm[0][0] == cold[0][0]
-        assert warm[0][1] == pytest.approx(cold[0][1], abs=1e-9)
+        ws = Workspace.from_trees(dt, ot)
+        prefetched = Workspace.from_trees(dt, ot)
+        prefetched.prefetch_all()
+        for got, _ in (ws.onn(0.0, 0.0, k=1), ws.onn(0.0, 0.0, k=1),
+                       prefetched.onn(0.0, 0.0, k=1)):
+            assert got[0][0] == cold[0][0]
+            assert got[0][1] == pytest.approx(cold[0][1], abs=1e-9)
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_overfetch_and_prefetch_match_cold(self, seed):
@@ -100,9 +104,9 @@ class TestWarmEquivalence:
         dt = build_point_tree(points)
         ot = build_obstacle_tree(obstacles)
         cold = conn(dt, ot, q)
-        deep = Workspace.from_trees(dt, ot, overfetch=2.5)
-        assert_same_result(deep.conn(q), cold, q)
-        assert_same_result(deep.conn(q), cold, q)
+        repeated = Workspace.from_trees(dt, ot)
+        assert_same_result(repeated.conn(q), cold, q)  # cold in the cache
+        assert_same_result(repeated.conn(q), cold, q)  # warm repeat
         warmed = Workspace.from_trees(dt, ot)
         warmed.prefetch_all()
         assert_same_result(warmed.conn(q), cold, q)
@@ -153,7 +157,7 @@ class TestWarmEquivalence:
         cold_rows, _ = obstructed_semi_join(ta, tb, ot)
         ws = Workspace.from_trees(ta, ot)
         ws.prefetch_all()
-        rows, _ = ws.service.semi_join(ta, tb)
+        rows = ws.execute(SemiJoinQuery(ta, tb)).tuples()
         assert [(a, b) for a, b, _ in rows] == \
             [(a, b) for a, b, _ in cold_rows]
         assert [d for _, _, d in rows] == pytest.approx(
@@ -208,7 +212,7 @@ class TestWarmCacheSavings:
 
     def test_batch_amortizes_across_queries(self, rng):
         points, obstacles = random_scene(rng, n_points=12, n_obstacles=8)
-        ws = make_workspace(points, obstacles, overfetch=2.0)
+        ws = make_workspace(points, obstacles)
         q = random_query(rng)
         queries = [q] * 4
         results = ws.batch(queries, k=2)
@@ -260,10 +264,6 @@ class TestObstacleCacheUnit:
         assert cache.covered(Segment(-1e7, 0, 1e7, 1e5), math.inf)
         assert len(cache) == len(obstacles)
 
-    def test_overfetch_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            ObstacleCache(build_obstacle_tree([]), overfetch=0.5)
-
 
 class TestWorkspaceFacade:
     def test_layout_validation(self, rng):
@@ -297,7 +297,7 @@ class TestWorkspaceFacade:
         ws = Workspace.from_unified(build_unified_tree(points, obstacles))
         dt = build_point_tree(points)
         with pytest.raises(ValueError):
-            ws.service.semi_join(dt, dt)
+            ws.execute(SemiJoinQuery(dt, dt))
 
     def test_service_is_importable_and_bound(self, rng):
         points, obstacles = random_scene(rng)

@@ -227,19 +227,23 @@ class TestPlanVersioning:
     def test_prepared_plan_replans_after_direct_tree_mutation(self, rng):
         """A mutation bypassing the workspace leaves ``version`` untouched;
         the plan's recorded tree versions must catch it anyway."""
-        from repro import PlannerOptions
-
         points, obstacles = random_scene(rng, n_points=8, n_obstacles=5)
-        ws = Workspace.from_points(
-            points, obstacles, planner=PlannerOptions(naive_max_points=50))
+        ws = Workspace.from_points(points, obstacles)
+        ws.prefetch_all()
         q = CoknnQuery(random_query(rng), knn=1)
         plan = ws.plan(q)
-        assert plan.algorithm == "naive-preload"
-        for i in range(60):  # directly: the dataset outgrows the threshold
-            ws.data_tree.insert_point(1000 + i, 1.0 + 0.1 * i, 2.0)
-        ws.execute(plan)
-        # A stale plan would have drained the whole obstacle tree.
-        assert ws.cache.stats.prefetch_calls == 0
+        assert plan.backend == "shared-vg"  # warm: the shared graph pays
+        wall = SegmentObstacle(q.segment.ax, q.segment.ay - 3.0,
+                               q.segment.bx, q.segment.by + 3.0)
+        ws.obstacle_tree.insert(wall, wall.mbr())  # directly: no announce
+        got = ws.execute(plan)
+        # The stale plan would have attached the shared graph; the re-plan
+        # sees the invalidated cache and runs cold on a per-query graph.
+        assert ws.per_query_backend.stats.sessions == 1
+        assert ws.routing.stats.sessions == 0
+        want = fresh_like(points, obstacles + [wall]).execute(q)
+        ts = np.linspace(0.0, q.segment.length, 101)
+        assert same_values(got.envelope.values(ts), want.envelope.values(ts))
 
     def test_warm_plan_goes_cold_after_invalidation(self, rng):
         points, obstacles = random_scene(rng, n_points=8, n_obstacles=5)
