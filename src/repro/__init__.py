@@ -93,7 +93,6 @@ from .service import (
     AddObstacle,
     AddSite,
     CachedObstacleView,
-    CacheReadView,
     CacheStats,
     Capsule,
     ObstacleCache,
@@ -124,13 +123,12 @@ from .obstacles import (
     visible_region,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AddObstacle",
     "AddSite",
     "BackendStats",
-    "CacheReadView",
     "CacheStats",
     "Capsule",
     "CachedObstacleView",

@@ -11,7 +11,7 @@ from .conn_1t import (
 from .cplc import compute_cpl
 from .distance_function import Piece, PiecewiseDistance
 from .engine import ConnResult, KEnvelope, TreeDataSource, evaluate_point, run_query
-from .ior import ObstacleRetriever, TreeObstacleFetcher, ior_fixpoint
+from .ior import ObstacleRetriever, ior_fixpoint
 from .joins import (
     obstructed_closest_pair,
     obstructed_e_distance_join,
@@ -34,7 +34,6 @@ __all__ = [
     "PiecewiseDistance",
     "QueryStats",
     "TreeDataSource",
-    "TreeObstacleFetcher",
     "UnifiedSource",
     "build_unified_tree",
     "classify_case",

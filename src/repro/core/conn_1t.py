@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, List, Tuple
+from typing import TYPE_CHECKING, Any, List, Tuple
 
 from ..geometry.segment import Segment
 from ..index.nearest import nearest_to_segment
@@ -23,6 +23,9 @@ from ..routing.backends import ObstructedGraph
 from .config import DEFAULT_CONFIG, ConnConfig
 from .engine import ConnResult
 from .stats import QueryStats
+
+if TYPE_CHECKING:  # pragma: no cover - the service layer imports the core
+    from ..service.cache import ObstacleCache
 
 
 class UnifiedSource:
@@ -35,26 +38,25 @@ class UnifiedSource:
     ascending key order, after an obstacle at key ``d`` is routed, every
     obstacle with key below ``d`` is already in the graph — so the coverage
     radius advances with the scan front.
+
+    Every routed obstacle is also harvested into ``cache``, the workspace's
+    :class:`~repro.service.cache.ObstacleCache`.  The unified scan must
+    traverse the tree for data points regardless, so the cache cannot skip
+    1T page reads; the harvest seeds the shared visibility graph and
+    prefetch inspection.
     """
 
     def __init__(self, tree: RStarTree, qseg: Segment,
-                 vg: ObstructedGraph, stats: QueryStats):
+                 vg: ObstructedGraph, stats: QueryStats,
+                 cache: "ObstacleCache"):
         self._scan = nearest_to_segment(tree, qseg.ax, qseg.ay,
                                         qseg.bx, qseg.by)
         self._vg = vg
         self._stats = stats
+        self._cache = cache
         self._pending: List[Tuple[float, int, Any, Tuple[float, float]]] = []
         self._seq = itertools.count()
         self.radius = 0.0
-
-    def _route_obstacle(self, obstacle: Obstacle) -> int:
-        """Insert a de-heaped obstacle into the visibility graph.
-
-        Hook point for caching layers (the service's workspace overrides it
-        to also harvest the obstacle into its cross-query cache).  Returns
-        the number of obstacles actually inserted (0 for duplicates).
-        """
-        return self._vg.add_obstacles([obstacle])
 
     # ------------------------------------------------------------ data feed
     def peek_key(self) -> float:
@@ -83,7 +85,8 @@ class UnifiedSource:
                 return
             d, payload, rect = self._scan.pop()
             if isinstance(payload, Obstacle):
-                self._stats.noe += self._route_obstacle(payload)
+                self._cache.add(payload)
+                self._stats.noe += self._vg.add_obstacles([payload])
                 self.radius = max(self.radius, d)
             else:
                 cx, cy = rect.center()
@@ -103,7 +106,8 @@ class UnifiedSource:
                 break
             d, payload, rect = self._scan.pop()
             if isinstance(payload, Obstacle):
-                n = self._route_obstacle(payload)
+                self._cache.add(payload)
+                n = self._vg.add_obstacles([payload])
                 added += n
                 self._stats.noe += n
             else:

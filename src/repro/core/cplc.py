@@ -70,28 +70,15 @@ def compute_cpl(vg: ObstructedGraph, point_node: int, owner: Any,
     cplmax = cpl.max_endpoint_value()
     prefilter = cfg.use_euclid_prefilter
     use_bound = bound < math.inf
-    # This loop touches every settled node of every CPLC Dijkstra, so when
-    # the graph surface exposes its raw resumable traversal the settled
-    # prefix is consumed directly (replay-cursor discipline identical to
-    # _ReplayCore.order, same entries in the same order) instead of paying
-    # a generator resume per node; other surfaces fall back to the
-    # dijkstra_order iterator.
-    st = getattr(vg, "settled_traversal", None)
-    if st is None:
-        tr = settled = on_settle = None
-        entries = iter(vg.dijkstra_order(point_node, bound))
-        nxt = entries.__next__
-    else:
-        tr, on_settle = st(point_node, bound)
-        settled = tr.settled
+    # This loop touches every settled node of every CPLC Dijkstra, so it
+    # consumes the graph's raw resumable traversal directly (the replay-
+    # cursor discipline of ArrayTraversal.order: same entries in the same
+    # order) instead of paying a generator resume per node.
+    tr, on_settle = vg.settled_traversal(point_node, bound)
+    settled = tr.settled
     i = 0
     while True:
-        if tr is None:
-            try:
-                dist_v, v, pred = nxt()
-            except StopIteration:
-                break
-        elif i < len(settled):
+        if i < len(settled):
             dist_v, v, pred = settled[i]
             i += 1
         else:

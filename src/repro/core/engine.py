@@ -20,14 +20,11 @@ the next candidate's ``mindist`` exceeds RLMAX.
 from __future__ import annotations
 
 import math
-import time
 from typing import Any, List, Optional, Protocol, Sequence, Tuple
 
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
-from ..index.nearest import nearest_to_segment
-from ..index.pagestore import PageTracker
-from ..index.rstar import RStarTree
+from ..index.nearest import IncrementalNearest
 from ..routing.backends import ObstructedGraph
 from .config import ConnConfig
 from .cplc import compute_cpl
@@ -49,11 +46,16 @@ class DataSource(Protocol):
 
 
 class TreeDataSource:
-    """2T data feed: best-first scan of a dedicated data R*-tree."""
+    """Data feed over a best-first R*-tree scan: pops centers, not rects.
 
-    def __init__(self, data_tree: RStarTree, qseg: Segment):
-        self._scan = nearest_to_segment(data_tree, qseg.ax, qseg.ay,
-                                        qseg.bx, qseg.by)
+    Adapts an :class:`~repro.index.nearest.IncrementalNearest` to the
+    :class:`DataSource` protocol: a
+    :func:`~repro.index.nearest.nearest_to_segment` scan feeds CONN/COkNN,
+    a :func:`~repro.index.nearest.nearest_to_point` scan ONN and range.
+    """
+
+    def __init__(self, scan: IncrementalNearest):
+        self._scan = scan
 
     def peek_key(self) -> float:
         return self._scan.peek_key()
@@ -230,18 +232,16 @@ def evaluate_point(vg: ObstructedGraph, retriever: ObstacleSource,
 
 def run_query(source: DataSource, retriever: ObstacleSource,
               vg: ObstructedGraph, qseg: Segment, k: int,
-              cfg: ConnConfig, trackers: Sequence[PageTracker],
-              stats: Optional[QueryStats] = None) -> ConnResult:
+              cfg: ConnConfig, stats: QueryStats) -> ConnResult:
     """Drive the best-first scan to completion (Algorithm 4 generalized).
 
     The distance substrate arrives as an attached backend session (or a
     raw local graph): the engine never constructs a visibility graph
     itself, which is what lets the planner swap per-query and
-    workspace-shared substrates without touching this loop.
+    workspace-shared substrates without touching this loop.  Page reads,
+    CPU time and |SVG| are charged around the run by the caller
+    (:func:`~repro.core.stats.charge_run`).
     """
-    stats = stats if stats is not None else QueryStats()
-    snapshots = [(t, t.local_stats.snapshot()) for t in trackers]
-    started = time.perf_counter()
     env = KEnvelope(qseg, k)
     while True:
         key = source.peek_key()
@@ -258,10 +258,4 @@ def run_query(source: DataSource, retriever: ObstacleSource,
         cpl = evaluate_point(vg, retriever, payload, x, y, cfg, stats,
                              bound, gdom)
         env.insert(cpl, cfg, stats)
-    stats.cpu_time_s += time.perf_counter() - started
-    stats.svg_size = vg.svg_size
-    for tracker, snap in snapshots:
-        delta = tracker.local_stats.delta(snap)
-        stats.io.logical_reads += delta.logical_reads
-        stats.io.page_faults += delta.page_faults
     return ConnResult(qseg, k, env.levels, stats)

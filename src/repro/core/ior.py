@@ -11,10 +11,15 @@ retrieval *radius* only ever grows:
    the graph, until the paths are stable.  Lemma 3 then guarantees they are
    the true shortest paths, and Theorem 2 + Lemma 4 that every obstacle that
    can affect ``p``'s obstructed distances to ``q`` is in the graph.
-2. :meth:`ObstacleRetriever.ensure` is also called by the engine's coverage
-   validation (see DESIGN.md "Deviations"): after CPLC, retrieval is extended
-   to the maximum claimed distance CPLMAX, which provably covers every
-   obstacle any claimed path could cross.
+2. ``ensure`` is also called by the engine's coverage validation (see
+   DESIGN.md "Deviations"): after CPLC, retrieval is extended to the
+   maximum claimed distance CPLMAX, which provably covers every obstacle
+   any claimed path could cross.
+
+Any feed with a ``radius`` and an ``ensure`` is an :class:`ObstacleSource`:
+the workspace cache's :class:`~repro.service.cache.CachedObstacleView`
+(2T), the unified scan :class:`~repro.core.conn_1t.UnifiedSource` (1T), and
+the cache-free :class:`ObstacleRetriever` defined here.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import List, Protocol
 
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
-from ..index.nearest import IncrementalNearest, nearest_to_segment
+from ..index.nearest import nearest_to_segment
 from ..index.rstar import RStarTree
 from ..obstacles.obstacle import Obstacle
 from ..routing.backends import ObstructedGraph
@@ -41,38 +46,22 @@ class ObstacleSource(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class TreeObstacleFetcher:
-    """Stateless fetch backend over an obstacle R*-tree.
-
-    Owns no per-query state: it only knows how to open best-first scans
-    keyed by ``mindist`` to a query segment.  Per-query consumers —
-    :class:`ObstacleRetriever` here, or the cross-query
-    :class:`~repro.service.ObstacleCache` of the service layer — layer their
-    own radius/coverage bookkeeping on top.
-    """
-
-    def __init__(self, obstacle_tree: RStarTree):
-        self.tree = obstacle_tree
-
-    def open_scan(self, qseg: Segment) -> IncrementalNearest:
-        """A fresh incremental scan in ascending ``mindist(entry, qseg)``."""
-        return nearest_to_segment(self.tree, qseg.ax, qseg.ay,
-                                  qseg.bx, qseg.by)
-
-
 class ObstacleRetriever:
     """Best-first obstacle feed from a dedicated obstacle R*-tree (2T mode).
 
-    The per-query view over :class:`TreeObstacleFetcher`: one persistent scan
-    whose retrieval radius only ever grows, feeding the query's local
-    visibility graph.  The cache-aware sibling that shares retrieved
-    obstacles across queries is
-    :class:`repro.service.cache.CachedObstacleView`.
+    One persistent :func:`~repro.index.nearest.nearest_to_segment` scan
+    whose retrieval radius only ever grows, feeding one local visibility
+    graph.  Queries run through the executor retrieve through the
+    workspace's :class:`repro.service.cache.CachedObstacleView` instead,
+    which shares retrieved obstacles across queries; this cache-free feed
+    serves :func:`~repro.core.onn.obstructed_distance_indexed` and
+    :func:`~repro.core.vknn.vknn`.
     """
 
     def __init__(self, obstacle_tree: RStarTree, qseg: Segment,
                  vg: ObstructedGraph, stats: QueryStats):
-        self._scan = TreeObstacleFetcher(obstacle_tree).open_scan(qseg)
+        self._scan = nearest_to_segment(obstacle_tree, qseg.ax, qseg.ay,
+                                        qseg.bx, qseg.by)
         self._vg = vg
         self._stats = stats
         self.radius = 0.0

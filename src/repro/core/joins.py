@@ -22,15 +22,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, List, Tuple
+from typing import TYPE_CHECKING, Any, List, Tuple
 
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
-from ..index.nearest import IncrementalNearest
+from ..index.nearest import nearest_to_point
 from ..index.rstar import RStarTree
 from ..obstacles.visgraph import LocalVisibilityGraph
-from .ior import ObstacleRetriever
 from .stats import QueryStats
+
+if TYPE_CHECKING:  # pragma: no cover - the service layer imports the core
+    from ..service.cache import ObstacleCache
 
 
 class _PairwiseOracle:
@@ -38,21 +40,17 @@ class _PairwiseOracle:
 
     One visibility graph anchored at a reference point serves all pair
     evaluations: both endpoints enter as transient nodes, Lemma 3's
-    fixpoint retrieves the obstacles the pair needs, and the graph (with
-    its obstacle skeleton) is reused by subsequent pairs.  When a workspace
-    obstacle cache is supplied, retrieval rounds additionally reuse
-    obstacles fetched by earlier queries over the same dataset.
+    fixpoint retrieves the obstacles the pair needs through a view over
+    the workspace's obstacle cache, and the graph (with its obstacle
+    skeleton) is reused by subsequent pairs.  Retrieval rounds thereby also
+    reuse obstacles fetched by earlier queries over the same dataset.
     """
 
-    def __init__(self, obstacle_tree: RStarTree, anchor: Tuple[float, float],
-                 stats: QueryStats, cache=None):
+    def __init__(self, anchor: Tuple[float, float], stats: QueryStats,
+                 cache: "ObstacleCache"):
         seg = Segment(anchor[0], anchor[1], anchor[0], anchor[1])
         self._vg = LocalVisibilityGraph(seg)
-        if cache is not None:
-            self._retriever = cache.view(seg, self._vg, stats)
-        else:
-            self._retriever = _AnchoredRetriever(obstacle_tree, self._vg,
-                                                 stats)
+        self._retriever = cache.view(seg, self._vg, stats)
 
     def distance(self, a: Tuple[float, float], b: Tuple[float, float]) -> float:
         node_a = self._vg.add_point(a[0], a[1])
@@ -89,14 +87,6 @@ class _PairwiseOracle:
         return self._vg.svg_size
 
 
-class _AnchoredRetriever(ObstacleRetriever):
-    """ObstacleRetriever keyed by distance to a fixed anchor point."""
-
-    def __init__(self, obstacle_tree: RStarTree, vg: LocalVisibilityGraph,
-                 stats: QueryStats):
-        super().__init__(obstacle_tree, vg.qseg, vg, stats)
-
-
 def _items(tree: RStarTree) -> List[Tuple[Any, Tuple[float, float]]]:
     return [(payload, rect.center()) for payload, rect in tree.items()]
 
@@ -109,8 +99,7 @@ def _one_shot_workspace(outer_tree: RStarTree, obstacle_tree: RStarTree):
 
 
 def obstructed_e_distance_join(tree_a: RStarTree, tree_b: RStarTree,
-                               obstacle_tree: RStarTree, e: float,
-                               cache=None
+                               obstacle_tree: RStarTree, e: float
                                ) -> Tuple[List[Tuple[Any, Any, float]], QueryStats]:
     """All cross pairs with obstructed distance at most ``e``.
 
@@ -118,18 +107,10 @@ def obstructed_e_distance_join(tree_a: RStarTree, tree_b: RStarTree,
     an :class:`~repro.query.queries.EDistanceJoinQuery`; build the workspace
     yourself to amortize obstacle retrieval across queries.
 
-    Args:
-        cache: optional :class:`~repro.service.ObstacleCache` over
-            ``obstacle_tree`` (e.g. a workspace's) to reuse obstacles
-            retrieved by earlier queries.
-
     Returns:
         ``(pairs, stats)`` with pairs as ``(payload_a, payload_b, distance)``
         sorted by distance.
     """
-    if cache is not None:
-        return _e_distance_join_impl(tree_a, tree_b, obstacle_tree, e,
-                                     cache=cache)
     from ..query.queries import EDistanceJoinQuery
 
     res = _one_shot_workspace(tree_a, obstacle_tree).execute(
@@ -137,8 +118,8 @@ def obstructed_e_distance_join(tree_a: RStarTree, tree_b: RStarTree,
     return res.tuples(), res.stats
 
 
-def _e_distance_join_impl(tree_a: RStarTree, tree_b: RStarTree,
-                          obstacle_tree: RStarTree, e: float, cache=None
+def _e_distance_join_impl(tree_a: RStarTree, tree_b: RStarTree, e: float,
+                          cache: "ObstacleCache"
                           ) -> Tuple[List[Tuple[Any, Any, float]], QueryStats]:
     """Execution backend of the obstructed e-distance join."""
     if e < 0:
@@ -158,7 +139,7 @@ def _e_distance_join_impl(tree_a: RStarTree, tree_b: RStarTree,
     out: List[Tuple[float, Any, Any]] = []
     if candidates:
         anchor = candidates[0][0][1]
-        oracle = _PairwiseOracle(obstacle_tree, anchor, stats, cache=cache)
+        oracle = _PairwiseOracle(anchor, stats, cache)
         for (pa, xa), (pb, xb) in candidates:
             stats.npe += 1
             d = oracle.distance(xa, xb)
@@ -170,7 +151,7 @@ def _e_distance_join_impl(tree_a: RStarTree, tree_b: RStarTree,
 
 
 def obstructed_closest_pair(tree_a: RStarTree, tree_b: RStarTree,
-                            obstacle_tree: RStarTree, cache=None
+                            obstacle_tree: RStarTree
                             ) -> Tuple[Tuple[Any, Any, float] | None, QueryStats]:
     """The cross-set pair with the smallest obstructed distance.
 
@@ -180,8 +161,6 @@ def obstructed_closest_pair(tree_a: RStarTree, tree_b: RStarTree,
     one-shot workspace executing a
     :class:`~repro.query.queries.ClosestPairQuery`.
     """
-    if cache is not None:
-        return _closest_pair_impl(tree_a, tree_b, obstacle_tree, cache=cache)
     from ..query.queries import ClosestPairQuery
 
     res = _one_shot_workspace(tree_a, obstacle_tree).execute(
@@ -190,7 +169,7 @@ def obstructed_closest_pair(tree_a: RStarTree, tree_b: RStarTree,
 
 
 def _closest_pair_impl(tree_a: RStarTree, tree_b: RStarTree,
-                       obstacle_tree: RStarTree, cache=None
+                       cache: "ObstacleCache"
                        ) -> Tuple[Tuple[Any, Any, float] | None, QueryStats]:
     """Execution backend of the obstructed closest-pair query."""
     stats = QueryStats()
@@ -203,7 +182,7 @@ def _closest_pair_impl(tree_a: RStarTree, tree_b: RStarTree,
     for i, (_pa, xa) in enumerate(items_a):
         for j, (_pb, xb) in enumerate(items_b):
             heapq.heappush(heap, (math.dist(xa, xb), next(counter), i, j))
-    oracle = _PairwiseOracle(obstacle_tree, items_a[0][1], stats, cache=cache)
+    oracle = _PairwiseOracle(items_a[0][1], stats, cache)
     best: Tuple[float, Any, Any] | None = None
     while heap:
         lower, _c, i, j = heapq.heappop(heap)
@@ -220,7 +199,7 @@ def _closest_pair_impl(tree_a: RStarTree, tree_b: RStarTree,
 
 
 def obstructed_semi_join(tree_a: RStarTree, tree_b: RStarTree,
-                         obstacle_tree: RStarTree, cache=None
+                         obstacle_tree: RStarTree
                          ) -> Tuple[List[Tuple[Any, Any, float]], QueryStats]:
     """For each point of ``tree_a``: its obstructed NN in ``tree_b``.
 
@@ -231,8 +210,6 @@ def obstructed_semi_join(tree_a: RStarTree, tree_b: RStarTree,
         ``(rows, stats)``, one ``(payload_a, payload_b, distance)`` row per
         outer point (``payload_b`` is ``None`` when unreachable).
     """
-    if cache is not None:
-        return _semi_join_impl(tree_a, tree_b, obstacle_tree, cache=cache)
     from ..query.queries import SemiJoinQuery
 
     res = _one_shot_workspace(tree_a, obstacle_tree).execute(
@@ -241,7 +218,7 @@ def obstructed_semi_join(tree_a: RStarTree, tree_b: RStarTree,
 
 
 def _semi_join_impl(tree_a: RStarTree, tree_b: RStarTree,
-                    obstacle_tree: RStarTree, cache=None
+                    cache: "ObstacleCache"
                     ) -> Tuple[List[Tuple[Any, Any, float]], QueryStats]:
     """Execution backend of the obstructed semi-join."""
     stats = QueryStats()
@@ -249,10 +226,9 @@ def _semi_join_impl(tree_a: RStarTree, tree_b: RStarTree,
     rows: List[Tuple[Any, Any, float]] = []
     if not items_a:
         return rows, stats
-    oracle = _PairwiseOracle(obstacle_tree, items_a[0][1], stats, cache=cache)
+    oracle = _PairwiseOracle(items_a[0][1], stats, cache)
     for pa, xa in items_a:
-        scan = IncrementalNearest(
-            tree_b, lambda rect: rect.mindist_point(xa[0], xa[1]))
+        scan = nearest_to_point(tree_b, xa[0], xa[1])
         best_payload = None
         best_d = math.inf
         while True:

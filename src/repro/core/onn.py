@@ -7,10 +7,11 @@ candidate's exact obstructed distance on an incrementally grown local
 visibility graph, terminating once the next candidate's Euclidean distance
 exceeds the current k-th best obstructed distance.
 
-The scan loop is factored into :func:`run_onn_scan`, parameterized over the
-candidate feed and the obstacle source, so every layout and obstacle feed
-(the query executor's cache view or unified scan,
-:mod:`repro.query.executor`) shares one implementation.
+The scan loop is :func:`run_onn_scan`.  The query executor
+(:mod:`repro.query.executor`) opens its sources for either layout (on 2T a
+:func:`~repro.index.nearest.nearest_to_point` scan of the data tree and a
+view over the obstacle cache, on 1T the unified scan) and charges the run's
+page reads; the loop only evaluates candidates.
 
 Also exposes :func:`obstructed_distance_indexed` — pairwise obstructed
 distance against an obstacle R*-tree without touching the full obstacle set
@@ -21,13 +22,10 @@ from __future__ import annotations
 
 import bisect
 import math
-import time
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Tuple
 
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
-from ..index.nearest import IncrementalNearest
-from ..index.pagestore import PageTracker
 from ..index.rstar import RStarTree
 from ..routing.backends import ObstructedGraph, PerQueryVGBackend
 from .config import DEFAULT_CONFIG, ConnConfig
@@ -54,30 +52,9 @@ def _stable_distance(vg: ObstructedGraph, retriever: ObstacleSource,
             return d
 
 
-class PointScan:
-    """Candidate feed in ascending Euclidean distance to a query point.
-
-    Adapts :class:`~repro.index.nearest.IncrementalNearest` to the engine's
-    ``DataSource`` protocol (``pop`` yields centers, not rects).
-    """
-
-    def __init__(self, data_tree: RStarTree, x: float, y: float):
-        self._scan = IncrementalNearest(
-            data_tree, lambda rect: rect.mindist_point(x, y))
-
-    def peek_key(self) -> float:
-        return self._scan.peek_key()
-
-    def pop(self) -> Tuple[float, Any, Tuple[float, float]]:
-        d, payload, rect = self._scan.pop()
-        cx, cy = rect.center()
-        return d, payload, (cx, cy)
-
-
 def run_onn_scan(source, retriever: ObstacleSource,
                  vg: ObstructedGraph, k: int, config: ConnConfig,
-                 stats: QueryStats,
-                 trackers: Sequence[PageTracker]) -> List[Tuple[Any, float]]:
+                 stats: QueryStats) -> List[Tuple[Any, float]]:
     """Drive an ONN scan to completion over pluggable sources.
 
     Args:
@@ -88,8 +65,6 @@ def run_onn_scan(source, retriever: ObstacleSource,
     Returns:
         Up to ``k`` ``(payload, obstructed_distance)`` pairs, ascending.
     """
-    snapshots = [(t, t.local_stats.snapshot()) for t in trackers]
-    started = time.perf_counter()
     best: List[Tuple[float, Any]] = []
     while True:
         key = source.peek_key()
@@ -107,12 +82,6 @@ def run_onn_scan(source, retriever: ObstacleSource,
             vg.remove_point(node)
         if math.isfinite(odist):
             bisect.insort(best, (odist, payload))
-    stats.cpu_time_s += time.perf_counter() - started
-    stats.svg_size = vg.svg_size
-    for tracker, snap in snapshots:
-        delta = tracker.local_stats.delta(snap)
-        stats.io.logical_reads += delta.logical_reads
-        stats.io.page_faults += delta.page_faults
     return [(payload, d) for d, payload in best[:k]]
 
 

@@ -8,19 +8,17 @@ soon as the next candidate's Euclidean mindist exceeds ``radius``; each
 surviving candidate's exact obstructed distance is computed on the shared
 local visibility graph with Lemma 3's retrieval bound.
 
-Like :mod:`repro.core.onn`, the scan loop (:func:`run_range_scan`) is
-parameterized over the candidate feed and obstacle source so the service
-layer can run it against a cross-query obstacle cache.
+Like :mod:`repro.core.onn`, the scan loop (:func:`run_range_scan`) runs
+on the sources the query executor (:mod:`repro.query.executor`) opens, and
+the executor charges the run's page reads.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Tuple
 
 from ..geometry.predicates import EPS
-from ..index.pagestore import PageTracker
 from ..index.rstar import RStarTree
 from ..routing.backends import ObstructedGraph
 from .ior import ObstacleSource
@@ -30,16 +28,13 @@ from .stats import QueryStats
 
 def run_range_scan(source, retriever: ObstacleSource,
                    vg: ObstructedGraph, radius: float,
-                   stats: QueryStats,
-                   trackers: Sequence[PageTracker]) -> List[Tuple[Any, float]]:
+                   stats: QueryStats) -> List[Tuple[Any, float]]:
     """Drive an obstructed range scan over pluggable sources.
 
     Returns:
         ``(payload, obstructed_distance)`` pairs within ``radius``,
         ascending by distance.
     """
-    snapshots = [(t, t.local_stats.snapshot()) for t in trackers]
-    started = time.perf_counter()
     matches: List[Tuple[float, Any]] = []
     while True:
         key = source.peek_key()
@@ -55,12 +50,6 @@ def run_range_scan(source, retriever: ObstacleSource,
         if odist <= radius + EPS:
             matches.append((odist, payload))
     matches.sort()
-    stats.cpu_time_s += time.perf_counter() - started
-    stats.svg_size = vg.svg_size
-    for tracker, snap in snapshots:
-        delta = tracker.local_stats.delta(snap)
-        stats.io.logical_reads += delta.logical_reads
-        stats.io.page_faults += delta.page_faults
     return [(payload, d) for d, payload in matches]
 
 

@@ -9,13 +9,16 @@ ablation study.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..index.pagestore import IO_MS_PER_FAULT, IOStats
 from ..routing.stats import BackendStats, merge_fields
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..index.pagestore import PageTracker
     from ..shard.stats import ShardStats
 
 
@@ -79,9 +82,9 @@ class QueryStats:
     obstacle_reads: int = 0
     """Logical page reads charged to the obstacle index by this query.
 
-    Filled by the query executor (:mod:`repro.query.executor`); for the
-    single-tree layout this is the unified tree's reads, since data and
-    obstacle pages are not separable there.
+    Charged by :func:`charge_run`; for the single-tree layout this is the
+    unified tree's reads, since data and obstacle pages are not separable
+    there.
     """
 
     backend_name: str = ""
@@ -120,3 +123,25 @@ class QueryStats:
         included; ``backend_name`` keeps the first non-empty label.
         """
         merge_fields(self, other)
+
+
+@contextmanager
+def charge_run(stats: QueryStats, vg, trackers: Sequence["PageTracker"]):
+    """Charge the cost of the engine run inside the block to ``stats``.
+
+    ``trackers`` are the page trackers of the indexes the run reads, the
+    obstacle index's last: their thread-local read and fault deltas add to
+    ``stats.io``, and the last one's reads to ``stats.obstacle_reads``.
+    The block's wall time adds to ``stats.cpu_time_s`` and ``vg``'s final
+    vertex count becomes ``stats.svg_size``.
+    """
+    snapshots = [(t, t.local_stats.snapshot()) for t in trackers]
+    started = time.perf_counter()
+    yield
+    stats.cpu_time_s += time.perf_counter() - started
+    stats.svg_size = vg.svg_size
+    for tracker, snap in snapshots:
+        delta = tracker.local_stats.delta(snap)
+        stats.io.logical_reads += delta.logical_reads
+        stats.io.page_faults += delta.page_faults
+    stats.obstacle_reads += delta.logical_reads  # the last tracker's

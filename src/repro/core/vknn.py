@@ -16,16 +16,15 @@ obstacles with ``mindist(o, q) <= d`` before testing visibility at radius
 from __future__ import annotations
 
 import math
-import time
 from typing import Any, List, Tuple
 
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
-from ..index.nearest import IncrementalNearest
+from ..index.nearest import nearest_to_point
 from ..index.rstar import RStarTree
 from ..obstacles.visgraph import LocalVisibilityGraph
 from .ior import ObstacleRetriever
-from .stats import QueryStats
+from .stats import QueryStats, charge_run
 
 
 def vknn(data_tree: RStarTree, obstacle_tree: RStarTree,
@@ -41,28 +40,20 @@ def vknn(data_tree: RStarTree, obstacle_tree: RStarTree,
     if k < 1:
         raise ValueError("k must be at least 1")
     stats = QueryStats()
-    snapshots = [(t, t.local_stats.snapshot())
-                 for t in (data_tree.tracker, obstacle_tree.tracker)]
-    started = time.perf_counter()
     anchor = Segment(x, y, x, y)
     vg = LocalVisibilityGraph(anchor)
     retriever = ObstacleRetriever(obstacle_tree, anchor, vg, stats)
-    scan = IncrementalNearest(data_tree, lambda rect: rect.mindist_point(x, y))
+    scan = nearest_to_point(data_tree, x, y)
     found: List[Tuple[Any, float]] = []
-    while len(found) < k:
-        key = scan.peek_key()
-        if math.isinf(key):
-            break
-        d, payload, rect = scan.pop()
-        stats.npe += 1
-        retriever.ensure(d + EPS)
-        cx, cy = rect.center()
-        if not vg.obstacles.blocked(x, y, cx, cy):
-            found.append((payload, math.hypot(cx - x, cy - y)))
-    stats.cpu_time_s += time.perf_counter() - started
-    stats.svg_size = vg.svg_size
-    for tracker, snap in snapshots:
-        delta = tracker.local_stats.delta(snap)
-        stats.io.logical_reads += delta.logical_reads
-        stats.io.page_faults += delta.page_faults
+    with charge_run(stats, vg, (data_tree.tracker, obstacle_tree.tracker)):
+        while len(found) < k:
+            key = scan.peek_key()
+            if math.isinf(key):
+                break
+            d, payload, rect = scan.pop()
+            stats.npe += 1
+            retriever.ensure(d + EPS)
+            cx, cy = rect.center()
+            if not vg.obstacles.blocked(x, y, cx, cy):
+                found.append((payload, math.hypot(cx - x, cy - y)))
     return found, stats

@@ -1,7 +1,7 @@
 """Disk-page R*-tree index substrate with I/O accounting."""
 
 from .buffer import LRUBuffer
-from .nearest import IncrementalNearest, knn, nearest_to_segment
+from .nearest import IncrementalNearest, knn, nearest_to_point, nearest_to_segment
 from .node import Entry, Node
 from .pagestore import IO_MS_PER_FAULT, IOStats, PageTracker
 from .rstar import DEFAULT_PAGE_SIZE, RStarTree
@@ -19,6 +19,7 @@ __all__ = [
     "RStarTree",
     "knn",
     "load_tree",
+    "nearest_to_point",
     "nearest_to_segment",
     "save_tree",
 ]

@@ -119,13 +119,19 @@ def knn(tree: RStarTree, x: float, y: float, k: int) -> List[Tuple[float, Any]]:
     """The ``k`` nearest payloads to point ``(x, y)`` by Euclidean mindist."""
     if k <= 0:
         return []
-    scan = IncrementalNearest(tree, lambda r: r.mindist_point(x, y))
+    scan = nearest_to_point(tree, x, y)
     out: List[Tuple[float, Any]] = []
     for d, payload, _rect in scan:
         out.append((d, payload))
         if len(out) == k:
             break
     return out
+
+
+def nearest_to_point(tree: RStarTree, x: float, y: float
+                     ) -> IncrementalNearest:
+    """Incremental scan ordered by Euclidean mindist to the point ``(x, y)``."""
+    return IncrementalNearest(tree, lambda r: r.mindist_point(x, y))
 
 
 def nearest_to_segment(tree: RStarTree, ax: float, ay: float,

@@ -4,10 +4,12 @@
 first when handed a bare query description) and attaches the submitted
 query to the result (the ``.query`` back-reference of the unified result
 protocol).  Running a plan calls the engines of :mod:`repro.core`
-directly: the workspace layout picks the sources (on 2T the data tree plus
-a view over the obstacle cache, on 1T the unified scan), the planned
-backend supplies the visibility graph, and the obstacle index's page reads
-are charged to ``result.stats.obstacle_reads``.
+directly.  One helper opens every engine run's sources for the workspace
+layout (on 2T a data tree scan plus a view over the obstacle cache, on 1T
+the unified scan) and charges the run's page reads, faults, CPU time and
+|SVG| to its stats, the obstacle index's reads also to
+``result.stats.obstacle_reads``; the planned backend supplies the
+visibility graph.
 
 :func:`execute_many` is the batch path the service layer's cache was built
 for.  Submission order is rarely the cheapest execution order: correlated
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Tuple
 
 from ..core.config import ConnConfig
 from ..core.conn_1t import UnifiedSource
@@ -43,13 +45,13 @@ from ..core.joins import (
     _e_distance_join_impl,
     _semi_join_impl,
 )
-from ..core.onn import PointScan, run_onn_scan
+from ..core.onn import run_onn_scan
 from ..core.range_query import run_range_scan
-from ..core.stats import QueryStats
+from ..core.stats import QueryStats, charge_run
 from ..core.trajectory import TrajectoryResult
 from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
-from ..obstacles.obstacle import Obstacle
+from ..index.nearest import IncrementalNearest, nearest_to_point, nearest_to_segment
 from .planner import QueryPlan, build_plan, tree_versions
 from .queries import (
     ClosestPairQuery,
@@ -64,9 +66,7 @@ from .queries import (
 from .results import ClosestPairResult, JoinResult, NeighborsResult, QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..index.rstar import RStarTree
-    from ..routing.backends import ObstructedDistanceBackend, ObstructedGraph
-    from ..service.cache import ObstacleCache
+    from ..routing.backends import ObstructedDistanceBackend
     from ..service.workspace import Workspace
 
 GRID_CELLS = 16
@@ -112,26 +112,22 @@ def _run_plan(ws: "Workspace", plan: QueryPlan) -> QueryResult:
     if isinstance(q, (OnnQuery, RangeQuery)):
         x, y = q.point
         with _sources(ws, Segment(x, y, x, y), backend,
-                      lambda: PointScan(ws.data_tree, x, y)) as (
-                          source, retriever, vg, stats, trackers):
+                      lambda: nearest_to_point(ws.data_tree, x, y)) as (
+                          source, retriever, vg, stats):
             if isinstance(q, OnnQuery):
                 rows = run_onn_scan(source, retriever, vg, q.k, plan.config,
-                                    stats, trackers)
+                                    stats)
             else:
-                rows = run_range_scan(source, retriever, vg, q.radius, stats,
-                                      trackers)
+                rows = run_range_scan(source, retriever, vg, q.radius, stats)
         return NeighborsResult(rows, stats, q)
     if isinstance(q, SemiJoinQuery):
-        rows, stats = _semi_join_impl(q.left, q.right, ws.obstacle_tree,
-                                      cache=ws.cache)
+        rows, stats = _semi_join_impl(q.left, q.right, ws.cache)
         return JoinResult(rows, stats, q)
     if isinstance(q, EDistanceJoinQuery):
-        rows, stats = _e_distance_join_impl(q.left, q.right, ws.obstacle_tree,
-                                            q.e, cache=ws.cache)
+        rows, stats = _e_distance_join_impl(q.left, q.right, q.e, ws.cache)
         return JoinResult(rows, stats, q)
     if isinstance(q, ClosestPairQuery):
-        pair, stats = _closest_pair_impl(q.left, q.right, ws.obstacle_tree,
-                                         cache=ws.cache)
+        pair, stats = _closest_pair_impl(q.left, q.right, ws.cache)
         return ClosestPairResult(pair, stats, q)
     raise TypeError(f"no executor for query type {type(q).__name__}")
 
@@ -139,60 +135,41 @@ def _run_plan(ws: "Workspace", plan: QueryPlan) -> QueryResult:
 def _run_coknn(ws: "Workspace", segment: Segment, k: int, config: ConnConfig,
                backend: "ObstructedDistanceBackend") -> ConnResult:
     """One COkNN run of the paper's engine along ``segment``."""
+    ax, ay, bx, by = segment.ax, segment.ay, segment.bx, segment.by
     with _sources(ws, segment, backend,
-                  lambda: TreeDataSource(ws.data_tree, segment)) as (
-                      source, retriever, vg, stats, trackers):
-        return run_query(source, retriever, vg, segment, k, config,
-                         trackers, stats)
+                  lambda: nearest_to_segment(ws.data_tree, ax, ay, bx, by)
+                  ) as (source, retriever, vg, stats):
+        return run_query(source, retriever, vg, segment, k, config, stats)
 
 
 @contextmanager
 def _sources(ws: "Workspace", anchor: Segment,
-             backend: "ObstructedDistanceBackend", data_source):
-    """Attach ``anchor`` and open the layout's sources for one engine run.
+             backend: "ObstructedDistanceBackend",
+             data_scan: Callable[[], IncrementalNearest]):
+    """Attach ``anchor``, open the layout's sources for one engine run and
+    charge the run's cost.
 
-    Yields ``(source, retriever, vg, stats, trackers)``.  On 2T the data
-    source comes from ``data_source()`` and obstacles from a cache view; on
-    1T one unified scan plays both roles.  When the block ends, the obstacle
-    index's logical reads are charged to ``stats.obstacle_reads`` (the
-    unified tree's reads under 1T, where data and obstacle pages are not
+    Yields ``(source, retriever, vg, stats)``.  On 2T the data source adapts
+    the data tree scan ``data_scan()`` and obstacles come from a view over
+    the workspace cache; on 1T one unified scan plays both roles and
+    harvests its obstacles into the cache.  The block's page reads, CPU
+    time and |SVG| are charged to ``stats`` (:func:`charge_run`); the
+    obstacle index's reads go to ``stats.obstacle_reads`` too (the unified
+    tree's reads under 1T, where data and obstacle pages are not
     separable).
     """
     stats = QueryStats()
     with backend.attach_endpoints(anchor, stats) as vg:
         if ws.layout == "2T":
-            tracker = ws.obstacle_tree.tracker
             retriever = ws.cache.view(anchor, vg, stats)
-            source = data_source()
-            trackers = (ws.data_tree.tracker, tracker)
+            source = TreeDataSource(data_scan())
+            trackers = (ws.data_tree.tracker, ws.obstacle_tree.tracker)
         else:
-            tracker = ws.unified_tree.tracker
-            source = retriever = _CachingUnifiedSource(
-                ws.unified_tree, anchor, vg, stats, ws.cache)
-            trackers = (tracker,)
-        snap = tracker.local_stats.snapshot()
-        yield source, retriever, vg, stats, trackers
-    stats.obstacle_reads = tracker.local_stats.delta(snap).logical_reads
-
-
-class _CachingUnifiedSource(UnifiedSource):
-    """1T source that harvests de-heaped obstacles into the workspace cache.
-
-    The unified scan must traverse the tree for data points regardless, so
-    the cache cannot skip 1T page reads; harvesting still makes the
-    obstacles available to prefetch inspection and to any 2T-style consumers
-    sharing the cache.
-    """
-
-    def __init__(self, tree: "RStarTree", qseg: Segment,
-                 vg: "ObstructedGraph", stats: QueryStats,
-                 cache: "ObstacleCache"):
-        super().__init__(tree, qseg, vg, stats)
-        self._cache = cache
-
-    def _route_obstacle(self, obstacle: Obstacle) -> int:
-        self._cache.add(obstacle)
-        return super()._route_obstacle(obstacle)
+            source = retriever = UnifiedSource(ws.unified_tree, anchor, vg,
+                                               stats, ws.cache)
+            trackers = (ws.unified_tree.tracker,)
+        with charge_run(stats, vg, trackers):
+            yield source, retriever, vg, stats
 
 
 def split_batch(qs: List[Query], schedule: str = "locality"

@@ -42,6 +42,7 @@ import time
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -63,6 +64,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..index.rstar import RStarTree
     from ..obstacles.obstacle import Obstacle
     from ..obstacles.visgraph import LocalVisibilityGraph
+    from ..service.cache import ObstacleCache
+    from .dijkstra import ArrayTraversal
 
 PER_QUERY_VG = "per-query-vg"
 """Backend name: one throwaway local visibility graph per query."""
@@ -98,6 +101,8 @@ class ObstructedGraph(Protocol):
     def add_obstacles(self, batch: Iterable["Obstacle"]) -> int: ...  # pragma: no cover
     def dijkstra_order(self, source: int, prune_bound: float = math.inf
                        ) -> Iterator[Tuple[float, int, Optional[int]]]: ...  # pragma: no cover
+    def settled_traversal(self, source: int, prune_bound: float = math.inf
+                          ) -> Tuple["ArrayTraversal", Callable[..., None]]: ...  # pragma: no cover
     def shortest_distances(self, source: int, targets: Iterable[int],
                            cutoff: float = math.inf,
                            prune_bound: float = math.inf
@@ -324,13 +329,13 @@ class SharedVGBackend(_BackendBase):
     re-tested, in one batched launch per graph.  A tree version
     mismatch at attach time means someone mutated the index behind the
     workspace's back: every graph is dropped, never served stale.  Each
-    drop bumps :attr:`generation`, the freshness token workspace
-    snapshots pin; repairs leave it untouched (nothing was dropped).
+    drop bumps :attr:`generation`, the freshness token pooled spares are
+    stamped with; repairs leave it untouched (nothing was dropped).
     """
 
     name = SHARED_VG
 
-    def __init__(self, obstacle_tree: "RStarTree", cache: Any = None,
+    def __init__(self, obstacle_tree: "RStarTree", cache: "ObstacleCache",
                  max_pool: int = 8):
         super().__init__()
         self.tree = obstacle_tree
@@ -342,8 +347,8 @@ class SharedVGBackend(_BackendBase):
         self._tree_version = obstacle_tree.version
         self.generation = 0
         """Bumped whenever resident graphs are dropped (invalidation,
-        announced removal).  Workspace snapshots pin it; pooled spares
-        stamped with an older generation are discarded instead of served."""
+        announced removal).  Pooled spares stamped with an older
+        generation are discarded instead of served."""
         self._stamps: Dict[int, int] = {}
         self._lock = threading.RLock()
 
@@ -496,12 +501,7 @@ class SharedVGBackend(_BackendBase):
         from ..obstacles.visgraph import LocalVisibilityGraph
 
         t0 = time.perf_counter()
-        if self.cache is not None:
-            seed = (self.cache.resident() if hasattr(self.cache, "resident")
-                    else list(self.cache.obstacles))
-        else:
-            seed = []
-        graph = LocalVisibilityGraph(obstacles=seed)
+        graph = LocalVisibilityGraph(obstacles=self.cache.resident())
         if extra is not None:
             graph.add_obstacles(extra)
         if len(graph.obstacles):

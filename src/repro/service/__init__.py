@@ -11,10 +11,10 @@ amortizes that cost across a workload:
   runs every plan);
 * :class:`QueryService` — the asynchronous front (``serve`` / ``submit``)
   over ``Workspace.execute``;
-* :class:`CachedObstacleView` — the per-query obstacle feed, a drop-in
-  sibling of :class:`repro.core.ior.ObstacleRetriever`, which serves
-  obstacle retrieval rounds from the cache whenever its coverage
-  bookkeeping proves the cached set complete for the requested footprint.
+* :class:`CachedObstacleView` — the per-query obstacle feed of every 2T
+  query the executor runs, which serves obstacle retrieval rounds from the
+  cache whenever its coverage bookkeeping proves the cached set complete
+  for the requested footprint, and scans the obstacle tree otherwise.
 
 The free functions ``repro.conn`` / ``repro.coknn`` / ... are thin wrappers
 over a one-shot workspace, so the cold path and the classic API coincide.
@@ -22,7 +22,6 @@ over a one-shot workspace, so the cold path and the classic API coincide.
 
 from .cache import (
     CachedObstacleView,
-    CacheReadView,
     CacheStats,
     Capsule,
     ObstacleCache,
@@ -42,7 +41,6 @@ __all__ = [
     "AddObstacle",
     "AddSite",
     "CachedObstacleView",
-    "CacheReadView",
     "CacheStats",
     "Capsule",
     "CountingRLock",

@@ -18,9 +18,11 @@ is cached".  A request ``(q, r')`` (all obstacles within ``r'`` of segment
 
 because ``dist(., s)`` is convex along ``q``, so the endpoint maximum bounds
 ``dist(x, s)`` for every ``x`` within ``r'`` of ``q``.  When no capsule
-contains the request, the per-query view falls back to a best-first tree
-scan — exactly the cold path of :class:`~repro.core.ior.ObstacleRetriever` —
-and the scanned footprint becomes a new capsule.
+contains the request, the per-query view falls back to a best-first
+:func:`~repro.index.nearest.nearest_to_segment` scan of the tree and the
+scanned footprint becomes a new capsule.  On the single-tree layout the
+unified scan (:class:`~repro.core.conn_1t.UnifiedSource`) harvests every
+obstacle it routes into the cache too, though it cannot skip page reads.
 
 Staleness under index mutations.  A capsule is a statement about the
 *dataset*, so any mutation of the obstacle tree can silently falsify it.
@@ -45,11 +47,11 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Set, Tuple
 
-from ..core.ior import TreeObstacleFetcher
 from ..core.stats import QueryStats
 from ..geometry.predicates import EPS
 from ..geometry.rectangle import Rect, segment_mindist_lower
 from ..geometry.segment import Segment
+from ..index.nearest import nearest_to_segment
 from ..index.rstar import RStarTree
 from ..obstacles.obstacle import Obstacle
 from ..obstacles.visgraph import LocalVisibilityGraph
@@ -89,10 +91,6 @@ class Capsule(NamedTuple):
         """
         return (rect.mindist_segment(self.ax, self.ay, self.bx, self.by)
                 <= self.radius + EPS)
-
-
-_Capsule = Capsule
-"""Backward-compatible alias for the pre-NamedTuple type name."""
 
 
 def rect_capsule(rect: Rect, margin: float) -> Tuple[Segment, float]:
@@ -163,7 +161,6 @@ class ObstacleCache:
 
     def __init__(self, obstacle_tree: RStarTree):
         self.tree = obstacle_tree
-        self.fetcher = TreeObstacleFetcher(obstacle_tree)
         self.stats = CacheStats()
         self.epoch = 0
         """Bumped on every insertion/eviction; views use it to refresh
@@ -396,7 +393,8 @@ class ObstacleCache:
         with self.lock:
             self._validate()
             self.stats.prefetch_calls += 1
-            scan = self.fetcher.open_scan(qseg)
+            scan = nearest_to_segment(self.tree, qseg.ax, qseg.ay,
+                                      qseg.bx, qseg.by)
             added = 0
             while True:
                 key = scan.peek_key()
@@ -431,35 +429,6 @@ class ObstacleCache:
         workspace ever reads the obstacle tree again.
         """
         return self.prefetch_segment(Segment(0.0, 0.0, 0.0, 0.0), math.inf)
-
-    # ------------------------------------------------------------- snapshots
-    def read_view(self) -> "CacheReadView":
-        """A point-in-time descriptor of the cache's serving state.
-
-        Pinned by :class:`~repro.service.snapshot.WorkspaceSnapshot`: the
-        epoch and tree version say exactly which cached set a snapshot's
-        queries were answered from, without copying the obstacles
-        themselves.
-        """
-        with self.lock:
-            return CacheReadView(self.epoch, len(self._obstacles),
-                                 len(self._capsules), self._tree_version)
-
-
-class CacheReadView(NamedTuple):
-    """A frozen descriptor of one :class:`ObstacleCache` serving state."""
-
-    epoch: int
-    """Cache mutation epoch at pin time."""
-
-    resident: int
-    """Obstacles resident at pin time."""
-
-    capsules: int
-    """Coverage capsules recorded at pin time."""
-
-    tree_version: int
-    """The backing obstacle tree's mutation counter at pin time."""
 
 
 class LazyRanking(Sequence):
@@ -520,10 +489,9 @@ class CachedObstacleView:
 
     Implements the :class:`~repro.core.ior.ObstacleSource` protocol
     (``radius`` + ``ensure``), so it plugs into ``ior_fixpoint`` and the
-    engine's coverage validation exactly like the cold
-    :class:`~repro.core.ior.ObstacleRetriever`.  Each ``ensure`` round is
-    served from the cache when a coverage capsule contains it, and from a
-    lazily opened persistent tree scan otherwise.
+    engine's coverage validation.  Each ``ensure`` round is served from the
+    cache when a coverage capsule contains it, and from a lazily opened
+    persistent tree scan otherwise.
     """
 
     def __init__(self, cache: ObstacleCache, qseg: Segment,
@@ -590,7 +558,9 @@ class CachedObstacleView:
             self._stats.cache_misses += 1
             cache.stats.misses += 1
             if self._scan is None:
-                self._scan = cache.fetcher.open_scan(self._qseg)
+                q = self._qseg
+                self._scan = nearest_to_segment(cache.tree, q.ax, q.ay,
+                                                q.bx, q.by)
             batch = []
             while True:
                 key = self._scan.peek_key()

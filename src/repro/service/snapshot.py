@@ -1,9 +1,8 @@
 """Immutable workspace snapshots: the unit of isolation for serving.
 
 A :class:`WorkspaceSnapshot` pins one version of a workspace — the
-workspace mutation counter, the backing trees' mutation counters, an
-obstacle-cache read view, and the shared visibility graph's generation —
-and executes queries *against exactly that version*:
+workspace mutation counter and the backing trees' mutation counters — and
+executes queries *against exactly that version*:
 
 * every execution entry point first enters the workspace's read lock
   (updates drain and block for the duration — the epoch guard), then
@@ -15,12 +14,12 @@ and executes queries *against exactly that version*:
   the batch observes the same frozen state no matter how updates and
   batches interleave across threads.
 
-Snapshots are cheap — a handful of integers and one capsule count, no
-copying — because the heavy structures (R*-trees, obstacle cache, shared
-graph) are only ever mutated under the write lock, which a snapshot's read
-hold excludes.  The paper's CONN/COkNN answers are pure functions of the
-(sites, obstacles) state, so "pin versions + exclude writers" *is*
-snapshot isolation for this workload.
+Snapshots are cheap — a handful of integers, no copying — because the
+heavy structures (R*-trees, obstacle cache, shared graph) are only ever
+mutated under the write lock, which a snapshot's read hold excludes.
+The paper's CONN/COkNN answers are pure functions of the (sites,
+obstacles) state, so "pin versions + exclude writers" *is* snapshot
+isolation for this workload.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 from ..query.planner import QueryPlan, tree_versions
 from ..query.queries import Query
 from ..query.results import QueryResult
-from .cache import CacheReadView
 from .concurrency import SnapshotExpired
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -54,8 +52,6 @@ class WorkspaceSnapshot:
         with workspace.read_lock():
             self.workspace_version: int = workspace.version
             self.tree_versions: Tuple[int, ...] = tree_versions(workspace)
-            self.cache_view: CacheReadView = workspace.cache.read_view()
-            self.vg_generation: int = workspace.routing.generation
         workspace.snapshots_taken += 1
 
     # ------------------------------------------------------------ delegation
@@ -134,6 +130,4 @@ class WorkspaceSnapshot:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "expired" if self.expired else "live"
         return (f"WorkspaceSnapshot(version={self.workspace_version}, "
-                f"trees={self.tree_versions}, cache_epoch="
-                f"{self.cache_view.epoch}, vg_gen={self.vg_generation}, "
-                f"{state})")
+                f"trees={self.tree_versions}, {state})")

@@ -11,6 +11,7 @@ import pytest
 from repro.core import ConnConfig, PiecewiseDistance, QueryStats
 from repro.core.engine import ConnResult, KEnvelope, TreeDataSource
 from repro.geometry import IntervalSet, Segment
+from repro.index import nearest_to_segment
 from tests.conftest import build_point_tree, same_values
 
 Q = Segment(0, 0, 100, 0)
@@ -146,7 +147,7 @@ class TestTreeDataSource:
                for i in range(40)]
         tree = build_point_tree(pts)
         q = Segment(0, 50, 100, 50)
-        src = TreeDataSource(tree, q)
+        src = TreeDataSource(nearest_to_segment(tree, q.ax, q.ay, q.bx, q.by))
         dists = []
         while not math.isinf(src.peek_key()):
             d, _payload, (x, y) = src.pop()
@@ -158,5 +159,6 @@ class TestTreeDataSource:
     def test_peek_stable(self, rng):
         pts = [(i, (rng.uniform(0, 100), rng.uniform(0, 100)))
                for i in range(5)]
-        src = TreeDataSource(build_point_tree(pts), Segment(0, 0, 10, 0))
+        src = TreeDataSource(
+            nearest_to_segment(build_point_tree(pts), 0, 0, 10, 0))
         assert src.peek_key() == src.peek_key()

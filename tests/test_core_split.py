@@ -162,7 +162,7 @@ class TestClassifyCase:
         a = abs(q.param_of(*u) - q.param_of(*v))
         case = classify_case(q, u, a + 5.0, v, 0.0)  # d = -(a+5) <= -a
         assert case == 4
-        roots = crossing_params(q, u, a + 5.0, v, 0.0, 0.0, 20.0)
+        crossing_params(q, u, a + 5.0, v, 0.0, 0.0, 20.0)
         # Case 4 may still produce tangent roots clipped away; the winner
         # check matters: v dominates at every sample.
         for t in (0.0, 5.0, 10.0, 15.0, 20.0):

@@ -34,14 +34,16 @@ from repro import (
 )
 
 
-def small_scene(seed: int = 3, layout: str = "2T") -> Workspace:
+def small_scene(seed: int = 3, layout: str = "2T",
+                page_size: int = 4096) -> Workspace:
     rng = random.Random(seed)
     points = [(i, (rng.uniform(0, 100), rng.uniform(0, 100)))
               for i in range(40)]
     obstacles = [RectObstacle(x, y, x + 7, y + 4)
                  for x, y in ((rng.uniform(0, 90), rng.uniform(0, 90))
                               for _ in range(12))]
-    return Workspace.from_points(points, obstacles, layout=layout)
+    return Workspace.from_points(points, obstacles, layout=layout,
+                                 page_size=page_size)
 
 
 def other_tree(seed: int = 5, n: int = 6) -> RStarTree:
@@ -331,6 +333,43 @@ class TestResultProtocol:
         assert jres.rows == jres.tuples()
         cres = ws.execute(ClosestPairQuery(ws.data_tree, other_tree()))
         assert cres.tuples() == ([cres.pair] if cres.pair else [])
+
+
+class TestCostAccounting:
+    """A result's page reads are exactly its trees' reads during ``execute``.
+
+    Small pages give every tree several levels and a four-page LRU buffer
+    makes faults differ from reads.  A warm-up query in a corner leaves
+    cached obstacles and a capsule behind, so the trajectory's legs mix
+    cache-served rounds with tree scans.
+    """
+
+    SEG = Segment(10, 30, 90, 60)
+    QUERIES = {
+        "conn": ConnQuery(SEG),
+        "coknn": CoknnQuery(SEG, knn=3),
+        "onn": OnnQuery((40, 55), knn=3),
+        "range": RangeQuery((40, 55), 30.0),
+        "trajectory": TrajectoryQuery([(10, 30), (50, 70), (90, 40)], knn=2),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(QUERIES))
+    @pytest.mark.parametrize("layout", ["2T", "1T"])
+    def test_reads_and_faults_match_tree_deltas(self, layout, kind):
+        ws = small_scene(layout=layout, page_size=256)
+        trees = ([ws.data_tree, ws.obstacle_tree] if layout == "2T"
+                 else [ws.unified_tree])
+        for tree in trees:
+            tree.attach_buffer(repro.LRUBuffer(4))
+        ws.execute(ConnQuery(Segment(0, 0, 15, 5)))
+        before = [tree.tracker.local_stats.snapshot() for tree in trees]
+        stats = ws.execute(self.QUERIES[kind]).stats
+        deltas = [tree.tracker.local_stats.delta(snap)
+                  for tree, snap in zip(trees, before)]
+        assert stats.io.logical_reads == sum(d.logical_reads for d in deltas)
+        assert stats.io.page_faults == sum(d.page_faults for d in deltas)
+        # The obstacle index is the last tree (the unified one on 1T).
+        assert stats.obstacle_reads == deltas[-1].logical_reads > 0
 
 
 class TestExports:

@@ -31,6 +31,7 @@ from repro import (
     AddObstacle,
     BackendStats,
     ConnQuery,
+    ObstacleCache,
     OnnQuery,
     PerQueryVGBackend,
     RangeQuery,
@@ -120,7 +121,7 @@ class TestSessionParity:
     def test_shared_session_counts_admission_per_query(self):
         """NOE/|SVG| parity: resident obstacles still count per session."""
         ot = build_obstacle_tree(OBS)
-        backend = SharedVGBackend(ot)
+        backend = SharedVGBackend(ot, ObstacleCache(ot))
         for _round in range(2):
             with backend.attach_endpoints(SEG) as session:
                 assert session.add_obstacles(OBS) == len(OBS)
@@ -258,7 +259,7 @@ class TestSharedGraphLifecycle:
         a concurrent worker) is served by its own spawned graph — never by
         the graph another session is mutating."""
         ot = build_obstacle_tree(OBS)
-        backend = SharedVGBackend(ot)
+        backend = SharedVGBackend(ot, ObstacleCache(ot))
         outer = backend.attach_endpoints(SEG)
         inner = backend.attach_endpoints(Segment(0, 10, 100, 10))
         assert outer.shared and inner.shared

@@ -266,8 +266,8 @@ class TestMonitors:
         m_plain = ws.monitors.register(q)
         m_shard = sws.monitors.register(q)
         events = []
-        m2 = sws.monitors.register(RangeQuery((40, 60), 18.0),
-                                   callback=events.append)
+        sws.monitors.register(RangeQuery((40, 60), 18.0),
+                              callback=events.append)
         for update in [AddSite(800, 51.0, 52.0), AddSite(801, 10.0, 10.0),
                        AddObstacle(RectObstacle(48, 48, 52, 52))]:
             ws.apply([update])
