@@ -15,7 +15,6 @@ examples, and the degenerate-case check ``CONN(O = {}) == CNN``.
 from __future__ import annotations
 
 import math
-import time
 
 from ..geometry.interval import IntervalSet
 from ..geometry.predicates import EPS
@@ -25,7 +24,7 @@ from ..index.rstar import RStarTree
 from ..core.config import DEFAULT_CONFIG, ConnConfig
 from ..core.distance_function import PiecewiseDistance
 from ..core.engine import ConnResult, KEnvelope
-from ..core.stats import QueryStats
+from ..core.stats import QueryStats, charge_run
 
 
 def cknn_euclidean(data_tree: RStarTree, query: Segment, k: int = 1,
@@ -39,28 +38,23 @@ def cknn_euclidean(data_tree: RStarTree, query: Segment, k: int = 1,
     if query.is_degenerate():
         raise ValueError("query segment is degenerate")
     stats = QueryStats()
-    snapshot = data_tree.tracker.stats.snapshot()
-    started = time.perf_counter()
     env = KEnvelope(query, k)
-    scan = nearest_to_segment(data_tree, query.ax, query.ay,
-                              query.bx, query.by)
     full = IntervalSet.full(0.0, query.length)
-    while True:
-        key = scan.peek_key()
-        if math.isinf(key):
-            break
-        if config.use_rlmax and key > env.rlmax() + EPS:
-            break
-        _d, payload, rect = scan.pop()
-        stats.npe += 1
-        cx, cy = rect.center()
-        candidate = PiecewiseDistance.from_region(query, full, (cx, cy), 0.0,
-                                                  payload)
-        env.insert(candidate, config, stats)
-    stats.cpu_time_s += time.perf_counter() - started
-    delta = data_tree.tracker.stats.delta(snapshot)
-    stats.io.logical_reads += delta.logical_reads
-    stats.io.page_faults += delta.page_faults
+    with charge_run(stats, None, (data_tree.tracker,)):
+        scan = nearest_to_segment(data_tree, query.ax, query.ay,
+                                  query.bx, query.by)
+        while True:
+            key = scan.peek_key()
+            if math.isinf(key):
+                break
+            if config.use_rlmax and key > env.rlmax() + EPS:
+                break
+            _d, payload, rect = scan.pop()
+            stats.npe += 1
+            cx, cy = rect.center()
+            candidate = PiecewiseDistance.from_region(query, full, (cx, cy),
+                                                      0.0, payload)
+            env.insert(candidate, config, stats)
     return ConnResult(query, k, env.levels, stats)
 
 

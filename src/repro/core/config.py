@@ -44,7 +44,12 @@ class ConnConfig:
             path of length L < RLMAX ends on ``q``, so every obstacle that
             could invalidate it lies within RLMAX of ``q`` and is covered
             by retrieval; claims >= RLMAX lose (or tie, keeping the
-            incumbent) at every envelope level.
+            incumbent) at every envelope level.  The first k evaluations,
+            before RLMAX is finite, are bounded too: IOR runs pruned
+            traversals at a doubling reach (exact below it, since S and E
+            lie on ``q``), and on a query segment no obstacle crosses,
+            CPLC and coverage validation stop just above the point's
+            tent ``(dS + dE + L) / 2``, which bounds its own CPLMAX.
         validate_coverage: after CPLC, extend obstacle retrieval to the
             maximum claimed distance and recompute until stable (this
             library's strengthening of IOR; see DESIGN.md).

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from typing import Any, List, Optional, Protocol, Sequence, Tuple
 
+from ..geometry.interval import IntervalSet
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
 from ..index.nearest import IncrementalNearest
@@ -202,14 +203,30 @@ def evaluate_point(vg: ObstructedGraph, retriever: ObstacleSource,
     the point's evaluation (see :class:`~repro.core.config.ConnConfig`'s
     ``use_global_bound``): IOR, CPLC and coverage validation all stop at
     the bound, because nothing the point claims at or beyond it can reach
-    the result.
+    the result.  With ``use_global_bound`` on and no finite ``bound`` yet
+    (the first k evaluations), IOR doubles a reach instead of running
+    unbounded, unless the query segment is already known to meet an
+    obstacle; and when IOR leaves the segment known to be clear, CPLC and
+    coverage validation stop at the point's tent (:func:`tent_bound`).
+    The segment is known clear or blocked once retrieval has covered
+    ``mindist`` 0 (a positive ``retriever.radius``): every obstacle that
+    meets it is then in ``vg``.
 
     Returns the point's control point list as a piecewise distance function
     over the whole query segment — trustworthy below ``bound``.
     """
+    first_k = cfg.use_global_bound and math.isinf(bound)
     point_node = vg.add_point(x, y)
     try:
-        ior_fixpoint(vg, retriever, point_node, stats, bound)
+        # A query endpoint inside an obstacle makes every reach miss, so a
+        # segment known to meet an obstacle keeps unbounded rounds.
+        blocked = (first_k and retriever.radius > 0.0
+                   and not segment_clear(vg))
+        d_s, d_e = ior_fixpoint(vg, retriever, point_node, stats, bound,
+                                doubling=first_k and not blocked)
+        if (first_k and not blocked and retriever.radius > 0.0
+                and segment_clear(vg)):
+            bound = tent_bound(d_s, d_e, vg.qseg.length)
         while True:
             cpl = compute_cpl(vg, point_node, payload, cfg, stats, bound,
                               global_env)
@@ -228,6 +245,31 @@ def evaluate_point(vg: ObstructedGraph, retriever: ObstacleSource,
     finally:
         vg.remove_point(point_node)
     return cpl
+
+
+def tent_bound(d_s: float, d_e: float, length: float) -> float:
+    """A bound strictly above a point's CPLMAX on a clear query segment.
+
+    ``d_s`` and ``d_e`` are the point's exact obstructed distances to S and
+    E.  When no obstacle interior crosses ``q``, walking to S (or E) and
+    then along ``q`` is a real path, so the point's distance to ``q(t)`` is
+    at most ``min(d_s + t, d_e + length - t)``: a tent whose apex is
+    ``B = (d_s + d_e + length) / 2``.  A bound strictly above ``B`` cuts
+    no piece of the point's own CPL, ties at ``B`` included.
+    """
+    apex = 0.5 * (d_s + d_e + length)
+    return apex + EPS * max(1.0, apex)
+
+
+def segment_clear(vg: ObstructedGraph) -> bool:
+    """True when no obstacle in ``vg`` blocks any part of the query segment.
+
+    Both endpoints must see all of ``q``: S alone would do in exact
+    arithmetic, but the tent leans on S's and E's visible regions alike.
+    """
+    full = IntervalSet.full(0.0, vg.qseg.length)
+    return (vg.visible_region_of(vg.S) == full
+            and vg.visible_region_of(vg.E) == full)
 
 
 def run_query(source: DataSource, retriever: ObstacleSource,

@@ -16,6 +16,14 @@ retrieval *radius* only ever grows:
    maximum claimed distance CPLMAX, which provably covers every obstacle
    any claimed path could cross.
 
+The first k evaluations of a query are bounded too.  Once the engine's
+envelope holds k points, a round's Dijkstra stops at RLMAX.  Before that,
+with ``ConnConfig.use_global_bound`` on, each round is a pruned traversal
+toward S and E at a *reach* ``r``, started from Euclidean distances and
+doubled on a miss (see :func:`ior_fixpoint`); only a query segment known
+to meet an obstacle keeps unbounded rounds (see
+:func:`~repro.core.engine.evaluate_point`).
+
 Any feed with a ``radius`` and an ``ensure`` is an :class:`ObstacleSource`:
 the workspace cache's :class:`~repro.service.cache.CachedObstacleView`
 (2T), the unified scan :class:`~repro.core.conn_1t.UnifiedSource` (1T), and
@@ -25,7 +33,7 @@ the cache-free :class:`ObstacleRetriever` defined here.
 from __future__ import annotations
 
 import math
-from typing import List, Protocol
+from typing import List, Protocol, Tuple
 
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
@@ -83,9 +91,17 @@ class ObstacleRetriever:
         return added
 
 
+FIRST_REACH = 1.25
+"""A point's first reach is this factor times ``max(|pS|, |pE|)``."""
+
+MAX_DOUBLINGS = 3
+"""Reach doublings one IOR round tries before it runs unbounded."""
+
+
 def ior_fixpoint(vg: ObstructedGraph, retriever: ObstacleSource,
                  point_node: int, stats: QueryStats,
-                 bound: float = math.inf) -> None:
+                 bound: float = math.inf,
+                 doubling: bool = False) -> Tuple[float, float]:
     """Algorithm 1: stabilize the shortest paths from ``point_node`` to S and E.
 
     Each round computes the local shortest-path lengths to both query
@@ -101,26 +117,74 @@ def ior_fixpoint(vg: ObstructedGraph, retriever: ObstacleSource,
     obstacle that could invalidate it has ``mindist(o, q) < bound`` — all
     retrieved.  Claims at or above ``bound`` lose (or tie, which keeps the
     incumbent) at every envelope level, so their exactness is irrelevant.
+
+    With no finite ``bound``, ``doubling`` runs each round as a pruned
+    traversal at a reach ``r`` instead of an unbounded Dijkstra (see
+    :func:`_reach_distances`).  It returns the same distances, so the
+    rounds retrieve exactly what unbounded rounds would.
+
+    Returns:
+        The last round's ``(dS, dE)``: exact when ``bound`` is infinite,
+        possibly cut off (``inf``) at or beyond a finite ``bound``.
     """
+    reach = math.inf
+    if doubling and math.isinf(bound):
+        p = vg.node_point(point_node)
+        q = vg.qseg
+        reach = FIRST_REACH * max(math.hypot(p.x - q.ax, p.y - q.ay),
+                                  math.hypot(p.x - q.bx, p.y - q.by))
     while True:
-        dists = vg.shortest_distances(point_node, (vg.S, vg.E), bound, bound)
-        d_prime = max(dists[vg.S], dists[vg.E])
+        if reach < math.inf:
+            d_s, d_e, reach = _reach_distances(vg, point_node, reach, stats)
+        else:
+            dists = vg.shortest_distances(point_node, (vg.S, vg.E), bound,
+                                          bound)
+            d_s, d_e = dists[vg.S], dists[vg.E]
+        d_prime = max(d_s, d_e)
         if d_prime <= retriever.radius + EPS:
-            return
+            return d_s, d_e
         if d_prime > bound:
             # Cut off (or unreachable within the bound): the point cannot
             # beat the incumbent envelope beyond the bound, so covering
             # obstacles up to the bound is enough.  Retrieval only lengthens
             # paths, so the cutoff keeps holding in later rounds.
             if retriever.ensure(bound) == 0:
-                return
+                return d_s, d_e
             continue
         if math.isinf(d_prime):
             # The point (or an endpoint) is currently unreachable: only the
             # complete obstacle set can confirm it.  ``ensure(inf)`` drains
             # the scan once; the next round then terminates.
             if retriever.ensure(math.inf) == 0:
-                return
+                return d_s, d_e
             continue
         if retriever.ensure(d_prime) == 0:
-            return
+            return d_s, d_e
+
+
+def _reach_distances(vg: ObstructedGraph, point_node: int, reach: float,
+                     stats: QueryStats) -> Tuple[float, float, float]:
+    """One IOR round's exact ``(dS, dE)`` by pruned traversals.
+
+    Each try is ``shortest_distances(p, (S, E), r, r)``.  S and E lie on
+    ``q``, so their heuristic is 0 and a distance reported below ``r`` is
+    exact (the prefix-closure argument of
+    :class:`~repro.routing.dijkstra.ArrayTraversal`).  A miss (either
+    distance at or beyond ``r``) doubles ``r`` and retrieves nothing.
+    When the reach still misses after :data:`MAX_DOUBLINGS` doublings, the
+    round runs unbounded, which ends the doubling for a point that cannot
+    reach S or E at all (one in a walled courtyard).
+
+    Returns:
+        ``(dS, dE, r)``: ``r`` is the reach the next round starts from,
+        ``inf`` once the round ran unbounded.
+    """
+    for _ in range(MAX_DOUBLINGS + 1):
+        dists = vg.shortest_distances(point_node, (vg.S, vg.E), reach, reach)
+        d_s, d_e = dists[vg.S], dists[vg.E]
+        if max(d_s, d_e) < reach:
+            return d_s, d_e, reach
+        stats.reach_misses += 1
+        reach *= 2.0
+    dists = vg.shortest_distances(point_node, (vg.S, vg.E))
+    return dists[vg.S], dists[vg.E], math.inf

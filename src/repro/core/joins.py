@@ -119,16 +119,15 @@ def obstructed_e_distance_join(tree_a: RStarTree, tree_b: RStarTree,
 
 
 def _e_distance_join_impl(tree_a: RStarTree, tree_b: RStarTree, e: float,
-                          cache: "ObstacleCache"
-                          ) -> Tuple[List[Tuple[Any, Any, float]], QueryStats]:
+                          cache: "ObstacleCache", stats: QueryStats
+                          ) -> List[Tuple[Any, Any, float]]:
     """Execution backend of the obstructed e-distance join."""
     if e < 0:
         raise ValueError("e must be non-negative")
-    stats = QueryStats()
     items_a = _items(tree_a)
     items_b = _items(tree_b)
     if not items_a or not items_b:
-        return [], stats
+        return []
     # Dual best-first pruning: Euclidean lower bound first.
     candidates: List[Tuple[Tuple[Any, Tuple[float, float]],
                            Tuple[Any, Tuple[float, float]]]] = []
@@ -147,7 +146,7 @@ def _e_distance_join_impl(tree_a: RStarTree, tree_b: RStarTree, e: float,
                 out.append((d, pa, pb))
         stats.svg_size = oracle.svg_size
     out.sort(key=lambda t: t[0])
-    return [(pa, pb, d) for d, pa, pb in out], stats
+    return [(pa, pb, d) for d, pa, pb in out]
 
 
 def obstructed_closest_pair(tree_a: RStarTree, tree_b: RStarTree,
@@ -169,14 +168,13 @@ def obstructed_closest_pair(tree_a: RStarTree, tree_b: RStarTree,
 
 
 def _closest_pair_impl(tree_a: RStarTree, tree_b: RStarTree,
-                       cache: "ObstacleCache"
-                       ) -> Tuple[Tuple[Any, Any, float] | None, QueryStats]:
+                       cache: "ObstacleCache", stats: QueryStats
+                       ) -> Tuple[Any, Any, float] | None:
     """Execution backend of the obstructed closest-pair query."""
-    stats = QueryStats()
     items_a = _items(tree_a)
     items_b = _items(tree_b)
     if not items_a or not items_b:
-        return None, stats
+        return None
     heap: List[Tuple[float, int, int, int]] = []
     counter = itertools.count()
     for i, (_pa, xa) in enumerate(items_a):
@@ -194,8 +192,8 @@ def _closest_pair_impl(tree_a: RStarTree, tree_b: RStarTree,
             best = (d, items_a[i][0], items_b[j][0])
     stats.svg_size = oracle.svg_size
     if best is None:
-        return None, stats
-    return (best[1], best[2], best[0]), stats
+        return None
+    return (best[1], best[2], best[0])
 
 
 def obstructed_semi_join(tree_a: RStarTree, tree_b: RStarTree,
@@ -218,14 +216,13 @@ def obstructed_semi_join(tree_a: RStarTree, tree_b: RStarTree,
 
 
 def _semi_join_impl(tree_a: RStarTree, tree_b: RStarTree,
-                    cache: "ObstacleCache"
-                    ) -> Tuple[List[Tuple[Any, Any, float]], QueryStats]:
+                    cache: "ObstacleCache", stats: QueryStats
+                    ) -> List[Tuple[Any, Any, float]]:
     """Execution backend of the obstructed semi-join."""
-    stats = QueryStats()
     items_a = _items(tree_a)
     rows: List[Tuple[Any, Any, float]] = []
     if not items_a:
-        return rows, stats
+        return rows
     oracle = _PairwiseOracle(items_a[0][1], stats, cache)
     for pa, xa in items_a:
         scan = nearest_to_point(tree_b, xa[0], xa[1])
@@ -243,4 +240,4 @@ def _semi_join_impl(tree_a: RStarTree, tree_b: RStarTree,
                 best_payload = pb
         rows.append((pa, best_payload, best_d))
     stats.svg_size = oracle.svg_size
-    return rows, stats
+    return rows

@@ -62,10 +62,17 @@ class QueryStats:
     global_bound_cutoffs: int = 0
     """CPLC traversals cut short (and nodes skipped) by the global RLMAX
     bound — the engine's incumbent k-envelope proving a candidate's
-    remaining contributions irrelevant."""
+    remaining contributions irrelevant — or, in the first k evaluations,
+    by the point's own tent (see :func:`~repro.core.engine.tent_bound`)."""
 
     coverage_rounds: int = 0
     """Extra retrieval rounds forced by coverage validation."""
+
+    reach_misses: int = 0
+    """Pruned IOR traversals that did not reach both S and E below their
+    reach, so the reach doubled (retrieving nothing) or, after the last
+    doubling, the round ran unbounded (see
+    :func:`~repro.core.ior.ior_fixpoint`)."""
 
     visibility_tests: int = 0
     """Sight-line tests performed by the visibility graph."""
@@ -126,22 +133,32 @@ class QueryStats:
 
 
 @contextmanager
-def charge_run(stats: QueryStats, vg, trackers: Sequence["PageTracker"]):
+def charge_run(stats: QueryStats, vg, trackers: Sequence["PageTracker"],
+               obstacles: Optional["PageTracker"] = None):
     """Charge the cost of the engine run inside the block to ``stats``.
 
-    ``trackers`` are the page trackers of the indexes the run reads, the
-    obstacle index's last: their thread-local read and fault deltas add to
-    ``stats.io``, and the last one's reads to ``stats.obstacle_reads``.
-    The block's wall time adds to ``stats.cpu_time_s`` and ``vg``'s final
-    vertex count becomes ``stats.svg_size``.
+    ``trackers`` are the page trackers of the indexes the run reads besides
+    the obstacle index, whose tracker is ``obstacles`` (``None`` when the
+    run reads none).  Their thread-local read and fault deltas add to
+    ``stats.io``, each tracker's once however many indexes share it, and
+    the obstacle index's reads also to ``stats.obstacle_reads``.  The
+    block's wall time adds to ``stats.cpu_time_s``, and ``vg``'s final
+    vertex count becomes ``stats.svg_size`` (a ``None`` ``vg`` leaves it
+    to the run).
     """
-    snapshots = [(t, t.local_stats.snapshot()) for t in trackers]
+    charged: list = []
+    for tracker in (*trackers, obstacles):
+        if tracker is not None and all(tracker is not t for t in charged):
+            charged.append(tracker)
+    snapshots = [(t, t.local_stats.snapshot()) for t in charged]
     started = time.perf_counter()
     yield
     stats.cpu_time_s += time.perf_counter() - started
-    stats.svg_size = vg.svg_size
+    if vg is not None:
+        stats.svg_size = vg.svg_size
     for tracker, snap in snapshots:
         delta = tracker.local_stats.delta(snap)
         stats.io.logical_reads += delta.logical_reads
         stats.io.page_faults += delta.page_faults
-    stats.obstacle_reads += delta.logical_reads  # the last tracker's
+        if tracker is obstacles:
+            stats.obstacle_reads += delta.logical_reads

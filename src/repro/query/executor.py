@@ -9,7 +9,9 @@ layout (on 2T a data tree scan plus a view over the obstacle cache, on 1T
 the unified scan) and charges the run's page reads, faults, CPU time and
 |SVG| to its stats, the obstacle index's reads also to
 ``result.stats.obstacle_reads``; the planned backend supplies the
-visibility graph.
+visibility graph.  A join's run is charged the same way
+(:func:`~repro.core.stats.charge_run`), over its two point trees and the
+obstacle index.
 
 :func:`execute_many` is the batch path the service layer's cache was built
 for.  Submission order is rarely the cheapest execution order: correlated
@@ -120,15 +122,20 @@ def _run_plan(ws: "Workspace", plan: QueryPlan) -> QueryResult:
             else:
                 rows = run_range_scan(source, retriever, vg, q.radius, stats)
         return NeighborsResult(rows, stats, q)
-    if isinstance(q, SemiJoinQuery):
-        rows, stats = _semi_join_impl(q.left, q.right, ws.cache)
+    if isinstance(q, (SemiJoinQuery, EDistanceJoinQuery, ClosestPairQuery)):
+        stats = QueryStats()
+        with charge_run(stats, None, (q.left.tracker, q.right.tracker),
+                        ws.cache.tree.tracker):
+            if isinstance(q, SemiJoinQuery):
+                rows = _semi_join_impl(q.left, q.right, ws.cache, stats)
+            elif isinstance(q, EDistanceJoinQuery):
+                rows = _e_distance_join_impl(q.left, q.right, q.e, ws.cache,
+                                             stats)
+            else:
+                pair = _closest_pair_impl(q.left, q.right, ws.cache, stats)
+        if isinstance(q, ClosestPairQuery):
+            return ClosestPairResult(pair, stats, q)
         return JoinResult(rows, stats, q)
-    if isinstance(q, EDistanceJoinQuery):
-        rows, stats = _e_distance_join_impl(q.left, q.right, q.e, ws.cache)
-        return JoinResult(rows, stats, q)
-    if isinstance(q, ClosestPairQuery):
-        pair, stats = _closest_pair_impl(q.left, q.right, ws.cache)
-        return ClosestPairResult(pair, stats, q)
     raise TypeError(f"no executor for query type {type(q).__name__}")
 
 
@@ -163,12 +170,13 @@ def _sources(ws: "Workspace", anchor: Segment,
         if ws.layout == "2T":
             retriever = ws.cache.view(anchor, vg, stats)
             source = TreeDataSource(data_scan())
-            trackers = (ws.data_tree.tracker, ws.obstacle_tree.tracker)
+            trackers = (ws.data_tree.tracker,)
+            obstacles = ws.obstacle_tree.tracker
         else:
             source = retriever = UnifiedSource(ws.unified_tree, anchor, vg,
                                                stats, ws.cache)
-            trackers = (ws.unified_tree.tracker,)
-        with charge_run(stats, vg, trackers):
+            trackers, obstacles = (), ws.unified_tree.tracker
+        with charge_run(stats, vg, trackers, obstacles):
             yield source, retriever, vg, stats
 
 

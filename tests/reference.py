@@ -19,6 +19,11 @@ The visible-region suites check the numpy shadow functions of
 :mod:`repro.obstacles.shadow` against :func:`shadow_intervals_scalar` and
 :func:`visible_region_scalar`: the same candidate-line method written one
 obstacle and one gap at a time with the scalar predicates.
+
+The IOR suites check the engine's reach-doubling
+:func:`~repro.core.ior.ior_fixpoint` against
+:func:`reference_ior_fixpoint`, Algorithm 1 with one unbounded Dijkstra
+per round.
 """
 
 from __future__ import annotations
@@ -206,3 +211,22 @@ def visible_region_scalar(vx: float, vy: float, qseg: Segment,
     for o in obstacles:
         blocked.extend(shadow_intervals_scalar(vx, vy, qseg, o))
     return IntervalSet.full(0.0, qseg.length).subtract(IntervalSet(blocked))
+
+
+def reference_ior_fixpoint(vg, retriever, point_node: int
+                           ) -> Tuple[float, float]:
+    """Algorithm 1 with unbounded rounds: ``(dS, dE)`` at the fixpoint.
+
+    Each round runs Dijkstra from the point to S and E with no bound and
+    retrieves every obstacle up to the longer distance (all of them when
+    it is ``inf``), until a round retrieves nothing new or the distances
+    fit inside the radius already covered.
+    """
+    while True:
+        dists = vg.shortest_distances(point_node, (vg.S, vg.E))
+        d_s, d_e = dists[vg.S], dists[vg.E]
+        d_prime = max(d_s, d_e)
+        if d_prime <= retriever.radius + EPS:
+            return d_s, d_e
+        if retriever.ensure(d_prime) == 0:
+            return d_s, d_e

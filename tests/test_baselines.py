@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -63,6 +65,40 @@ class TestEuclideanCNN:
         q = Segment(40, 40, 45, 45)
         res = cnn_euclidean(build_point_tree(points), q)
         assert res.stats.npe < len(points)
+
+    def test_reads_are_charged_per_thread(self):
+        """Four threads on one tree each report their own page reads.
+
+        Reads are charged from the tracker's thread-local counters, so a
+        query reports what it reads alone however its neighbours
+        interleave (a tiny switch interval makes them interleave often).
+        """
+        rng = random.Random(41)
+        points = [(i, (rng.uniform(0, 100), rng.uniform(0, 100)))
+                  for i in range(300)]
+        dt = build_point_tree(points)
+        q = Segment(20, 30, 70, 60)
+        alone = cknn_euclidean(dt, q, k=3).stats.io.logical_reads
+        assert alone > 0
+        barrier = threading.Barrier(4)
+        counts: list = []
+
+        def worker():
+            barrier.wait()
+            for _ in range(20):
+                counts.append(cknn_euclidean(dt, q, k=3).stats.io.logical_reads)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(old)
+        assert counts == [alone] * 80
 
     def test_degenerate_query_rejected(self, rng):
         points, _ = random_scene(rng, n_obstacles=0)

@@ -371,6 +371,45 @@ class TestCostAccounting:
         # The obstacle index is the last tree (the unified one on 1T).
         assert stats.obstacle_reads == deltas[-1].logical_reads > 0
 
+    JOINS = {
+        "semi": lambda left, right: SemiJoinQuery(left, right),
+        "e_distance": lambda left, right: EDistanceJoinQuery(left, right,
+                                                             15.0),
+        "closest_pair": lambda left, right: ClosestPairQuery(left, right),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(JOINS))
+    def test_join_reads_match_tree_deltas(self, kind):
+        """A join's reads are its point trees' and the obstacle index's,
+        which also give its obstacle reads (joins run on 2T only)."""
+        ws = small_scene(page_size=256)
+        left, right = other_tree(seed=9, n=8), other_tree()
+        trees = [left, right, ws.obstacle_tree]
+        before = [tree.tracker.local_stats.snapshot() for tree in trees]
+        stats = ws.execute(self.JOINS[kind](left, right)).stats
+        deltas = [tree.tracker.local_stats.delta(snap)
+                  for tree, snap in zip(trees, before)]
+        assert stats.io.logical_reads == sum(d.logical_reads for d in deltas)
+        assert stats.io.page_faults == sum(d.page_faults for d in deltas)
+        assert stats.io.logical_reads > 0
+        assert stats.obstacle_reads == deltas[-1].logical_reads > 0
+
+    def test_self_join_charges_its_tree_once(self):
+        """A semi-join of a tree with itself reads through one shared
+        tracker, whose delta is charged once.  (The semi-join is the join
+        that reads its point trees page by page: its inner scans.)"""
+        ws = small_scene(page_size=256)
+        tree = other_tree(seed=9, n=8)
+        trees = [tree, ws.obstacle_tree]
+        before = [t.tracker.local_stats.snapshot() for t in trees]
+        stats = ws.execute(SemiJoinQuery(tree, tree)).stats
+        deltas = [t.tracker.local_stats.delta(snap)
+                  for t, snap in zip(trees, before)]
+        assert deltas[0].logical_reads > 0
+        assert stats.io.logical_reads == sum(d.logical_reads for d in deltas)
+        assert stats.io.page_faults == sum(d.page_faults for d in deltas)
+        assert stats.obstacle_reads == deltas[-1].logical_reads > 0
+
 
 class TestExports:
     QUERY_TYPES = [ConnQuery, CoknnQuery, OnnQuery, RangeQuery,
