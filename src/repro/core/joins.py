@@ -88,7 +88,9 @@ class _PairwiseOracle:
 
 
 def _items(tree: RStarTree) -> List[Tuple[Any, Tuple[float, float]]]:
-    return [(payload, rect.center()) for payload, rect in tree.items()]
+    """Every point of ``tree`` with its location, each page read charged."""
+    return [(payload, rect.center())
+            for payload, rect in tree.items(charge=True)]
 
 
 def _one_shot_workspace(outer_tree: RStarTree, obstacle_tree: RStarTree):
@@ -125,7 +127,7 @@ def _e_distance_join_impl(tree_a: RStarTree, tree_b: RStarTree, e: float,
     if e < 0:
         raise ValueError("e must be non-negative")
     items_a = _items(tree_a)
-    items_b = _items(tree_b)
+    items_b = items_a if tree_b is tree_a else _items(tree_b)
     if not items_a or not items_b:
         return []
     # Dual best-first pruning: Euclidean lower bound first.
@@ -172,7 +174,7 @@ def _closest_pair_impl(tree_a: RStarTree, tree_b: RStarTree,
                        ) -> Tuple[Any, Any, float] | None:
     """Execution backend of the obstructed closest-pair query."""
     items_a = _items(tree_a)
-    items_b = _items(tree_b)
+    items_b = items_a if tree_b is tree_a else _items(tree_b)
     if not items_a or not items_b:
         return None
     heap: List[Tuple[float, int, int, int]] = []

@@ -112,11 +112,19 @@ class RStarTree:
                         stack.append(e.item)
         return out
 
-    def items(self) -> Iterator[Tuple[Any, Rect]]:
-        """Iterate all ``(payload, rect)`` pairs (no I/O accounting)."""
+    def items(self, charge: bool = False) -> Iterator[Tuple[Any, Rect]]:
+        """Iterate all ``(payload, rect)`` pairs, depth first.
+
+        With ``charge`` every page the walk reads goes through the
+        tracker, as a query's full scan must (the joins read their point
+        trees this way); maintenance walks leave it off and touch no
+        tracker or buffer.
+        """
         stack = [self.root]
         while stack:
             node = stack.pop()
+            if charge:
+                self.tracker.access(node.page_id)
             for e in node.entries:
                 if node.is_leaf:
                     yield (e.item, e.rect)

@@ -20,7 +20,7 @@ vectorize.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -275,32 +275,35 @@ class ObstacleSet:
         for o in obstacles:
             self.add(o)
 
-    def remove(self, obstacle: Obstacle) -> bool:
-        """Delete one obstacle (and its primitive row); False when absent.
+    def remove(self, obstacle: Obstacle) -> Optional[Tuple[int, int]]:
+        """Delete one obstacle and its primitive row.
 
-        Callers holding count-keyed watermarks over the primitive arrays
-        must re-key them: removal shifts the rows above the deleted slot
-        down, so counts stop being monotone (the visibility graph's
-        removal repair normalizes every cached row's watermark for exactly
-        this reason).
+        Returns ``(kind, index)`` of the deleted row, ``kind`` being 0 for
+        :attr:`rects`, 1 for :attr:`segs` and 2 for :attr:`polys`, or
+        ``None`` when the obstacle is absent.  The rows above ``index``
+        shift down by one, so a count-keyed watermark over that kind must
+        drop by one exactly when it covered ``index`` (the visibility
+        graph remaps its row watermarks this way instead of refreshing
+        the rows).
         """
         try:
             i = self._obstacles.index(obstacle)
         except ValueError:
-            return False
+            return None
         kind_index = sum(1 for o in self._obstacles[:i]
                          if type(o) is type(obstacle))
         del self._obstacles[i]
         if isinstance(obstacle, RectObstacle):
             del self._rect_rows[kind_index]
             self._dirty = True
-        elif isinstance(obstacle, SegmentObstacle):
+            return 0, kind_index
+        if isinstance(obstacle, SegmentObstacle):
             del self._seg_rows[kind_index]
             self._dirty = True
-        else:
-            del self._poly_list[kind_index]
-            self._poly_dirty = True
-        return True
+            return 1, kind_index
+        del self._poly_list[kind_index]
+        self._poly_dirty = True
+        return 2, kind_index
 
     def _refresh(self) -> None:
         if self._dirty:

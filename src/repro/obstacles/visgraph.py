@@ -15,11 +15,15 @@ Two design points keep it fast at benchmark scale:
   obstacle vertices are never settled by any traversal, so most of the
   ``O(|VG|^2)`` edge work never happens.
 * **Incremental repair.**  When IOR inserts obstacles, cached rows are
-  repaired in place: entries blocked by the new obstacles are dropped (one
-  vectorized test per batch) and sight lines to the new vertices are added
-  (one pairwise kernel per batch).  Rows hold permanent nodes only; edges to
-  transient data points are appended at read time from per-transient
-  visibility cells, so binding and removing a point never touches a row.
+  repaired in place on their next read: entries blocked by the new
+  obstacles are dropped (one vectorized test per batch) and sight lines to
+  the new vertices are added (one pairwise kernel per batch).  Obstacle
+  removal is just as lazy: it only remaps each row's watermark and logs
+  the removed obstacle's box, and the row re-opens the sight lines the
+  box may have been blocking when it is next read.  Rows hold permanent
+  nodes only; edges to transient data points are appended at read time
+  from per-transient visibility cells, so binding and removing a point
+  never touches a row.
 
 The graph also caches each node's visible region ``VR_{v,q}`` with an
 obstacle watermark, so a cached region is lazily narrowed by exactly the
@@ -44,6 +48,7 @@ skeleton alive across many queries.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import (
     Callable,
@@ -72,6 +77,9 @@ from ..routing.dijkstra import ArrayTraversal
 from ..routing.stats import BackendStats
 from .obstacle import Obstacle, ObstacleSet
 from .shadow import shadow_gaps, viewpoint_shadows
+
+Mark = Tuple[int, int, int, int, int]
+"""A row watermark: see :meth:`LocalVisibilityGraph._row_mark`."""
 
 _MAX_TRAVERSAL_MEMO = 64
 """Memoized shortest-path trees kept per graph (oldest dropped first)."""
@@ -152,8 +160,13 @@ class LocalVisibilityGraph:
         self._alive: List[bool] = []
         self._transient: List[bool] = []
         # Each cached row's staleness watermark (rect rows, seg rows,
-        # polys, permanent nodes); see _row_mark.
-        self._row_marks: Dict[int, Tuple[int, int, int, int]] = {}
+        # polys, permanent nodes, removals); see _row_mark.
+        self._row_marks: Dict[int, Mark] = {}
+        # Boxes of the removed obstacles some cached row has not yet
+        # re-opened its sight lines for, oldest first; entry k is removal
+        # number _log_base + k (see remove_obstacle).
+        self._removal_log: List[Tuple[float, float, float, float]] = []
+        self._log_base = 0
         # Epoch stamps backing the O(1) staleness checks of the hot paths:
         # _struct_epoch advances on every structural insertion (obstacles,
         # permanent nodes) and never on transient bind/unbind churn, so a
@@ -485,34 +498,38 @@ class LocalVisibilityGraph:
         self._xy = [self._xy[i] for i in alive_ids]
         self._alive = [True] * len(alive_ids)
         self._transient = [self._transient[i] for i in alive_ids]
-        # Row marks count permanent insertions, which compaction never
-        # removes — only the row's key needs remapping.
+        # Row marks count the live permanent nodes of _perm_ids (removal
+        # already dropped the dead ones from it), whose order compaction
+        # keeps — only the row's key needs remapping.
         self._row_marks = {remap[v]: m for v, m in self._row_marks.items()}
         self._row_epochs = {remap[v]: e
                             for v, e in self._row_epochs.items()}
         self._perm_ids = [remap[i] for i in self._perm_ids]
         self._live_transients = [remap[t] for t in self._live_transients
                                  if t in remap]
-        # Repack the flat slab densely in one pass: rows only reference
-        # alive permanent nodes, so the vectorized id remap is total.
+        # Repack the flat slab densely in one pass.  A row that has not
+        # caught up with an obstacle removal may still hold the removed
+        # obstacle's dead vertices: they remap to -1 and are scrubbed
+        # here, as its catch-up would have.
         if self._indptr:
             remap_np = np.full(old_len, -1, dtype=np.int64)
             remap_np[np.asarray(alive_ids, dtype=np.int64)] = \
                 np.arange(len(alive_ids), dtype=np.int64)
-            total = sum(e - s for s, e in self._indptr.values())
-            new_idx = np.empty(total, dtype=np.int64)
-            new_w = np.empty(total, dtype=np.float64)
-            new_ptr: Dict[int, Tuple[int, int]] = {}
-            pos = 0
-            for v, (s, e) in self._indptr.items():
-                k = e - s
-                new_idx[pos:pos + k] = remap_np[self._indices[s:e]]
-                new_w[pos:pos + k] = self._weights[s:e]
-                new_ptr[remap[v]] = (pos, pos + k)
-                pos += k
-            self._indices, self._weights = new_idx, new_w
-            self._pool_used = pos
-            self._indptr = new_ptr
+            owners = list(self._indptr)
+            spans = [self._indptr[v] for v in owners]
+            flat = np.concatenate([remap_np[self._indices[s:e]]
+                                   for s, e in spans])
+            flat_w = np.concatenate([self._weights[s:e] for s, e in spans])
+            keep = flat >= 0
+            lens = np.bincount(
+                np.repeat(np.arange(len(owners)),
+                          [e - s for s, e in spans])[keep],
+                minlength=len(owners))
+            ends = np.cumsum(lens).tolist()
+            self._indices, self._weights = flat[keep], flat_w[keep]
+            self._pool_used = int(self._indices.size)
+            self._indptr = {remap[v]: (e - k, e) for v, k, e
+                            in zip(owners, lens.tolist(), ends)}
         else:
             self._indices = np.empty(0, dtype=np.int64)
             self._weights = np.empty(0, dtype=np.float64)
@@ -538,7 +555,8 @@ class LocalVisibilityGraph:
         """Replicate this graph's obstacle skeleton into a fresh graph.
 
         The clone carries the obstacles, the node table, *and every cached
-        adjacency row* — the expensive pairwise sight-line tests — but none
+        adjacency row* — the expensive pairwise sight-line tests — with
+        its watermark and the removal log it has yet to catch up on, but none
         of the per-anchor state (visible-region caches, traversal memos,
         endpoint binding).  This is how the shared routing backend
         pre-provisions per-worker graphs for a parallel batch: each worker
@@ -567,6 +585,8 @@ class LocalVisibilityGraph:
         clone._indptr = dict(self._indptr)
         clone._row_marks = dict(self._row_marks)
         clone._row_epochs = dict(self._row_epochs)
+        clone._removal_log = list(self._removal_log)
+        clone._log_base = self._log_base
         clone._struct_epoch = self._struct_epoch
         clone._perm_ids = list(self._perm_ids)
         clone._live_transients = list(self._live_transients)
@@ -580,7 +600,8 @@ class LocalVisibilityGraph:
         Cached adjacency rows are *not* repaired here; each row repairs
         itself lazily on next access (see :meth:`neighbors`), so obstacle
         insertion costs nothing for the (typically large) majority of rows
-        no later traversal touches again.
+        no later traversal touches again.  :meth:`remove_obstacle` works
+        the same way.
 
         Obstacles already present are skipped, so caching layers may re-offer
         a mixed batch freely without double-inserting vertices.
@@ -600,228 +621,129 @@ class LocalVisibilityGraph:
                 for vx, vy in o.vertices()]
         return len(batch)
 
-    def remove_obstacle(self, obstacle: Obstacle) -> Optional[int]:
-        """Surgically delete ``obstacle``, repairing cached state in place.
+    def remove_obstacle(self, obstacle: Obstacle) -> bool:
+        """Delete ``obstacle``; cached rows catch up on their next read.
 
         Removal only *adds* visibility: a cached row entry was visible
-        despite the obstacle, so it stays visible without it — nothing
-        currently cached becomes wrong.  The only repair needed is
-        re-opening sight lines the obstacle alone was blocking, and every
-        such absent pair's segment must overlap the obstacle's bbox padded
-        by the kernels' tolerance bound (a blocking decision implies a
-        crossing point on the segment inside the padded box — the same
-        bound the batch kernel's bbox prefilter relies on).  So the repair
+        despite the obstacle, so it stays visible without it.  What a row
+        misses are the sight lines the obstacle alone was blocking, and
+        every such absent pair's segment crosses the obstacle's bbox
+        padded by the kernels' tolerance bound (a blocking decision
+        implies a crossing point inside the padded box — the bound the
+        batch kernel's bbox prefilter relies on).  So removal does no
+        row-level work beyond bookkeeping and launches no kernel:
 
-        1. brings stale cached rows current (obstacle counts are still
-           monotone until the deletion lands),
-        2. deletes the obstacle's own vertices (their rows die with
-           them) and scrubs them from surviving rows,
-        3. re-tests, in one batched launch, exactly the absent
-           (row, candidate) pairs whose sight segment's bbox overlaps the
-           removed obstacle's padded bbox, appending the newly visible
-           ones, and
-        4. normalizes every surviving row's watermark to the post-removal
-           counts (removal breaks count monotonicity; normalization
-           restores it for everything cached).
+        1. the obstacle's own vertices die, with their rows;
+        2. every cached row's watermark is remapped onto the shrunken
+           arrays (:meth:`_remap_marks`), so a row stale against
+           insertions stays exactly as stale;
+        3. the obstacle's bbox joins the removal log, which every row's
+           watermark indexes into; a row that never considered the
+           obstacle and is not behind the log skips the entry.
 
-        Count-keyed side caches that cannot be normalized in place
-        (visible regions — lazy narrowing cannot widen — transient
-        visibility cells, primitive bounds) are dropped and recompute
-        lazily.  Memoized traversals survive when the repair re-opened
-        nothing and they never reached a deleted node; everything else
-        invalidates via the generation bump.
+        A row behind the log catches up on its next read
+        (:meth:`_repair_rows_bulk`): it scrubs dead ids and re-tests the
+        absent pairs among the candidates it had considered whose sight
+        segment crosses a pending box, against the current obstacles.
+        The log keeps no more entries than the graph has obstacles (at
+        least one): a row behind a trimmed entry is dropped and
+        rematerializes when read.
+
+        Count-keyed side caches that cannot be remapped (visible regions
+        — lazy narrowing cannot widen — transient visibility cells,
+        primitive bounds) are dropped and recompute lazily, and the
+        generation bump invalidates every memoized traversal.
 
         Returns:
-            The number of absent pairs re-tested, or ``None`` when the
-            obstacle is not resident (nothing referenced it; the graph is
-            already correct without repair).
+            ``True`` when the obstacle was resident and is gone, ``False``
+            when it was not (the graph is already correct without it).
         """
         if obstacle not in self._obstacle_keys:
-            return None
-        # (1) Stale rows must repair against the *pre-removal* obstacle
-        # arrays: their recorded counts index into those arrays.
-        self._refresh_rows_bulk(self._indptr)
-        mbr = obstacle.mbr()
+            return False
+        box = obstacle.mbr()
         removed = self._obstacle_nodes.pop(obstacle, [])
-        removed_set = set(removed)
         self._obstacle_keys.discard(obstacle)
-        self.obstacles.remove(obstacle)
-        # (2) The obstacle's own nodes die; their cached state goes with
-        # them.
+        kind, index = self.obstacles.remove(obstacle)
         for nid in removed:
             self._alive[nid] = False
             self._alive_np[nid] = False
             self._indptr.pop(nid, None)
             self._row_marks.pop(nid, None)
             self._row_epochs.pop(nid, None)
-            self._traversals.pop(nid, None)
-        if removed_set:
-            self._perm_ids = [i for i in self._perm_ids
-                              if i not in removed_set]
+        dead = set(removed)
+        gone = [k for k, i in enumerate(self._perm_ids) if i in dead]
+        self._perm_ids = [i for i in self._perm_ids if i not in dead]
+        self._removal_log.append((box.xlo, box.ylo, box.xhi, box.yhi))
+        self._struct_epoch += 1
+        self._remap_marks(kind, index, gone)
         self._reset_cells()
         self._vr_cache.clear()
         self._bounds_cache = None
-        # (3) + (4)
-        generation_was = self._generation
-        retested, reopened = self._reopen_rows(removed_set, mbr)
-        self.work.graph_repairs += 1
-        self.work.repair_retested_pairs += retested
-        # A memoized traversal's tree is untouched iff no sight line
-        # re-opened (edge set of survivors unchanged) and it never relaxed
-        # a now-deleted node (dist through one would be stale).
-        survivors: List[ArrayTraversal] = []
-        if reopened == 0:
-            for src, t in self._traversals.items():
-                if t.stamp != generation_was:
-                    continue
-                ids = [r for r in removed_set if r < t.dist.size]
-                reached = bool(ids) and bool(
-                    np.isfinite(t.dist[np.asarray(ids)]).any())
-                if not reached:
-                    survivors.append(t)
-        self._struct_epoch += 1
-        epoch = self._struct_epoch
-        for v in self._indptr:
-            self._row_epochs[v] = epoch
         self._generation += 1
-        for t in survivors:
-            t.stamp = self._generation
-        return retested
+        self.work.graph_repairs += 1
+        return True
 
-    def _reopen_rows(self, removed_set: Set[int],
-                     mbr) -> Tuple[int, int]:
-        """Scrub deleted nodes from cached rows and re-open sight lines.
+    def _remap_marks(self, kind: int, index: int, gone: List[int]) -> None:
+        """Re-key every row watermark after one obstacle's removal.
 
-        Every cached row is already current (pre-removal counts); this
-        re-tests, against the post-removal obstacle set, the absent pairs
-        whose sight segment actually crosses ``mbr`` padded by the kernel
-        tolerance bound (a slab clip, not just bbox overlap — a pair the
-        removed obstacle blocked must run through its padded box, while
-        most absent pairs in a dense scene merely *span* it), and stamps
-        all rows with the post-removal watermark.
-
-        Returns:
-            ``(pairs re-tested, pairs re-opened)``.
+        ``kind``/``index`` locate the deleted primitive row
+        (:meth:`ObstacleSet.remove`) and ``gone`` holds the positions the
+        deleted vertices had in ``_perm_ids`` (ascending).  A watermark
+        that covered the primitive drops by one, and its permanent-node
+        count drops by the deleted vertices it covered, so the row's
+        counts again name exactly the primitives and candidates it has
+        considered.  A row that never considered the primitive and had
+        re-opened for every earlier removal skips the new log entry, as
+        nothing it holds was blocked by the obstacle; such a row may be
+        current again (an obstacle added and removed while the row was
+        not read), and only rows current after the remap are stamped with
+        the new struct epoch.  Rows sharing a watermark share the remap.
+        Then the removal log is trimmed to the entries some row still
+        needs, and to at most one entry per resident obstacle (at least
+        one): rows behind a trimmed entry are dropped.
         """
-        n = len(self._xy)
-        if n == 0:
-            return 0, 0
-        coords = self._coords_np[:n]
-        # The pad must dominate the kernels' tolerant comparisons for any
-        # pair we filter; a scale over *all* alive coordinates bounds every
-        # per-pair scale blocked_batch would have used.
-        alive = self._alive_np[:n]
-        scale = 1.0
-        if alive.any():
-            scale += float(np.abs(coords[alive]).max())
-        pad = 8.0 * EPS * scale
-        xlo, ylo = mbr.xlo - pad, mbr.ylo - pad
-        xhi, yhi = mbr.xhi + pad, mbr.yhi + pad
-        mark_now = self._row_mark()
-        hypot = math.hypot
-        xy = self._xy
-        removed_np = (np.fromiter(removed_set, dtype=np.int64)
-                      if removed_set else np.empty(0, dtype=np.int64))
-        cand_all = np.nonzero(alive & ~self._transient_np[:n])[0]
-        rows_list = list(self._indptr)
-        nrows = len(rows_list)
-        if nrows == 0:
-            return 0, 0
-        rows_arr = np.asarray(rows_list, dtype=np.int64)
-
-        def _slab_snapshot():
-            spans = np.asarray([self._indptr[v] for v in rows_list],
-                               dtype=np.int64).reshape(nrows, 2)
-            lens = spans[:, 1] - spans[:, 0]
-            if int(lens.sum()):
-                ids = np.concatenate(
-                    [self._indices[s:e] for s, e in spans])
-            else:
-                ids = np.empty(0, dtype=np.int64)
-            return lens, ids
-
-        lens, idsall = _slab_snapshot()
-        # Scrub deleted targets: one membership pass over the whole
-        # slab finds the rows that lost entries; only those compact.
-        if removed_np.size and idsall.size:
-            gone = np.isin(idsall, removed_np)
-            if gone.any():
-                row_rep = np.repeat(np.arange(nrows), lens)
-                lost = np.bincount(row_rep[gone], minlength=nrows)
-                starts = np.zeros(nrows + 1, dtype=np.int64)
-                np.cumsum(lens, out=starts[1:])
-                for ri in np.nonzero(lost)[0].tolist():
-                    v = rows_list[ri]
-                    s, e = self._indptr[v]
-                    keep = ~gone[starts[ri]:starts[ri + 1]]
-                    k = int(keep.sum())
-                    self._indices[s:s + k] = self._indices[s:e][keep]
-                    self._weights[s:s + k] = self._weights[s:e][keep]
-                    self._indptr[v] = (s, s + k)
-                lens, idsall = _slab_snapshot()
-        # Absent pairs in one scatter: presence[r, c] marks cached
-        # entries, the row's own id and non-candidates are masked, the
-        # rest is exactly the setdiff the per-row path computed —
-        # row-major nonzero keeps each row's candidates ascending,
-        # matching the sorted order setdiff1d produced.
-        pres = np.zeros((nrows, n), dtype=bool)
-        if idsall.size:
-            pres[np.repeat(np.arange(nrows), lens), idsall] = True
-        base = np.zeros(n, dtype=bool)
-        base[cand_all] = True
-        absent = ~pres
-        absent &= base[None, :]
-        absent[np.arange(nrows), rows_arr] = False
-        ri, ci = np.nonzero(absent)
-        # Keep only pairs whose sight segment crosses the removed
-        # obstacle's padded box (the slab clip); everything else
-        # cannot have been blocked by it alone.
-        if ri.size:
-            hit = _segment_hits_box(coords[rows_arr[ri], 0],
-                                    coords[rows_arr[ri], 1],
-                                    coords[ci, 0], coords[ci, 1],
-                                    xlo, ylo, xhi, yhi)
-            ri, ci = ri[hit], ci[hit]
-        for v in rows_list:
-            self._row_marks[v] = mark_now
-        retested = int(ri.size)
-        reopened = 0
-        if retested:
-            # Early-terminating bulk launch: most retested pairs are
-            # still blocked by some surviving obstacle and drop out
-            # after the first chunk or two.  (_blocked_bulk ticks the
-            # batch counters itself.)
-            blocked = self._blocked_bulk(coords[rows_arr[ri]],
-                                         coords[ci])
-            self.work.bulk_pair_launches += 1
-            ok = ~blocked
-            ri2, ci2 = ri[ok], ci[ok]
-            reopened = int(ri2.size)
-            if reopened:
-                edges = np.searchsorted(ri2, np.arange(nrows + 1))
-                for rix in np.unique(ri2).tolist():
-                    v = rows_list[rix]
-                    vis = ci2[edges[rix]:edges[rix + 1]]
-                    vx, vy = xy[v]
-                    add_w = np.empty(vis.size, dtype=np.float64)
-                    for j, i in enumerate(vis.tolist()):
-                        tx, ty = xy[i]
-                        add_w[j] = hypot(vx - tx, vy - ty)
-                    s, e = self._indptr[v]
-                    self._row_write(
-                        v,
-                        np.concatenate([self._indices[s:e],
-                                        vis.astype(np.int64,
-                                                   copy=False)]),
-                        np.concatenate([self._weights[s:e], add_w]))
-        return retested, reopened
+        now = self._row_mark()
+        end = now[4]
+        epoch = self._struct_epoch
+        remapped: Dict[Mark, Mark] = {}
+        marks = self._row_marks
+        for v, m in marks.items():
+            nm = remapped.get(m)
+            if nm is None:
+                counts = list(m)
+                if index < counts[kind]:
+                    counts[kind] -= 1
+                elif counts[4] == end - 1:
+                    counts[4] = end
+                counts[3] -= bisect.bisect_left(gone, counts[3])
+                nm = remapped[m] = tuple(counts)
+            marks[v] = nm
+            if nm == now:
+                self._row_epochs[v] = epoch
+        oldest = min((m[4] for m in remapped.values()), default=end)
+        floor = max(oldest, end - max(1, len(self.obstacles)))
+        if floor > self._log_base:
+            if floor > oldest:
+                for v in [v for v, m in marks.items() if m[4] < floor]:
+                    del marks[v]
+                    del self._indptr[v]
+                    self._row_epochs.pop(v, None)
+            del self._removal_log[:floor - self._log_base]
+            self._log_base = floor
 
     # ------------------------------------------------------------ adjacency
-    def _row_mark(self) -> Tuple[int, int, int, int]:
-        """Row watermark: the node component counts *permanent* nodes only,
-        so bind/unbind churn never invalidates a cached flat row."""
+    def _row_mark(self) -> Mark:
+        """The current row watermark.
+
+        A row's watermark says what its entries are exact for: the first
+        rect, seg and polygon rows of the obstacle arrays, the first
+        ``_perm_ids`` as candidates (permanent nodes only, so bind/unbind
+        churn never invalidates a cached row), and the number of
+        obstacle removals whose sight lines it has re-opened.
+        """
         return (self.obstacles.rects.shape[0], self.obstacles.segs.shape[0],
-                len(self.obstacles.polys), len(self._perm_ids))
+                len(self.obstacles.polys), len(self._perm_ids),
+                self._log_base + len(self._removal_log))
 
     def _prims_now(self) -> int:
         return (self.obstacles.rects.shape[0] + self.obstacles.segs.shape[0]
@@ -873,8 +795,7 @@ class LocalVisibilityGraph:
         self._weights[s:s + n] = w
         self._indptr[node] = (s, s + n)
 
-    def _materialize_row(self, node: int,
-                         mark_now: Tuple[int, int, int, int]
+    def _materialize_row(self, node: int, mark_now: Mark
                          ) -> Tuple[np.ndarray, np.ndarray]:
         x, y = self._xy[node]
         n = len(self._xy)
@@ -1080,21 +1001,20 @@ class LocalVisibilityGraph:
         return len(todo)
 
     def _repair_rows_bulk(self, rows: List[int],
-                          mark: Tuple[int, int, int, int],
-                          mark_now: Tuple[int, int, int, int]) -> None:
-        """Repair cached rows sharing one watermark in two batched launches.
+                          counts: Tuple[int, int, int, int],
+                          mark_now: Mark) -> None:
+        """Catch up cached rows sharing one watermark's counts with growth.
 
-        The one row repair path, in two phases: drop
-        entries blocked by obstacles added since ``mark``, then wire up
-        permanent vertices added since ``mark`` (appended in id order) —
-        each over the concatenated pairs of every row, so a refresh of R
-        stale rows costs 2 launches instead of 2R.  Kernel decisions are
-        elementwise, so a row's result does not depend on which rows it
-        was batched with, nor on whether growth was repaired in one step
-        or several: surviving entries keep their order and additions land
-        in insertion order either way.
+        Two phases: drop entries blocked by obstacles added since
+        ``counts``, then wire up permanent vertices added since ``counts``
+        (appended in id order) — each over the concatenated pairs of every
+        row, so a refresh of R stale rows costs 2 launches instead of 2R.
+        Kernel decisions are elementwise, so a row's result does not
+        depend on which rows it was batched with, nor on whether growth
+        was repaired in one step or several: surviving entries keep their
+        order and additions land in insertion order either way.
         """
-        n_rects, n_segs, n_polys, n_perm = mark
+        n_rects, n_segs, n_polys, n_perm = counts
         new_rects = self.obstacles.rects[n_rects:]
         new_segs = self.obstacles.segs[n_segs:]
         new_polys = self.obstacles.poly_slab[n_polys:]
@@ -1181,29 +1101,149 @@ class LocalVisibilityGraph:
         for v in rows:
             self._row_marks[v] = mark_now
 
+    def _scrub_dead(self, rows: List[int]) -> None:
+        """Drop the entries of ``rows`` that point at removed vertices."""
+        alive = self._alive_np
+        for v in rows:
+            s, e = self._indptr[v]
+            keep = alive[self._indices[s:e]]
+            if not keep.all():
+                k = int(keep.sum())
+                self._indices[s:s + k] = self._indices[s:e][keep]
+                self._weights[s:s + k] = self._weights[s:e][keep]
+                self._indptr[v] = (s, s + k)
+
+    def _reopen_rows(self, rows: List[int], marks: List[Mark]) -> None:
+        """Re-open the sight lines removed obstacles may have been blocking.
+
+        Row ``rows[r]`` with watermark ``marks[r]`` is exact, against every
+        obstacle it has considered, for its first ``marks[r][3]``
+        candidates (``_perm_ids`` order), and the removal-log entries from
+        ``marks[r][4]`` on are the bboxes of the obstacles removed since.
+        An absent pair one of those obstacles was blocking crosses its
+        bbox padded by the kernel tolerance bound (a slab clip behind a
+        bbox-overlap prefilter: most absent pairs in a dense scene merely
+        *span* a box), so only those pairs of all the rows are re-tested
+        against the current obstacles, in one early-terminating launch;
+        the visible ones are appended.  The pad scales with every node
+        coordinate, which bounds the per-pair scale of any kernel
+        decision about an alive pair.
+        """
+        n = len(self._xy)
+        coords = self._coords_np[:n]
+        nrows = len(rows)
+        rows_arr = np.asarray(rows, dtype=np.int64)
+        # rank[c] is c's position in _perm_ids (n for non-candidates), so
+        # row r's candidates are the c with rank[c] < its count.
+        perm = np.asarray(self._perm_ids, dtype=np.int64)
+        rank = np.full(n, n, dtype=np.int64)
+        rank[perm] = np.arange(perm.size)
+        counts = np.asarray([m[3] for m in marks], dtype=np.int64)
+        absent = rank[None, :] < counts[:, None]
+        spans = [self._indptr[v] for v in rows]
+        lens = [e - s for s, e in spans]
+        if sum(lens):
+            absent[np.repeat(np.arange(nrows), lens),
+                   np.concatenate([self._indices[s:e]
+                                   for s, e in spans])] = False
+        absent[np.arange(nrows), rows_arr] = False
+        ri, ci = np.nonzero(absent)
+        if not ri.size:
+            return
+        sx = coords[rows_arr[ri], 0]
+        sy = coords[rows_arr[ri], 1]
+        tx = coords[ci, 0]
+        ty = coords[ci, 1]
+        first = min(m[4] for m in marks)
+        boxes = np.asarray(self._removal_log[first - self._log_base:],
+                           dtype=np.float64)
+        pad = 8.0 * EPS * (1.0 + float(np.abs(coords).max()))
+        boxes[:, :2] -= pad
+        boxes[:, 2:] += pad
+        # (pair, pending box) candidates, one tile of them at a time: the
+        # box is pending for the pair's row and overlaps the pair's bbox;
+        # the slab clip decides.
+        since = np.asarray([m[4] - first for m in marks],
+                           dtype=np.int64)[ri]
+        pending = np.arange(len(boxes))[None, :]
+        hit = np.zeros(ri.size, dtype=bool)
+        step = max(1, BATCH_TILE_ELEMS // len(boxes))
+        for lo in range(0, ri.size, step):
+            t = slice(lo, lo + step)
+            near = since[t, None] <= pending
+            near &= np.minimum(sx[t], tx[t])[:, None] <= boxes[None, :, 2]
+            near &= np.maximum(sx[t], tx[t])[:, None] >= boxes[None, :, 0]
+            near &= np.minimum(sy[t], ty[t])[:, None] <= boxes[None, :, 3]
+            near &= np.maximum(sy[t], ty[t])[:, None] >= boxes[None, :, 1]
+            pi, bi = np.nonzero(near)
+            pi += lo
+            crosses = _segment_hits_box(sx[pi], sy[pi], tx[pi], ty[pi],
+                                        boxes[bi, 0], boxes[bi, 1],
+                                        boxes[bi, 2], boxes[bi, 3])
+            hit[pi[crosses]] = True
+        ri, ci = ri[hit], ci[hit]
+        if not ri.size:
+            return
+        self.work.repair_retested_pairs += int(ri.size)
+        blocked = self._blocked_bulk(coords[rows_arr[ri]], coords[ci])
+        self.work.bulk_pair_launches += 1
+        ok = ~blocked
+        ri, ci = ri[ok], ci[ok]
+        if not ri.size:
+            return
+        edges = np.searchsorted(ri, np.arange(nrows + 1))
+        hypot = math.hypot
+        xy = self._xy
+        for rix in np.flatnonzero(np.diff(edges)).tolist():
+            v = rows[rix]
+            vis = ci[edges[rix]:edges[rix + 1]]
+            vx, vy = xy[v]
+            add_w = np.empty(vis.size, dtype=np.float64)
+            for j, i in enumerate(vis.tolist()):
+                ux, uy = xy[i]
+                add_w[j] = hypot(vx - ux, vy - uy)
+            s, e = self._indptr[v]
+            self._row_write(v, np.concatenate([self._indices[s:e], vis]),
+                            np.concatenate([self._weights[s:e], add_w]))
+
     def _refresh_rows_bulk(self, rows: Iterable[int]) -> int:
         """Bring the cached slab rows among ``rows`` current, by watermark.
 
-        Rows stale against different watermarks (possible when inserts
-        landed between accesses) repair in separate grouped launches; rows
-        sharing a watermark — the overwhelmingly common case — share one
-        pair of launches.  Missing rows and dead nodes are skipped.
-        Returns the number of rows repaired.
+        Rows behind the removal log scrub their dead ids first.  Then
+        rows stale against different counts (possible when inserts landed
+        between accesses) catch up with growth in separate grouped
+        launches (:meth:`_repair_rows_bulk`); rows sharing counts — the
+        overwhelmingly common case — share one pair of launches.  Last,
+        every row behind the log re-opens its sight lines in one joint
+        launch (:meth:`_reopen_rows`), over the candidates it had before
+        the vertices just wired, which it never re-tests.  Missing rows
+        and dead nodes are skipped.  Returns the number of rows repaired.
         """
         mark_now = self._row_mark()
         epoch = self._struct_epoch
         groups: Dict[Tuple[int, int, int, int], List[int]] = {}
-        for v in rows:
+        behind: List[int] = []
+        behind_marks: List[Mark] = []
+        repaired = 0
+        for v in dict.fromkeys(rows):
             if not self._alive[v] or v not in self._indptr:
                 continue
             m = self._row_marks[v]
             if m != mark_now:
-                groups.setdefault(m, []).append(v)
-        for mark, vs in groups.items():
-            self._repair_rows_bulk(vs, mark, mark_now)
+                repaired += 1
+                groups.setdefault(m[:4], []).append(v)
+                if m[4] < mark_now[4]:
+                    behind.append(v)
+                    behind_marks.append(m)
+        if behind:
+            self._scrub_dead(behind)
+        for counts, vs in groups.items():
+            self._repair_rows_bulk(vs, counts, mark_now)
             for v in vs:
                 self._row_epochs[v] = epoch
-        return sum(len(vs) for vs in groups.values())
+        if behind:
+            self._reopen_rows(behind, behind_marks)
+        return repaired
 
     def build_all(self) -> int:
         """Eagerly materialize (and refresh) every alive node's row.
@@ -1400,12 +1440,18 @@ class LocalVisibilityGraph:
         return dict(zip(idx.tolist(), w.tolist()))
 
     def num_edges(self, materialize: bool = False) -> int:
-        """Count sight-line edges (cached rows only, unless ``materialize``)."""
+        """Count sight-line edges (cached rows only, unless ``materialize``).
+
+        Cached rows are brought current first, so a row that has not yet
+        caught up with an insertion or removal counts what it will hold.
+        """
         if materialize:
             # Bulk path: one batched launch for all missing rows instead of
             # one kernel launch per node (diagnostics used to dominate
             # small-benchmark profiles through exactly this loop).
             self.build_all()
+        else:
+            self._refresh_rows_bulk(list(self._indptr))
         seen = set()
         for v, (s, e) in self._indptr.items():
             if not self._alive[v]:

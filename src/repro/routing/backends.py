@@ -323,10 +323,10 @@ class SharedVGBackend(_BackendBase):
     Maintenance runs with the workspace write lock held (no session in
     flight): ``note_obstacle_insert`` patches every resident graph in
     place (adjacency rows self-repair lazily, exactly as IOR insertion
-    always has); ``note_obstacle_remove`` repairs every resident graph
-    surgically — removal only *adds* visibility, so only the absent pairs
-    the removed obstacle's padded bbox could have been blocking are
-    re-tested, in one batched launch per graph.  A tree version
+    always has); ``note_obstacle_remove`` deletes the obstacle from every
+    resident graph just as lazily — removal only *adds* visibility, so
+    each cached row re-tests, on its next read, only the absent pairs the
+    removed obstacle's padded bbox could have been blocking.  A tree version
     mismatch at attach time means someone mutated the index behind the
     workspace's back: every graph is dropped, never served stale.  Each
     drop bumps :attr:`generation`, the freshness token pooled spares are
@@ -425,15 +425,16 @@ class SharedVGBackend(_BackendBase):
     def note_obstacle_remove(self, obstacle: "Obstacle") -> None:
         """Absorb an announced removal into every resident graph.
 
-        Each resident graph repairs itself surgically — the obstacle's own
-        vertices are deleted and only the absent sight-line pairs its
-        padded bbox could have been blocking are re-tested, in one batched
-        launch per graph
-        (see :meth:`~repro.obstacles.visgraph.LocalVisibilityGraph.remove_obstacle`).
-        Cached rows, traversal memos for unaffected sources, and pooled
-        spares all survive; :attr:`generation` does **not** bump, because
-        no graph was dropped.  Called under the workspace write lock, so
-        no graph is mid-traversal.
+        Each resident graph deletes the obstacle's own vertices, remaps
+        its cached rows' watermarks and logs the obstacle's bbox, with no
+        kernel launch; each row re-tests the absent sight-line pairs that
+        bbox could have been blocking when a later query reads it
+        (see :meth:`~repro.obstacles.visgraph.LocalVisibilityGraph.remove_obstacle`),
+        so those retests are charged to that query.  Cached rows and
+        pooled spares survive; traversal memos do not.
+        :attr:`generation` does **not** bump, because no graph was
+        dropped.  Called under the workspace write lock, so no graph is
+        mid-traversal.
         """
         with self._lock:
             if not self._absorb_announced_mutation():

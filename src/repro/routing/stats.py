@@ -120,14 +120,15 @@ class BackendStats:
     rows (also counted in ``batch_visibility_calls``)."""
 
     graph_repairs: int = 0
-    """Announced obstacle removals absorbed by surgically repairing a
-    resident graph in place (nodes deleted, re-opened sight lines
-    re-tested)."""
+    """Announced obstacle removals absorbed in place by a resident graph
+    (nodes deleted, row watermarks remapped; the rows re-open their
+    sight lines when next read)."""
 
     repair_retested_pairs: int = 0
-    """Absent (source, target) pairs re-tested by removal repairs: pairs
-    not currently visible whose sight segment's bbox overlaps a removed
-    obstacle's padded bbox (the only pairs removal can re-open)."""
+    """Absent (source, target) pairs re-tested as rows caught up with
+    obstacle removals, counted by the read that ran them: pairs not
+    visible whose sight segment crosses a removed obstacle's padded bbox
+    (the only pairs removal can re-open)."""
 
     region_waves: int = 0
     """Visible-region misses that filled every alive node's missing or

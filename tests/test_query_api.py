@@ -391,7 +391,10 @@ class TestCostAccounting:
                   for tree, snap in zip(trees, before)]
         assert stats.io.logical_reads == sum(d.logical_reads for d in deltas)
         assert stats.io.page_faults == sum(d.page_faults for d in deltas)
-        assert stats.io.logical_reads > 0
+        # Each point tree is read: the e-distance and closest-pair joins
+        # scan both whole, the semi-join scans the outer whole and the
+        # inner by nearest-neighbour search.
+        assert deltas[0].logical_reads > 0 and deltas[1].logical_reads > 0
         assert stats.obstacle_reads == deltas[-1].logical_reads > 0
 
     def test_self_join_charges_its_tree_once(self):
@@ -406,6 +409,21 @@ class TestCostAccounting:
         deltas = [t.tracker.local_stats.delta(snap)
                   for t, snap in zip(trees, before)]
         assert deltas[0].logical_reads > 0
+        assert stats.io.logical_reads == sum(d.logical_reads for d in deltas)
+        assert stats.io.page_faults == sum(d.page_faults for d in deltas)
+        assert stats.obstacle_reads == deltas[-1].logical_reads > 0
+
+    def test_e_distance_self_join_charges_its_tree_once(self):
+        """An e-distance self-join scans its one tree a single time, one
+        read per page, and charges that delta once."""
+        ws = small_scene(page_size=256)
+        tree = other_tree(seed=9, n=8)
+        trees = [tree, ws.obstacle_tree]
+        before = [t.tracker.local_stats.snapshot() for t in trees]
+        stats = ws.execute(EDistanceJoinQuery(tree, tree, 15.0)).stats
+        deltas = [t.tracker.local_stats.delta(snap)
+                  for t, snap in zip(trees, before)]
+        assert deltas[0].logical_reads == tree.num_pages > 0
         assert stats.io.logical_reads == sum(d.logical_reads for d in deltas)
         assert stats.io.page_faults == sum(d.page_faults for d in deltas)
         assert stats.obstacle_reads == deltas[-1].logical_reads > 0

@@ -8,6 +8,10 @@ Contract under test:
   regions and exactly the shortest distances of a graph freshly built
   over the surviving obstacles, and every row equals the brute-force
   row of :mod:`tests.reference`;
+* **Lazy catch-up** — removal itself only remaps row watermarks and logs
+  the removed box (no kernel launch); rows read in any order, at any
+  point of a storm, or compacted before they were read, catch up to the
+  fresh build, and the removal log stays bounded;
 * **Workspace answers** — a shared-backend workspace that repairs every
   removal in place answers every query of an insert/remove storm with
   the float-identical tuples of the per-query backend, which builds a
@@ -37,7 +41,7 @@ from repro import (
     Workspace,
 )
 from repro.geometry import Segment
-from repro.obstacles import LocalVisibilityGraph
+from repro.obstacles import LocalVisibilityGraph, visgraph
 from repro.obstacles.visgraph import _segment_hits_box
 from tests.reference import assert_row_matches
 from tests.test_bulk_materialize import mixed_scene
@@ -80,23 +84,41 @@ def assert_graphs_equivalent(repaired: LocalVisibilityGraph,
     assert d_rep == d_new
 
 
+def assert_rows_match_fresh(g: LocalVisibilityGraph, resident: list,
+                            order: list) -> None:
+    """Read every permanent row of ``g`` in ``order``, one at a time (each
+    read catches its row up alone), and compare it with a fresh build."""
+    fresh = LocalVisibilityGraph(Q)
+    fresh.add_obstacles(resident)
+    fresh_xy = {fresh._xy[v]: v for v in fresh._alive_ids()
+                if not fresh._transient[v]}
+    perm = [v for v in order if g._alive[v] and not g._transient[v]]
+    assert sorted(g._xy[v] for v in perm) == sorted(fresh_xy)
+    remap = {v: fresh_xy[g._xy[v]] for v in perm}
+    for v in perm:
+        row = g.row_arrays(v)
+        got = {remap[u]: w for u, w in zip(row[0].tolist(), row[1].tolist())}
+        assert got == row_dict(fresh, remap[v])
+        assert_row_matches(g, v, row)
+
+
 class TestGraphRepair:
     def test_removal_restores_blocked_edge_exactly(self):
         blocker = RectObstacle(45, 40, 55, 60)
         g = LocalVisibilityGraph(Q)
         g.add_obstacles([blocker])
         assert g.E not in row_dict(g, g.S)
-        retested = g.remove_obstacle(blocker)
-        assert retested is not None and retested > 0
+        assert g.remove_obstacle(blocker) is True
+        assert g.work.graph_repairs == 1
+        assert g.work.repair_retested_pairs == 0   # nothing read yet
         clean = LocalVisibilityGraph(Q)
         assert row_dict(g, g.S)[g.E] == row_dict(clean, clean.S)[clean.E]
-        assert g.work.graph_repairs == 1
-        assert g.work.repair_retested_pairs == retested
+        assert g.work.repair_retested_pairs > 0    # counted by the read
 
-    def test_remove_nonresident_is_none(self):
+    def test_remove_nonresident_is_false(self):
         g = LocalVisibilityGraph(Q)
         g.add_obstacles([RectObstacle(10, 10, 20, 20)])
-        assert g.remove_obstacle(RectObstacle(70, 70, 80, 80)) is None
+        assert g.remove_obstacle(RectObstacle(70, 70, 80, 80)) is False
         assert g.work.graph_repairs == 0
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -109,7 +131,7 @@ class TestGraphRepair:
         for _step in range(12):
             if resident and rng.random() < 0.45:
                 victim = resident.pop(rng.randrange(len(resident)))
-                assert g.remove_obstacle(victim) is not None
+                assert g.remove_obstacle(victim)
             elif pool:
                 o = pool.pop()
                 g.add_obstacles([o])
@@ -119,6 +141,131 @@ class TestGraphRepair:
         fresh = LocalVisibilityGraph(Q)
         fresh.add_obstacles(resident)
         assert_graphs_equivalent(g, fresh)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_partial_reads_then_every_row_equals_fresh_build(self, seed):
+        """Rows read between removals catch up part-way; the rest stay
+        behind several removals and insertions at once."""
+        rng = random.Random(seed)
+        pool = mixed_scene(rng, 10)
+        g = LocalVisibilityGraph(Q)
+        resident: list = []
+        for _step in range(14):
+            if resident and rng.random() < 0.45:
+                victim = resident.pop(rng.randrange(len(resident)))
+                assert g.remove_obstacle(victim)
+            elif pool:
+                o = pool.pop()
+                g.add_obstacles([o])
+                resident.append(o)
+            alive = g._alive_ids()
+            for v in rng.sample(alive, rng.randrange(len(alive) + 1)):
+                g.row_arrays(v)
+        order = g._alive_ids()
+        rng.shuffle(order)
+        assert_rows_match_fresh(g, resident, order)
+
+    def test_reopen_in_small_tiles_equals_fresh_build(self, monkeypatch):
+        """Rows behind several removals re-open over many (pair, box)
+        tiles when the tile is tiny."""
+        monkeypatch.setattr(visgraph, "BATCH_TILE_ELEMS", 7)
+        rng = random.Random(31)
+        obstacles = mixed_scene(rng, 10)
+        g = LocalVisibilityGraph(Q)
+        g.add_obstacles(obstacles)
+        g.build_all()
+        for i in (0, 3, 4, 8):
+            assert g.remove_obstacle(obstacles[i])
+        resident = [o for i, o in enumerate(obstacles)
+                    if i not in (0, 3, 4, 8)]
+        order = g._alive_ids()
+        rng.shuffle(order)
+        assert_rows_match_fresh(g, resident, order)
+
+    def test_compact_after_unread_removals_equals_fresh_build(self):
+        rng = random.Random(8)
+        obstacles = mixed_scene(rng, 9)
+        g = LocalVisibilityGraph(Q)
+        g.add_obstacles(obstacles)
+        g.build_all()
+        for victim in (obstacles[1], obstacles[5], obstacles[6]):
+            assert g.remove_obstacle(victim)
+        assert g.compact() > 0      # the victims' vertices, never read
+        resident = [o for i, o in enumerate(obstacles) if i not in (1, 5, 6)]
+        fresh = LocalVisibilityGraph(Q)
+        fresh.add_obstacles(resident)
+        assert_graphs_equivalent(g, fresh)
+
+    def test_removal_launches_no_kernel(self):
+        rng = random.Random(4)
+        obstacles = mixed_scene(rng, 12)
+        g = LocalVisibilityGraph(Q)
+        g.add_obstacles(obstacles[:6])
+        g.build_all()
+        g.add_obstacles(obstacles[6:])    # every cached row is now stale
+        assert all(g._row_stale(v) for v in g._indptr)
+        before = (g.work.bulk_pair_launches, g.work.batched_edges_tested,
+                  g.work.batch_visibility_calls)
+        for victim in (obstacles[2], obstacles[9]):
+            assert g.remove_obstacle(victim)
+        assert (g.work.bulk_pair_launches, g.work.batched_edges_tested,
+                g.work.batch_visibility_calls) == before
+        assert g.work.repair_retested_pairs == 0
+        resident = [o for i, o in enumerate(obstacles) if i not in (2, 9)]
+        assert_rows_match_fresh(g, resident, g._alive_ids())
+
+    def test_obstacle_added_and_removed_unread_costs_no_retest(self):
+        """Rows not read while an obstacle was resident never considered
+        it: its removal leaves them current, with nothing to re-test."""
+        rng = random.Random(5)
+        obstacles = mixed_scene(rng, 8)
+        g = LocalVisibilityGraph(Q)
+        g.add_obstacles(obstacles[:7])
+        g.build_all()
+        launches = g.work.batch_visibility_calls
+        g.add_obstacles(obstacles[7:])
+        assert g.remove_obstacle(obstacles[7])
+        assert not any(g._row_stale(v) for v in g._indptr)
+        assert_rows_match_fresh(g, obstacles[:7], g._alive_ids())
+        assert g.work.repair_retested_pairs == 0
+        assert g.work.batch_visibility_calls == launches
+
+    def test_removal_log_stays_bounded(self):
+        """200 removals of a churned scene whose early rows are never read
+        again: the log holds at most one entry per resident obstacle, and
+        rows behind a trimmed entry rematerialize correctly."""
+        rng = random.Random(12)
+        g = LocalVisibilityGraph(Q)
+        resident = mixed_scene(rng, 6)
+        g.add_obstacles(resident)
+        g.build_all()
+        for step in range(200):
+            victim = resident.pop(rng.randrange(len(resident)))
+            assert g.remove_obstacle(victim)
+            assert len(g._removal_log) <= max(1, len(g.obstacles))
+            o = mixed_scene(rng, 1)[0]
+            g.add_obstacles([o])
+            resident.append(o)
+            if step % 50 == 0:
+                g.row_arrays(g.S)
+        assert g._log_base > 0      # entries were trimmed
+        assert all(m[4] >= g._log_base for m in g._row_marks.values())
+        assert_rows_match_fresh(g, resident, g._alive_ids())
+
+    def test_row_behind_trimmed_entry_rematerializes(self):
+        """The blocker's entry is trimmed before any row re-opened S-E."""
+        blocker = RectObstacle(45, 40, 55, 60)
+        others = [RectObstacle(10, 80, 15, 85), RectObstacle(80, 10, 85, 15)]
+        g = LocalVisibilityGraph(Q)
+        g.add_obstacles([blocker, *others])
+        assert g.E not in row_dict(g, g.S)
+        g.build_all()
+        assert g.remove_obstacle(blocker)
+        assert g.remove_obstacle(others[0])     # one obstacle left: trim
+        assert g._log_base == 1 and len(g._removal_log) == 1
+        assert g.S not in g._indptr             # dropped, not caught up
+        assert_rows_match_fresh(g, others[1:], g._alive_ids())
 
     def test_repair_only_adds_visibility(self):
         rng = random.Random(21)
