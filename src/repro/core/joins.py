@@ -29,6 +29,7 @@ from ..geometry.segment import Segment
 from ..index.nearest import nearest_to_point
 from ..index.rstar import RStarTree
 from ..obstacles.visgraph import LocalVisibilityGraph
+from .onn import _stable_distance
 from .stats import QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - the service layer imports the core
@@ -56,31 +57,10 @@ class _PairwiseOracle:
         node_a = self._vg.add_point(a[0], a[1])
         node_b = self._vg.add_point(b[0], b[1])
         try:
-            while True:
-                d = self._vg.shortest_distances(node_a, (node_b,))[node_b]
-                needed = self._radius_for(a, b, d)
-                if needed <= self._retriever.radius + EPS:
-                    return d
-                if self._retriever.ensure(needed) == 0:
-                    return d
+            return _stable_distance(self._vg, self._retriever, node_a, node_b)
         finally:
             self._vg.remove_point(node_b)
             self._vg.remove_point(node_a)
-
-    def _radius_for(self, a, b, d: float) -> float:
-        """Retrieval radius around the anchor that covers a path of length d.
-
-        Any point x on a candidate path from ``a`` to ``b`` of length ``d``
-        satisfies ``dist(x, anchor) <= max(dist(a, anchor), dist(b, anchor))
-        + d`` (walk to the nearer endpoint, then along the path), so an
-        obstacle crossing the path lies within that radius of the anchor.
-        """
-        if math.isinf(d):
-            return math.inf
-        anchor = (self._vg.qseg.ax, self._vg.qseg.ay)
-        da = math.dist(a, anchor)
-        db = math.dist(b, anchor)
-        return min(da, db) + d
 
     @property
     def svg_size(self) -> int:

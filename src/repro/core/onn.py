@@ -35,20 +35,26 @@ from .stats import QueryStats
 
 def _stable_distance(vg: ObstructedGraph, retriever: ObstacleSource,
                      source_node: int, target_node: int) -> float:
-    """Shortest-path length valid under Lemma 3's retrieval criterion.
+    """Obstructed distance between two nodes by Lemma 3's fixpoint.
 
-    Repeats (Dijkstra, retrieve up to path length) until the path no longer
-    triggers retrieval; the local path is then the true obstructed distance.
+    ``retriever`` serves obstacles by distance from the anchor ``vg.S``.
+    Every point of a path of length ``d`` between the nodes lies within
+    ``min(|source, S|, |target, S|) + d`` of the anchor (walk to the nearer
+    end, then along the path), so an obstacle crossing the path lies within
+    that radius; with one end at the anchor the radius is ``d`` itself.
+    Repeats (Dijkstra, retrieve up to that radius) until the radius is
+    covered or a round retrieves nothing; the local path is then the true
+    obstructed distance.
     """
+    anchor = vg.node_point(vg.S)
+    near = min(math.dist(vg.node_point(source_node), anchor),
+               math.dist(vg.node_point(target_node), anchor))
     while True:
         d = vg.shortest_distances(source_node, (target_node,))[target_node]
-        if d <= retriever.radius + EPS:
+        needed = near + d
+        if needed <= retriever.radius + EPS:
             return d
-        if math.isinf(d):
-            if retriever.ensure(math.inf) == 0:
-                return d
-            continue
-        if retriever.ensure(d) == 0:
+        if retriever.ensure(needed) == 0:
             return d
 
 

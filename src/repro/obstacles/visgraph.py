@@ -772,9 +772,6 @@ class LocalVisibilityGraph:
         self.work.batched_edges_tested += tested
         self.work.visibility_tests += tested
 
-    def _count_bulk_push(self) -> None:
-        self.work.heap_bulk_pushes += 1
-
     def _row_write(self, node: int, idx: np.ndarray, w: np.ndarray) -> None:
         """Place a row in the slab: in place when it fits, else appended."""
         span = self._indptr.get(node)
@@ -794,43 +791,6 @@ class LocalVisibilityGraph:
         self._indices[s:s + n] = idx
         self._weights[s:s + n] = w
         self._indptr[node] = (s, s + n)
-
-    def _materialize_row(self, node: int, mark_now: Mark
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        x, y = self._xy[node]
-        n = len(self._xy)
-        # Rows hold *permanent* endpoints only; transient edges are appended
-        # at read time from the transient visibility cells (row_arrays),
-        # so bind/unbind churn never touches the slab.
-        mask = self._alive_np[:n] & ~self._transient_np[:n]
-        mask[node] = False
-        cand = np.nonzero(mask)[0]
-        if cand.size:
-            sources = np.empty((cand.size, 2), dtype=np.float64)
-            sources[:, 0] = x
-            sources[:, 1] = y
-            tally: dict = {}
-            blocked = blocked_batch(sources, self._coords_np[cand],
-                                    self.obstacles.rects, self.obstacles.segs,
-                                    self.obstacles.poly_slab,
-                                    bounds=self._prim_bounds(), tally=tally)
-            self._count_batch(cand.size, self._prims_now(), tally)
-            vis = cand[~blocked]
-        else:
-            vis = cand
-        idx = vis.astype(np.int64, copy=False)
-        # Weights go through math.hypot, not np.hypot: the two differ in
-        # the last ulp on ~0.5% of inputs, and every path that cuts a row
-        # (per node, bulk, repair, transient cells) must agree bit for bit.
-        w = np.empty(idx.size, dtype=np.float64)
-        xy = self._xy
-        for j, i in enumerate(idx.tolist()):
-            tx, ty = xy[i]
-            w[j] = math.hypot(x - tx, y - ty)
-        self._row_marks[node] = mark_now
-        self._row_write(node, idx, w)
-        s, e = self._indptr[node]
-        return self._indices[s:e], self._weights[s:e]
 
     # ------------------------------------------------------- adjacency (bulk)
     def _blocked_bulk(self, sources: np.ndarray,
@@ -925,15 +885,15 @@ class LocalVisibilityGraph:
     def materialize_rows(self, nodes: Iterable[int]) -> int:
         """Cut the missing adjacency rows of ``nodes`` in one batched pass.
 
-        The cold-path counterpart of :meth:`_materialize_row`: the
+        The one path that cuts a cached row, whether a traversal's
+        prefetch wave asks for many or :meth:`row_arrays` reads one: the
         candidate (source, target) pairs of every still-unmaterialized row
-        are concatenated and decided by a single tiled
-        :func:`~repro.geometry.vectorized.blocked_batch` launch (bbox
-        prefilter included) instead of one launch per row.  The per-pair
+        are concatenated and decided by one chunked kernel pass
+        (:meth:`_blocked_bulk`) instead of one launch per row.  The per-pair
         kernels are elementwise — decisions are independent of how pairs
-        are batched — and weights go through the same ``math.hypot``, so
-        each resulting row is byte-identical (ids, order, weights, marks)
-        to what the per-node path would have produced.
+        are batched — and weights go through ``math.hypot``, so each row is
+        byte-identical (ids, order, weights, marks) however many rows the
+        pass cuts together.
 
         Rows already materialized (even stale ones — they repair lazily on
         access, as always) and dead nodes are skipped.
@@ -1345,19 +1305,14 @@ class LocalVisibilityGraph:
         would be pruned at push time.  Permanent rows and cached transient
         rows are returned in full whatever ``reach`` says.
         """
-        epoch = self._struct_epoch
-        span = self._indptr.get(node)
-        if span is None:
+        if node not in self._indptr:
             if reach < math.inf and self._transient[node]:
                 return self._reach_row(node, reach)
-            idx, w = self._materialize_row(node, self._row_mark())
-            self._row_epochs[node] = epoch
-        else:
-            if self._row_stale(node):
-                self._refresh_rows_bulk((node,))
-                span = self._indptr[node]
-            s, e = span
-            idx, w = self._indices[s:e], self._weights[s:e]
+            self.materialize_rows((node,))
+        elif self._row_stale(node):
+            self._refresh_rows_bulk((node,))
+        s, e = self._indptr[node]
+        idx, w = self._indices[s:e], self._weights[s:e]
         t = len(self._live_transients)
         if t:
             self._sync_cells()
@@ -1659,7 +1614,6 @@ class LocalVisibilityGraph:
         t = ArrayTraversal(self.row_arrays, source, len(self._xy),
                            alive=self._alive_view,
                            prune_bound=prune_bound, heur=heur,
-                           on_bulk_push=self._count_bulk_push,
                            stamp=self._generation,
                            prefetch=self._prefetch_rows,
                            on_prune=self._count_pruned)

@@ -170,7 +170,6 @@ class QueryPlan:
                 f"  kernels   : {work.batch_visibility_calls} batch "
                 f"visibility calls, {work.batched_edges_tested} batched "
                 f"edges tested, {work.kernel_pruned_edges} bbox-pruned, "
-                f"{work.heap_bulk_pushes} bulk heap pushes, "
                 f"{work.dijkstra_runs} traversals so far",
                 f"  cold/churn: {work.rows_bulk_materialized} bulk rows in "
                 f"{work.bulk_pair_launches} bulk pair launches, "

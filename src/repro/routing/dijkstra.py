@@ -3,7 +3,9 @@
 Every shortest-path consumer of the engines — the local visibility graph's
 ``dijkstra_order`` (which CPLC, IOR and the ONN/range scans drive) and the
 FULL baseline of :mod:`repro.baselines.global_vg` — runs on
-:class:`ArrayTraversal`.  Two properties make it more than a plain loop:
+:class:`ArrayTraversal`.  Underneath it is the textbook loop — a plain
+``heapq`` frontier of ``(dist, node)`` pairs, one vectorized relaxation
+per settled row — and two properties make it more than that:
 
 * **Resumable.**  A consumer that stops early (an early-terminating
   ``shortest_distances``, Lemma 7's CPLC cutoff) leaves the heap and
@@ -37,16 +39,6 @@ from typing import (
 
 import numpy as np
 
-from .heap import BulkRowHeap
-
-_SCALAR_RELAX = 8
-"""Row length below which element-wise relaxation beats the vectorized
-compare-and-assign, and improved-entry count below which the bound test,
-assignment and pushes of a vectorized row go element-wise too.  Both
-paths perform the identical float operations, so the constant is purely
-a performance knob; warm-corridor rows average ~5 improved neighbors,
-well inside it."""
-
 ArrayAdjacency = Callable[[int], Tuple[np.ndarray, np.ndarray]]
 """Lazily supplied flat adjacency: node -> (neighbor ids, edge weights)."""
 
@@ -61,10 +53,9 @@ class ArrayTraversal:
     adjacency row is relaxed in one vectorized pass.  Relaxation uses a
     strict ``<`` and each neighbor appears at most once per row, so the
     vectorized compare-and-assign matches an element-wise loop exactly.
-    The frontier is one :class:`~repro.routing.heap.BulkRowHeap`: short
-    relaxed rows go in as singleton entries, long rows as one sorted run,
-    and every pop surfaces the minimum ``(dist, node)`` pair exactly like
-    a single binary heap of the pushed pairs would.
+    The frontier is a plain ``heapq`` list of ``(dist, node)`` pairs, so
+    nodes settle in the order of a textbook binary-heap Dijkstra, ties
+    broken by node id.
 
     Args:
         rows: flat adjacency callback: node -> ``(indices, weights)``
@@ -72,8 +63,9 @@ class ArrayTraversal:
         source: the source node.
         size: node-slot capacity to preallocate; the arrays grow on demand
             when the owning graph adds slots mid-traversal.
-        alive: optional callback returning the owner's current alive mask;
-            neighbors dead at relaxation time are not relaxed.
+        alive: callback returning the owner's current alive mask, which
+            covers every node id a row can hold; neighbors dead at
+            relaxation time are not relaxed.
         prune_bound: with ``heur``, goal-directed relaxation pruning,
             applied when a relaxation would happen: an edge whose tentative
             distance lands at or past the bound, ``(dist + w) + heur[nbr]
@@ -96,8 +88,6 @@ class ArrayTraversal:
             1-Lipschitz ``h`` (such an edge would be pruned anyway, and no
             safe node's shortest path uses it).  Unbounded traversals read
             ``rows(node)``.
-        on_bulk_push: optional no-arg hook invoked once per bulk row push
-            (the owner's ``heap_bulk_pushes`` counter).
         stamp: opaque validity token recorded for the owner.
         prefetch: optional hook ``prefetch(node, frontier)`` invoked right
             before each settled node's row read (``prefetch(node, frontier,
@@ -116,19 +106,17 @@ class ArrayTraversal:
 
     __slots__ = ("_rows", "_alive", "source", "dist", "pred", "settled",
                  "_frontier", "_done", "stamp", "_lock", "prune_bound",
-                 "_heur", "_on_bulk_push", "_prefetch", "_on_prune")
+                 "_heur", "_prefetch", "_on_prune")
 
     def __init__(self, rows: ArrayAdjacency, source: int, size: int,
-                 alive: Optional[Callable[[], np.ndarray]] = None,
+                 alive: Callable[[], np.ndarray],
                  prune_bound: float = math.inf,
                  heur: Optional[np.ndarray] = None,
-                 on_bulk_push: Optional[Callable[[], None]] = None,
                  stamp: Any = None,
                  prefetch: Optional[Callable[..., None]] = None,
                  on_prune: Optional[Callable[[int], None]] = None):
         self._rows = rows
         self._alive = alive
-        self._on_bulk_push = on_bulk_push
         self._prefetch = prefetch
         self._on_prune = on_prune
         self.prune_bound = prune_bound
@@ -143,8 +131,7 @@ class ArrayTraversal:
         self.dist[source] = 0.0
         self.pred = np.full(n, -1, dtype=np.int64)
         self.settled: List[SettledEntry] = []
-        self._frontier = BulkRowHeap()
-        self._frontier.push(0.0, source)
+        self._frontier: List[Tuple[float, int]] = [(0.0, source)]
         self._done = np.zeros(n, dtype=bool)
         self.stamp = stamp
         self._lock = threading.Lock()
@@ -206,16 +193,14 @@ class ArrayTraversal:
     def _frontier_ids(self, cap: int = 64) -> List[int]:
         """Not-yet-settled frontier node ids, nearest (tentative) first.
 
-        The prefetch hook's view of the heap top:
-        :meth:`BulkRowHeap.near_top` sorted by ``(dist, node)``, settled
-        nodes dropped and deduplicated.  Advisory only — a stale entry
-        (node already improved elsewhere) merely wastes a prefetch slot.
-        Called from inside :meth:`advance` (lock already held), so it must
-        not lock.
+        The prefetch hook's view of the heap top: the heap's pairs sorted
+        by ``(dist, node)``, settled nodes dropped and deduplicated.
+        Advisory only — a stale entry (node already improved elsewhere)
+        merely wastes a prefetch slot.  Called from inside :meth:`advance`
+        (lock already held), so it must not lock.
         """
         done = self._done
-        cand = [(d, v) for d, v in self._frontier.near_top(cap)
-                if not done[v]]
+        cand = [(d, v) for d, v in self._frontier if not done[v]]
         cand.sort()
         out: List[int] = []
         seen = set()
@@ -240,111 +225,48 @@ class ArrayTraversal:
         with self._lock:
             frontier = self._frontier
             while frontier:
-                d, node = frontier.pop()
+                d, node = heapq.heappop(frontier)
                 if self._done[node]:
                     continue
                 self._done[node] = True
                 p = self.pred[node]
                 entry = (d, node, None if p < 0 else int(p))
                 self.settled.append(entry)
-                heur = self._heur
-                if heur is None:
+                if self._heur is None:
                     if self._prefetch is not None:
                         self._prefetch(node, self._frontier_ids)
                     idx, w = self._rows(node)
                 else:
                     bound = self.prune_bound
-                    if d + heur[node] >= bound:
+                    if d + self._heur[node] >= bound:
                         return entry
                     reach = bound - d
                     if self._prefetch is not None:
                         self._prefetch(node, self._frontier_ids, reach)
                     idx, w = self._rows(node, reach)
-                mask = self._alive() if self._alive is not None else None
-                if mask is not None and mask.size > self.dist.size:
+                mask = self._alive()
+                if mask.size > self.dist.size:
                     self._grow(mask.size)
-                m = idx.size
-                if m:
-                    if m < _SCALAR_RELAX:
-                        # Tiny row: relax element-wise in Python.  Same
-                        # float adds, same comparisons, same push order as
-                        # the vectorized path (heap entries stay native
-                        # floats), but without ~8 numpy dispatches that
-                        # dominate the cost at this size.
-                        il = idx.tolist()
-                        if mask is None:
-                            hi = max(il)
-                            if hi >= self.dist.size:
-                                self._grow(hi + 1)
-                        dist = self.dist
-                        pred = self.pred
-                        push = frontier.push
-                        heur = self._heur
-                        pruned = 0
-                        for iv, wv in zip(il, w.tolist()):
-                            dv = d + wv
-                            if dv < dist[iv] and \
-                                    (mask is None or mask[iv]):
-                                if heur is not None and \
-                                        dv + heur[iv] >= bound:
-                                    pruned += 1
-                                    continue
-                                dist[iv] = dv
-                                pred[iv] = node
-                                push(dv, iv)
-                        if pruned and self._on_prune is not None:
-                            self._on_prune(pruned)
-                        return entry
-                    if mask is None:
-                        # No owner mask to size against: bound-check the
-                        # row itself.  (With a mask, the owner's mirrors
-                        # cover every node id a row can contain, so the
-                        # grow above already guarantees capacity.)
-                        hi = int(idx.max())
-                        if hi >= self.dist.size:
-                            self._grow(hi + 1)
-                    nd = d + w
-                    improved = nd < self.dist[idx]
-                    if mask is not None:
-                        improved &= mask[idx]
-                    ii = idx[improved]
-                    k = ii.size
-                    if not k:
-                        return entry
-                    vv = nd[improved]
-                    if k < _SCALAR_RELAX:
-                        # Few improvements (the common case): test the
-                        # bound, assign and push element-wise, cheaper
-                        # than the numpy dispatches below at this size.
-                        dist = self.dist
-                        pred = self.pred
-                        push = frontier.push
-                        heur = self._heur
-                        pruned = 0
-                        for dv, iv in zip(vv.tolist(), ii.tolist()):
-                            if heur is not None and dv + heur[iv] >= bound:
-                                pruned += 1
-                                continue
-                            dist[iv] = dv
-                            pred[iv] = node
-                            push(dv, iv)
-                        if pruned and self._on_prune is not None:
-                            self._on_prune(pruned)
-                        return entry
-                    if heur is not None:
-                        keep = vv + self._heur[ii] < bound
-                        kept = int(np.count_nonzero(keep))
-                        if kept < k:
-                            if self._on_prune is not None:
-                                self._on_prune(k - kept)
-                            ii = ii[keep]
-                            vv = vv[keep]
-                    if ii.size:
-                        self.dist[ii] = vv
-                        self.pred[ii] = node
-                        if frontier.push_row(vv, ii) and \
-                                self._on_bulk_push is not None:
-                            self._on_bulk_push()
+                if not idx.size:
+                    return entry
+                nd = d + w
+                improved = nd < self.dist[idx]
+                improved &= mask[idx]
+                ii = idx[improved]
+                vv = nd[improved]
+                if self._heur is not None and ii.size:
+                    keep = vv + self._heur[ii] < bound
+                    kept = int(np.count_nonzero(keep))
+                    if kept < ii.size:
+                        if self._on_prune is not None:
+                            self._on_prune(ii.size - kept)
+                        ii = ii[keep]
+                        vv = vv[keep]
+                if ii.size:
+                    self.dist[ii] = vv
+                    self.pred[ii] = node
+                    for pair in zip(vv.tolist(), ii.tolist()):
+                        heapq.heappush(frontier, pair)
                 return entry
             return None
 

@@ -104,15 +104,11 @@ class BackendStats:
     skipped without evaluating (provably non-blocking: padded AABBs
     disjoint).  Not counted in ``batched_edges_tested``."""
 
-    heap_bulk_pushes: int = 0
-    """Relaxed adjacency rows long enough to enter the traversal's
-    sequence heap as one sorted run (shorter rows push per-element, which
-    profiles faster below ~16 entries)."""
-
     rows_bulk_materialized: int = 0
-    """Adjacency rows cut by the bulk path (``materialize_rows``: eager
-    ``build_all`` seeding and frontier-prefetch waves) rather than one
-    kernel launch per settled node."""
+    """Adjacency rows cut into the row cache, all by ``materialize_rows``:
+    eager ``build_all`` seeding, frontier-prefetch waves and single rows
+    read outside a traversal alike.  (A bounded traversal's uncached
+    reach rows are counted in ``bounded_rows`` instead.)"""
 
     bulk_pair_launches: int = 0
     """Batched kernel launches issued by the bulk materialization /

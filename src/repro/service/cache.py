@@ -310,9 +310,12 @@ class ObstacleCache:
 
         The concurrency-safe sibling of :attr:`obstacles` — callers that
         seed visibility graphs while other queries may be appending must
-        copy under the cache lock.
+        copy under the cache lock.  Like every other read it checks the
+        tree's version first, so a graph seeded from it never holds an
+        obstacle deleted behind the workspace's back.
         """
         with self.lock:
+            self._validate()
             return list(self._obstacles)
 
     # -------------------------------------------------------------- coverage

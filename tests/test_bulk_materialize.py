@@ -9,11 +9,13 @@ Contract under test:
   produces — and both equal the brute-force rows of
   :mod:`tests.reference` — across mixed obstacle kinds, bind/unbind
   churn, point insertion/removal and ``compact()``;
-* **Counters** — the bulk path ticks ``rows_bulk_materialized`` and
-  ``bulk_pair_launches``; one-at-a-time reads leave them untouched;
+* **Counters** — every row is cut by ``materialize_rows``, so
+  ``rows_bulk_materialized`` counts the same rows either way, while
+  ``bulk_pair_launches`` counts one launch per pass: one for a bulk pass,
+  one per row read one at a time;
 * **Prefetch** — a traversal whose prefetch hook cuts rows in frontier
   waves settles the exact ``(dist, node, pred)`` sequence of a traversal
-  over rows read one at a time (no hook);
+  over rows read one at a time (no hook), in fewer launches;
 * **Diagnostics** — ``num_edges(materialize=True)`` rides the bulk pass
   and counts the same edge set either way;
 * **Cold rebuilds** — a shared backend invalidated and bulk-warmed before
@@ -108,14 +110,14 @@ class TestBuildAllIdentity:
         assert made_b == made_o > 0
         assert_rows_identical(bulk, oracle)
 
-    def test_bulk_counters_tick_only_on_bulk_path(self):
+    def test_counters_tick_once_per_row_cut(self):
         bulk, oracle = twin_graphs(random.Random(8))
-        bulk.build_all()
-        per_row_build(oracle)
-        assert bulk.work.rows_bulk_materialized > 0
-        assert bulk.work.bulk_pair_launches > 0
-        assert oracle.work.rows_bulk_materialized == 0
-        assert oracle.work.bulk_pair_launches == 0
+        made = bulk.build_all()
+        assert per_row_build(oracle) == made > 1
+        assert bulk.work.rows_bulk_materialized == made
+        assert oracle.work.rows_bulk_materialized == made
+        assert bulk.work.bulk_pair_launches == 1
+        assert oracle.work.bulk_pair_launches == made
 
     def test_build_all_idempotent(self):
         bulk, _ = twin_graphs(random.Random(9))
@@ -146,7 +148,8 @@ class TestBuildAllIdentity:
         per_row_build(oracle)
         assert bulk.num_edges(materialize=True) == oracle.num_edges()
         assert bulk.work.rows_bulk_materialized > 0
-        assert oracle.work.rows_bulk_materialized == 0
+        assert oracle.work.rows_bulk_materialized == \
+            bulk.work.rows_bulk_materialized
 
 
 class TestChurnIdentity:
@@ -210,8 +213,10 @@ class TestFrontierPrefetch:
                               alive=plain._alive_view)
         bare.run_to_completion()
         assert got == bare.settled             # dist, node, pred — exact
-        assert waved.work.rows_bulk_materialized > 0
-        assert plain.work.rows_bulk_materialized == 0
+        waves = waved.work
+        assert 0 < waves.bulk_pair_launches < waves.rows_bulk_materialized
+        assert plain.work.bulk_pair_launches == \
+            plain.work.rows_bulk_materialized > 0
 
     def test_prefetched_rows_match_lazy_rows(self):
         rng = random.Random(14)
@@ -227,7 +232,8 @@ class TestFrontierPrefetch:
             pi, pw = plain.row_arrays(v)
             assert wi.tolist() == pi.tolist()
             assert ww.tolist() == pw.tolist()
-        assert plain.work.rows_bulk_materialized == 0
+        assert plain.work.bulk_pair_launches == \
+            plain.work.rows_bulk_materialized > 0
 
 
 class TestColdRebuilds:

@@ -82,7 +82,8 @@ def flat_rows(adj):
 class TestTraversal:
     def test_resume_after_early_stop(self):
         adj = [{1: 1.0}, {0: 1.0, 2: 1.0}, {1: 1.0, 3: 5.0}, {2: 5.0}]
-        t = ArrayTraversal(flat_rows(adj), 0, len(adj))
+        alive = np.ones(len(adj), dtype=bool)
+        t = ArrayTraversal(flat_rows(adj), 0, len(adj), alive=lambda: alive)
         first = t.advance()
         assert first == (0.0, 0, None)
         # A second consumer replays the prefix and extends the frontier.
@@ -240,6 +241,23 @@ class TestSharedGraphLifecycle:
         want = Workspace.from_points(POINTS, [*OBS, sneaky]).conn(SEG)
         assert_same_result(got, want, SEG)
         assert ws.routing.stats.invalidations == 1
+
+    def test_unannounced_delete_then_warm_drops_the_obstacle(self):
+        """``warm()`` after a delete behind the back seeds the rebuilt graph
+        from the cache's resident set, which must check the tree version
+        first or the deleted wall keeps blocking ``a``."""
+        wall = RectObstacle(40, 0, 60, 100)
+        sites = [("a", (30.0, 50.0)), ("b", (100.0, 50.0))]
+        q = ConnQuery(Segment(62, 50, 66, 50))
+        ws = Workspace.from_points(sites, [wall], backend="shared")
+        ws.prefetch_all()
+        assert ws.execute(q).tuples() == [("b", (0.0, 4.0))]
+        assert ws.obstacle_tree.delete(wall, wall.mbr())
+        ws.routing.warm()
+        want = [("a", (0.0, 3.0)), ("b", (3.0, 4.0))]
+        assert ws.execute(q).tuples() == want
+        per_query = Workspace.from_points(sites, [], backend="per-query")
+        assert per_query.execute(q).tuples() == want
 
     def test_1t_site_updates_do_not_invalidate(self):
         tree = build_unified_tree(POINTS, OBS, page_size=256)
@@ -440,7 +458,6 @@ class TestPlannerSelection:
                 f"  kernels   : {b.batch_visibility_calls} batch visibility "
                 f"calls, {b.batched_edges_tested} batched edges tested, "
                 f"{b.kernel_pruned_edges} bbox-pruned, "
-                f"{b.heap_bulk_pushes} bulk heap pushes, "
                 f"{b.dijkstra_runs} traversals so far",
                 f"  cold/churn: {b.rows_bulk_materialized} bulk rows in "
                 f"{b.bulk_pair_launches} bulk pair launches, "

@@ -3,7 +3,11 @@
 ``perfbench/tracing.py`` wraps a fixed list of library functions by
 ``(module, attribute path)``.  A rename in the library would only surface
 as a crash of a traced benchmark run; resolving every probe here turns it
-into a unit-test failure instead.
+into a unit-test failure instead.  The probe is resolved the way
+``tracing.instrument`` resolves it: the owner is reached by attribute
+lookup, and the wrapped function must sit in the owner's own
+``__dict__`` (an inherited method would make ``instrument`` raise
+``KeyError``).
 """
 
 from __future__ import annotations
@@ -31,8 +35,12 @@ PROBES = load_probes()
 @pytest.mark.parametrize("module,path,span", PROBES,
                          ids=[f"{m}:{p}" for m, p, _s in PROBES])
 def test_probe_resolves_to_a_callable(module, path, span):
-    target = importlib.import_module(module)
-    for name in path.split("."):
-        assert hasattr(target, name), f"{module}.{path} ({span}) is gone"
-        target = getattr(target, name)
+    owner = importlib.import_module(module)
+    *parents, attr = path.split(".")
+    for name in parents:
+        assert hasattr(owner, name), f"{module}.{path} ({span}) is gone"
+        owner = getattr(owner, name)
+    assert attr in owner.__dict__, \
+        f"{module}.{path} ({span}) is not defined on its owner itself"
+    target = owner.__dict__[attr]
     assert callable(target), f"{module}.{path} ({span}) is not callable"
