@@ -11,6 +11,11 @@ are identical to the scalar predicates in :mod:`repro.geometry.predicates`
 * segment obstacles block only on a *proper* crossing;
 * all inputs broadcast, so the same kernels serve "1 segment x N obstacles",
   "E edges x 1 obstacle" and the per-row grids used by shadow computation.
+
+:func:`blocked_batch` is the one batched test the visibility graph decides
+its sight lines with: bbox-prefiltered, chunked nearest-first, and early
+terminating, it returns the blocked mask and the number of (line,
+primitive) pairs its kernels evaluated.
 """
 
 from __future__ import annotations
@@ -30,18 +35,17 @@ __all__ = [
     "blocked_by_segments",
     "blocked_batch",
     "primitive_bounds",
-    "primitive_kinds",
     "visibility_mask",
 ]
 
 BATCH_TILE_ELEMS = 65_536
-"""Edge-x-obstacle elements evaluated per tile of :func:`blocked_batch`.
+"""(Sight line, primitive) pairs per chunk of :func:`blocked_batch`.
 
-Sized to keep a tile's broadcast intermediates (~16 temporaries per
-element) inside the L2 cache: measured on the bulk-build workload, 64k
-tiles run the same pair set ~2.5x faster than the former 4M cap, which
-only bounded peak memory and let every temporary stream through DRAM.
-Tiling never changes results — the kernels are elementwise."""
+Sized to keep a chunk's intermediates (~16 temporaries per element)
+inside the L2 cache: measured on the bulk-build workload, 64k-element
+tiles ran the same pair set ~2.5x faster than a 4M cap, which only
+bounded peak memory and let every temporary stream through DRAM.
+Chunking never changes results — the kernels are elementwise."""
 
 _TINY = 1e-300
 """Division guard: replacing a zero direction component by this keeps the
@@ -324,133 +328,117 @@ def _seg_kernel(sx, sy, tx, ty, segs: np.ndarray, eps: float):
                                  segs[:, 2], segs[:, 3], eps)
 
 
-def primitive_kinds(rects: np.ndarray, segs: np.ndarray,
-                    polys: "PolygonSlab | None", bounds=None) -> list:
-    """``(kernel, primitives, AABBs, cost)`` for each non-empty obstacle kind.
-
-    Every kernel takes ``(sx, sy, tx, ty, primitives, eps)`` and
-    broadcasts the sight lines against the primitives' leading axis, so
-    one gathered row per pair tests pairs and ``(M, 1)`` sight lines test
-    the full grid.  ``cost`` is the relative work per pair (a polygon
-    pair walks ``Vmax`` edges), used to size tiles.  AABBs are None
-    without ``bounds``.
-    """
-    kinds = []
-    for i, (kernel, prims) in enumerate(((_rect_kernel, rects),
-                                         (_seg_kernel, segs),
-                                         (crosses_convex_polygons, polys))):
-        if prims is not None and len(prims):
-            cost = prims.vmax if kernel is crosses_convex_polygons else 1
-            kinds.append((kernel, prims,
-                          None if bounds is None else bounds[i], cost))
-    return kinds
-
-
-def _kind_hits(hit: np.ndarray, kernel, sx, sy, tx, ty, prims,
-               pb, pad: float, eps: float,
-               ebounds) -> "tuple[int, int]":
-    """Test one obstacle kind for one tile, optionally bbox-prefiltered.
-
-    Updates ``hit`` in place; returns ``(pairs_tested, pairs_pruned)``.
-    The prefilter only skips (edge, primitive) pairs whose padded AABBs
-    are disjoint — pairs the tolerant kernels below could never have
-    decided "blocking" (the pad dominates their eps tolerance and the
-    midpoint-lerp rounding) — so the resulting mask is identical to the
-    full broadcast.
-    """
-    full = hit.shape[0] * len(prims)
-    if pb is not None:
-        exlo, eylo, exhi, eyhi = ebounds
-        overlap = ((exlo[:, None] <= pb[None, :, 2] + pad) &
-                   (exhi[:, None] >= pb[None, :, 0] - pad) &
-                   (eylo[:, None] <= pb[None, :, 3] + pad) &
-                   (eyhi[:, None] >= pb[None, :, 1] - pad))
-        ei, oi = overlap.nonzero()
-        # Gathering pairs costs ~2x the broadcast per element, so a dense
-        # overlap (most boxes touch most edges) runs the plain broadcast.
-        if ei.size * 2 < full:
-            if ei.size:
-                pair_hit = kernel(sx[ei], sy[ei], tx[ei], ty[ei],
-                                  prims[oi], eps)
-                hit[ei[pair_hit]] = True
-            return ei.size, full - ei.size
-    hit |= kernel(sx[:, None], sy[:, None], tx[:, None], ty[:, None],
-                  prims, eps).any(axis=1)
-    return full, 0
+def _chunk_rows(lines: int, cost: int) -> int:
+    """Primitives per chunk of ``lines`` sight lines; a polygon pair walks
+    ``cost`` edges, so polygon chunks hold proportionally fewer rows."""
+    return max(1, max(8, BATCH_TILE_ELEMS // lines) // cost)
 
 
 def blocked_batch(sources: np.ndarray, targets: np.ndarray,
-                  rects: np.ndarray, segs: np.ndarray,
-                  polys: "PolygonSlab | None" = None,
-                  eps: float = EPS,
-                  tile_elems: int = BATCH_TILE_ELEMS,
-                  bounds: "tuple | None" = None,
-                  tally: "dict | None" = None) -> np.ndarray:
-    """Which of M candidate edges are blocked by *any* cached obstacle?
+                  rects: np.ndarray, segs: np.ndarray, polys: PolygonSlab,
+                  bounds: tuple, eps: float = EPS
+                  ) -> "tuple[np.ndarray, int]":
+    """Which of M candidate sight lines are blocked by *any* primitive?
 
-    The batch kernel behind the array-native visibility graph: row ``i`` of
-    ``sources`` / ``targets`` (both (M, 2)) is one candidate sight line, and
-    the whole M-edge block is tested against all N obstacle primitives in
-    one ``M x N`` broadcast per obstacle kind — one numpy call where the
-    scalar path made one call per edge.  Above ``tile_elems`` the broadcast
-    is tiled over source rows so intermediates stay bounded.
+    The visibility graph's one batched sight-line test: row ``i`` of
+    ``sources`` / ``targets`` (both (M, 2)) is one sight line, tested
+    against every rectangle, segment and polygon-slab row; ``bounds`` is
+    the :func:`primitive_bounds` of ``rects`` / ``segs`` / ``polys``.
 
-    Semantics are exactly the elementwise kernels above (the per-edge
-    results are independent of how edges are batched, tiled, or bbox-
-    prefiltered), so a batch decision is bit-identical to the scalar
-    predicates on the same edge.
+    A kernel only evaluates the (line, primitive) pairs whose padded
+    AABBs overlap.  A kind's primitives go through in chunks of about
+    ``BATCH_TILE_ELEMS`` pairs (fewer rows for polygons, in proportion to
+    their vertex count), nearest the lines' centroid first, and lines
+    already proven blocked drop out of every later chunk and kind: a
+    sight line crossed by many obstacles — the common case in a dense
+    scene — is decided by the first chunk or two.  A kind whose
+    primitives all fit the first chunk runs in one pass in stored order.
 
-    Args:
-        polys: optional :class:`PolygonSlab` of convex polygon obstacles.
-        bounds: optional :func:`primitive_bounds` result for ``rects`` /
-            ``segs`` / ``polys``.  When given, each edge is only evaluated
-            against primitives whose padded AABB overlaps the edge's AABB;
-            a pair whose boxes are disjoint cannot block (see
-            :func:`_kind_hits`), so results are unchanged — only cheaper.
-        tally: optional dict the call fills with ``tested`` (pairs actually
-            evaluated by a kernel) and ``pruned`` (pairs skipped by the
-            prefilter) for the owner's counters.
+    Blocking is a union over primitives and the kernels are elementwise,
+    so the mask is bit-identical to the scalar predicates on each line
+    however lines are batched and primitives chunked.  The prefilter pad
+    scales eps by the batch's coordinate magnitude, so it dominates both
+    the kernels' tolerant comparisons and the rounding of the
+    clipped-midpoint lerp: no blocking pair is skipped.
 
     Returns:
-        Boolean mask of shape (M,): True where the edge is blocked.
+        ``(blocked, tested)``: the (M,) mask, True where the line is
+        blocked, and the number of pairs a kernel evaluated.  The other
+        ``M x primitives`` pairs were skipped by the prefilter or by
+        early termination.
     """
     m = sources.shape[0]
     blocked = np.zeros(m, dtype=bool)
-    kinds = primitive_kinds(rects, segs, polys, bounds)
-    tested = pruned = 0
-    if m and kinds:
-        pad = 0.0
-        if bounds is not None:
-            # The pad scales eps by the coordinate magnitude so it
-            # dominates both the kernels' tolerant comparisons and the
-            # rounding of the clipped-midpoint lerp — no truly blocking
-            # pair can be pruned.
-            scale = 1.0 + max(float(np.abs(sources).max()),
-                              float(np.abs(targets).max()))
-            pad = 8.0 * eps * scale
-        work = sum(len(prims) * cost for _k, prims, _b, cost in kinds)
-        rows_per_tile = max(1, tile_elems // work)
-        for start in range(0, m, rows_per_tile):
-            stop = min(start + rows_per_tile, m)
-            sx = sources[start:stop, 0]
-            sy = sources[start:stop, 1]
-            tx = targets[start:stop, 0]
-            ty = targets[start:stop, 1]
-            hit = np.zeros(stop - start, dtype=bool)
-            ebounds = None
-            if bounds is not None:
-                ebounds = (np.minimum(sx, tx), np.minimum(sy, ty),
-                           np.maximum(sx, tx), np.maximum(sy, ty))
-            for kernel, prims, pb, _cost in kinds:
-                t, p = _kind_hits(hit, kernel, sx, sy, tx, ty, prims, pb,
-                                  pad, eps, ebounds)
-                tested += t
-                pruned += p
-            blocked[start:stop] = hit
-    if tally is not None:
-        tally["tested"] = tested
-        tally["pruned"] = pruned
-    return blocked
+    tested = 0
+    if m == 0:
+        return blocked, tested
+    sx, sy = sources.T
+    tx, ty = targets.T
+    exlo = np.minimum(sx, tx)
+    exhi = np.maximum(sx, tx)
+    eylo = np.minimum(sy, ty)
+    eyhi = np.maximum(sy, ty)
+    scale = 1.0 + max(float(np.abs(sources).max()),
+                      float(np.abs(targets).max()))
+    pad = 8.0 * eps * scale
+    # Lines still undecided: all of them (None) until one is proven
+    # blocked; the index array is refreshed only when another chunk runs.
+    alive = None
+    stale = False
+    for kernel, prims, pb in zip((_rect_kernel, _seg_kernel,
+                                  crosses_convex_polygons),
+                                 (rects, segs, polys), bounds):
+        n = len(prims)
+        cost = prims.vmax if kernel is crosses_convex_polygons else 1
+        order = None
+        pos = 0
+        while pos < n:
+            if stale:
+                alive = (np.flatnonzero(~blocked) if alive is None
+                         else alive[~blocked[alive]])
+                stale = False
+            lines = m if alive is None else alive.size
+            if not lines:
+                break
+            chunk = _chunk_rows(lines, cost)
+            if pos == 0 and n > chunk:
+                cx = 0.5 * (float(sx.mean()) + float(tx.mean()))
+                cy = 0.5 * (float(sy.mean()) + float(ty.mean()))
+                order = np.argsort((0.5 * (pb[:, 0] + pb[:, 2]) - cx) ** 2
+                                   + (0.5 * (pb[:, 1] + pb[:, 3]) - cy) ** 2,
+                                   kind="stable")
+            if order is None:
+                sel, boxes = None, pb
+                pos = n
+            else:
+                sel = order[pos:pos + chunk]
+                boxes = pb[sel]
+                pos += chunk
+            if alive is None:
+                axlo, axhi = exlo[:, None], exhi[:, None]
+                aylo, ayhi = eylo[:, None], eyhi[:, None]
+            else:
+                axlo, axhi = exlo[alive, None], exhi[alive, None]
+                aylo, ayhi = eylo[alive, None], eyhi[alive, None]
+            overlap = axlo <= boxes[None, :, 2] + pad
+            overlap &= axhi >= boxes[None, :, 0] - pad
+            overlap &= aylo <= boxes[None, :, 3] + pad
+            overlap &= ayhi >= boxes[None, :, 1] - pad
+            ei, oi = overlap.nonzero()
+            if not ei.size:
+                continue
+            tested += ei.size
+            pi = ei if alive is None else alive[ei]
+            pick = oi if sel is None else sel[oi]
+            # A one-primitive chunk broadcasts that primitive instead of
+            # gathering a copy of it per pair.
+            hit = kernel(sx[pi], sy[pi], tx[pi], ty[pi],
+                         prims[pick[:1] if boxes.shape[0] == 1 else pick],
+                         eps)
+            if hit.any():
+                blocked[pi[hit]] = True
+                stale = True
+    return blocked, tested
 
 
 def visibility_mask(vx: float, vy: float, targets: np.ndarray,

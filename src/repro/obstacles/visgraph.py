@@ -25,6 +25,15 @@ Two design points keep it fast at benchmark scale:
   from per-transient visibility cells, so binding and removing a point
   never touches a row.
 
+Every sight line the graph decides — row cuts, insert repair, removal
+re-opens, transient cells and reach rows — goes through one launch site,
+:meth:`LocalVisibilityGraph._blocked_bulk`, which calls the one
+early-terminating batched test
+:func:`~repro.geometry.vectorized.blocked_batch` and counts the launch
+once.  Edge weights all come from one helper,
+:meth:`LocalVisibilityGraph._pair_weights` (``math.hypot``), so a row is
+byte-identical however it was cut.
+
 The graph also caches each node's visible region ``VR_{v,q}`` with an
 obstacle watermark, so a cached region is lazily narrowed by exactly the
 shadows of obstacles added since it was computed.  A region miss fills
@@ -71,7 +80,6 @@ from ..geometry.vectorized import (
     BATCH_TILE_ELEMS,
     blocked_batch,
     primitive_bounds,
-    primitive_kinds,
 )
 from ..routing.dijkstra import ArrayTraversal
 from ..routing.stats import BackendStats
@@ -403,24 +411,13 @@ class LocalVisibilityGraph:
         if not src.size:
             return
         tgt = self._tids[ji]
-        tally: dict = {}
-        blocked = blocked_batch(self._coords_np[src], self._coords_np[tgt],
-                                self.obstacles.rects, self.obstacles.segs,
-                                self.obstacles.poly_slab,
-                                bounds=self._prim_bounds(), tally=tally)
-        self._count_batch(src.size, prims, tally)
+        blocked = self._blocked_bulk(self._coords_np[src],
+                                     self._coords_np[tgt])
         self._cell_state[src, ji] = np.where(blocked, _CELL_BLOCKED,
                                              _CELL_VISIBLE)
         vis = ~blocked
-        src, ji, tgt = src[vis], ji[vis], tgt[vis]
-        hypot = math.hypot
-        xy = self._xy
-        w = np.empty(src.size, dtype=np.float64)
-        for k, (v, u) in enumerate(zip(src.tolist(), tgt.tolist())):
-            vx, vy = xy[v]
-            tx, ty = xy[u]
-            w[k] = hypot(vx - tx, vy - ty)
-        self._cell_w[src, ji] = w
+        src, ji = src[vis], ji[vis]
+        self._cell_w[src, ji] = self._pair_weights(src, tgt[vis])
 
     def _alive_view(self) -> np.ndarray:
         """The current alive mask (dead neighbors are never relaxed)."""
@@ -761,16 +758,24 @@ class LocalVisibilityGraph:
             self._bounds_cache = cached
         return cached[1]
 
-    def _count_batch(self, edges: int, prims: int,
-                     tally: Optional[dict] = None) -> None:
+    def _count_batch(self, edges: int, prims: int, tested: int) -> None:
+        """Count one launch of ``edges`` sight lines x ``prims`` primitives."""
         self.work.batch_visibility_calls += 1
-        if tally is not None:
-            tested = tally["tested"]
-            self.work.kernel_pruned_edges += tally["pruned"]
-        else:
-            tested = edges * prims
         self.work.batched_edges_tested += tested
         self.work.visibility_tests += tested
+        self.work.kernel_pruned_edges += edges * prims - tested
+
+    def _pair_weights(self, src, tgt: np.ndarray) -> np.ndarray:
+        """Edge weights ``math.hypot(v - u)`` for node ids ``src`` -> ``tgt``.
+
+        ``src`` is an id array aligned with ``tgt`` or one id.  The
+        coordinate differences are taken in numpy (IEEE subtraction rounds
+        as Python's does) and the distance goes through ``math.hypot``:
+        ``np.hypot`` rounds the last ulp differently on ~0.5% of inputs,
+        and every row must be byte-identical however it was cut.
+        """
+        dx, dy = (self._coords_np[src] - self._coords_np[tgt]).T.tolist()
+        return np.fromiter(map(math.hypot, dx, dy), np.float64, len(dx))
 
     def _row_write(self, node: int, idx: np.ndarray, w: np.ndarray) -> None:
         """Place a row in the slab: in place when it fits, else appended."""
@@ -793,93 +798,27 @@ class LocalVisibilityGraph:
         self._indptr[node] = (s, s + n)
 
     # ------------------------------------------------------- adjacency (bulk)
-    def _blocked_bulk(self, sources: np.ndarray,
-                      targets: np.ndarray) -> np.ndarray:
-        """Early-terminating bulk visibility: blocked mask over M pairs.
+    def _blocked_bulk(self, sources: np.ndarray, targets: np.ndarray,
+                      since: Tuple[int, int, int] = (0, 0, 0)) -> np.ndarray:
+        """Blocked mask of M sight lines against the cached obstacles.
 
-        The bulk counterpart of one full :func:`blocked_batch` launch,
-        organized for dense scenes: primitives are processed in chunks
-        ordered nearest-the-pair-cloud-first, and pairs already proven
-        blocked drop out of every later chunk.  A sight line crossed by
-        many obstacles — the common case in a lattice — is decided by the
-        first chunk or two instead of being broadcast against the whole
-        primitive set, so the effective element count is far below
-        ``M x N``.  Blocking is a union over primitives and the kernels
-        are elementwise, so the mask is bit-identical to the unchunked
-        launch; chunking (like tiling) only changes the cost.
-
-        Accounts one batched-call tick with everything not evaluated by a
-        kernel (bbox-pruned or dropped by early termination) counted as
-        pruned.  Callers still tick ``work.bulk_pair_launches`` once per
-        logical bulk pass.
+        The graph's one kernel launch site: every sight line it decides
+        goes through one :func:`blocked_batch` call here, which counts as
+        one batched call.  ``since`` holds the (rect, seg, polygon) counts
+        to skip, so insert repair tests only the obstacles added past a
+        row watermark.  Callers still tick ``work.bulk_pair_launches``
+        once per logical bulk pass.
         """
-        m = sources.shape[0]
-        blocked = np.zeros(m, dtype=bool)
-        if m == 0:
-            return blocked
-        kinds = primitive_kinds(self.obstacles.rects, self.obstacles.segs,
-                                self.obstacles.poly_slab, self._prim_bounds())
-        sx_all = np.ascontiguousarray(sources[:, 0])
-        sy_all = np.ascontiguousarray(sources[:, 1])
-        tx_all = np.ascontiguousarray(targets[:, 0])
-        ty_all = np.ascontiguousarray(targets[:, 1])
-        # Pair bboxes and the prune pad are computed once up front; the
-        # per-chunk work below is only the overlap join, the gather, and
-        # the kernel itself.  The pad scales eps by the whole batch's
-        # coordinate magnitude, which bounds every per-pair scale, so the
-        # prune stays sound (same argument as blocked_batch's own).
-        exlo = np.minimum(sx_all, tx_all)
-        exhi = np.maximum(sx_all, tx_all)
-        eylo = np.minimum(sy_all, ty_all)
-        eyhi = np.maximum(sy_all, ty_all)
-        scale = 1.0 + max(float(np.abs(sources).max()),
-                          float(np.abs(targets).max()))
-        pad = 8.0 * EPS * scale
-        cx = 0.5 * (float(sx_all.mean()) + float(tx_all.mean()))
-        cy = 0.5 * (float(sy_all.mean()) + float(ty_all.mean()))
-        alive = np.arange(m)
-        tested = full = 0
-        for kernel, prims, pb, cost in kinds:
-            full += m * len(prims)
-            order = np.argsort((0.5 * (pb[:, 0] + pb[:, 2]) - cx) ** 2
-                               + (0.5 * (pb[:, 1] + pb[:, 3]) - cy) ** 2,
-                               kind="stable")
-            pos = 0
-            axlo = exlo[:, None]
-            axhi = exhi[:, None]
-            aylo = eylo[:, None]
-            ayhi = eyhi[:, None]
-            while pos < order.size and alive.size:
-                if alive.size < m:
-                    axlo = exlo[alive, None]
-                    axhi = exhi[alive, None]
-                    aylo = eylo[alive, None]
-                    ayhi = eyhi[alive, None]
-                # A polygon pair walks ``cost`` edges, so its chunks hold
-                # proportionally fewer primitives.
-                chunk = max(1, max(8, BATCH_TILE_ELEMS // alive.size) // cost)
-                sel = order[pos:pos + chunk]
-                pos += chunk
-                boxes = pb[sel]
-                overlap = axlo <= boxes[None, :, 2] + pad
-                overlap &= axhi >= boxes[None, :, 0] - pad
-                overlap &= aylo <= boxes[None, :, 3] + pad
-                overlap &= ayhi >= boxes[None, :, 1] - pad
-                ei, oi = overlap.nonzero()
-                if not ei.size:
-                    continue
-                tested += ei.size
-                pi = alive[ei]
-                # A one-primitive chunk broadcasts that primitive instead
-                # of gathering a copy of it per pair.
-                sub = prims[sel] if sel.size == 1 else prims[sel[oi]]
-                pair_hit = kernel(sx_all[pi], sy_all[pi],
-                                  tx_all[pi], ty_all[pi], sub, EPS)
-                if pair_hit.any():
-                    blocked[pi[pair_hit]] = True
-                    alive = alive[~blocked[alive]]
-        self._count_batch(m, self._prims_now(),
-                          {"tested": tested, "pruned": full - tested})
+        obs = self.obstacles
+        prims = (obs.rects, obs.segs, obs.poly_slab)
+        bounds = self._prim_bounds()
+        if any(since):
+            prims = tuple(a[k:] for a, k in zip(prims, since))
+            bounds = tuple(b[k:] for b, k in zip(bounds, since))
+        blocked, tested = blocked_batch(sources, targets, *prims, bounds)
+        self._count_batch(sources.shape[0],
+                          len(prims[0]) + len(prims[1]) + len(prims[2]),
+                          tested)
         return blocked
 
     def materialize_rows(self, nodes: Iterable[int]) -> int:
@@ -888,10 +827,10 @@ class LocalVisibilityGraph:
         The one path that cuts a cached row, whether a traversal's
         prefetch wave asks for many or :meth:`row_arrays` reads one: the
         candidate (source, target) pairs of every still-unmaterialized row
-        are concatenated and decided by one chunked kernel pass
-        (:meth:`_blocked_bulk`) instead of one launch per row.  The per-pair
-        kernels are elementwise — decisions are independent of how pairs
-        are batched — and weights go through ``math.hypot``, so each row is
+        are concatenated and decided by one :meth:`_blocked_bulk` launch
+        instead of one launch per row.  The per-pair kernels are
+        elementwise — decisions are independent of how pairs are batched —
+        and weights go through ``math.hypot``, so each row is
         byte-identical (ids, order, weights, marks) however many rows the
         pass cuts together.
 
@@ -935,24 +874,14 @@ class LocalVisibilityGraph:
             blocked = self._blocked_bulk(sources, self._coords_np[tgt_idx])
             self.work.bulk_pair_launches += 1
         # One pass builds every row's visible-id block and weight block in
-        # flat arrays; rows then slab-write slices of them.  Weights go
-        # element-by-element through math.hypot — np.hypot rounds the last
-        # ulp differently on ~0.5% of inputs, which would break the
-        # byte-identity contract with the per-node path.
+        # flat arrays; rows then slab-write slices of them.
         visall = ~blocked if total else np.zeros(0, dtype=bool)
         vis_idx_all = tgt_idx[visall] if total else tgt_idx
         src_rep = np.repeat(np.arange(len(todo), dtype=np.int64), counts)
         row_vis = np.bincount(src_rep[visall], minlength=len(todo))
-        w_all = np.empty(vis_idx_all.size, dtype=np.float64)
-        hypot = math.hypot
-        xy = self._xy
-        vis_list = vis_idx_all.tolist()
+        w_all = self._pair_weights(todo_arr[src_rep[visall]], vis_idx_all)
         pos = 0
         for v, c in zip(todo, row_vis.tolist()):
-            x, y = xy[v]
-            for j in range(pos, pos + c):
-                tx, ty = xy[vis_list[j]]
-                w_all[j] = hypot(x - tx, y - ty)
             self._row_marks[v] = mark_now
             self._row_write(v, vis_idx_all[pos:pos + c], w_all[pos:pos + c])
             self._row_epochs[v] = epoch
@@ -974,13 +903,8 @@ class LocalVisibilityGraph:
         was repaired in one step or several: surviving entries keep their
         order and additions land in insertion order either way.
         """
-        n_rects, n_segs, n_polys, n_perm = counts
-        new_rects = self.obstacles.rects[n_rects:]
-        new_segs = self.obstacles.segs[n_segs:]
-        new_polys = self.obstacles.poly_slab[n_polys:]
-        hypot = math.hypot
-        xy = self._xy
-        if new_rects.size or new_segs.size or len(new_polys):
+        since, n_perm = counts[:3], counts[3]
+        if any(k < now for k, now in zip(since, mark_now)):
             holders: List[int] = []
             spans: List[Tuple[int, int]] = []
             for v in rows:
@@ -995,15 +919,8 @@ class LocalVisibilityGraph:
                 sources = np.repeat(
                     self._coords_np[np.asarray(holders, dtype=np.int64)],
                     counts, axis=0)
-                rb, sb, pb = self._prim_bounds()
-                tally: dict = {}
-                blocked = blocked_batch(sources, self._coords_np[tgt_idx],
-                                        new_rects, new_segs, new_polys,
-                                        bounds=(rb[n_rects:], sb[n_segs:],
-                                                pb[n_polys:]),
-                                        tally=tally)
-                self._count_batch(tgt_idx.size, new_rects.shape[0]
-                                  + new_segs.shape[0] + len(new_polys), tally)
+                blocked = self._blocked_bulk(
+                    sources, self._coords_np[tgt_idx], since)
                 self.work.bulk_pair_launches += 1
                 pos = 0
                 for v, (s, e) in zip(holders, spans):
@@ -1016,48 +933,19 @@ class LocalVisibilityGraph:
                         self._indices[s:s + k] = ids[keep]
                         self._weights[s:s + k] = self._weights[s:e][keep]
                         self._indptr[v] = (s, s + k)
-        perm_tail = self._perm_ids[n_perm:]
-        if perm_tail:
-            srcs: List[int] = []
-            per_row: List[List[int]] = []
-            for v in rows:
-                fresh = [i for i in perm_tail if i != v]
-                per_row.append(fresh)
-                srcs.extend([v] * len(fresh))
-            total = len(srcs)
-            if total:
-                tgt_idx = np.asarray(
-                    [i for fresh in per_row for i in fresh], dtype=np.int64)
-                tally = {}
-                blocked = blocked_batch(
-                    self._coords_np[np.asarray(srcs, dtype=np.int64)],
-                    self._coords_np[tgt_idx],
-                    self.obstacles.rects, self.obstacles.segs,
-                    self.obstacles.poly_slab,
-                    bounds=self._prim_bounds(), tally=tally)
-                self._count_batch(total, self._prims_now(), tally)
+        perm_tail = np.asarray(self._perm_ids[n_perm:], dtype=np.int64)
+        if perm_tail.size:
+            # Row-major (row, fresh vertex) pairs, minus each row's own id.
+            rows_arr = np.asarray(rows, dtype=np.int64)
+            ri = np.repeat(np.arange(len(rows)), perm_tail.size)
+            ci = np.tile(perm_tail, len(rows))
+            keep = rows_arr[ri] != ci
+            ri, ci = ri[keep], ci[keep]
+            if ri.size:
+                blocked = self._blocked_bulk(self._coords_np[rows_arr[ri]],
+                                             self._coords_np[ci])
                 self.work.bulk_pair_launches += 1
-                pos = 0
-                for v, fresh in zip(rows, per_row):
-                    x, y = xy[v]
-                    add_ids: List[int] = []
-                    add_w: List[float] = []
-                    for i, dead in zip(fresh,
-                                       blocked[pos:pos + len(fresh)].tolist()):
-                        if not dead:
-                            tx, ty = xy[i]
-                            add_ids.append(i)
-                            add_w.append(hypot(x - tx, y - ty))
-                    pos += len(fresh)
-                    if add_ids:
-                        s, e = self._indptr[v]
-                        merged_idx = np.concatenate(
-                            [self._indices[s:e],
-                             np.asarray(add_ids, dtype=np.int64)])
-                        merged_w = np.concatenate(
-                            [self._weights[s:e],
-                             np.asarray(add_w, dtype=np.float64)])
-                        self._row_write(v, merged_idx, merged_w)
+                self._append_visible(rows, ri[~blocked], ci[~blocked])
         for v in rows:
             self._row_marks[v] = mark_now
 
@@ -1147,24 +1035,27 @@ class LocalVisibilityGraph:
         self.work.repair_retested_pairs += int(ri.size)
         blocked = self._blocked_bulk(coords[rows_arr[ri]], coords[ci])
         self.work.bulk_pair_launches += 1
-        ok = ~blocked
-        ri, ci = ri[ok], ci[ok]
+        self._append_visible(rows, ri[~blocked], ci[~blocked])
+
+    def _append_visible(self, rows: List[int], ri: np.ndarray,
+                        ci: np.ndarray) -> None:
+        """Append target ``ci[k]`` to row ``rows[ri[k]]``, ``ri`` ascending.
+
+        Each row's new entries keep their order in ``ci``, after the
+        entries it already holds.
+        """
         if not ri.size:
             return
-        edges = np.searchsorted(ri, np.arange(nrows + 1))
-        hypot = math.hypot
-        xy = self._xy
+        rows_arr = np.asarray(rows, dtype=np.int64)
+        w = self._pair_weights(rows_arr[ri], ci)
+        edges = np.searchsorted(ri, np.arange(len(rows) + 1))
         for rix in np.flatnonzero(np.diff(edges)).tolist():
             v = rows[rix]
-            vis = ci[edges[rix]:edges[rix + 1]]
-            vx, vy = xy[v]
-            add_w = np.empty(vis.size, dtype=np.float64)
-            for j, i in enumerate(vis.tolist()):
-                ux, uy = xy[i]
-                add_w[j] = hypot(vx - ux, vy - uy)
+            lo, hi = edges[rix], edges[rix + 1]
             s, e = self._indptr[v]
-            self._row_write(v, np.concatenate([self._indices[s:e], vis]),
-                            np.concatenate([self._weights[s:e], add_w]))
+            self._row_write(v, np.concatenate([self._indices[s:e],
+                                               ci[lo:hi]]),
+                            np.concatenate([self._weights[s:e], w[lo:hi]]))
 
     def _refresh_rows_bulk(self, rows: Iterable[int]) -> int:
         """Bring the cached slab rows among ``rows`` current, by watermark.
@@ -1340,7 +1231,7 @@ class LocalVisibilityGraph:
         nodes (ids ascending) then the bound transients (binding order),
         narrowed by ``np.hypot`` with a small relative slack (a superset of
         the exact filter: ``np.hypot`` and ``math.hypot`` differ by an ulp)
-        and decided in one :func:`blocked_batch` launch, none when no
+        and decided in one :meth:`_blocked_bulk` launch, none when no
         candidate is left.  Sight lines run from ``node`` to the target and
         weights go through ``math.hypot``, as in a full row, so the result
         is the full row filtered by reach, bit for bit.  The filter keeps
@@ -1363,26 +1254,12 @@ class LocalVisibilityGraph:
         if tids.size:
             cand = np.concatenate([cand, tids])
         if cand.size:
-            tally: dict = {}
-            blocked = blocked_batch(np.full((cand.size, 2), (x, y)),
-                                    coords[cand],
-                                    self.obstacles.rects, self.obstacles.segs,
-                                    self.obstacles.poly_slab,
-                                    bounds=self._prim_bounds(), tally=tally)
-            self._count_batch(cand.size, self._prims_now(), tally)
+            blocked = self._blocked_bulk(np.full((cand.size, 2), (x, y)),
+                                         coords[cand])
             cand = cand[~blocked]
-        hypot = math.hypot
-        xy = self._xy
-        ids: List[int] = []
-        ws: List[float] = []
-        for i, hv in zip(cand.tolist(), h[cand].tolist()):
-            tx, ty = xy[i]
-            w = hypot(x - tx, y - ty)
-            if w + hv <= reach:
-                ids.append(i)
-                ws.append(w)
-        return (np.array(ids, dtype=np.int64),
-                np.array(ws, dtype=np.float64))
+        w = self._pair_weights(node, cand)
+        keep = w + h[cand] <= reach
+        return cand[keep], w[keep]
 
     def neighbors(self, node: int) -> Dict[int, float]:
         """The adjacency row of ``node`` as ``{neighbor: weight}``.

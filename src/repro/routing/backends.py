@@ -73,6 +73,10 @@ PER_QUERY_VG = "per-query-vg"
 SHARED_VG = "shared-vg"
 """Backend name: the workspace-shared incremental visibility graph."""
 
+MAX_POOL = 8
+"""Idle graphs a :class:`SharedVGBackend` keeps for concurrent sessions
+beyond the primary (spares above the bound are dropped on release)."""
+
 
 def _take_work(graph: "LocalVisibilityGraph") -> BackendStats:
     """Take a graph's work block whole, leaving a fresh one in its place.
@@ -306,8 +310,6 @@ class SharedVGBackend(_BackendBase):
         cache: the workspace's obstacle cache; graphs are seeded lazily
             from its resident obstacles (the capsules' contents) and grow
             further as queries retrieve past the cached footprint.
-        max_pool: idle graphs kept for concurrent sessions beyond the
-            primary (spares above the bound are dropped on release).
 
     The *primary* graph is built on first attach and reused by every later
     serial session — exactly the pre-concurrency behavior, same stats.
@@ -335,12 +337,10 @@ class SharedVGBackend(_BackendBase):
 
     name = SHARED_VG
 
-    def __init__(self, obstacle_tree: "RStarTree", cache: "ObstacleCache",
-                 max_pool: int = 8):
+    def __init__(self, obstacle_tree: "RStarTree", cache: "ObstacleCache"):
         super().__init__()
         self.tree = obstacle_tree
         self.cache = cache
-        self.max_pool = max_pool
         self._graph: Optional["LocalVisibilityGraph"] = None
         self._primary_busy = False
         self._idle: List["LocalVisibilityGraph"] = []
@@ -516,7 +516,7 @@ class SharedVGBackend(_BackendBase):
         Clones the primary skeleton — cached adjacency rows included, the
         asset a cold spawn from the obstacle cache would lose — until the
         primary plus idle spares cover ``n`` concurrent sessions (bounded
-        by ``max_pool``).  A no-op while the backend is cold: spawning
+        by :data:`MAX_POOL`).  A no-op while the backend is cold: spawning
         graphs nobody may use would charge builds to workloads that never
         go parallel.
 
@@ -526,7 +526,7 @@ class SharedVGBackend(_BackendBase):
         with self._lock:
             if self._graph is None or self._primary_busy:
                 return 0
-            want = min(n - 1, self.max_pool) - len(self._idle)
+            want = min(n - 1, MAX_POOL) - len(self._idle)
             if want > 0:
                 # Warm the primary's full row set once, in bulk, so every
                 # clone carries a complete adjacency cache instead of each
@@ -604,7 +604,7 @@ class SharedVGBackend(_BackendBase):
                 self._primary_busy = False
                 return
             if (self._stamps.get(id(graph)) == self.generation
-                    and len(self._idle) < self.max_pool):
+                    and len(self._idle) < MAX_POOL):
                 self._idle.append(graph)
             else:
                 self._stamps.pop(id(graph), None)

@@ -92,17 +92,20 @@ class BackendStats:
     """Sight-line tests performed while adjacency rows materialized."""
 
     batch_visibility_calls: int = 0
-    """Batched visibility-kernel launches (one per materialized row,
-    repair step, or fill of transient visibility cells)."""
+    """Visibility-kernel launches, each one ``blocked_batch`` call (one
+    per row-cut pass, repair step, reach row, or fill of transient
+    visibility cells)."""
 
     batched_edges_tested: int = 0
-    """Candidate-edge x obstacle-primitive pairs evaluated inside batched
-    kernel launches."""
+    """Candidate-edge x obstacle-primitive pairs a kernel evaluated;
+    pairs skipped without evaluation are in ``kernel_pruned_edges``."""
 
     kernel_pruned_edges: int = 0
-    """Candidate-edge x primitive pairs the batch kernel's bbox prefilter
-    skipped without evaluating (provably non-blocking: padded AABBs
-    disjoint).  Not counted in ``batched_edges_tested``."""
+    """Candidate-edge x primitive pairs of a launch no kernel evaluated:
+    skipped by the bbox prefilter (provably non-blocking: padded AABBs
+    disjoint) or dropped by early termination (the edge was already
+    proven blocked).  With ``batched_edges_tested`` it sums to
+    edges x primitives over all launches."""
 
     rows_bulk_materialized: int = 0
     """Adjacency rows cut into the row cache, all by ``materialize_rows``:

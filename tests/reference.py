@@ -8,7 +8,10 @@ Deliberately naive, and independent of the production graph's code paths:
   ``math.hypot`` — no batching across rows, no cached rows, no repair,
   no transient cells;
 * **shortest paths** come from ``networkx.single_source_dijkstra_path_length``
-  over those rows.
+  over those rows;
+* a **sight line** is blocked when one scalar ``ObstacleSet.blocked`` call
+  says so (:func:`blocked_pairs`): the batched test must agree on every
+  line however it chunks, prefilters or terminates early.
 
 Rows must match bit for bit (the production paths all weight edges with
 ``math.hypot`` too); distances must match within ``abs_tol=1e-9``, and every
@@ -68,6 +71,14 @@ def reference_row(graph, node: int) -> Dict[int, float]:
             tx, ty = graph._xy[i]
             row[i] = math.hypot(x - tx, y - ty)
     return row
+
+
+def blocked_pairs(obstacles: ObstacleSet, sources: np.ndarray,
+                  targets: np.ndarray) -> List[bool]:
+    """Is sight line ``sources[i] -> targets[i]`` blocked?  One scalar
+    :meth:`ObstacleSet.blocked` call per pair."""
+    return [obstacles.blocked(sx, sy, tx, ty)
+            for (sx, sy), (tx, ty) in zip(sources.tolist(), targets.tolist())]
 
 
 def reference_graph(graph) -> nx.DiGraph:

@@ -277,24 +277,6 @@ class TestColdRebuilds:
 
 
 class TestBulkVisibilityKernel:
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_blocked_bulk_matches_unchunked_launch(self, seed):
-        from repro.geometry.vectorized import blocked_batch
-
-        rng = random.Random(seed)
-        g = LocalVisibilityGraph(Q)
-        g.add_obstacles(mixed_scene(rng, 7))
-        n = rng.randrange(1, 120)
-        src = np.array([[rng.uniform(0, 100), rng.uniform(0, 100)]
-                        for _ in range(n)])
-        tgt = np.array([[rng.uniform(0, 100), rng.uniform(0, 100)]
-                        for _ in range(n)])
-        got = g._blocked_bulk(src, tgt)
-        want = blocked_batch(src, tgt, g.obstacles.rects, g.obstacles.segs,
-                             g.obstacles.poly_slab)
-        assert got.tolist() == want.tolist()
-
     def test_blocked_bulk_empty(self):
         g = LocalVisibilityGraph(Q)
         empty = np.empty((0, 2))

@@ -10,9 +10,10 @@ Contract under test:
   boundary, zero length.  Grid broadcast and gathered pairs agree.
 * **Slab layout** — rows follow ``ObstacleSet.polys`` through ``add`` and
   ``remove``; ``poly_slab[n:]`` is the slab of ``polys[n:]``.
-* **Counters** — every kernel launch of the visibility graph, through
-  ``blocked_batch`` and the bulk path alike, accounts each
-  (edge, primitive) pair exactly once: ``tested + pruned == M x prims``.
+* **Counters** — every kernel launch of the visibility graph enters
+  through ``LocalVisibilityGraph._blocked_bulk``, calls ``blocked_batch``
+  once and accounts each (edge, primitive) pair exactly once:
+  ``tested + pruned == M x prims``.
 """
 
 from __future__ import annotations
@@ -133,9 +134,11 @@ class TestKernelParity:
     def test_empty_slab(self):
         slab = polygon_slab([])
         assert len(slab) == 0 and len(slab[0:]) == 0
-        assert blocked_batch(np.zeros((3, 2)), np.ones((3, 2)),
-                             np.empty((0, 4)), np.empty((0, 4)),
-                             slab).tolist() == [False] * 3
+        rects = segs = np.empty((0, 4))
+        got, tested = blocked_batch(np.zeros((3, 2)), np.ones((3, 2)),
+                                    rects, segs, slab,
+                                    primitive_bounds(rects, segs, slab))
+        assert got.tolist() == [False] * 3 and tested == 0
 
 
 class TestSlabRows:
@@ -196,20 +199,16 @@ class TestCounterConsistency:
         oset = ObstacleSet(mixed_scene(rng, 15))
         rects, segs, slab = oset.rects, oset.segs, oset.poly_slab
         prims = rects.shape[0] + segs.shape[0] + len(slab)
+        bounds = primitive_bounds(rects, segs, slab)
         for m in (1, 7, 400):
             src = np.array([[rng.uniform(0, 100), rng.uniform(0, 100)]
                             for _ in range(m)])
             tgt = src + np.array([[rng.uniform(-20, 20), rng.uniform(-20, 20)]
                                   for _ in range(m)])
-            for bounds in (None, primitive_bounds(rects, segs, slab)):
-                for tile in (64, 4096, 1 << 20):
-                    tally: dict = {}
-                    got = blocked_batch(src, tgt, rects, segs, slab,
-                                        tile_elems=tile, bounds=bounds,
-                                        tally=tally)
-                    assert tally["tested"] + tally["pruned"] == m * prims
-                    want = [oset.blocked(*s, *t) for s, t in zip(src, tgt)]
-                    assert got.tolist() == want
+            got, tested = blocked_batch(src, tgt, rects, segs, slab, bounds)
+            assert 0 <= tested <= m * prims
+            want = [oset.blocked(*s, *t) for s, t in zip(src, tgt)]
+            assert got.tolist() == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_every_graph_launch_accounts_every_pair(self, seed, monkeypatch):
@@ -219,22 +218,27 @@ class TestCounterConsistency:
         pool = mixed_scene(rng, 15)
         g = LocalVisibilityGraph(None)
         launches = []
-        calls = {"batch": 0, "bulk": 0}
+        calls = {"batch": 0, "bulk": 0, "inside": 0}
         count = g._count_batch
         batch = visgraph.blocked_batch
         bulk = g._blocked_bulk
 
-        def count_spy(edges, prims, tally=None):
-            launches.append((edges, prims, tally))
-            count(edges, prims, tally)
+        def count_spy(edges, prims, tested):
+            launches.append((edges, prims, tested))
+            count(edges, prims, tested)
 
         def batch_spy(*args, **kwargs):
             calls["batch"] += 1
+            assert calls["inside"], "a launch bypassed _blocked_bulk"
             return batch(*args, **kwargs)
 
         def bulk_spy(*args):
             calls["bulk"] += 1
-            return bulk(*args)
+            calls["inside"] += 1
+            try:
+                return bulk(*args)
+            finally:
+                calls["inside"] -= 1
 
         monkeypatch.setattr(visgraph, "blocked_batch", batch_spy)
         g._count_batch = count_spy
@@ -247,13 +251,16 @@ class TestCounterConsistency:
         for v in g._alive_ids()[::3]:
             g.row_arrays(v)                # per-row repair launches
         g.bind(Segment(10, 20, 90, 70))    # transient columns
+        p = g.add_point(50.0, 45.0)
+        g.row_arrays(p, 40.0)              # reach row of an uncut transient
         g.shortest_distances(g.S, (g.E,))
         g.unbind()
         g.remove_obstacle(pool[2])         # bulk re-open after removal
         g.build_all()
-        assert calls["batch"] > 0 and calls["bulk"] > 0
-        assert len(launches) == calls["batch"] + calls["bulk"]
-        for edges, prims, tally in launches:
-            assert tally["tested"] + tally["pruned"] == edges * prims
+        assert calls["bulk"] > 0
+        assert len(launches) == calls["batch"] == calls["bulk"]
+        for edges, prims, tested in launches:
+            assert 0 <= tested <= edges * prims
+        assert g.work.batched_edges_tested == sum(t for _e, _p, t in launches)
         assert g.work.batched_edges_tested + g.work.kernel_pruned_edges == sum(
             e * p for e, p, _t in launches)

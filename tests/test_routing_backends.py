@@ -596,9 +596,9 @@ class TestCounterConservation:
         launches = []
         count_batch = LocalVisibilityGraph._count_batch
 
-        def spy(graph, edges, prims, tally=None):
+        def spy(graph, edges, prims, tested):
             launches.append(graph)
-            count_batch(graph, edges, prims, tally)
+            count_batch(graph, edges, prims, tested)
 
         monkeypatch.setattr(LocalVisibilityGraph, "_count_batch", spy)
         rng = random.Random(5)
