@@ -10,8 +10,8 @@ its region.  This example walks the shard subsystem end to end:
    buildings into each shard they overlap.
 2. **The border-expansion router** — a query near a shard edge first
    runs on its home shard; when the answer's influence ball pokes across
-   the edge, the router widens the consulted set and re-runs on a merged
-   environment until the answer provably cannot change.  The routing is
+   the edge, the router widens the consulted set and re-runs on those
+   shards in place until the answer provably cannot change.  The routing is
    visible on ``result.stats.shard``.
 3. **Updates and pinned monitors** — ``apply`` fans out only to affected
    shards; a standing query is pinned to its owning shards and re-homed

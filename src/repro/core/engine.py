@@ -47,22 +47,26 @@ class DataSource(Protocol):
 
 
 class TreeDataSource:
-    """Data feed over a best-first R*-tree scan: pops centers, not rects.
+    """Data feed over best-first R*-tree scans: pops centers, not rects.
 
-    Adapts an :class:`~repro.index.nearest.IncrementalNearest` to the
+    Adapts :class:`~repro.index.nearest.IncrementalNearest` scans to the
     :class:`DataSource` protocol: a
     :func:`~repro.index.nearest.nearest_to_segment` scan feeds CONN/COkNN,
     a :func:`~repro.index.nearest.nearest_to_point` scan ONN and range.
+    Several scans (one per member shard of a border query, each site
+    owned by one shard) merge by key: the next pop comes from the scan
+    holding the smallest key, the earliest scan on ties.
     """
 
-    def __init__(self, scan: IncrementalNearest):
-        self._scan = scan
+    def __init__(self, *scans: IncrementalNearest):
+        self._scans = scans
 
     def peek_key(self) -> float:
-        return self._scan.peek_key()
+        return min(scan.peek_key() for scan in self._scans)
 
     def pop(self) -> Tuple[float, Any, Tuple[float, float]]:
-        d, payload, rect = self._scan.pop()
+        scan = min(self._scans, key=IncrementalNearest.peek_key)
+        d, payload, rect = scan.pop()
         cx, cy = rect.center()
         return d, payload, (cx, cy)
 

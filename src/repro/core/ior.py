@@ -26,14 +26,15 @@ to meet an obstacle keeps unbounded rounds (see
 
 Any feed with a ``radius`` and an ``ensure`` is an :class:`ObstacleSource`:
 the workspace cache's :class:`~repro.service.cache.CachedObstacleView`
-(2T), the unified scan :class:`~repro.core.conn_1t.UnifiedSource` (1T), and
-the cache-free :class:`ObstacleRetriever` defined here.
+(2T), the unified scan :class:`~repro.core.conn_1t.UnifiedSource` (1T),
+the cache-free :class:`ObstacleRetriever` defined here, and
+:class:`ObstacleFanOut`, which grows several feeds together.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Protocol, Tuple
+from typing import List, Protocol, Sequence, Tuple
 
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
@@ -52,6 +53,27 @@ class ObstacleSource(Protocol):
     def ensure(self, radius: float) -> int:
         """Grow coverage to ``radius``; return number of obstacles added."""
         ...  # pragma: no cover - protocol
+
+
+class ObstacleFanOut:
+    """One obstacle feed over several (one per member shard of a border
+    query), all grown to the same radius.  The graph admits, and NOE
+    counts, an obstacle replicated into several shards once."""
+
+    def __init__(self, sources: Sequence[ObstacleSource]):
+        self._sources = sources
+
+    @property
+    def radius(self) -> float:
+        return self._sources[0].radius
+
+    def ensure(self, radius: float) -> int:
+        return sum(source.ensure(radius) for source in self._sources)
+
+
+def fan_out(sources: Sequence[ObstacleSource]) -> ObstacleSource:
+    """The one feed over ``sources``: a lone source goes unwrapped."""
+    return sources[0] if len(sources) == 1 else ObstacleFanOut(sources)
 
 
 class ObstacleRetriever:

@@ -22,13 +22,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import TYPE_CHECKING, Any, List, Tuple
+from typing import TYPE_CHECKING, Any, List, Sequence, Tuple
 
 from ..geometry.predicates import EPS
 from ..geometry.segment import Segment
 from ..index.nearest import nearest_to_point
 from ..index.rstar import RStarTree
 from ..obstacles.visgraph import LocalVisibilityGraph
+from .ior import fan_out
 from .onn import _stable_distance
 from .stats import QueryStats
 
@@ -42,16 +43,18 @@ class _PairwiseOracle:
     One visibility graph anchored at a reference point serves all pair
     evaluations: both endpoints enter as transient nodes, Lemma 3's
     fixpoint retrieves the obstacles the pair needs through a view over
-    the workspace's obstacle cache, and the graph (with its obstacle
-    skeleton) is reused by subsequent pairs.  Retrieval rounds thereby also
-    reuse obstacles fetched by earlier queries over the same dataset.
+    each obstacle cache (one per shard on a sharded workspace), and the
+    graph (with its obstacle skeleton) is reused by subsequent pairs.
+    Retrieval rounds thereby also reuse obstacles fetched by earlier
+    queries over the same dataset.
     """
 
     def __init__(self, anchor: Tuple[float, float], stats: QueryStats,
-                 cache: "ObstacleCache"):
+                 caches: Sequence["ObstacleCache"]):
         seg = Segment(anchor[0], anchor[1], anchor[0], anchor[1])
         self._vg = LocalVisibilityGraph(seg)
-        self._retriever = cache.view(seg, self._vg, stats)
+        self._retriever = fan_out(
+            [cache.view(seg, self._vg, stats) for cache in caches])
 
     def distance(self, a: Tuple[float, float], b: Tuple[float, float]) -> float:
         node_a = self._vg.add_point(a[0], a[1])
@@ -101,8 +104,8 @@ def obstructed_e_distance_join(tree_a: RStarTree, tree_b: RStarTree,
 
 
 def _e_distance_join_impl(tree_a: RStarTree, tree_b: RStarTree, e: float,
-                          cache: "ObstacleCache", stats: QueryStats
-                          ) -> List[Tuple[Any, Any, float]]:
+                          caches: Sequence["ObstacleCache"],
+                          stats: QueryStats) -> List[Tuple[Any, Any, float]]:
     """Execution backend of the obstructed e-distance join."""
     if e < 0:
         raise ValueError("e must be non-negative")
@@ -120,7 +123,7 @@ def _e_distance_join_impl(tree_a: RStarTree, tree_b: RStarTree, e: float,
     out: List[Tuple[float, Any, Any]] = []
     if candidates:
         anchor = candidates[0][0][1]
-        oracle = _PairwiseOracle(anchor, stats, cache)
+        oracle = _PairwiseOracle(anchor, stats, caches)
         for (pa, xa), (pb, xb) in candidates:
             stats.npe += 1
             d = oracle.distance(xa, xb)
@@ -150,7 +153,7 @@ def obstructed_closest_pair(tree_a: RStarTree, tree_b: RStarTree,
 
 
 def _closest_pair_impl(tree_a: RStarTree, tree_b: RStarTree,
-                       cache: "ObstacleCache", stats: QueryStats
+                       caches: Sequence["ObstacleCache"], stats: QueryStats
                        ) -> Tuple[Any, Any, float] | None:
     """Execution backend of the obstructed closest-pair query."""
     items_a = _items(tree_a)
@@ -162,7 +165,7 @@ def _closest_pair_impl(tree_a: RStarTree, tree_b: RStarTree,
     for i, (_pa, xa) in enumerate(items_a):
         for j, (_pb, xb) in enumerate(items_b):
             heapq.heappush(heap, (math.dist(xa, xb), next(counter), i, j))
-    oracle = _PairwiseOracle(items_a[0][1], stats, cache)
+    oracle = _PairwiseOracle(items_a[0][1], stats, caches)
     best: Tuple[float, Any, Any] | None = None
     while heap:
         lower, _c, i, j = heapq.heappop(heap)
@@ -198,14 +201,14 @@ def obstructed_semi_join(tree_a: RStarTree, tree_b: RStarTree,
 
 
 def _semi_join_impl(tree_a: RStarTree, tree_b: RStarTree,
-                    cache: "ObstacleCache", stats: QueryStats
+                    caches: Sequence["ObstacleCache"], stats: QueryStats
                     ) -> List[Tuple[Any, Any, float]]:
     """Execution backend of the obstructed semi-join."""
     items_a = _items(tree_a)
     rows: List[Tuple[Any, Any, float]] = []
     if not items_a:
         return rows
-    oracle = _PairwiseOracle(items_a[0][1], stats, cache)
+    oracle = _PairwiseOracle(items_a[0][1], stats, caches)
     for pa, xa in items_a:
         scan = nearest_to_point(tree_b, xa[0], xa[1])
         best_payload = None

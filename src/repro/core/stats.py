@@ -134,21 +134,21 @@ class QueryStats:
 
 @contextmanager
 def charge_run(stats: QueryStats, vg, trackers: Sequence["PageTracker"],
-               obstacles: Optional["PageTracker"] = None):
+               obstacles: Sequence["PageTracker"] = ()):
     """Charge the cost of the engine run inside the block to ``stats``.
 
     ``trackers`` are the page trackers of the indexes the run reads besides
-    the obstacle index, whose tracker is ``obstacles`` (``None`` when the
-    run reads none).  Their thread-local read and fault deltas add to
-    ``stats.io``, each tracker's once however many indexes share it, and
-    the obstacle index's reads also to ``stats.obstacle_reads``.  The
+    the obstacle indexes, whose trackers are ``obstacles`` (one per member
+    shard of a border run).  Their thread-local read and fault deltas add
+    to ``stats.io``, each tracker's once however many indexes share it,
+    and the obstacle indexes' reads also to ``stats.obstacle_reads``.  The
     block's wall time adds to ``stats.cpu_time_s``, and ``vg``'s final
     vertex count becomes ``stats.svg_size`` (a ``None`` ``vg`` leaves it
     to the run).
     """
     charged: list = []
-    for tracker in (*trackers, obstacles):
-        if tracker is not None and all(tracker is not t for t in charged):
+    for tracker in (*trackers, *obstacles):
+        if all(tracker is not t for t in charged):
             charged.append(tracker)
     snapshots = [(t, t.local_stats.snapshot()) for t in charged]
     started = time.perf_counter()
@@ -160,5 +160,5 @@ def charge_run(stats: QueryStats, vg, trackers: Sequence["PageTracker"],
         delta = tracker.local_stats.delta(snap)
         stats.io.logical_reads += delta.logical_reads
         stats.io.page_faults += delta.page_faults
-        if tracker is obstacles:
+        if any(tracker is t for t in obstacles):
             stats.obstacle_reads += delta.logical_reads

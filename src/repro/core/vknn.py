@@ -45,7 +45,8 @@ def vknn(data_tree: RStarTree, obstacle_tree: RStarTree,
     retriever = ObstacleRetriever(obstacle_tree, anchor, vg, stats)
     scan = nearest_to_point(data_tree, x, y)
     found: List[Tuple[Any, float]] = []
-    with charge_run(stats, vg, (data_tree.tracker,), obstacle_tree.tracker):
+    with charge_run(stats, vg, (data_tree.tracker,),
+                    (obstacle_tree.tracker,)):
         while len(found) < k:
             key = scan.peek_key()
             if math.isinf(key):

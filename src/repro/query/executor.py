@@ -11,7 +11,9 @@ the unified scan) and charges the run's page reads, faults, CPU time and
 ``result.stats.obstacle_reads``; the planned backend supplies the
 visibility graph.  A join's run is charged the same way
 (:func:`~repro.core.stats.charge_run`), over its two point trees and the
-obstacle index.
+obstacle index.  The same path runs a sharded workspace's border queries
+on their member shards in place: their scans merge by key, their caches'
+views grow together, and a per-query graph supplies the distances.
 
 :func:`execute_many` is the batch path the service layer's cache was built
 for.  Submission order is rarely the cheapest execution order: correlated
@@ -37,11 +39,12 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..core.config import ConnConfig
 from ..core.conn_1t import UnifiedSource
 from ..core.engine import ConnResult, TreeDataSource, run_query
+from ..core.ior import fan_out
 from ..core.joins import (
     _closest_pair_impl,
     _e_distance_join_impl,
@@ -54,6 +57,7 @@ from ..core.trajectory import TrajectoryResult
 from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
 from ..index.nearest import IncrementalNearest, nearest_to_point, nearest_to_segment
+from ..index.rstar import RStarTree
 from .planner import QueryPlan, build_plan, tree_versions
 from .queries import (
     ClosestPairQuery,
@@ -95,26 +99,28 @@ def execute(workspace: "Workspace", query) -> QueryResult:
                               backend=plan.backend_override)
     else:
         plan = build_plan(workspace, query)
-    return _run_plan(workspace, plan)
+    return _run_plan((workspace,), plan)
 
 
-def _run_plan(ws: "Workspace", plan: QueryPlan) -> QueryResult:
+def _run_plan(members: Sequence["Workspace"], plan: QueryPlan) -> QueryResult:
+    """Run ``plan`` on ``members``: one workspace, or the member shards of a
+    border query read in place (on the backend planned on the first)."""
     q = plan.query
-    backend = ws.backend_for(plan.backend)
+    backend = members[0].backend_for(plan.backend)
     if isinstance(q, TrajectoryQuery):
-        legs = [_run_coknn(ws, leg, q.k, plan.config, backend)
+        legs = [_run_coknn(members, leg, q.k, plan.config, backend)
                 for leg in q.legs()]
         result = TrajectoryResult(q.waypoints, legs, q.k)
         result.query = q
         return result
     if isinstance(q, CoknnQuery):  # covers ConnQuery too
-        result = _run_coknn(ws, q.segment, q.k, plan.config, backend)
+        result = _run_coknn(members, q.segment, q.k, plan.config, backend)
         result.query = q
         return result
     if isinstance(q, (OnnQuery, RangeQuery)):
         x, y = q.point
-        with _sources(ws, Segment(x, y, x, y), backend,
-                      lambda: nearest_to_point(ws.data_tree, x, y)) as (
+        with _sources(members, Segment(x, y, x, y), backend,
+                      lambda tree: nearest_to_point(tree, x, y)) as (
                           source, retriever, vg, stats):
             if isinstance(q, OnnQuery):
                 rows = run_onn_scan(source, retriever, vg, q.k, plan.config,
@@ -124,58 +130,63 @@ def _run_plan(ws: "Workspace", plan: QueryPlan) -> QueryResult:
         return NeighborsResult(rows, stats, q)
     if isinstance(q, (SemiJoinQuery, EDistanceJoinQuery, ClosestPairQuery)):
         stats = QueryStats()
+        caches = [m.cache for m in members]
         with charge_run(stats, None, (q.left.tracker, q.right.tracker),
-                        ws.cache.tree.tracker):
+                        [c.tree.tracker for c in caches]):
             if isinstance(q, SemiJoinQuery):
-                rows = _semi_join_impl(q.left, q.right, ws.cache, stats)
+                rows = _semi_join_impl(q.left, q.right, caches, stats)
             elif isinstance(q, EDistanceJoinQuery):
-                rows = _e_distance_join_impl(q.left, q.right, q.e, ws.cache,
+                rows = _e_distance_join_impl(q.left, q.right, q.e, caches,
                                              stats)
             else:
-                pair = _closest_pair_impl(q.left, q.right, ws.cache, stats)
+                pair = _closest_pair_impl(q.left, q.right, caches, stats)
         if isinstance(q, ClosestPairQuery):
             return ClosestPairResult(pair, stats, q)
         return JoinResult(rows, stats, q)
     raise TypeError(f"no executor for query type {type(q).__name__}")
 
 
-def _run_coknn(ws: "Workspace", segment: Segment, k: int, config: ConnConfig,
-               backend: "ObstructedDistanceBackend") -> ConnResult:
+def _run_coknn(members: Sequence["Workspace"], segment: Segment, k: int,
+               config: ConnConfig, backend: "ObstructedDistanceBackend"
+               ) -> ConnResult:
     """One COkNN run of the paper's engine along ``segment``."""
     ax, ay, bx, by = segment.ax, segment.ay, segment.bx, segment.by
-    with _sources(ws, segment, backend,
-                  lambda: nearest_to_segment(ws.data_tree, ax, ay, bx, by)
+    with _sources(members, segment, backend,
+                  lambda tree: nearest_to_segment(tree, ax, ay, bx, by)
                   ) as (source, retriever, vg, stats):
         return run_query(source, retriever, vg, segment, k, config, stats)
 
 
 @contextmanager
-def _sources(ws: "Workspace", anchor: Segment,
+def _sources(members: Sequence["Workspace"], anchor: Segment,
              backend: "ObstructedDistanceBackend",
-             data_scan: Callable[[], IncrementalNearest]):
+             data_scan: Callable[[RStarTree], IncrementalNearest]):
     """Attach ``anchor``, open the layout's sources for one engine run and
     charge the run's cost.
 
-    Yields ``(source, retriever, vg, stats)``.  On 2T the data source adapts
-    the data tree scan ``data_scan()`` and obstacles come from a view over
-    the workspace cache; on 1T one unified scan plays both roles and
-    harvests its obstacles into the cache.  The block's page reads, CPU
-    time and |SVG| are charged to ``stats`` (:func:`charge_run`); the
-    obstacle index's reads go to ``stats.obstacle_reads`` too (the unified
-    tree's reads under 1T, where data and obstacle pages are not
-    separable).
+    Yields ``(source, retriever, vg, stats)``.  On 2T the data source merges
+    the scans ``data_scan(tree)`` of the members' data trees by key and
+    obstacles come from one view per member cache, grown together; on 1T
+    (one member) one unified scan plays both roles and harvests its
+    obstacles into the cache.  The block's page reads, CPU time and |SVG|
+    are charged to ``stats`` (:func:`charge_run`); the obstacle indexes'
+    reads go to ``stats.obstacle_reads`` too (the unified tree's reads
+    under 1T, where data and obstacle pages are not separable).
     """
     stats = QueryStats()
     with backend.attach_endpoints(anchor, stats) as vg:
-        if ws.layout == "2T":
-            retriever = ws.cache.view(anchor, vg, stats)
-            source = TreeDataSource(data_scan())
-            trackers = (ws.data_tree.tracker,)
-            obstacles = ws.obstacle_tree.tracker
+        if members[0].layout == "2T":
+            retriever = fan_out([m.cache.view(anchor, vg, stats)
+                                 for m in members])
+            source = TreeDataSource(*[data_scan(m.data_tree)
+                                      for m in members])
+            trackers = [m.data_tree.tracker for m in members]
+            obstacles = [m.obstacle_tree.tracker for m in members]
         else:
+            ws = members[0]
             source = retriever = UnifiedSource(ws.unified_tree, anchor, vg,
                                                stats, ws.cache)
-            trackers, obstacles = (), ws.unified_tree.tracker
+            trackers, obstacles = (), (ws.unified_tree.tracker,)
         with charge_run(stats, vg, trackers, obstacles):
             yield source, retriever, vg, stats
 
@@ -302,7 +313,7 @@ def _execute_bucket(ws: "Workspace", qs: List[Query], bucket: List[int],
     lead = bucket[0]
     plan = build_plan(ws, qs[lead])
     before = ws.cache.capsules
-    results[lead] = _run_plan(ws, plan)
+    results[lead] = _run_plan((ws,), plan)
     if len(bucket) > 1 and ws.layout == "2T":
         capsules = ws.cache.capsules
         # record_coverage may replace superseded capsules, so compare the

@@ -11,15 +11,17 @@ ownership — and puts a router in front that keeps every answer
 2. the answer's *influence ball* (the same bound the monitor subsystem's
    affected-tests use) is checked against the consulted shard regions;
 3. while the ball leaks outside, the consulted set grows and the query
-   re-runs on a merged environment — the **border-expansion protocol** —
-   until the answer provably cannot depend on any unconsulted shard.
+   re-runs on the member shards in place — their scans merged by key,
+   their obstacle caches read together, one per-query visibility graph —
+   the **border-expansion protocol** — until the answer provably cannot
+   depend on any unconsulted shard.
 
 Updates fan out through :meth:`ShardedWorkspace.apply` to exactly the
 shards they touch (boundary-straddling obstacles are replicated to every
-overlapping shard and deduplicated on merge), standing monitors are pinned
-to their owning shards and re-homed when updates move them, and
-:meth:`ShardedWorkspace.execute_many` schedules shard-local batches across
-the thread/fork worker pool.  Per-query routing behavior is reported as a
+overlapping shard, and a border query's graph admits each once), standing
+monitors are pinned to their owning shards and re-homed when updates move
+them, and :meth:`ShardedWorkspace.execute_many` schedules shard-local
+batches across the thread/fork worker pool.  Per-query routing behavior is reported as a
 :class:`ShardStats` block on ``result.stats.shard`` and in ``explain()``.
 """
 
@@ -30,13 +32,12 @@ from .partition import (
     Partitioner,
     bounds_of,
 )
-from .sharded import MERGE_CACHE_CAP, ShardedSnapshot, ShardedWorkspace
+from .sharded import ShardedSnapshot, ShardedWorkspace
 from .stats import ShardStats
 
 __all__ = [
     "GridPartitioner",
     "HilbertPartitioner",
-    "MERGE_CACHE_CAP",
     "Partitioner",
     "ShardMonitor",
     "ShardMonitorRegistry",

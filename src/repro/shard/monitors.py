@@ -14,10 +14,9 @@ unsharded registry:
   stays Euclidean-farther than the influence radius are dismissed without
   touching any shard;
 * an accepted update re-executes the query through the border-expansion
-  router — which lands on the pinned set's cached merged environment when
-  the ball has not moved, and **re-homes** the monitor (a
-  ``stats.rehomes`` tick) when the update pushed the ball across a shard
-  edge.
+  router — which reads the pinned set's shards in place when the ball has
+  not moved, and **re-homes** the monitor (a ``stats.rehomes`` tick) when
+  the update pushed the ball across a shard edge.
 
 Result deltas are computed with the same
 :func:`~repro.monitor.monitor.diff_intervals` /

@@ -26,12 +26,17 @@ the answer's influence radius ``R`` lies inside ``region(S)``:
 
 The router runs the query on its footprint's home shard(s), computes
 ``R`` from the answer, and — whenever the ball still crosses a shard
-edge — widens ``S`` with the neighbors the ball touches and re-executes
-on the merged environment (neighbor margins + home, obstacles deduped by
-identity).  The shard set grows monotonically, so the loop terminates,
-and at the fixpoint the answer equals the unsharded one bit for bit
-(asserted by ``tests/test_shard_equivalence.py`` and
+edge — widens ``S`` with the neighbors the ball touches and re-executes.
+The shard set grows monotonically, so the loop terminates, and at the
+fixpoint the answer equals the unsharded one bit for bit (asserted by
+``tests/test_shard_equivalence.py`` and
 ``tests/test_sharded_workspace.py``).
+
+A set of several shards is read in place, through the executor path a
+single workspace runs on: the members' data scans merge by key, their
+obstacle caches' views grow together, and a per-query visibility graph
+(never a shard's shared one) supplies the distances.  Every page read is
+charged to a member shard's tracker.
 
 Updates fan out through :meth:`ShardedWorkspace.apply` only to affected
 shards; per-shard snapshot isolation falls out of each shard's
@@ -45,7 +50,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import OrderedDict
 from typing import (
     Any,
     Dict,
@@ -63,7 +67,7 @@ from ..geometry.rectangle import Rect
 from ..geometry.segment import Segment
 from ..monitor.monitor import influence_radius
 from ..obstacles.obstacle import Obstacle
-from ..query.executor import split_batch
+from ..query.executor import _run_plan, split_batch
 from ..query.planner import QueryPlan
 from ..query.queries import (
     CoknnQuery,
@@ -88,9 +92,6 @@ from ..service.workspace import QueryService, Workspace
 from .partition import GridPartitioner, Partitioner, bounds_of
 from .stats import ShardStats
 
-MERGE_CACHE_CAP = 32
-"""Cross-shard merged environments kept warm before the oldest is dropped."""
-
 
 class ShardedWorkspace:
     """Many per-region workspaces serving as one, with exact borders.
@@ -105,8 +106,9 @@ class ShardedWorkspace:
     Args:
         shards: the per-shard workspaces, indexed by shard id.
         partitioner: the ownership map the shards were split by.
-        backend: the obstructed-distance backend policy of every shard and
-            merged environment (see :class:`Workspace`).
+        backend: the obstructed-distance backend policy of every shard (see
+            :class:`Workspace`); border queries always run on a per-query
+            graph.
     """
 
     def __init__(self, shards: Sequence[Workspace],
@@ -132,12 +134,8 @@ class ShardedWorkspace:
         self.snapshots_taken = 0
         self._rw = ReadWriteLock()
         self._stats_lock = threading.Lock()
-        self._merge_lock = threading.Lock()
-        self._merged: "OrderedDict[FrozenSet[int], Workspace]" = OrderedDict()
         self._monitors = None
         self._service = QueryService(self)
-        self._page_size = max((ws.obstacle_tree.page_size for ws in shards),
-                              default=4096)
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -276,48 +274,16 @@ class ShardedWorkspace:
             return self.partitioner.all_shards()
         return self.partitioner.shards_for_rect(base.expanded(radius))
 
-    def _environment(self, sids: FrozenSet[int]) -> Workspace:
-        """The workspace answering for shard set ``sids``.
+    def _plan(self, sids: FrozenSet[int], query: Query,
+              backend: Optional[str]) -> QueryPlan:
+        """Plan ``query`` on the lowest shard of ``sids``.
 
-        A single shard answers directly; multi-shard sets get a merged
-        workspace — member sites plus member obstacles deduped by obstacle
-        identity (each boundary-straddling obstacle is replicated into
-        every overlapping shard, so the union re-collapses to one copy) —
-        cached and kept in sync by :meth:`apply` so repeated border
-        crossings reuse one warm environment.
+        A set of several shards plans a per-query graph: a shard's shared
+        graph would keep an obstacle of another shard that a later removal,
+        routed only to the shards its MBR overlaps, never reaches.
         """
-        if len(sids) == 1:
-            return self.shards[next(iter(sids))]
-        key = frozenset(sids)
-        with self._merge_lock:
-            cached = self._merged.get(key)
-            if cached is not None:
-                self._merged.move_to_end(key)
-                with self._stats_lock:
-                    self.stats.merge_reuses += 1
-                return cached
-            points: List[Tuple[Any, Tuple[float, float]]] = []
-            seen: Dict[Obstacle, None] = {}
-            for sid in sorted(key):
-                shard = self.shards[sid]
-                points.extend((payload, (rect.xlo, rect.ylo))
-                              for payload, rect in shard.data_tree.items())
-                for obstacle, _mbr in shard.obstacle_tree.items():
-                    seen.setdefault(obstacle)
-            merged = Workspace.from_points(
-                points, list(seen), layout="2T", page_size=self._page_size,
-                backend=self.backend)
-            # Warm the merged environment's shared graph eagerly: every
-            # adjacency row over the member obstacles is cut in one bulk
-            # pass now, so the border crossing that triggered this merge —
-            # and every reuse after it — skips the per-settle cold start.
-            merged.routing.warm(list(seen))
-            self._merged[key] = merged
-            if len(self._merged) > MERGE_CACHE_CAP:
-                self._merged.popitem(last=False)
-            with self._stats_lock:
-                self.stats.merges_built += 1
-            return merged
+        return self.shards[min(sids)].plan(
+            query, backend=backend if len(sids) == 1 else "per-query")
 
     def _route(self, query: Query | QueryPlan
                ) -> Tuple[QueryResult, ShardStats]:
@@ -337,22 +303,19 @@ class ShardedWorkspace:
                 f"expected a Query description, got {type(query)!r}")
         sids = self._initial_shards(query)
         expansions = 0
-        env_t = route_t = reexec_t = 0.0
+        route_t = reexec_t = 0.0
         clock = time.perf_counter
         while True:
             t0 = clock()
-            env = self._environment(sids)
-            t1 = clock()
-            env_t += t1 - t0
-            if backend is not None:
-                result = env.execute(env.plan(query, backend=backend))
-            else:
-                result = env.execute(query)
-            t2 = clock()
+            plan = self._plan(sids, query, backend)
+            members = [self.shards[sid] for sid in sorted(sids)]
+            # Several shards are read in place (see the module docstring).
+            result = (members[0].execute(plan) if len(members) == 1
+                      else _run_plan(members, plan))
             if expansions:
-                reexec_t += t2 - t1
+                reexec_t += clock() - t0
             else:
-                route_t += t2 - t1
+                route_t += clock() - t0
             needed = self._needed_shards(query, result)
             if needed is None or needed <= sids:
                 break
@@ -361,8 +324,7 @@ class ShardedWorkspace:
         block = ShardStats(queries=1,
                            by_shard={sid: 1 for sid in sorted(sids)},
                            border_expansions=expansions, fanout=len(sids),
-                           route_time_s=route_t, reexec_time_s=reexec_t,
-                           merge_build_time_s=env_t)
+                           route_time_s=route_t, reexec_time_s=reexec_t)
         result.stats.shard = block
         return result, block
 
@@ -374,15 +336,16 @@ class ShardedWorkspace:
     def plan(self, query: Query, backend: Optional[str] = None) -> QueryPlan:
         """Plan ``query`` against its home shard set.
 
-        The plan is built by the home environment's planner and annotated
-        with the router's fan-out estimate: the shards the footprint
-        touches, widened by the planner's retrieval-radius estimate —
-        reported as ``est_shard_fanout`` and an extra ``explain()`` line.
+        The plan is built by :meth:`_plan` and annotated with the router's
+        fan-out estimate: the shards the footprint touches, widened by the
+        planner's retrieval-radius estimate — reported as
+        ``est_shard_fanout`` and an extra ``explain()`` line.  A home set
+        of several shards adds a note that the border run opens a
+        per-query graph over their feeds.
         """
         with self._rw.read():
             sids = self._initial_shards(query)
-            env = self._environment(sids)
-            plan = env.plan(query, backend=backend)
+            plan = self._plan(sids, query, backend)
             base = self._base_rect(query)
             predicted = sids
             if base is not None and math.isfinite(plan.est_radius):
@@ -393,6 +356,10 @@ class ShardedWorkspace:
                 f"sharded: home shard(s) {sorted(sids)} of "
                 f"{self.num_shards} ({self.partitioner.describe()}); "
                 f"influence ball est. reaches {len(predicted)} shard(s)",)
+            if len(sids) > 1:
+                plan.notes = plan.notes + (
+                    f"border run: a per-query graph over {len(sids)} "
+                    f"shards' feeds",)
             return plan
 
     def execute(self, query: Query | QueryPlan) -> QueryResult:
@@ -538,10 +505,9 @@ class ShardedWorkspace:
 
         Site updates route to the single owning shard; obstacle updates to
         every shard the obstacle's MBR overlaps (replicas stay in lock
-        step).  Cached merged environments receive the same update once,
-        so the border protocol keeps serving warm.  Registered sharded
-        monitors refresh after each update, exactly like the unsharded
-        registry.
+        step), and to no other workspace: border queries read the shards
+        themselves.  Registered sharded monitors refresh after each
+        update, exactly like the unsharded registry.
         """
         return [self._apply_one(u) for u in updates]
 
@@ -564,10 +530,6 @@ class ShardedWorkspace:
                     self.stats.replicated_obstacles += len(sids) - 1
                 elif isinstance(update, RemoveObstacle):
                     self.stats.replicated_obstacles -= sum(flags) - 1
-                with self._merge_lock:
-                    for key, merged in self._merged.items():
-                        if key & sids:
-                            merged._apply_one(update)
                 self.version += 1
         if applied and self._monitors is not None:
             self._monitors.notify(update)
@@ -632,7 +594,6 @@ class ShardedSnapshot:
 
 
 __all__ = [
-    "MERGE_CACHE_CAP",
     "ShardedSnapshot",
     "ShardedWorkspace",
 ]

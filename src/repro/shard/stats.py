@@ -6,8 +6,12 @@ One :class:`ShardStats` block exists at two granularities:
   describing what *that* query did: which shards it consulted, how many
   border expansions it took to prove its influence ball covered;
 * per workspace — :attr:`ShardedWorkspace.stats` accumulates every routed
-  query plus structural counters (replicated obstacles, merged
-  environments built/reused, monitor re-homings).
+  query plus structural counters (replicated obstacles, monitor
+  re-homings).
+
+A border query's page reads and graph work are not here: they are charged
+to the member shards' trackers and to the query's own
+:class:`~repro.core.stats.QueryStats`, like any other query's.
 
 The block depends only on the leaf :mod:`repro.routing.stats` so
 :class:`~repro.core.stats.QueryStats` can carry one without importing the
@@ -47,29 +51,17 @@ class ShardStats:
     straddles shard boundaries (an obstacle living in three shards
     contributes two).  Workspace-level only; zero on per-query blocks."""
 
-    merges_built: int = 0
-    """Cross-shard merged environments materialized by the router."""
-
-    merge_reuses: int = 0
-    """Cross-shard executions served by an already-materialized merged
-    environment."""
-
     rehomes: int = 0
     """Standing monitors moved to a different owning shard set by a
     boundary-crossing update.  Workspace-level only."""
 
     route_time_s: float = 0.0
-    """Seconds spent in each query's *first* execution against its home
-    environment — the cost sharding can never remove."""
+    """Seconds spent in each query's *first* execution on its home shard
+    set — the cost sharding can never remove."""
 
     reexec_time_s: float = 0.0
     """Seconds spent re-executing queries on widened shard sets after a
     border expansion — the protocol's repeated-work overhead."""
-
-    merge_build_time_s: float = 0.0
-    """Seconds spent obtaining the executing environment, dominated by
-    materializing cross-shard merged workspaces (cache hits and
-    single-shard lookups cost microseconds)."""
 
     @property
     def fanout_ratio(self) -> float:

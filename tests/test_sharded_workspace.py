@@ -4,8 +4,8 @@ The deterministic counterpart of the Hypothesis equivalence suite
 (``test_shard_equivalence.py``): constructed scenes where the expected
 routing — which shards are consulted, when the border protocol expands,
 when a monitor re-homes — is known in advance, plus the bookkeeping
-surfaces (``ShardStats``, ``explain()``, snapshot expiry, the merge
-cache) that randomized equivalence checks cannot pin down.
+surfaces (``ShardStats``, ``explain()``, snapshot expiry, border queries
+read in place) that randomized equivalence checks cannot pin down.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ import pytest
 from repro import (
     AddObstacle,
     AddSite,
+    ClosestPairQuery,
     CoknnQuery,
     ConnQuery,
+    EDistanceJoinQuery,
     GridPartitioner,
     OnnQuery,
     QueryStats,
@@ -34,7 +36,7 @@ from repro import (
     Workspace,
 )
 from repro.index import RStarTree
-from repro.shard import MERGE_CACHE_CAP, HilbertPartitioner
+from repro.shard import HilbertPartitioner
 from repro.shard.sharded import ShardedSnapshot
 from tests.conftest import random_scene
 
@@ -155,6 +157,21 @@ class TestRouting:
         assert a.tuples() == b.tuples()
         assert b.stats.shard.fanout == sws.num_shards
 
+    @pytest.mark.parametrize("kind", ["e-distance", "closest-pair"])
+    def test_pair_joins_route_globally(self, kind):
+        ws, sws = build_pair(rng_seed=11, n_points=10, n_obstacles=6)
+        rng = random.Random(98)
+        inner = RStarTree(page_size=256)
+        for i in range(6):
+            inner.insert_point(1000 + i, rng.uniform(0, 100),
+                               rng.uniform(0, 100))
+        q = (EDistanceJoinQuery(ws.data_tree, inner, 30.0)
+             if kind == "e-distance"
+             else ClosestPairQuery(ws.data_tree, inner))
+        a, b = ws.execute(q), sws.execute(q)
+        assert a.tuples() == b.tuples()
+        assert b.stats.shard.fanout == sws.num_shards
+
     def test_legacy_shortcuts_route(self):
         ws, sws = build_pair(rng_seed=5)
         seg = Segment(20, 20, 70, 30)
@@ -184,31 +201,80 @@ class TestRouting:
             assert ws.execute(q).tuples() == sws.execute(q).tuples()
 
 
-class TestMergeCache:
-    def test_repeat_crossings_reuse_merged_environment(self):
-        ws, sws = build_pair(rng_seed=17)
-        q = CoknnQuery(Segment(35, 35, 65, 65), 3)
-        sws.execute(q)
-        built = sws.stats.merges_built
-        assert built >= 1
-        sws.execute(q)
-        assert sws.stats.merges_built == built
-        assert sws.stats.merge_reuses >= 1
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("a border query built a workspace or a tree")
 
-    def test_update_keeps_cached_merge_exact(self):
+
+class TestBorderRunsInPlace:
+    """A multi-shard set is read in place: no merged workspace, no fresh
+    tree, and updates land only on the shards they overlap."""
+
+    CENTER = CoknnQuery(Segment(35, 35, 65, 65), 3)  # bbox spans all four
+
+    def test_border_query_builds_no_workspace_or_tree(self, monkeypatch):
         ws, sws = build_pair(rng_seed=17)
-        q = CoknnQuery(Segment(35, 35, 65, 65), 3)
-        sws.execute(q)  # populate the merge cache
+        want = ws.execute(self.CENTER)
+        for w in sws.shards:  # warm shards would plan their shared graphs
+            w.routing.warm()
+        monkeypatch.setattr(Workspace, "from_points", _refuse)
+        monkeypatch.setattr(RStarTree, "bulk_load", _refuse)
+        got = sws.execute(self.CENTER)
+        assert got.stats.shard.fanout >= 2
+        assert got.tuples() == want.tuples()
+        assert got.knn_intervals() == want.knn_intervals()
+        assert got.stats.backend_name == "per-query-vg"
+
+    def test_border_plan_builds_no_workspace_or_tree(self, monkeypatch):
+        _ws, sws = build_pair(rng_seed=17)
+        monkeypatch.setattr(Workspace, "from_points", _refuse)
+        monkeypatch.setattr(RStarTree, "bulk_load", _refuse)
+        plan = sws.plan(self.CENTER)
+        assert plan.est_shard_fanout >= 2
+
+    def test_update_keeps_border_answers_exact(self):
+        ws, sws = build_pair(rng_seed=17)
+        sws.execute(self.CENTER)
         update = AddSite(777, 52.0, 48.0)
         ws.apply([update])
         sws.apply([update])
-        assert ws.execute(q).tuples() == sws.execute(q).tuples()
+        assert ws.execute(self.CENTER).tuples() == \
+               sws.execute(self.CENTER).tuples()
 
-    def test_cache_is_bounded(self):
-        assert MERGE_CACHE_CAP >= 1
-        ws, sws = build_pair(rng_seed=17)
-        sws.execute(CoknnQuery(Segment(35, 35, 65, 65), 3))
-        assert len(sws._merged) <= MERGE_CACHE_CAP
+    def test_obstacle_update_reaches_overlapped_shards_only(self,
+                                                            monkeypatch):
+        _ws, sws = build_pair(rng_seed=17)
+        sws.execute(self.CENTER)  # border runs leave nothing to update
+        seen = []
+        apply_one = Workspace._apply_one
+
+        def record(self, update):
+            seen.append(self)
+            return apply_one(self, update)
+
+        monkeypatch.setattr(Workspace, "_apply_one", record)
+        for update in (AddObstacle(RectObstacle(44, 20, 56, 24)),
+                       AddObstacle(RectObstacle(10, 10, 12, 12))):
+            seen.clear()
+            sws.apply([update])
+            sids = sws.partitioner.shards_for_rect(update.obstacle.mbr())
+            assert [id(w) for w in seen] == \
+                   [id(sws.shards[sid]) for sid in sorted(sids)]
+
+    def test_border_reads_charged_to_member_trackers(self):
+        _ws, sws = build_pair(rng_seed=17)
+        data = [w.data_tree.tracker for w in sws.shards]
+        obstacles = [w.obstacle_tree.tracker for w in sws.shards]
+        trackers = data + obstacles
+        assert len({id(t) for t in trackers}) == len(trackers)
+        before = [t.local_stats.snapshot() for t in trackers]
+        result = sws.execute(self.CENTER)
+        assert result.stats.shard.fanout == sws.num_shards
+        assert result.stats.shard.border_expansions == 0
+        reads = [t.local_stats.delta(snap).logical_reads
+                 for t, snap in zip(trackers, before)]
+        assert sum(reads) > 0
+        assert result.stats.io.logical_reads == sum(reads)
+        assert result.stats.obstacle_reads == sum(reads[len(data):])
 
 
 class TestUpdates:
@@ -400,6 +466,9 @@ class TestStatsAndExplain:
         text = plan.explain()
         assert "shards" in text and "fan-out" in text
         assert any("sharded: home shard(s)" in note for note in plan.notes)
+        assert any("border run: a per-query graph over 4 shards' feeds"
+                   in note for note in plan.notes)
+        assert plan.backend == "per-query-vg"
         unsharded_plan = ws.plan(CoknnQuery(Segment(35, 35, 65, 65), 3))
         assert unsharded_plan.est_shard_fanout == 0
         assert "shards" not in unsharded_plan.explain()
