@@ -28,7 +28,11 @@ class ConnConfig:
             control point — this reproduction found concrete counterexamples
             (see ``tests/test_core_cplc.py::TestLemma6Finding``).  Enable for
             paper-faithful ablation runs.
-        use_lemma7: cut CPLC's graph traversal at CPLMAX (Lemma 7).
+        use_lemma7: stop CPLC's graph traversal at CPLMAX (Lemma 7).  The
+            traversal is aimed at ``q`` and settles in ``f = dist_v +
+            dist(v, q)`` order, and it stops at the first node with
+            ``f >= CPLMAX``: ``f`` bounds from below everything that node,
+            and every later one, can contribute.
         use_euclid_prefilter: inside CPLC, skip a node entirely when its
             Euclidean lower bound ``dist_v + dist(v, q)`` already reaches
             CPLMAX.  Exact: the incumbent envelope is <= CPLMAX everywhere
@@ -38,18 +42,18 @@ class ConnConfig:
         use_rlmax: terminate the data scan once the next candidate's mindist
             exceeds RLMAX (Lemma 2).
         use_global_bound: extend Lemma 2's RLMAX from the data scan into
-            each point's evaluation: IOR's Dijkstra is cut off at the
-            current RLMAX, CPLC's traversal breaks there, and nodes whose
-            Euclidean lower bound reaches it are skipped.  Exact: a claimed
-            path of length L < RLMAX ends on ``q``, so every obstacle that
-            could invalidate it lies within RLMAX of ``q`` and is covered
-            by retrieval; claims >= RLMAX lose (or tie, keeping the
+            each point's evaluation: IOR's and CPLC's shared traversal
+            stops at the first node with ``f >= RLMAX`` (``f = dist_v +
+            dist(v, q)``), and CPLC skips nodes whose contribution cannot
+            beat the envelope's k-th level.  Exact: a claimed path of
+            length L < RLMAX ends on ``q``, so every obstacle that could
+            invalidate it lies within RLMAX of ``q`` and is covered by
+            retrieval; claims >= RLMAX lose (or tie, keeping the
             incumbent) at every envelope level.  The first k evaluations,
-            before RLMAX is finite, are bounded too: IOR runs pruned
-            traversals at a doubling reach (exact below it, since S and E
-            lie on ``q``), and on a query segment no obstacle crosses,
-            CPLC and coverage validation stop just above the point's
-            tent ``(dS + dE + L) / 2``, which bounds its own CPLMAX.
+            before RLMAX is finite, are bounded too: IOR stops once S and
+            E are settled, and on a query segment no obstacle crosses,
+            CPLC and coverage validation stop just above the point's tent
+            ``(dS + dE + L) / 2``, which bounds its own CPLMAX.
         validate_coverage: after CPLC, extend obstacle retrieval to the
             maximum claimed distance and recompute until stable (this
             library's strengthening of IOR; see DESIGN.md).

@@ -6,7 +6,9 @@ segment: a piecewise distance function whose piece on interval ``R`` says
 "the shortest path from ``p`` to any ``s in R`` goes through control point
 ``cp``, costing ``||p, cp|| + dist(cp, s)``" (Definitions 8-9).
 
-The traversal is Dijkstra order from ``p`` (so each node arrives with its
+The traversal is the point's traversal aimed at ``q`` — the one IOR
+settled toward S and E, resumed — in ``f = ||p, v|| + dist(v, q)`` order
+(A* with a consistent heuristic, so each node still arrives with its
 final obstructed distance and its shortest-path predecessor), with the
 paper's three optimizations, each independently switchable:
 
@@ -16,13 +18,18 @@ paper's three optimizations, each independently switchable:
 * **Lemma 6** — an interval of that difference that is an interior "hole" of
   ``VR_u`` can be dropped when ``v`` lies outside the triangle spanned by
   ``u`` and the hole endpoints.
-* **Lemma 7** — the traversal stops once ``||p, v|| >= CPLMAX``, the largest
-  distance the current list already guarantees.
+* **Lemma 7** — the traversal stops once ``f >= CPLMAX``, the largest
+  distance the current list already guarantees.  The paper stops at
+  ``||p, v|| >= CPLMAX``; ``f`` is a lower bound of everything ``v`` (and,
+  by ``f`` order, every later node) can contribute on ``q``, so stopping
+  at ``f`` is as sound and comes earlier.
 
 On top of the paper's rules this reproduction adds an exact *Euclidean
 prefilter* (``use_euclid_prefilter``): a node whose straight-line lower
-bound ``||p, v||_O + dist(v, q)`` already reaches CPLMAX cannot improve the
-envelope anywhere, so its visible region and merge are skipped entirely.
+bound ``f`` already reaches CPLMAX cannot improve the envelope anywhere
+(with Lemma 7 off, this skips it rather than stopping), and a node whose
+lower bound cannot beat the list anywhere on its visible region is skipped
+before the merge.
 """
 
 from __future__ import annotations
@@ -69,55 +76,41 @@ def compute_cpl(vg: ObstructedGraph, point_node: int, owner: Any,
     cpl = PiecewiseDistance.unknown(qseg, owner)
     cplmax = cpl.max_endpoint_value()
     prefilter = cfg.use_euclid_prefilter
-    use_bound = bound < math.inf
-    # This loop touches every settled node of every CPLC Dijkstra, so it
+    lemma7 = cfg.use_lemma7
+    limit = bound
+    # This loop touches every settled node of every CPLC traversal, so it
     # consumes the graph's raw resumable traversal directly (the replay-
     # cursor discipline of ArrayTraversal.order: same entries in the same
     # order) instead of paying a generator resume per node.
-    tr, on_settle = vg.settled_traversal(point_node, bound)
-    settled = tr.settled
+    tr, on_settle = vg.aimed_traversal(point_node)
+    settled, keys = tr.settled, tr.keys
     i = 0
     while True:
         if i < len(settled):
+            f = keys[i]
+            if f >= limit:
+                break
             dist_v, v, pred = settled[i]
             i += 1
         else:
-            entry = tr.advance()
+            entry = tr.advance(limit)
             if entry is None:
                 if i < len(settled):
                     continue
                 break
             on_settle(entry)
             continue
-        if cfg.use_lemma7 and dist_v >= cplmax:
-            stats.lemma7_cutoffs += 1
-            break
-        if use_bound and dist_v >= bound:
-            # No later node can contribute below the global bound either
-            # (Dijkstra order is non-decreasing), so the whole remaining
-            # traversal is irrelevant to the result.
-            stats.global_bound_cutoffs += 1
-            break
         stats.nodes_expanded += 1
+        if prefilter and f >= cplmax:
+            # Euclidean lower bound: every value ``v`` could contribute is
+            # >= f = dist_v + dist(v, q(t)), while the incumbent is
+            # <= CPLMAX everywhere (each piece is convex with its maximum
+            # at an endpoint).  Ties keep the incumbent, so the merge is
+            # provably a no-op — skip the visible-region and envelope work
+            # outright.  (With Lemma 7 on, the limit stopped first.)
+            stats.prefilter_skips += 1
+            continue
         vx, vy = vg.node_point(v)
-        lb = None
-        if prefilter and cplmax < math.inf:
-            lb = dist_v + qseg.dist_point(vx, vy)
-            if lb >= cplmax:
-                # Euclidean lower bound: every value ``v`` could contribute
-                # is >= dist_v + dist(v, q(t)), while the incumbent is
-                # <= CPLMAX everywhere (each piece is convex with its
-                # maximum at an endpoint).  Ties keep the incumbent, so the
-                # merge is provably a no-op — skip the visible-region and
-                # envelope work outright.
-                stats.prefilter_skips += 1
-                continue
-        if use_bound:
-            if lb is None:
-                lb = dist_v + qseg.dist_point(vx, vy)
-            if lb >= bound:
-                stats.global_bound_cutoffs += 1
-                continue
         region = vg.visible_region_of(v)
         if cfg.use_lemma5 and pred is not None:
             vr_pred = vg.visible_region_of(pred)
@@ -151,6 +144,13 @@ def compute_cpl(vg: ObstructedGraph, point_node: int, owner: Any,
         cpl, _loser, changed = cpl.merge_min(challenger, cfg, stats)
         if changed:
             cplmax = cpl.max_endpoint_value()
+            if lemma7:
+                limit = min(cplmax, bound)
+    if i < len(settled) or not tr.exhausted:  # stopped at the limit
+        if lemma7 and cplmax <= bound:
+            stats.lemma7_cutoffs += 1
+        else:
+            stats.global_bound_cutoffs += 1
     return cpl
 
 

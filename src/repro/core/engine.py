@@ -207,29 +207,23 @@ def evaluate_point(vg: ObstructedGraph, retriever: ObstacleSource,
     the point's evaluation (see :class:`~repro.core.config.ConnConfig`'s
     ``use_global_bound``): IOR, CPLC and coverage validation all stop at
     the bound, because nothing the point claims at or beyond it can reach
-    the result.  With ``use_global_bound`` on and no finite ``bound`` yet
-    (the first k evaluations), IOR doubles a reach instead of running
-    unbounded, unless the query segment is already known to meet an
-    obstacle; and when IOR leaves the segment known to be clear, CPLC and
-    coverage validation stop at the point's tent (:func:`tent_bound`).
-    The segment is known clear or blocked once retrieval has covered
-    ``mindist`` 0 (a positive ``retriever.radius``): every obstacle that
-    meets it is then in ``vg``.
+    the result.  IOR and CPLC share one traversal aimed at ``q``, which
+    settles in ``f = d + dist(v, q)`` order and stops where each consumer's
+    limit says.  With ``use_global_bound`` on and no finite ``bound`` yet
+    (the first k evaluations), IOR runs until S and E are settled, and when
+    IOR leaves the segment known to be clear, CPLC and coverage validation
+    stop at the point's tent (:func:`tent_bound`).  The segment is known
+    clear once retrieval has covered ``mindist`` 0 (a positive
+    ``retriever.radius``): every obstacle that meets it is then in ``vg``.
 
     Returns the point's control point list as a piecewise distance function
     over the whole query segment — trustworthy below ``bound``.
     """
-    first_k = cfg.use_global_bound and math.isinf(bound)
     point_node = vg.add_point(x, y)
     try:
-        # A query endpoint inside an obstacle makes every reach miss, so a
-        # segment known to meet an obstacle keeps unbounded rounds.
-        blocked = (first_k and retriever.radius > 0.0
-                   and not segment_clear(vg))
-        d_s, d_e = ior_fixpoint(vg, retriever, point_node, stats, bound,
-                                doubling=first_k and not blocked)
-        if (first_k and not blocked and retriever.radius > 0.0
-                and segment_clear(vg)):
+        d_s, d_e = ior_fixpoint(vg, retriever, point_node, bound)
+        if (cfg.use_global_bound and math.isinf(bound)
+                and retriever.radius > 0.0 and segment_clear(vg)):
             bound = tent_bound(d_s, d_e, vg.qseg.length)
         while True:
             cpl = compute_cpl(vg, point_node, payload, cfg, stats, bound,

@@ -16,13 +16,12 @@ retrieval *radius* only ever grows:
    maximum claimed distance CPLMAX, which provably covers every obstacle
    any claimed path could cross.
 
-The first k evaluations of a query are bounded too.  Once the engine's
-envelope holds k points, a round's Dijkstra stops at RLMAX.  Before that,
-with ``ConnConfig.use_global_bound`` on, each round is a pruned traversal
-toward S and E at a *reach* ``r``, started from Euclidean distances and
-doubled on a miss (see :func:`ior_fixpoint`); only a query segment known
-to meet an obstacle keeps unbounded rounds (see
-:func:`~repro.core.engine.evaluate_point`).
+Each round is one traversal from the point aimed at ``q``
+(:meth:`~repro.routing.backends.ObstructedGraph.aimed_traversal`): it
+settles in ``f = d + dist(v, q)`` order and ends once S and E are settled
+(they lie on ``q``, so their ``f`` is their exact distance) or, once the
+engine's envelope holds k points, at ``f >= RLMAX``.  CPLC then resumes
+the round's traversal instead of starting another.
 
 Any feed with a ``radius`` and an ``ensure`` is an :class:`ObstacleSource`:
 the workspace cache's :class:`~repro.service.cache.CachedObstacleView`
@@ -113,17 +112,9 @@ class ObstacleRetriever:
         return added
 
 
-FIRST_REACH = 1.25
-"""A point's first reach is this factor times ``max(|pS|, |pE|)``."""
-
-MAX_DOUBLINGS = 3
-"""Reach doublings one IOR round tries before it runs unbounded."""
-
-
 def ior_fixpoint(vg: ObstructedGraph, retriever: ObstacleSource,
-                 point_node: int, stats: QueryStats,
-                 bound: float = math.inf,
-                 doubling: bool = False) -> Tuple[float, float]:
+                 point_node: int, bound: float = math.inf
+                 ) -> Tuple[float, float]:
     """Algorithm 1: stabilize the shortest paths from ``point_node`` to S and E.
 
     Each round computes the local shortest-path lengths to both query
@@ -133,35 +124,21 @@ def ior_fixpoint(vg: ObstructedGraph, retriever: ObstacleSource,
 
     ``bound`` is the engine's global result bound (the generalized RLMAX):
     a path of length >= ``bound`` can never appear in the result, so the
-    traversal is cut off there and coverage is only guaranteed up to
+    round stops settling there and coverage is only guaranteed up to
     ``bound``.  Soundness: any claimed path of length L < bound ends on the
     query segment, so every point of it lies within L of ``q`` and every
     obstacle that could invalidate it has ``mindist(o, q) < bound`` — all
     retrieved.  Claims at or above ``bound`` lose (or tie, which keeps the
     incumbent) at every envelope level, so their exactness is irrelevant.
 
-    With no finite ``bound``, ``doubling`` runs each round as a pruned
-    traversal at a reach ``r`` instead of an unbounded Dijkstra (see
-    :func:`_reach_distances`).  It returns the same distances, so the
-    rounds retrieve exactly what unbounded rounds would.
-
     Returns:
         The last round's ``(dS, dE)``: exact when ``bound`` is infinite,
         possibly cut off (``inf``) at or beyond a finite ``bound``.
     """
-    reach = math.inf
-    if doubling and math.isinf(bound):
-        p = vg.node_point(point_node)
-        q = vg.qseg
-        reach = FIRST_REACH * max(math.hypot(p.x - q.ax, p.y - q.ay),
-                                  math.hypot(p.x - q.bx, p.y - q.by))
     while True:
-        if reach < math.inf:
-            d_s, d_e, reach = _reach_distances(vg, point_node, reach, stats)
-        else:
-            dists = vg.shortest_distances(point_node, (vg.S, vg.E), bound,
-                                          bound)
-            d_s, d_e = dists[vg.S], dists[vg.E]
+        tr, on_settle = vg.aimed_traversal(point_node)
+        dists = tr.distances((vg.S, vg.E), bound, on_settle)
+        d_s, d_e = dists[vg.S], dists[vg.E]
         d_prime = max(d_s, d_e)
         if d_prime <= retriever.radius + EPS:
             return d_s, d_e
@@ -182,31 +159,3 @@ def ior_fixpoint(vg: ObstructedGraph, retriever: ObstacleSource,
             continue
         if retriever.ensure(d_prime) == 0:
             return d_s, d_e
-
-
-def _reach_distances(vg: ObstructedGraph, point_node: int, reach: float,
-                     stats: QueryStats) -> Tuple[float, float, float]:
-    """One IOR round's exact ``(dS, dE)`` by pruned traversals.
-
-    Each try is ``shortest_distances(p, (S, E), r, r)``.  S and E lie on
-    ``q``, so their heuristic is 0 and a distance reported below ``r`` is
-    exact (the prefix-closure argument of
-    :class:`~repro.routing.dijkstra.ArrayTraversal`).  A miss (either
-    distance at or beyond ``r``) doubles ``r`` and retrieves nothing.
-    When the reach still misses after :data:`MAX_DOUBLINGS` doublings, the
-    round runs unbounded, which ends the doubling for a point that cannot
-    reach S or E at all (one in a walled courtyard).
-
-    Returns:
-        ``(dS, dE, r)``: ``r`` is the reach the next round starts from,
-        ``inf`` once the round ran unbounded.
-    """
-    for _ in range(MAX_DOUBLINGS + 1):
-        dists = vg.shortest_distances(point_node, (vg.S, vg.E), reach, reach)
-        d_s, d_e = dists[vg.S], dists[vg.E]
-        if max(d_s, d_e) < reach:
-            return d_s, d_e, reach
-        stats.reach_misses += 1
-        reach *= 2.0
-    dists = vg.shortest_distances(point_node, (vg.S, vg.E))
-    return dists[vg.S], dists[vg.E], math.inf

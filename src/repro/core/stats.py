@@ -68,12 +68,6 @@ class QueryStats:
     coverage_rounds: int = 0
     """Extra retrieval rounds forced by coverage validation."""
 
-    reach_misses: int = 0
-    """Pruned IOR traversals that did not reach both S and E below their
-    reach, so the reach doubled (retrieving nothing) or, after the last
-    doubling, the round ran unbounded (see
-    :func:`~repro.core.ior.ior_fixpoint`)."""
-
     visibility_tests: int = 0
     """Sight-line tests performed by the visibility graph."""
 

@@ -26,7 +26,7 @@ Two design points keep it fast at benchmark scale:
   never touches a row.
 
 Every sight line the graph decides — row cuts, insert repair, removal
-re-opens, transient cells and reach rows — goes through one launch site,
+re-opens, transient cells and ring rows — goes through one launch site,
 :meth:`LocalVisibilityGraph._blocked_bulk`, which calls the one
 early-terminating batched test
 :func:`~repro.geometry.vectorized.blocked_batch` and counts the launch
@@ -40,13 +40,15 @@ shadows of obstacles added since it was computed.  A region miss fills
 the shadows of every missing or stale region at once when they fit one
 kernel tile (a *region wave*, see :meth:`visible_region_of`).
 
-Traversals run on the library-wide resumable Dijkstra
-(:class:`repro.routing.dijkstra.ArrayTraversal`) and are memoized per source:
-a repeated ``dijkstra_order`` / ``shortest_path`` / ``shortest_distances``
-call over an unchanged graph replays the settled shortest-path tree and
-resumes the frontier instead of restarting from scratch.  Any mutation
-(node added, obstacle inserted, transient point removed) bumps the graph's
-generation and lazily invalidates the memo.
+Traversals run on the library-wide resumable traversal
+(:class:`repro.routing.dijkstra.ArrayTraversal`) and are memoized per
+source and aim: a repeated ``dijkstra_order`` / ``shortest_path`` /
+``shortest_distances`` call (Dijkstra order) or ``aimed_traversal`` call
+(A* order toward the query segment) over an unchanged graph replays the
+settled shortest-path tree and resumes the frontier instead of restarting
+from scratch.  Any mutation (node added, obstacle inserted, transient
+point removed) bumps the graph's generation and lazily invalidates the
+memo.
 
 A graph may also be built *unanchored* (``qseg=None``): no endpoint nodes
 exist until :meth:`bind` attaches a query segment's endpoints as transient
@@ -99,9 +101,10 @@ nodes) materialize in one batched pass; see
 :meth:`LocalVisibilityGraph._prefetch_rows`.  Row content and settle order
 do not depend on it, only the number of kernel launches does."""
 
-_REACH_SLACK = 1e-9
-"""Relative slack of :meth:`LocalVisibilityGraph._reach_row`'s ``np.hypot``
-prefilter, far above the ulp it has to cover; the exact filter follows."""
+_RING_SLACK = 1e-9
+"""Relative slack of :meth:`LocalVisibilityGraph._ring_row`'s ``np.hypot``
+prefilter, far above the rounding it has to cover; the exact filter
+follows."""
 
 # States of a (slot, transient) visibility cell, and their bytes: hot
 # reads test a row of cells as ``bytes``, which is several times cheaper
@@ -201,7 +204,7 @@ class LocalVisibilityGraph:
         # same ids as an array (what row reads append).
         self._live_transients: List[int] = []
         self._tids = np.empty(0, dtype=np.int64)
-        # Numpy mirrors of _xy/_alive/_transient (capacity-doubling, first
+        # Numpy mirrors of _xy/_alive/_transient (capacity grows 2x, first
         # len(_xy) entries valid) feeding the batch kernels.
         self._coords_np = np.empty((16, 2), dtype=np.float64)
         self._alive_np = np.zeros(16, dtype=bool)
@@ -224,7 +227,7 @@ class LocalVisibilityGraph:
         # visible_region_of.
         self._vr_cache: Dict[int, tuple] = {}
         # Per-node Euclidean distance to the bound query segment, the
-        # admissible heuristic behind bounded-traversal pruning.  Lazily
+        # heuristic that aims IOR's and CPLC's traversals at it.  Lazily
         # extended as nodes appear; reset when the anchor segment changes
         # (identity check) or coordinates are remapped by compact().
         self._h_np = np.empty(0, dtype=np.float64)
@@ -240,7 +243,7 @@ class LocalVisibilityGraph:
         self._bounds_cache: Optional[Tuple[Tuple[int, int, int],
                                            Tuple[np.ndarray, ...]]] = None
         self._generation = 0
-        self._traversals: Dict[int, ArrayTraversal] = {}
+        self._traversals: Dict[Tuple[int, bool], ArrayTraversal] = {}
         self.S = -1
         self.E = -1
         if qseg is not None:
@@ -1125,26 +1128,26 @@ class LocalVisibilityGraph:
 
     def _prefetch_rows(self, node: int,
                        frontier: "Callable[[], List[int]]",
-                       reach: float = math.inf) -> None:
+                       rings: bool = False) -> None:
         """Array-traversal hook: fill a frontier wave before a row read.
 
         Invoked before each settle's row read; a no-op unless ``node``'s
         row is missing or stale or one of its transient cells is unknown,
-        so the frontier gather (a sort of the heap contents) is only paid
-        once per wave, not once per settle.  Then, in at most one launch
-        each: missing rows of the node and of frontier nodes, up to
-        :data:`FRONTIER_WAVE` rows, materialize; stale rows of the node and the gathered frontier
-        repair (one pair of launches per watermark group); unknown cells of
-        the node and the gathered frontier fill.  A transient node without
-        a cached row read under a finite ``reach`` gets a reach-limited row
-        from :meth:`row_arrays`, so its own row and cells are left to that
-        read; the frontier is handled as above.
+        so the frontier gather (a sort of the heap entries below the
+        traversal's limit) is only paid once per wave, not once per
+        settle.  Then, in at most one launch each: missing rows of the
+        node and of frontier nodes, up to :data:`FRONTIER_WAVE` rows,
+        materialize; stale rows of the node and the gathered frontier
+        repair (one pair of launches per watermark group); unknown cells
+        of the node and the gathered frontier fill.  In a traversal that
+        cuts rings (``rings``), transient nodes without a cached row are
+        left to :meth:`_ring_row`: the node's own row and cells, and such
+        frontier nodes' rows.
         """
         if not self._alive[node]:
             return
         row_missing = node not in self._indptr
-        own = not (row_missing and reach < math.inf
-                   and self._transient[node])
+        whole = not (rings and row_missing and self._transient[node])
         row_stale = not row_missing and self._row_stale(node)
         t = len(self._live_transients)
         cells_missing = False
@@ -1160,19 +1163,19 @@ class LocalVisibilityGraph:
             for nb in front:
                 if len(wave) >= FRONTIER_WAVE:
                     break
-                if nb not in self._indptr:
+                if nb not in self._indptr and not (rings
+                                                   and self._transient[nb]):
                     wave.append(nb)
-            if not own:
+            if not whole:
                 wave = wave[1:]
             if wave:
                 self.materialize_rows(wave)
         if row_stale:
             self._refresh_rows_bulk([node] + front)
-        if cells_missing and (own or front):
-            self._fill_cells([node] + front if own else front)
+        if cells_missing and (whole or front):
+            self._fill_cells([node] + front if whole else front)
 
-    def row_arrays(self, node: int, reach: float = math.inf
-                   ) -> Tuple[np.ndarray, np.ndarray]:
+    def row_arrays(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
         """The flat adjacency row of ``node``: ``(ids, weights)``.
 
         Rows materialize lazily on first read and repair incrementally
@@ -1187,18 +1190,8 @@ class LocalVisibilityGraph:
         the row's transient visibility cells, filling any still unknown
         (:meth:`_fill_cells`); when none are bound the returned arrays are
         zero-copy slab views.
-
-        A bounded traversal passes ``reach``, how far past the node's
-        distance its prune bound lies.  A transient node without a cached
-        row then gets an uncached row holding only the edges that can land
-        inside it (:meth:`_reach_row`): a data point under evaluation is
-        read once per bounded traversal, and nearly all of its full row
-        would be pruned at push time.  Permanent rows and cached transient
-        rows are returned in full whatever ``reach`` says.
         """
         if node not in self._indptr:
-            if reach < math.inf and self._transient[node]:
-                return self._reach_row(node, reach)
             self.materialize_rows((node,))
         elif self._row_stale(node):
             self._refresh_rows_bulk((node,))
@@ -1223,21 +1216,38 @@ class LocalVisibilityGraph:
                 w = np.concatenate([w, self._cell_w[node, :t][vis]])
         return idx, w
 
-    def _reach_row(self, node: int, reach: float
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """The full row of ``node`` filtered by ``w + h(target) <= reach``.
+    def _ring_row(self, node: int, d: float, lo: float,
+                  view: Callable[[], float]
+                  ) -> Optional[Tuple[np.ndarray, np.ndarray, float]]:
+        """The ``ring`` cutter of aimed traversals: a ring of ``node``'s row.
 
-        ``h`` is the segment heuristic.  Candidates are the alive permanent
-        nodes (ids ascending) then the bound transients (binding order),
-        narrowed by ``np.hypot`` with a small relative slack (a superset of
-        the exact filter: ``np.hypot`` and ``math.hypot`` differ by an ulp)
-        and decided in one :meth:`_blocked_bulk` launch, none when no
-        candidate is left.  Sight lines run from ``node`` to the target and
-        weights go through ``math.hypot``, as in a full row, so the result
-        is the full row filtered by reach, bit for bit.  The filter keeps
-        every edge a push could keep: ``(d + w) + h < bound`` implies
-        ``w + h <= bound - d`` in floating point too.  Nothing is cached.
+        A transient node without a cached row (a data point under
+        evaluation, or a bound endpoint) is cut in rings, since an aimed
+        traversal rarely needs more of it than the part near ``q``; any
+        other node gets ``None`` and is read whole.  A ring holds the
+        entries keyed ``(d + w) + h(target)`` in ``(lo, hi]``: the first
+        reaches ``d + R`` for ``R`` the node's farther direct sight line to
+        S or E, the next the traversal's limit ``view()``, and a ring past
+        which no candidate lies ends the row (``hi`` is ``inf``).
+
+        Candidates are the alive permanent nodes (ids ascending) then the
+        bound transients (binding order), narrowed by ``np.hypot`` with a
+        small relative slack (``np.hypot`` and ``math.hypot`` differ by an
+        ulp) and decided in one :meth:`_blocked_bulk` launch.  Sight lines,
+        ``math.hypot`` weights and keys are computed as for a full row and
+        in the traversal, so the rings partition the full row bit for bit.
+        Nothing is cached.
         """
+        if lo == -math.inf:
+            if node in self._indptr or not self._transient[node]:
+                return None
+            x, y = self._xy[node]
+            q = self.qseg
+            hi = min(d + max(math.hypot(x - q.ax, y - q.ay),
+                             math.hypot(x - q.bx, y - q.by)), view())
+        else:
+            hi = view()
+            hi = hi if hi > lo else math.inf
         self.work.bounded_rows += 1
         n = len(self._xy)
         h = self._segment_heuristic()
@@ -1245,12 +1255,19 @@ class LocalVisibilityGraph:
         coords = self._coords_np
         near = np.hypot(coords[:n, 0] - x, coords[:n, 1] - y)
         near += h
-        near = near <= reach * (1.0 + _REACH_SLACK)
-        near &= self._alive_np[:n]
-        near[node] = False
-        tids = self._tids[near[self._tids]]
-        near[self._transient_np[:n]] = False
-        cand = np.flatnonzero(near)
+        near += d
+        pad = _RING_SLACK * (1.0 + (hi if hi < math.inf else max(lo, d)))
+        sel = self._alive_np[:n].copy()
+        sel[node] = False
+        if lo > -math.inf:
+            sel &= near > lo - pad
+        if (sel & (near > hi - pad)).any():
+            sel &= near <= hi + pad
+        else:
+            hi = math.inf  # nothing lies past this ring: it ends the row
+        tids = self._tids[sel[self._tids]]
+        sel[self._transient_np[:n]] = False
+        cand = np.flatnonzero(sel)
         if tids.size:
             cand = np.concatenate([cand, tids])
         if cand.size:
@@ -1258,8 +1275,11 @@ class LocalVisibilityGraph:
                                          coords[cand])
             cand = cand[~blocked]
         w = self._pair_weights(node, cand)
-        keep = w + h[cand] <= reach
-        return cand[keep], w[keep]
+        key = (d + w) + h[cand]
+        keep = key <= hi
+        if lo > -math.inf:
+            keep &= key > lo
+        return cand[keep], w[keep], hi
 
     def neighbors(self, node: int) -> Dict[int, float]:
         """The adjacency row of ``node`` as ``{neighbor: weight}``.
@@ -1416,19 +1436,18 @@ class LocalVisibilityGraph:
     def _segment_heuristic(self) -> np.ndarray:
         """Per-node Euclidean distance to the bound query segment.
 
-        The admissible heuristic behind bounded-traversal pruning.  Values
-        equal, bit for bit, the scalar ``qseg.dist_point`` that CPLC's
-        Euclidean prefilter calls: the clamp parameter and the closest
-        point are computed with numpy ufuncs in ``point_seg_dist``'s
-        operation order (elementwise IEEE doubles round like Python
-        floats), and the distance goes through ``math.hypot``, not
-        ``np.hypot`` (they differ in the last ulp on some inputs).  So the
-        traversal's prune test and CPLC's ``dist + dist(v, q) >= bound``
-        skip agree exactly — a node the traversal declines to relax is
-        guaranteed to be skipped (not trusted) downstream.  Extended lazily
-        as nodes appear; dead slots keep stale values harmlessly (their
-        coordinates never change).  Returns a view covering exactly the
-        current node slots.
+        The consistent heuristic that aims IOR's and CPLC's traversals at
+        ``q`` (it is 1-Lipschitz).  Values equal, bit for bit, the scalar
+        ``qseg.dist_point`` that CPLC's Euclidean bounds call: the clamp
+        parameter and the closest point are computed with numpy ufuncs in
+        ``point_seg_dist``'s operation order (elementwise IEEE doubles
+        round like Python floats), and the distance goes through
+        ``math.hypot``, not ``np.hypot`` (they differ in the last ulp on
+        some inputs).  So an aimed traversal's key ``d + h`` is exactly
+        the lower bound ``dist_v + dist(v, q)`` of everything node ``v``
+        can contribute on ``q``.  Extended lazily as nodes appear; dead
+        slots keep stale values harmlessly (their coordinates never
+        change).  Returns a view covering exactly the current node slots.
         """
         q = self.qseg
         n = len(self._xy)
@@ -1461,136 +1480,83 @@ class LocalVisibilityGraph:
             self._h_len = n
         return self._h_np[:n]
 
-    def _traversal(self, source: int,
-                   prune_bound: float = math.inf) -> ArrayTraversal:
-        """The memoized traversal for ``source``, rebuilt when stale.
+    def _traversal(self, source: int, aimed: bool) -> ArrayTraversal:
+        """The memoized traversal for ``source`` and aim, rebuilt when stale.
 
         A traversal is valid exactly while the graph is unchanged since it
         started (generation match): node insertion can open shorter paths,
         obstacle insertion can cut edges, and transient removal can kill
-        settled nodes — any of which falsifies the recorded tree.  A pruned
-        traversal additionally only serves requests with an equal or
-        *smaller* bound (it settles a superset of their safe set); a larger
-        bound forces a rebuild.
+        settled nodes — any of which falsifies the recorded tree.  One
+        traversal serves every limit its consumers stop at.  An aimed
+        traversal on a graph with no query segment is a plain one.
         """
-        if prune_bound < math.inf and self.qseg is None:
-            prune_bound = math.inf  # no segment, no heuristic to prune with
-        t = self._traversals.get(source)
-        if t is not None and t.stamp == self._generation \
-                and t.prune_bound >= prune_bound:
+        aimed = aimed and self.qseg is not None
+        key = (source, aimed)
+        t = self._traversals.get(key)
+        if t is not None and t.stamp == self._generation:
             self.work.dijkstra_replays += 1
             return t
         if len(self._traversals) >= _MAX_TRAVERSAL_MEMO:
             gen = self._generation
-            self._traversals = {s: tr for s, tr in self._traversals.items()
+            self._traversals = {k: tr for k, tr in self._traversals.items()
                                 if tr.stamp == gen}
             while len(self._traversals) >= _MAX_TRAVERSAL_MEMO:
                 self._traversals.pop(next(iter(self._traversals)))
-        heur = (self._segment_heuristic() if prune_bound < math.inf
-                else None)
         t = ArrayTraversal(self.row_arrays, source, len(self._xy),
                            alive=self._alive_view,
-                           prune_bound=prune_bound, heur=heur,
+                           aim=self._segment_heuristic if aimed else None,
+                           ring=self._ring_row if aimed else None,
                            stamp=self._generation,
-                           prefetch=self._prefetch_rows,
-                           on_prune=self._count_pruned)
-        self._traversals[source] = t
+                           prefetch=self._prefetch_rows)
+        self._traversals[key] = t
         self.work.dijkstra_runs += 1
         return t
 
-    def dijkstra_order(self, source: int, prune_bound: float = math.inf
+    def dijkstra_order(self, source: int
                        ) -> Iterator[Tuple[float, int, Optional[int]]]:
         """Yield ``(dist, node, predecessor)`` in ascending settled order.
 
-        This is the traversal CPLC consumes; the caller breaks out when
-        Lemma 7's cutoff fires.  Predecessor is the node visited right before
-        on the shortest path (``u`` of Lemma 5), ``None`` for the source.
-        Only settled nodes ever compute their adjacency rows, and repeated
+        Plain Dijkstra order (no heuristic), which the ONN/range scans
+        and the joins consume.  Predecessor is the node visited right
+        before on the shortest path, ``None`` for the source.  Only
+        settled nodes ever compute their adjacency rows, and repeated
         traversals from one source over an unchanged graph replay the
         memoized shortest-path tree instead of restarting (the cost that
         used to make ``shortest_path`` re-run a full Dijkstra per call).
-
-        ``prune_bound`` enables goal-directed relaxation pruning toward the
-        bound query segment (see
-        :class:`~repro.routing.dijkstra.ArrayTraversal`):
-        yielded nodes with ``dist + dist(node, qseg) < prune_bound`` are
-        exact — distance, predecessor and position.  The bound is applied
-        when an edge would be relaxed, so nodes beyond it are normally not
-        yielded at all (a transient source's row is even cut only as far
-        as the bound reaches, see :meth:`row_arrays`); whatever beyond it
-        does arrive may be late or inflated, so callers must discard
-        contributions at or past the bound (CPLC's global-bound skip does).
         """
-        t = self._traversal(source, prune_bound)
+        t = self._traversal(source, False)
         return t.order(on_advance=self._count_settle)
 
-    def settled_traversal(self, source: int, prune_bound: float = math.inf):
-        """The raw resumable traversal behind :meth:`dijkstra_order`.
+    def aimed_traversal(self, source: int):
+        """The raw resumable traversal from ``source`` aimed at ``q``.
 
-        Returns ``(traversal, on_settle)``: hot consumers (CPLC's main
-        loop) walk ``traversal.settled`` / call ``traversal.advance()``
-        directly — same entries in the same order as the generator, minus
-        one generator resume per settled node — and must invoke
-        ``on_settle(entry)`` once per *fresh* advance so the graph's
-        ``work.nodes_settled`` stays identical to the generator path.
+        The traversal IOR and CPLC share: it settles in ``f = d +
+        dist(v, q)`` order (A* with the segment heuristic), each node at
+        its exact distance with an exact predecessor, and records each
+        settled node's ``f`` in ``traversal.keys``.  A transient source's
+        row is cut in rings as the traversal reaches out
+        (:meth:`_ring_row`).  Consumers pass their current limit to
+        ``traversal.advance(limit)``; one memoized traversal per source
+        serves them all, IOR's rounds and CPLC after them.
+
+        Returns ``(traversal, on_settle)``: consumers walk
+        ``traversal.settled`` / call ``traversal.advance(limit)`` directly
+        and must invoke ``on_settle(entry)`` once per *fresh* advance so
+        the graph's ``work.nodes_settled`` counts every settle.
         """
-        return self._traversal(source, prune_bound), self._count_settle
+        return self._traversal(source, True), self._count_settle
 
     def _count_settle(self, _entry: Tuple[float, int, Optional[int]]) -> None:
         self.work.nodes_settled += 1
 
-    def _count_pruned(self, count: int) -> None:
-        self.work.relaxations_pruned += count
-
-    def shortest_distances(self, source: int, targets: Iterable[int],
-                           cutoff: float = math.inf,
-                           prune_bound: float = math.inf) -> Dict[int, float]:
-        """Early-terminating Dijkstra: distances to ``targets`` (inf if cut off).
-
-        ``cutoff`` additionally stops the traversal once settled distances
-        exceed it; targets not yet settled report ``inf``.  The underlying
-        traversal stays resumable, so a later call with a larger cutoff
-        continues where this one stopped.
-
-        ``prune_bound`` opts into goal-directed relaxation pruning (see
-        :meth:`dijkstra_order`): only safe for targets *on* the query
-        segment (IOR's S and E, whose heuristic is zero) — their reported
-        distance is exact whenever it is below the bound, and any target
-        cut off by pruning reports at or above it (``inf`` when, as
-        usual, it was never settled).
-        """
-        remaining = set(targets)
-        out = {t: math.inf for t in remaining}
-        # Consume the traversal directly rather than through the
-        # dijkstra_order generator: this loop touches every settled entry
-        # of every warm-corridor Dijkstra, and the generator resume per
-        # entry profiled at several percent of the arm.  Replay-cursor
-        # discipline matches ArrayTraversal.order, including the re-check
-        # after an exhausted advance (a concurrent consumer may have
-        # settled the tail between the length check and the locked
-        # advance).
-        tr = self._traversal(source, prune_bound)
-        settled = tr.settled
-        i = 0
-        while True:
-            if i < len(settled):
-                d, node, _pred = settled[i]
-                i += 1
-            else:
-                if tr.advance() is None:
-                    if i < len(settled):
-                        continue
-                    break
-                self.work.nodes_settled += 1
-                continue
-            if d > cutoff:
-                break
-            if node in remaining:
-                out[node] = d
-                remaining.discard(node)
-                if not remaining:
-                    break
-        return out
+    def shortest_distances(self, source: int, targets: Iterable[int]
+                           ) -> Dict[int, float]:
+        """Early-terminating Dijkstra: distances to ``targets`` (inf if
+        unreachable).  The underlying traversal stays resumable, so a
+        later call from the same source continues where this one
+        stopped."""
+        return self._traversal(source, False).distances(
+            targets, on_advance=self._count_settle)
 
     def shortest_path(self, source: int, target: int) -> Tuple[float, List[int]]:
         """Distance and node path from ``source`` to ``target`` (inf, [] if none)."""

@@ -2,7 +2,8 @@
 
 The CONN/COkNN/ONN/range engines treat the obstructed-distance oracle as a
 black box: they need a graph surface to attach query endpoints and data
-points to, traverse in Dijkstra order, and feed retrieved obstacles into.
+points to, traverse (in Dijkstra order, or aimed at the query segment),
+and feed retrieved obstacles into.
 This module makes that surface an explicit protocol
 (:class:`ObstructedDistanceBackend`) with two implementations:
 
@@ -36,7 +37,6 @@ I/O pattern, not an answer) may differ.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from typing import (
@@ -103,13 +103,11 @@ class ObstructedGraph(Protocol):
     def remove_point(self, node: int) -> None: ...  # pragma: no cover
     def node_point(self, node: int) -> "Point": ...  # pragma: no cover
     def add_obstacles(self, batch: Iterable["Obstacle"]) -> int: ...  # pragma: no cover
-    def dijkstra_order(self, source: int, prune_bound: float = math.inf
+    def dijkstra_order(self, source: int
                        ) -> Iterator[Tuple[float, int, Optional[int]]]: ...  # pragma: no cover
-    def settled_traversal(self, source: int, prune_bound: float = math.inf
-                          ) -> Tuple["ArrayTraversal", Callable[..., None]]: ...  # pragma: no cover
-    def shortest_distances(self, source: int, targets: Iterable[int],
-                           cutoff: float = math.inf,
-                           prune_bound: float = math.inf
+    def aimed_traversal(self, source: int
+                        ) -> Tuple["ArrayTraversal", Callable[..., None]]: ...  # pragma: no cover
+    def shortest_distances(self, source: int, targets: Iterable[int]
                            ) -> Dict[int, float]: ...  # pragma: no cover
     def visible_region_of(self, node: int) -> "IntervalSet": ...  # pragma: no cover
 
@@ -164,18 +162,16 @@ class VGSession:
     def neighbors(self, node: int) -> Dict[int, float]:
         return self.graph.neighbors(node)
 
-    def dijkstra_order(self, source: int, prune_bound: float = math.inf
+    def dijkstra_order(self, source: int
                        ) -> Iterator[Tuple[float, int, Optional[int]]]:
-        return self.graph.dijkstra_order(source, prune_bound)
+        return self.graph.dijkstra_order(source)
 
-    def settled_traversal(self, source: int, prune_bound: float = math.inf):
-        return self.graph.settled_traversal(source, prune_bound)
+    def aimed_traversal(self, source: int):
+        return self.graph.aimed_traversal(source)
 
-    def shortest_distances(self, source: int, targets: Iterable[int],
-                           cutoff: float = math.inf,
-                           prune_bound: float = math.inf) -> Dict[int, float]:
-        return self.graph.shortest_distances(source, targets, cutoff,
-                                             prune_bound)
+    def shortest_distances(self, source: int, targets: Iterable[int]
+                           ) -> Dict[int, float]:
+        return self.graph.shortest_distances(source, targets)
 
     def shortest_path(self, source: int, target: int
                       ) -> Tuple[float, List[int]]:

@@ -1,21 +1,34 @@
-"""The library's resumable, replayable Dijkstra over flat adjacency rows.
+"""The library's resumable, replayable best-first traversal over flat rows.
 
 Every shortest-path consumer of the engines — the local visibility graph's
-``dijkstra_order`` (which CPLC, IOR and the ONN/range scans drive) and the
-FULL baseline of :mod:`repro.baselines.global_vg` — runs on
-:class:`ArrayTraversal`.  Underneath it is the textbook loop — a plain
-``heapq`` frontier of ``(dist, node)`` pairs, one vectorized relaxation
-per settled row — and two properties make it more than that:
+``dijkstra_order`` / ``shortest_distances`` (the ONN/range scans and the
+joins), its ``aimed_traversal`` (IOR and CPLC) and the FULL baseline of
+:mod:`repro.baselines.global_vg` — runs on :class:`ArrayTraversal`.
+Underneath it is the textbook loop: a plain ``heapq`` frontier of
+``(key, node)`` pairs and one vectorized relaxation per settled row.  The
+key is ``d + h[node]`` for a per-node heuristic ``h``; with none (``h =
+0``) the traversal is textbook Dijkstra, and with a consistent ``h`` (the
+distance to the query segment, which is 1-Lipschitz) it is textbook A*,
+aimed at the segment.  Three properties make it more than that:
 
-* **Resumable.**  A consumer that stops early (an early-terminating
-  ``shortest_distances``, Lemma 7's CPLC cutoff) leaves the heap and
-  tentative distances intact; the next consumer continues expanding from
-  the frontier instead of restarting.
-* **Replayable.**  The settled prefix is recorded in order, so repeated
-  traversals from the same source over an unchanged graph replay the
-  memoized shortest-path tree for free.  Validity across graph mutations
-  is the *owner's* responsibility: the visibility graph stamps each
-  traversal with its mutation generation and discards mismatches.
+* **Stoppable.**  A consumer passes its current limit each time it
+  advances (:meth:`ArrayTraversal.advance`); the traversal settles
+  nothing whose key reaches it and keeps every frontier entry, so a later
+  consumer with a larger limit continues where this one stopped, and
+  stopping then resuming settles exactly what one run settles.
+* **Replayable.**  The settled prefix and its keys are recorded in order,
+  so repeated traversals from the same source over an unchanged graph
+  replay the memoized shortest-path tree for free.  Validity across graph
+  mutations is the *owner's* responsibility: the visibility graph stamps
+  each traversal with its mutation generation and discards mismatches.
+* **Lazy rows.**  A settled node's row is read when the next node is
+  asked for, not when it settles, so a consumer that stops at a settled
+  target reads no row for it.  An owner may also cut a row in rings of
+  key instead of whole (the visibility graph does so for transient nodes
+  without a cached row, such as a data point under evaluation): each
+  ring's outer key waits in the heap as a marker entry and cuts the next
+  ring when it pops.  Either way the settle order is the one a whole-row
+  read at settle time gives.
 
 :func:`dijkstra_all` is the textbook eager ``heapq`` Dijkstra behind the
 full-graph reference oracle of :mod:`repro.obstacles.obstructed`; it shares
@@ -30,6 +43,8 @@ import threading
 from typing import (
     Any,
     Callable,
+    Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -53,97 +68,90 @@ class ArrayTraversal:
     adjacency row is relaxed in one vectorized pass.  Relaxation uses a
     strict ``<`` and each neighbor appears at most once per row, so the
     vectorized compare-and-assign matches an element-wise loop exactly.
-    The frontier is a plain ``heapq`` list of ``(dist, node)`` pairs, so
-    nodes settle in the order of a textbook binary-heap Dijkstra, ties
-    broken by node id.
+    The frontier is a plain ``heapq`` list of ``(key, node)`` pairs, so
+    nodes settle in the order of a textbook binary-heap Dijkstra (no
+    heuristic) or A* (with one), ties broken by node id.
 
     Args:
         rows: flat adjacency callback: node -> ``(indices, weights)``
-            arrays, invoked once per settled node.
+            arrays, invoked once per settled node whose row is read whole.
         source: the source node.
         size: node-slot capacity to preallocate; the arrays grow on demand
             when the owning graph adds slots mid-traversal.
         alive: callback returning the owner's current alive mask, which
             covers every node id a row can hold; neighbors dead at
             relaxation time are not relaxed.
-        prune_bound: with ``heur``, goal-directed relaxation pruning,
-            applied when a relaxation would happen: an edge whose tentative
-            distance lands at or past the bound, ``(dist + w) + heur[nbr]
-            >= prune_bound``, is neither recorded nor pushed, so nodes
-            beyond the bound are not settled.  (The source is never
-            pushed: when ``heur[source] >= prune_bound`` it settles,
-            records its entry and relaxes nothing.)  ``heur`` must be an
-            admissible, 1-Lipschitz per-node lower bound on the remaining
-            distance to the goal the caller cares about (a node id it does
-            not cover counts as 0).  The safe set ``dist + heur <
-            prune_bound`` is then prefix-closed along shortest paths
-            (triangle inequality), so every node in it keeps its exact
-            Dijkstra distance, predecessor and settled position; callers
-            must still treat any ``dist + heur >= prune_bound`` entry as
-            "beyond the bound" (a memoized traversal may serve a smaller
-            bound than its own).  A bounded traversal also tells the owner how far
-            a row needs to reach: it reads ``rows(node, reach)`` with
-            ``reach = prune_bound - dist``, and the owner may leave out any
-            entry whose ``w + h(nbr) > reach`` for an admissible,
-            1-Lipschitz ``h`` (such an edge would be pruned anyway, and no
-            safe node's shortest path uses it).  Unbounded traversals read
-            ``rows(node)``.
+        aim: optional callback returning the heuristic ``h`` as an array
+            covering the alive mask's slots (re-read when they grow).  A
+            node's key is ``d + h[node]``; ``h`` must be consistent
+            (``h[u] <= w(u, v) + h[v]``), so every node still settles at
+            its exact distance with an exact predecessor.  ``keys`` then
+            records each settled node's key, in settle order.
+        ring: optional ring cutter ``ring(node, d, lo, view)`` ->
+            ``(ids, weights, hi)``: the entries of ``node``'s row keyed in
+            ``(lo, hi]``, ``hi`` at most ``view()`` (the limit a ring may
+            reach) or ``inf`` for the ring that ends the row.  When a
+            node's row is read, ``ring(node, d, -inf, view)`` returns
+            ``None`` to have it read whole through ``rows``, or the first
+            ring.  A finite ``hi`` waits in the heap
+            as a marker entry ``(hi, -1 - node)`` and, when it pops below
+            the consumer's limit, cuts the next ring.  A later ring's
+            equal offer wins over a predecessor that settled after
+            ``node``, as the whole row would have made it first.
         stamp: opaque validity token recorded for the owner.
-        prefetch: optional hook ``prefetch(node, frontier)`` invoked right
-            before each settled node's row read (``prefetch(node, frontier,
-            reach)`` in a bounded traversal); ``frontier()`` lazily yields
-            the not-yet-settled frontier node ids nearest-first, so the
-            owner can materialize adjacency rows (and the visibility cells
-            to transient nodes) for the whole top of the heap in one
-            batched pass.  Purely a materialization hint — the traversal's
-            own state is untouched, so settle order, distances and
-            predecessors are unchanged.
-        on_prune: optional hook ``on_prune(count)`` invoked after each row
-            with the number of improving relaxations the bound declined
-            (only when nonzero) — the owner's ``relaxations_pruned``
-            counter.
+        prefetch: optional hook ``prefetch(node, frontier, rings)`` invoked
+            right before each settled node's row read (``rings`` tells
+            whether this traversal has a ring cutter); ``frontier()``
+            lazily yields the not-yet-settled frontier node ids below the
+            current limit, nearest-first, so the owner can materialize
+            adjacency rows (and the visibility cells to transient nodes)
+            for the whole top of the heap in one batched pass.  Purely a materialization hint —
+            the traversal's own state is untouched, so settle order,
+            distances and predecessors are unchanged.
     """
 
     __slots__ = ("_rows", "_alive", "source", "dist", "pred", "settled",
-                 "_frontier", "_done", "stamp", "_lock", "prune_bound",
-                 "_heur", "_prefetch", "_on_prune")
+                 "keys", "_frontier", "_done", "_rank", "_pending", "stamp",
+                 "_lock", "_aim", "_heur", "_ring", "_prefetch", "_limit",
+                 "_goals")
 
     def __init__(self, rows: ArrayAdjacency, source: int, size: int,
                  alive: Callable[[], np.ndarray],
-                 prune_bound: float = math.inf,
-                 heur: Optional[np.ndarray] = None,
+                 aim: Optional[Callable[[], np.ndarray]] = None,
+                 ring: Optional[Callable[..., Any]] = None,
                  stamp: Any = None,
-                 prefetch: Optional[Callable[..., None]] = None,
-                 on_prune: Optional[Callable[[int], None]] = None):
+                 prefetch: Optional[Callable[..., None]] = None):
         self._rows = rows
         self._alive = alive
+        self._aim = aim
+        self._ring = ring
         self._prefetch = prefetch
-        self._on_prune = on_prune
-        self.prune_bound = prune_bound
         n = max(size, source + 1)
-        # The heuristic covers every slot the state arrays do (zeros past
-        # the caller's array), so the relax gathers it without a guard.
-        self._heur = (_covering(heur, n)
-                      if heur is not None and prune_bound < math.inf
-                      else None)
+        self._heur = None if aim is None else aim()
         self.source = source
         self.dist = np.full(n, np.inf, dtype=np.float64)
         self.dist[source] = 0.0
         self.pred = np.full(n, -1, dtype=np.int64)
+        self._rank = None if ring is None else np.zeros(n, dtype=np.int64)
+        self._pending: Optional[int] = None
         self.settled: List[SettledEntry] = []
-        self._frontier: List[Tuple[float, int]] = [(0.0, source)]
+        self.keys: List[float] = []
+        key = 0.0 if self._heur is None else 0.0 + float(self._heur[source])
+        self._frontier: List[Tuple[float, int]] = [(key, source)]
         self._done = np.zeros(n, dtype=bool)
+        self._limit = math.inf
+        self._goals: Tuple[int, ...] = ()
         self.stamp = stamp
         self._lock = threading.Lock()
 
     @property
     def exhausted(self) -> bool:
         """True when no frontier remains (every reachable node settled)."""
-        return not self._frontier
+        return not self._frontier and self._pending is None
 
     def order(self, on_advance: Optional[Callable[[SettledEntry], None]]
               = None) -> Iterator[SettledEntry]:
-        """Yield ``(dist, node, pred)`` ascending: replay, then extend.
+        """Yield ``(dist, node, pred)`` in settle order: replay, then extend.
 
         Multiple iterators over one traversal are safe: each keeps its own
         replay cursor, and whichever reaches the frontier first extends the
@@ -171,6 +179,44 @@ class ArrayTraversal:
                 if on_advance is not None:
                     on_advance(entry)
 
+    def distances(self, targets: Iterable[int], limit: float = math.inf,
+                  on_advance: Optional[Callable[[SettledEntry], None]]
+                  = None) -> Dict[int, float]:
+        """Distances to ``targets``, ``inf`` for any not settled below
+        ``limit``: replays, then settles until every target is settled or
+        the next key reaches ``limit``.  ``on_advance`` as in
+        :meth:`order`.
+
+        While it settles, the unsettled targets are the traversal's goals
+        (see :meth:`_view`).
+        """
+        remaining = set(targets)
+        out = {t: math.inf for t in remaining}
+        settled, keys = self.settled, self.keys
+        i = 0
+        try:
+            while remaining:
+                if i < len(settled):
+                    if keys[i] >= limit:
+                        break
+                    d, node, _pred = settled[i]
+                    i += 1
+                    if node in remaining:
+                        out[node] = d
+                        remaining.discard(node)
+                else:
+                    self._goals = tuple(remaining)
+                    entry = self.advance(limit)
+                    if entry is None:
+                        if i < len(settled):
+                            continue
+                        break
+                    if on_advance is not None:
+                        on_advance(entry)
+        finally:
+            self._goals = ()
+        return out
+
     def run_to_completion(self) -> None:
         """Settle every reachable node (the classic eager Dijkstra)."""
         while self.advance() is not None:
@@ -187,24 +233,43 @@ class ArrayTraversal:
         done = np.zeros(n, dtype=bool)
         done[:old] = self._done
         self._done = done
-        if self._heur is not None:
-            self._heur = _covering(self._heur, n)
+        if self._rank is not None:
+            rank = np.zeros(n, dtype=np.int64)
+            rank[:old] = self._rank
+            self._rank = rank
+        if self._aim is not None:
+            self._heur = self._aim()
+
+    def _view(self) -> float:
+        """The limit prefetch and ring cuts see: the consumer's, lowered to
+        just above the largest tentative key among the goals once they all
+        have one (nothing keyed past it settles before they do)."""
+        limit = self._limit
+        if self._goals:
+            dist, heur = self.dist, self._heur
+            far = max(dist[t] if heur is None else dist[t] + heur[t]
+                      for t in self._goals)
+            limit = min(limit, math.nextafter(far, math.inf))
+        return limit
 
     def _frontier_ids(self, cap: int = 64) -> List[int]:
-        """Not-yet-settled frontier node ids, nearest (tentative) first.
+        """Not-yet-settled frontier node ids below the limit, nearest first.
 
-        The prefetch hook's view of the heap top: the heap's pairs sorted
-        by ``(dist, node)``, settled nodes dropped and deduplicated.
-        Advisory only — a stale entry (node already improved elsewhere)
-        merely wastes a prefetch slot.  Called from inside :meth:`advance`
-        (lock already held), so it must not lock.
+        The prefetch hook's view of the heap top: the heap's pairs keyed
+        below the current limit, sorted by ``(key, node)``, settled nodes
+        and ring markers dropped and deduplicated.  Advisory only — a
+        stale entry (node already improved elsewhere) merely wastes a
+        prefetch slot.  Called from inside :meth:`advance` (lock already
+        held), so it must not lock.
         """
         done = self._done
-        cand = [(d, v) for d, v in self._frontier if not done[v]]
+        limit = self._view()
+        cand = [(k, v) for k, v in self._frontier
+                if k < limit and v >= 0 and not done[v]]
         cand.sort()
         out: List[int] = []
         seen = set()
-        for _d, v in cand:
+        for _k, v in cand:
             if v not in seen:
                 seen.add(v)
                 out.append(v)
@@ -212,72 +277,94 @@ class ArrayTraversal:
                     break
         return out
 
-    def advance(self) -> Optional[SettledEntry]:
-        """Settle and record the next node; ``None`` when exhausted.
+    def advance(self, limit: float = math.inf) -> Optional[SettledEntry]:
+        """Settle and record the next node; ``None`` when exhausted or
+        when the next key reaches ``limit`` (nothing is then settled, and
+        a later call with a larger limit continues from here).
 
         Serialized by a per-traversal lock: a memoized traversal can be
         replayed-and-extended by several consumers (the settled prefix is
         the shared asset), and two threads racing the frontier would
         otherwise pop the heap and grow ``settled`` inconsistently.  The
         replay path of :meth:`order` stays lock-free — it only reads the
-        append-only settled prefix.
+        append-only settled prefix (``keys`` is appended first).
         """
         with self._lock:
+            self._limit = limit
+            if self._pending is not None:
+                # Read the row (or first ring) of the last settled node.
+                node, self._pending = self._pending, None
+                cut = None if self._ring is None else self._ring(
+                    node, float(self.dist[node]), -math.inf, self._view)
+                if self._prefetch is not None:
+                    self._prefetch(node, self._frontier_ids,
+                                   self._ring is not None)
+                if cut is None:
+                    idx, w = self._rows(node)
+                    self._relax(node, idx, w, False)
+                else:
+                    self._take_ring(node, cut, False)
             frontier = self._frontier
             while frontier:
-                d, node = heapq.heappop(frontier)
+                key, node = frontier[0]
+                if key >= limit:
+                    return None
+                heapq.heappop(frontier)
+                if node < 0:
+                    node = -1 - node
+                    self._take_ring(node, self._ring(
+                        node, float(self.dist[node]), key, self._view), True)
+                    continue
                 if self._done[node]:
                     continue
                 self._done[node] = True
                 p = self.pred[node]
-                entry = (d, node, None if p < 0 else int(p))
+                entry = (float(self.dist[node]), node,
+                         None if p < 0 else int(p))
+                if self._rank is not None:
+                    self._rank[node] = len(self.settled)
+                self.keys.append(key)
                 self.settled.append(entry)
-                if self._heur is None:
-                    if self._prefetch is not None:
-                        self._prefetch(node, self._frontier_ids)
-                    idx, w = self._rows(node)
-                else:
-                    bound = self.prune_bound
-                    if d + self._heur[node] >= bound:
-                        return entry
-                    reach = bound - d
-                    if self._prefetch is not None:
-                        self._prefetch(node, self._frontier_ids, reach)
-                    idx, w = self._rows(node, reach)
-                mask = self._alive()
-                if mask.size > self.dist.size:
-                    self._grow(mask.size)
-                if not idx.size:
-                    return entry
-                nd = d + w
-                improved = nd < self.dist[idx]
-                improved &= mask[idx]
-                ii = idx[improved]
-                vv = nd[improved]
-                if self._heur is not None and ii.size:
-                    keep = vv + self._heur[ii] < bound
-                    kept = int(np.count_nonzero(keep))
-                    if kept < ii.size:
-                        if self._on_prune is not None:
-                            self._on_prune(ii.size - kept)
-                        ii = ii[keep]
-                        vv = vv[keep]
-                if ii.size:
-                    self.dist[ii] = vv
-                    self.pred[ii] = node
-                    for pair in zip(vv.tolist(), ii.tolist()):
-                        heapq.heappush(frontier, pair)
+                self._pending = node
                 return entry
             return None
 
+    def _take_ring(self, node: int, cut: Tuple[np.ndarray, np.ndarray,
+                                                float], late: bool) -> None:
+        """Relax a ring of ``node`` and queue the marker of the next."""
+        idx, w, hi = cut
+        self._relax(node, idx, w, late)
+        if hi < math.inf:
+            heapq.heappush(self._frontier, (hi, -1 - node))
 
-def _covering(heur: np.ndarray, n: int) -> np.ndarray:
-    """``heur`` zero-padded to at least ``n`` slots (0 is admissible)."""
-    if heur.size >= n:
-        return heur
-    out = np.zeros(n, dtype=np.float64)
-    out[:heur.size] = heur
-    return out
+    def _relax(self, node: int, idx: np.ndarray, w: np.ndarray,
+               late: bool) -> None:
+        """Relax one row (or ring) of the settled ``node``; in a ``late``
+        ring, an equal offer also wins over a predecessor that settled
+        after ``node``."""
+        mask = self._alive()
+        if mask.size > self.dist.size:
+            self._grow(mask.size)
+        if not idx.size:
+            return
+        nd = self.dist[node] + w
+        cur = self.dist[idx]
+        improved = nd < cur
+        if late:
+            improved |= ((nd == cur)
+                         & (self._rank[self.pred[idx]] > self._rank[node]))
+        improved &= mask[idx]
+        ii = idx[improved]
+        if not ii.size:
+            return
+        vv = nd[improved]
+        self.dist[ii] = vv
+        self.pred[ii] = node
+        if self._heur is not None:
+            vv += self._heur[ii]  # the keys
+        frontier = self._frontier
+        for pair in zip(vv.tolist(), ii.tolist()):
+            heapq.heappush(frontier, pair)
 
 
 def dijkstra_all(adj: List[Mapping[int, float]], source: int

@@ -93,7 +93,7 @@ class BackendStats:
 
     batch_visibility_calls: int = 0
     """Visibility-kernel launches, each one ``blocked_batch`` call (one
-    per row-cut pass, repair step, reach row, or fill of transient
+    per row-cut pass, repair step, ring of a transient row, or fill of transient
     visibility cells)."""
 
     batched_edges_tested: int = 0
@@ -110,8 +110,8 @@ class BackendStats:
     rows_bulk_materialized: int = 0
     """Adjacency rows cut into the row cache, all by ``materialize_rows``:
     eager ``build_all`` seeding, frontier-prefetch waves and single rows
-    read outside a traversal alike.  (A bounded traversal's uncached
-    reach rows are counted in ``bounded_rows`` instead.)"""
+    read outside a traversal alike.  (The uncached rings an aimed
+    traversal cuts are counted in ``bounded_rows`` instead.)"""
 
     bulk_pair_launches: int = 0
     """Batched kernel launches issued by the bulk materialization /
@@ -139,16 +139,11 @@ class BackendStats:
     shadows of every obstacle for a missing visible region, of the
     obstacles past its watermark for a stale one."""
 
-    relaxations_pruned: int = 0
-    """Improving relaxations a bounded traversal declined because the
-    tentative distance plus the target's distance to the query segment
-    reached the prune bound (push-time pruning).  Edges a reach-limited
-    row already left out are not counted."""
-
     bounded_rows: int = 0
-    """Uncached, reach-limited adjacency rows cut for transient nodes read
-    by bounded traversals, holding only the edges that can land below the
-    prune bound instead of the full row."""
+    """Uncached rings cut from the rows of transient nodes (data points
+    under evaluation) by traversals aimed at the query segment, each
+    holding the row entries whose key lies in one ring instead of the
+    full row."""
 
     patched: int = 0
     """Announced obstacle inserts patched into a shared graph in place."""

@@ -280,10 +280,23 @@ class ShardedWorkspace:
 
         A set of several shards plans a per-query graph: a shard's shared
         graph would keep an obstacle of another shard that a later removal,
-        routed only to the shards its MBR overlaps, never reaches.
+        routed only to the shards its MBR overlaps, never reaches.  Its
+        cache and I/O estimates describe every member the run reads: the
+        distinct obstacles their caches hold and their capsules, warm
+        only when every member's coverage proves the footprint cached,
+        and page reads summed over the member trees.
         """
-        return self.shards[min(sids)].plan(
-            query, backend=backend if len(sids) == 1 else "per-query")
+        if len(sids) == 1:
+            return self.shards[min(sids)].plan(query, backend=backend)
+        members = [self.shards[sid] for sid in sorted(sids)]
+        plans = [m.plan(query, backend="per-query") for m in members]
+        plan = plans[0]
+        plan.cached_obstacles = len(set().union(
+            *(m.cache.obstacles for m in members)))
+        plan.capsules = sum(p.capsules for p in plans)
+        plan.warm = all(p.warm for p in plans)
+        plan.est_obstacle_io = sum(p.est_obstacle_io for p in plans)
+        return plan
 
     def _route(self, query: Query | QueryPlan
                ) -> Tuple[QueryResult, ShardStats]:

@@ -16,23 +16,27 @@ Deliberately naive, and independent of the production graph's code paths:
 Rows must match bit for bit (the production paths all weight edges with
 ``math.hypot`` too); distances must match within ``abs_tol=1e-9``, and every
 predecessor ``p`` of a settled node ``v`` must satisfy ``dist[p] + w(p, v)
-== dist[v]`` exactly.
+== dist[v]`` exactly.  A traversal aimed at the query segment must settle
+exactly what :func:`reference_astar` settles (textbook ``heapq`` A* over
+the reference rows, ties broken by node id): same ``(dist, node, pred)``
+entries in the same order.
 
 The visible-region suites check the numpy shadow functions of
 :mod:`repro.obstacles.shadow` against :func:`shadow_intervals_scalar` and
 :func:`visible_region_scalar`: the same candidate-line method written one
 obstacle and one gap at a time with the scalar predicates.
 
-The IOR suites check the engine's reach-doubling
-:func:`~repro.core.ior.ior_fixpoint` against
-:func:`reference_ior_fixpoint`, Algorithm 1 with one unbounded Dijkstra
-per round.
+The IOR suites check the engine's :func:`~repro.core.ior.ior_fixpoint`,
+whose rounds settle toward the query segment, against
+:func:`reference_ior_fixpoint`, Algorithm 1 with one plain Dijkstra per
+round.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -120,6 +124,60 @@ def assert_traversal_matches(graph, source: int,
     assert settled[0] == (0.0, source, None)
     for d, v, p in settled[1:]:
         assert got[p] + ref[p][v]["weight"] == d, (v, p)
+
+
+def reference_astar(rows: Callable[[int], Dict[int, float]], source: int,
+                    h: Callable[[int], float]) -> List[SettledEntry]:
+    """Textbook ``heapq`` A*: ``(dist, node, pred)`` in settle order.
+
+    The frontier holds ``(dist + h(node), node)`` pairs, so ties on the key
+    break by node id; a node settles once, at its first pop, and each
+    settled node relaxes its whole row (``rows(node)``, ``{neighbor:
+    weight}``) with a strict ``<``.
+    """
+    dist = {source: 0.0}
+    pred: Dict[int, int] = {}
+    done = set()
+    heap = [(0.0 + h(source), source)]
+    out: List[SettledEntry] = []
+    while heap:
+        _key, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        d = dist[u]
+        out.append((d, u, pred.get(u)))
+        for v, w in rows(u).items():
+            nd = d + w
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd + h(v), v))
+    return out
+
+
+def assert_aimed_traversal_matches(graph, source: int,
+                                   settled: List[SettledEntry],
+                                   ref: Optional[nx.DiGraph] = None) -> None:
+    """A complete settled sequence of a traversal aimed at ``graph.qseg``
+    is textbook A* over the reference rows, entry for entry, and its
+    distances are networkx's."""
+    ref = reference_graph(graph) if ref is None else ref
+    qseg = graph.qseg
+
+    def h(node: int) -> float:
+        x, y = graph._xy[node]
+        return qseg.dist_point(x, y)
+
+    def rows(node: int) -> Dict[int, float]:
+        return {v: a["weight"] for v, a in ref[node].items()}
+
+    assert settled == reference_astar(rows, source, h)
+    want = nx.single_source_dijkstra_path_length(ref, source)
+    assert {v for _d, v, _p in settled} == set(want)
+    for d, v, _p in settled:
+        assert math.isclose(d, want[v], rel_tol=0.0, abs_tol=1e-9), \
+            (v, d, want[v])
 
 
 _WIDTH_EPS = 1e-9
@@ -224,20 +282,31 @@ def visible_region_scalar(vx: float, vy: float, qseg: Segment,
     return IntervalSet.full(0.0, qseg.length).subtract(IntervalSet(blocked))
 
 
-def reference_ior_fixpoint(vg, retriever, point_node: int
-                           ) -> Tuple[float, float]:
-    """Algorithm 1 with unbounded rounds: ``(dS, dE)`` at the fixpoint.
+def reference_ior_fixpoint(vg, retriever, point_node: int,
+                           bound: float = math.inf) -> Tuple[float, float]:
+    """Algorithm 1 with plain Dijkstra rounds: ``(dS, dE)`` at the fixpoint.
 
-    Each round runs Dijkstra from the point to S and E with no bound and
-    retrieves every obstacle up to the longer distance (all of them when
-    it is ``inf``), until a round retrieves nothing new or the distances
-    fit inside the radius already covered.
+    Each round runs Dijkstra from the point until S and E are settled or
+    the settled distance reaches ``bound`` (``inf`` for a target not
+    settled below it), and retrieves every obstacle up to the longer
+    distance: up to ``bound`` when it lies beyond it, all of them when it
+    is ``inf``.  Rounds repeat until one retrieves nothing new or the
+    distances fit inside the radius already covered.
     """
     while True:
-        dists = vg.shortest_distances(point_node, (vg.S, vg.E))
-        d_s, d_e = dists[vg.S], dists[vg.E]
+        found: Dict[int, float] = {}
+        for d, node, _pred in vg.dijkstra_order(point_node):
+            if d >= bound:
+                break
+            if node in (vg.S, vg.E):
+                found[node] = d
+                if len(found) == 2:
+                    break
+        d_s = found.get(vg.S, math.inf)
+        d_e = found.get(vg.E, math.inf)
         d_prime = max(d_s, d_e)
         if d_prime <= retriever.radius + EPS:
             return d_s, d_e
-        if retriever.ensure(d_prime) == 0:
+        grow = bound if d_prime > bound else d_prime
+        if retriever.ensure(grow) == 0:
             return d_s, d_e

@@ -2,7 +2,7 @@
 
 The graph's rows are cut, repaired and extended by several batched paths
 (bulk materialization, frontier waves, per-row reads, stale-row repair,
-transient visibility cells, reach-limited rows), and traversed by
+transient visibility cells, ring rows), and traversed by
 :class:`~repro.routing.dijkstra.ArrayTraversal`.  Every path is checked
 here against the naive references of :mod:`tests.reference`:
 
@@ -14,9 +14,12 @@ here against the naive references of :mod:`tests.reference`:
 * **traversals** — full Dijkstra runs from the query endpoints and from
   transient data points settle every reachable node at its networkx
   distance, in ascending order, each through an exact predecessor edge;
-  under goal-directed ``prune_bound`` pruning the safe prefix equals the
-  unpruned run; and all of it across bind/unbind churn, obstacle
-  insertion, point removal, ``compact()`` and ``clone_skeleton()``;
+  traversals aimed at the query segment settle exactly what textbook A*
+  settles (:func:`tests.reference.reference_astar`), a transient source's
+  row cut in rings that partition its full row; stopping at a limit and
+  resuming settles what one run settles; and all of it across bind/unbind
+  churn, obstacle insertion, point removal, ``compact()`` and
+  ``clone_skeleton()``;
 * **queries** — a workspace on the shared backend returns the per-query
   backend's CONN / COkNN / ONN / range answers.
 """
@@ -36,12 +39,14 @@ from repro import SegmentObstacle, Workspace
 from repro.geometry.vectorized import BATCH_TILE_ELEMS
 from repro.obstacles import visgraph
 from repro.obstacles.visgraph import LocalVisibilityGraph
+from repro.routing.dijkstra import ArrayTraversal
 from tests.conftest import random_query, random_scene, same_values
 from tests.reference import (
+    assert_aimed_traversal_matches,
     assert_row_matches,
     assert_traversal_matches,
+    reference_astar,
     reference_graph,
-    reference_row,
 )
 
 # Op pattern the churn property drives through the graph.
@@ -89,10 +94,24 @@ def _graph(rng: random.Random, n_obstacles: int = 5,
     return g, nodes, qseg
 
 
-def _settled(graph: LocalVisibilityGraph, source: int,
-             prune_bound: float = math.inf):
+def _settled(graph: LocalVisibilityGraph, source: int):
     """The complete settled sequence — exact tuples, exhausted eagerly."""
-    return list(graph.dijkstra_order(source, prune_bound))
+    return list(graph.dijkstra_order(source))
+
+
+def _aimed(graph: LocalVisibilityGraph, source: int) -> ArrayTraversal:
+    """The traversal aimed at the graph's query segment, run out."""
+    tr, _on_settle = graph.aimed_traversal(source)
+    tr.run_to_completion()
+    return tr
+
+
+def _heuristic(graph: LocalVisibilityGraph, qseg):
+    """``node -> dist(node, qseg)``, what an aimed key adds to ``d``."""
+    def h(node):
+        p = graph.node_point(node)
+        return qseg.dist_point(p.x, p.y)
+    return h
 
 
 def _assert_traversals_match(graph, sources) -> None:
@@ -102,6 +121,11 @@ def _assert_traversals_match(graph, sources) -> None:
         assert_traversal_matches(graph, source, settled, ref)
         for _d, node, _p in settled:
             assert_row_matches(graph, node)
+        if graph.qseg is not None:
+            tr = _aimed(graph, source)
+            assert_aimed_traversal_matches(graph, source, tr.settled, ref)
+            h = _heuristic(graph, graph.qseg)
+            assert tr.keys == [d + h(v) for d, v, _p in tr.settled]
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -149,64 +173,77 @@ def test_every_row_identical_in_both_fill_regimes(lattice, prefetch, seed):
         assert_row_matches(g, v)
 
 
-def _heuristic(graph: LocalVisibilityGraph, qseg):
-    """``node -> dist(node, qseg)``, the value the prune test adds."""
-    def h(node):
-        p = graph.node_point(node)
-        return qseg.dist_point(p.x, p.y)
-    return h
-
-
 @given(seed=st.integers(min_value=0, max_value=10_000),
-       frac=st.floats(min_value=0.1, max_value=0.9))
+       fracs=st.lists(st.floats(min_value=0.0, max_value=1.2),
+                      min_size=1, max_size=4))
 @settings(max_examples=25, deadline=None)
-def test_pruned_traversals_identical_and_safe_prefix_exact(seed, frac):
-    """Pruning must keep the safe set exact and settle nothing beyond it.
+def test_stopped_traversal_resumes_to_one_run(seed, fracs):
+    """Stopping an aimed traversal at limits and resuming it settles
+    exactly what one run settles, and nothing at or past a limit is
+    settled, cut or prefetched while it holds.
 
     The source is a transient point (``add_point``), like a data point
-    under evaluation, so its row is read reach-limited; both with the
-    default frontier wave (16) and with single-row waves (0).
+    under evaluation, so its row is cut in rings; both with the default
+    frontier wave (16) and with single-row waves (0).
     """
     for width in (16, 0):
         with _wave(width):
-            _check_pruned_traversal(seed, frac)
+            _check_resumed_traversal(seed, fracs)
 
 
-def _check_pruned_traversal(seed: int, frac: float) -> None:
-    rng = random.Random(seed)
-    g, nodes, qseg = _graph(rng)
+def _check_resumed_traversal(seed: int, fracs) -> None:
+    g, nodes, qseg = _graph(random.Random(seed))
     source = nodes[0]
     assert g._transient[source]
-    full = _settled(g, source)
-    assert_traversal_matches(g, source, full)
-    reach = [d for d, _n, _p in full if math.isfinite(d)]
-    if not reach:
-        return
-    bound = max(reach[-1] * frac, 1e-9)
-    # A fresh graph for the pruned run: the first graph's memoized
-    # *unpruned* traversal would (correctly) serve the pruned request by
-    # replay, and beyond-bound entries of a replayed-unpruned vs
-    # fresh-pruned run may differ — only the safe set is pinned across
-    # construction states.
-    g_p, nodes_p, _q = _graph(random.Random(seed))
-    assert nodes_p[0] == source
-    pruned = _settled(g_p, source, prune_bound=bound)
     h = _heuristic(g, qseg)
-    # The source's row was read reach-limited (unless the source itself
-    # lies past the bound, when it relaxes nothing).
-    assert (g_p.work.bounded_rows > 0) == (h(source) < bound)
-    # Safe nodes (dist + h < bound) keep their exact distance, predecessor
-    # and settled position from the unpruned traversal.
-    safe_full = [e for e in full if e[0] + h(e[1]) < bound]
-    safe_pruned = [e for e in pruned if e[0] + h(e[1]) < bound]
-    assert safe_pruned == safe_full
-    # The bound is applied at push time: nothing past it settles but the
-    # source, and every settled node hangs off an exact reference edge.
-    assert pruned[0] == (0.0, source, None)
-    dist = {v: d for d, v, _p in pruned}
-    for d, v, p in pruned[1:]:
-        assert d + h(v) < bound
-        assert dist[p] + reference_row(g_p, p)[v] == d
+    tr = _aimed(g, source)
+    full, keys = list(tr.settled), list(tr.keys)
+    assert_aimed_traversal_matches(g, source, full)
+    # A fresh graph for the stopped run, so its rows and rings are cut
+    # while the limits hold.
+    g2, nodes2, _q = _graph(random.Random(seed))
+    assert nodes2[0] == source
+    cuts = []
+    ring_row = g2._ring_row
+
+    def ring_spy(node, d, lo, view):
+        limit = view()
+        cut = ring_row(node, d, lo, view)
+        if cut is not None:
+            idx, w, hi = cut
+            assert lo < limit and (hi <= limit or hi == math.inf)
+            assert all((d + wj) + h(v) <= limit
+                       for v, wj in zip(idx.tolist(), w.tolist()))
+            cuts.append(cut)
+        return cut
+
+    prefetch = g2._prefetch_rows
+
+    def prefetch_spy(node, frontier, whole=True):
+        def checked():
+            ids = frontier()
+            heap = {}
+            for k, v in tr2._frontier:
+                heap[v] = min(k, heap.get(v, math.inf))
+            assert all(heap[v] < tr2._limit for v in ids)
+            return ids
+        return prefetch(node, checked, whole)
+
+    g2._ring_row = ring_spy
+    g2._prefetch_rows = prefetch_spy
+    tr2, _on_settle = g2.aimed_traversal(source)
+    top = max(max(keys), 1e-9)
+    for limit in sorted(top * frac for frac in fracs):
+        while tr2.advance(limit) is not None:
+            pass
+        n = len(tr2.settled)
+        assert tr2.settled == full[:n]
+        assert all(k < limit for k in tr2.keys)
+        assert n == len(full) or keys[n] >= limit
+    tr2.run_to_completion()
+    assert tr2.settled == full and tr2.keys == keys
+    assert cuts and g2.work.bounded_rows == len(cuts)
+    assert source not in g2._indptr, "ring rows are not cached"
 
 
 def _bits(w: np.ndarray):
@@ -219,9 +256,11 @@ def _bits(w: np.ndarray):
        fracs=st.lists(st.floats(min_value=0.0, max_value=1.2),
                       min_size=1, max_size=4))
 @settings(max_examples=15, deadline=None)
-def test_reach_limited_row_is_the_full_row_filtered(anchored, seed, fracs):
-    """A transient's reach-limited row is its full row filtered by
-    ``w + h(target) <= reach``: same ids, same order, same weight bits.
+def test_ring_rows_partition_the_full_row(anchored, seed, fracs):
+    """The rings of a transient's row, cut under rising limits, partition
+    its full row: each ring holds the entries keyed in ``(lo, hi]``, in
+    the full row's order, and together they are the full row — same ids,
+    same order, same weight bits.
 
     With ``anchored`` off the endpoints are bound transients too, so the
     candidates span permanent nodes and several live transients.
@@ -233,31 +272,106 @@ def test_reach_limited_row_is_the_full_row_filtered(anchored, seed, fracs):
             g.bind(qseg)
         return g, nodes[0], _heuristic(g, qseg)
 
-    # The full row (cached) sets the scale of the reaches to try; an
-    # entry's own w + h is tried too (a reach exactly there keeps it).
+    # The full row (cached) sets the scale of the limits to try; an
+    # entry's own key is tried too (a limit exactly there keeps it).
     g, source, h = graph()
     idx_f, w_f = g.row_arrays(source)
     assert_row_matches(g, source, (idx_f, w_f))
-    sums = [w + h(i) for i, w in zip(idx_f.tolist(), w_f.tolist())]
-    scale = max(sums, default=1.0)
-    reaches = [scale * frac for frac in fracs] + sums[len(sums) // 2:][:1]
-    # A fresh graph reads the same rows reach-limited.
+    assert g._ring_row(source, 0.0, -math.inf, lambda: math.inf) is None
+    keys = [(0.0 + w) + h(i) for i, w in zip(idx_f.tolist(), w_f.tolist())]
+    scale = max(keys, default=1.0)
+    limits = sorted([scale * frac for frac in fracs]
+                    + keys[len(keys) // 2:][:1]) + [math.inf]
+    # A fresh graph cuts the same row in rings, as an aimed traversal
+    # from the source does when its markers pop below each limit.
     g2, source2, _h = graph()
     assert source2 == source and g2._transient[source]
     launches = g2.work.batch_visibility_calls
-    rows = [(reach, g2.row_arrays(source, reach)) for reach in reaches]
-    assert source not in g2._indptr, "reach-limited rows are not cached"
-    assert g2.work.bounded_rows == len(reaches)
-    assert g2.work.batch_visibility_calls - launches <= len(reaches)
-    assert g2.row_arrays(source)[0].tolist() == idx_f.tolist()
-    for reach, (idx, w) in rows:
-        keep = [j for j, s in enumerate(sums) if s <= reach]
-        assert idx.tolist() == idx_f[keep].tolist()
-        assert _bits(w) == _bits(w_f[keep])
-    # Full rows of permanent nodes ignore the reach.
-    perm = g2._perm_ids[0]
-    (pi, pw), (fi, fw) = g2.row_arrays(perm, 0.0), g2.row_arrays(perm)
-    assert pi.tolist() == fi.tolist() and _bits(pw) == _bits(fw)
+    pos = {v: j for j, v in enumerate(idx_f.tolist())}
+    key_of = dict(zip(idx_f.tolist(), keys))
+    rings = []
+    lo = -math.inf
+    for limit in limits:
+        while lo < limit:
+            idx, w, hi = g2._ring_row(source, 0.0, lo, lambda: limit)
+            # A ring reaches no farther than the limit, unless nothing
+            # lies past it: then it ends the row.
+            assert lo < hi and (hi <= limit or hi == math.inf)
+            assert all(key_of[v] <= limit for v in idx.tolist())
+            rings.append((lo, hi, idx.tolist(), _bits(w)))
+            lo = hi
+    assert lo == math.inf
+    assert source not in g2._indptr, "ring rows are not cached"
+    assert g2.work.bounded_rows == len(rings)
+    assert g2.work.batch_visibility_calls - launches <= len(rings)
+    union = []
+    for lo, hi, ids, bits in rings:
+        assert [pos[v] for v in ids] == sorted(pos[v] for v in ids)
+        assert all(lo < key_of[v] <= hi for v in ids)
+        union += zip(ids, bits)
+    union.sort(key=lambda e: pos[e[0]])
+    assert [v for v, _b in union] == idx_f.tolist()
+    assert [b for _v, b in union] == _bits(w_f)
+    # Permanent rows are read whole.
+    assert g2._ring_row(g2._perm_ids[0], 0.0, -math.inf,
+                        lambda: math.inf) is None
+
+
+@given(st.integers(), st.lists(st.floats(min_value=0.0, max_value=12.0),
+                               max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_ring_traversal_matches_textbook_astar(seed, limits):
+    """Rows cut in rings settle like whole rows, exact ties included.
+
+    Dense random digraphs with weights from a tiny pool (many tentative
+    distances tie exactly) and a consistent integer heuristic; some rows
+    are cut in rings of growing width, the traversal is stopped at
+    ``limits`` and resumed, and the settled ``(dist, node, pred)``
+    sequence must equal textbook A*'s.
+    """
+    rng = random.Random(seed)
+    n = rng.randrange(2, 16)
+    weights = [1.0, 1.0, 2.0, 0.5, 3.0]
+    rows = [{v: rng.choice(weights) for v in range(n)
+             if v != u and rng.random() < 0.5} for u in range(n)]
+    # h(v) = [v is not a goal]: 1-Lipschitz for edges of weight >= 1 ...
+    goals = {v for v in range(n) if rng.random() < 0.5}
+    heur = np.array([0.0 if v in goals else 1.0 for v in range(n)])
+    # ... and made consistent on the lighter edges by lifting them.
+    for u in range(n):
+        for v in rows[u]:
+            rows[u][v] = max(rows[u][v], heur[u] - heur[v])
+    ringed = {u for u in range(n) if rng.random() < 0.6}
+    width = [rng.choice([0.5, 1.0, 2.0]) for _ in range(n)]
+    alive = np.ones(n, dtype=bool)
+
+    def whole(u):
+        return (np.asarray(list(rows[u]), dtype=np.int64),
+                np.asarray(list(rows[u].values()), dtype=np.float64))
+
+    def ring(u, d, lo, view):
+        limit = view()
+        if lo == -math.inf:
+            if u not in ringed:
+                return None
+            hi = d + width[u]
+        else:
+            hi = d + 2.0 * (lo - d)
+        hi = min(hi, limit)
+        ids, w = whole(u)
+        key = (d + w) + heur[ids]
+        keep = (key > lo) & (key <= hi)
+        return ids[keep], w[keep], hi
+
+    tr = ArrayTraversal(whole, 0, n, alive=lambda: alive,
+                        aim=lambda: heur, ring=ring)
+    for limit in sorted(limits):
+        while tr.advance(limit) is not None:
+            pass
+        assert all(k < limit for k in tr.keys)
+    tr.run_to_completion()
+    assert tr.settled == reference_astar(rows.__getitem__, 0,
+                                         lambda v: float(heur[v]))
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000),

@@ -33,7 +33,7 @@ def cpl_for_point(point, obstacles, q, cfg=ConnConfig()):
     retriever = ObstacleRetriever(build_obstacle_tree(obstacles), q, vg, stats)
     node = vg.add_point(*point)
     try:
-        ior_fixpoint(vg, retriever, node, stats)
+        ior_fixpoint(vg, retriever, node)
         while True:
             cpl = compute_cpl(vg, node, "p", cfg, stats)
             claimed = cpl.max_endpoint_value()
@@ -119,7 +119,7 @@ class TestIOR:
         retriever = ObstacleRetriever(build_obstacle_tree(obstacles), q, vg,
                                       stats)
         node = vg.add_point(50, 20)
-        ior_fixpoint(vg, retriever, node, stats)
+        ior_fixpoint(vg, retriever, node)
         d_s = vg.shortest_distances(node, (vg.S,))[vg.S]
         d_e = vg.shortest_distances(node, (vg.E,))[vg.E]
         assert retriever.radius >= max(d_s, d_e) - 1e-9
@@ -138,7 +138,7 @@ class TestIOR:
         retriever = ObstacleRetriever(build_obstacle_tree([near, far]), q, vg,
                                       stats)
         node = vg.add_point(5, 5)
-        ior_fixpoint(vg, retriever, node, stats)
+        ior_fixpoint(vg, retriever, node)
         assert stats.noe <= 1
         assert all(o.oid != far.oid for o in vg.obstacles)
 

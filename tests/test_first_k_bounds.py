@@ -1,13 +1,15 @@
-"""Bounded first-k evaluations: reach-doubling IOR and the per-point tent.
+"""Bounded first-k evaluations: aimed IOR rounds and the per-point tent.
 
 Until a COkNN envelope holds k points there is no RLMAX to bound an
-evaluation with.  IOR then runs pruned traversals at a doubling reach, and
-on a clear query segment CPLC stops just above the point's tent
-``B = (dS + dE + L) / 2``.  These tests hold both to unbounded references:
-IOR to :func:`tests.reference.reference_ior_fixpoint` (same distances,
-radius and NOE), whole queries to the naive oracle, to
-``ConnConfig.no_pruning()`` and to the engine with unbounded first-k
-evaluations (same tuples, NPE and NOE), ties at the bound included.
+evaluation with.  Each IOR round is then one traversal aimed at the query
+segment that ends once S and E are settled, and on a clear query segment
+CPLC stops just above the point's tent ``B = (dS + dE + L) / 2``.  These
+tests hold both to unbounded references: IOR to
+:func:`tests.reference.reference_ior_fixpoint`, Algorithm 1 with plain
+Dijkstra rounds (same distances, radius and NOE), whole queries to the
+naive oracle, to ``ConnConfig.no_pruning()`` and to the engine with plain
+Dijkstra IOR rounds and no tent (same tuples, NPE and NOE), ties at the
+bound included.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.baselines import naive_coknn
 from repro.core import ConnConfig, ObstacleRetriever, QueryStats, coknn
 from repro.core.cplc import compute_cpl
 from repro.core.engine import evaluate_point, segment_clear, tent_bound
-from repro.core.ior import MAX_DOUBLINGS, ior_fixpoint
+from repro.core.ior import ior_fixpoint
 from repro.geometry import Segment
 from repro.obstacles import (
     LocalVisibilityGraph,
@@ -53,17 +55,12 @@ def run(points, obstacles, q, k, config=ConnConfig()):
 
 @pytest.fixture
 def unbounded_first_k(monkeypatch):
-    """The engine as it ran before first-k bounds: every IOR round of an
-    unbounded evaluation runs unbounded and CPLC gets no tent."""
-    original = engine.ior_fixpoint
-
-    def plain(vg, retriever, point_node, stats, bound=math.inf,
-              doubling=False):
-        return original(vg, retriever, point_node, stats, bound)
-
+    """The engine with plain Dijkstra IOR rounds (a first-k round runs
+    until S and E are settled, a later one stops at RLMAX) and no tent
+    for CPLC."""
     def run_unbounded(points, obstacles, q, k):
         with monkeypatch.context() as m:
-            m.setattr(engine, "ior_fixpoint", plain)
+            m.setattr(engine, "ior_fixpoint", reference_ior_fixpoint)
             m.setattr(engine, "segment_clear", lambda vg: False)
             return run(points, obstacles, q, k)
 
@@ -107,15 +104,28 @@ def fresh_ior(obstacles, q, point):
 
 
 def assert_ior_matches_reference(obstacles, q, point):
-    """Reach-doubling IOR ends where unbounded Algorithm 1 ends."""
+    """Aimed IOR ends where Algorithm 1 with plain Dijkstra rounds ends.
+
+    Returns ``((dS, dE), stats, vg, rounds)``: ``rounds`` counts the
+    rounds, one more than the retrievals that grew the graph.
+    """
     vg, retriever, node, stats = fresh_ior(obstacles, q, point)
-    got = ior_fixpoint(vg, retriever, node, stats, doubling=True)
+    grew = []
+    ensure = retriever.ensure
+
+    def counting(radius):
+        added = ensure(radius)
+        grew.append(added > 0)
+        return added
+
+    retriever.ensure = counting
+    got = ior_fixpoint(vg, retriever, node)
     rvg, rretriever, rnode, rstats = fresh_ior(obstacles, q, point)
     want = reference_ior_fixpoint(rvg, rretriever, rnode)
     assert got == pytest.approx(want, abs=1e-9)
     assert retriever.radius == pytest.approx(rretriever.radius, abs=1e-9)
     assert stats.noe == rstats.noe
-    return got, stats
+    return got, stats, vg, 1 + sum(grew)
 
 
 # A clear query segment and a point collinear with it, 30 beyond S: its
@@ -131,7 +141,7 @@ TIE_OBSTACLES = [RectObstacle(40, 10, 60, 20),
 class TestTieAtBound:
     def test_tent_apex_is_the_tie_points_cplmax(self):
         vg, retriever, node, stats = fresh_ior(TIE_OBSTACLES, Q, TIE_POINT)
-        d_s, d_e = ior_fixpoint(vg, retriever, node, stats, doubling=True)
+        d_s, d_e = ior_fixpoint(vg, retriever, node)
         assert (d_s, d_e) == pytest.approx((30.0, 130.0))
         unbounded = compute_cpl(vg, node, "tie", ConnConfig(), stats)
         apex = 0.5 * (d_s + d_e + Q.length)
@@ -269,18 +279,25 @@ class TestReachDoublingIOR:
         for _pid, xy in points:
             assert_ior_matches_reference(obstacles, q, xy)
 
-    def test_long_detour_doubles_then_runs_unbounded(self):
-        # A wall along q: the paths round its far ends, more than
-        # 2**MAX_DOUBLINGS times the first reach away.
+    def test_long_detour_one_traversal_per_round(self):
+        # A wall along q: the paths round its far ends, more than 8 times
+        # the point's farther direct sight line to S or E away, so the
+        # point's row is cut in several rings of growing reach.
         wall = [SegmentObstacle(-400, 10, 500, 10)]
-        (d_s, d_e), stats = assert_ior_matches_reference(wall, Q, (50, 20))
-        assert min(d_s, d_e) > 1.25 * math.hypot(50, 20) * 2 ** MAX_DOUBLINGS
-        assert stats.reach_misses == MAX_DOUBLINGS + 1
+        (d_s, d_e), _stats, vg, rounds = assert_ior_matches_reference(
+            wall, Q, (50, 20))
+        assert min(d_s, d_e) > 8 * math.hypot(50, 20)
+        assert vg.work.dijkstra_runs == rounds
+        assert vg.work.dijkstra_replays == 0
+        assert vg.work.bounded_rows > rounds
 
-    def test_short_detour_doubles_once(self):
+    def test_short_detour_one_traversal_per_round(self):
         wall = [SegmentObstacle(-40, 10, 140, 10)]
-        _d, stats = assert_ior_matches_reference(wall, Q, (50, 20))
-        assert stats.reach_misses == 1
+        (d_s, d_e), _stats, vg, rounds = assert_ior_matches_reference(
+            wall, Q, (50, 20))
+        assert max(d_s, d_e) > math.hypot(50, 20)
+        assert vg.work.dijkstra_runs == rounds
+        assert vg.work.dijkstra_replays == 0
 
     def test_walled_courtyard_terminates_and_drains(self):
         # Four thin rects overlapping at the corners: nothing inside sees
@@ -288,8 +305,8 @@ class TestReachDoublingIOR:
         ring = [RectObstacle(40, 20, 60, 21), RectObstacle(40, 39, 60, 40),
                 RectObstacle(40, 20, 41, 40), RectObstacle(59, 20, 60, 40)]
         far = [RectObstacle(200, 200, 210, 210)]
-        (d_s, d_e), stats = assert_ior_matches_reference(ring + far, Q,
-                                                         (47.0, 31.0))
+        (d_s, d_e), stats, _vg, _rounds = assert_ior_matches_reference(
+            ring + far, Q, (47.0, 31.0))
         assert math.isinf(d_s) and math.isinf(d_e)
         assert stats.noe == len(ring + far)
 
@@ -306,8 +323,9 @@ class TestReachDoublingIOR:
 
 
 class TestBlockedQuerySegment:
-    """A query segment that meets an obstacle gets no tent, and after its
-    first evaluation no reach doubling either."""
+    """A query segment that meets an obstacle gets no tent; its first
+    evaluations' IOR rounds (an endpoint inside an obstacle included) end
+    where plain Dijkstra rounds end."""
 
     POINTS = [(0, (30.0, 25.0)), (1, (70.0, -20.0)), (2, (55.0, 40.0)),
               (3, (15.0, -35.0))]
@@ -325,7 +343,6 @@ class TestBlockedQuerySegment:
         assert_same_answers(res, before)
         assert (res.stats.npe, res.stats.noe) == \
             (before.stats.npe, before.stats.noe)
-        assert res.stats.reach_misses <= MAX_DOUBLINGS + 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_scenes_equal_unbounded(self, seed, unbounded_first_k):

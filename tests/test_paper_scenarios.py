@@ -104,7 +104,7 @@ class TestFigure3ControlPoints:
         vg = LocalVisibilityGraph(q)
         retriever = ObstacleRetriever(build_obstacle_tree([wall]), q, vg, stats)
         node = vg.add_point(*p)
-        ior_fixpoint(vg, retriever, node, stats)
+        ior_fixpoint(vg, retriever, node)
         cpl = compute_cpl(vg, node, "p", ConnConfig(), stats)
         cpl.assert_partition()
         # Multiple control points: p itself where visible, wall corners in

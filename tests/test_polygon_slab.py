@@ -252,7 +252,7 @@ class TestCounterConsistency:
             g.row_arrays(v)                # per-row repair launches
         g.bind(Segment(10, 20, 90, 70))    # transient columns
         p = g.add_point(50.0, 45.0)
-        g.row_arrays(p, 40.0)              # reach row of an uncut transient
+        g._ring_row(p, 0.0, -math.inf, lambda: 40.0)  # an uncut transient
         g.shortest_distances(g.S, (g.E,))
         g.unbind()
         g.remove_obstacle(pool[2])         # bulk re-open after removal

@@ -473,5 +473,40 @@ class TestStatsAndExplain:
         assert unsharded_plan.est_shard_fanout == 0
         assert "shards" not in unsharded_plan.explain()
 
+    def test_border_plan_estimates_cover_every_member(self):
+        _ws, sws = build_pair(rng_seed=17)
+        q = CoknnQuery(Segment(35, 35, 65, 65), 3)
+        members = [sws.shards[sid] for sid in sorted(sws._initial_shards(q))]
+        assert len(members) == 4
+        cold = sws.plan(q)
+        singles = [m.plan(q, backend="per-query") for m in members]
+        assert not cold.warm
+        assert cold.est_obstacle_io == \
+            sum(p.est_obstacle_io for p in singles) > singles[0].est_obstacle_io
+        sws.prefetch_all()
+        warm = sws.plan(q)
+        caches = [set(m.cache.obstacles) for m in members]
+        assert [len(c) for c in caches] == [0, 4, 3, 6]
+        assert warm.cached_obstacles == len(set().union(*caches))
+        assert warm.capsules == sum(m.cache.coverage_regions
+                                    for m in members)
+        assert warm.warm and warm.est_obstacle_io == 0
+        # One member left uncovered makes the whole plan cold.
+        members[2].cache.invalidate()
+        partly = sws.plan(q)
+        assert not partly.warm
+        assert partly.est_obstacle_io == \
+            members[2].plan(q, backend="per-query").est_obstacle_io > 0
+
+    def test_single_shard_plan_is_the_shards_own(self):
+        _ws, sws = build_pair(rng_seed=17)
+        q = OnnQuery((10, 10), knn=1)
+        (sid,) = sws._initial_shards(q)
+        got, want = sws.plan(q), sws.shards[sid].plan(q)
+        assert (got.cached_obstacles, got.capsules, got.warm,
+                got.est_obstacle_io) == \
+            (want.cached_obstacles, want.capsules, want.warm,
+             want.est_obstacle_io)
+
     def test_stats_describe_empty(self):
         assert ShardStats().describe() == "no sharded queries yet"
