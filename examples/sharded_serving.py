@@ -13,9 +13,10 @@ its region.  This example walks the shard subsystem end to end:
    the edge, the router widens the consulted set and re-runs on those
    shards in place until the answer provably cannot change.  The routing is
    visible on ``result.stats.shard``.
-3. **Updates and pinned monitors** — ``apply`` fans out only to affected
-   shards; a standing query is pinned to its owning shards and re-homed
-   when an update drags its influence ball across a border.
+3. **Updates and monitors** — ``apply`` fans out only to affected
+   shards; a standing query is the same monitor a single workspace runs,
+   its ``home`` is the set of shards its influence ball touches, and it
+   re-homes when an update drags the ball across a border.
 4. **Shard-parallel batches** — ``execute_many`` groups a workload by
    home shard and schedules the groups across a worker pool.
 
@@ -80,10 +81,10 @@ sweep = sws.execute(street)
 print(f"\n'{street.label}' crossed {sweep.stats.shard.fanout} shard(s); "
       f"{len(sweep.tuples())} owner intervals along the street")
 
-print("\n=== 3. Updates and pinned monitors ===")
+print("\n=== 3. Updates and monitors ===")
 watch = sws.monitors.register(OnnQuery((12.0, 42.0), knn=2,
                                        label="west-watch"))
-print(f"standing query pinned to shard(s) {sorted(watch.home)}")
+print(f"standing query homed on shard(s) {sorted(watch.home)}")
 sws.add_site(900, 12.5, 42.5)        # a new courier right next door
 event = watch.events[-1]
 print(f"new courier nearby -> action={event.action}, "

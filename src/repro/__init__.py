@@ -123,7 +123,7 @@ from .obstacles import (
     visible_region,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "AddObstacle",

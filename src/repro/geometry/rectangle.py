@@ -138,9 +138,22 @@ class Rect(NamedTuple):
         ``mindist(N, q)`` lower bound the CONN algorithms key their priority
         queues on.
         """
-        # Quick accept: an endpoint inside the rectangle.
-        if self.contains_point(ax, ay) or self.contains_point(bx, by):
-            return 0.0
+        # Quick accept: the segment meets the closed rectangle, decided by
+        # clipping ``a + t (b - a)``, t in [0, 1] (Liang-Barsky) without the
+        # edge tests' orientation tolerance, which misses a near-collinear
+        # crossing.
+        t0, t1 = 0.0, 1.0
+        for p, q in ((ax - bx, ax - self.xlo), (bx - ax, self.xhi - ax),
+                     (ay - by, ay - self.ylo), (by - ay, self.yhi - ay)):
+            if p < 0.0:
+                t0 = max(t0, q / p)
+            elif p > 0.0:
+                t1 = min(t1, q / p)
+            elif q < 0.0:
+                break
+        else:
+            if t0 <= t1:
+                return 0.0
         best = math.inf
         for (p, q) in self.edges():
             d = seg_seg_dist(p.x, p.y, q.x, q.y, ax, ay, bx, by)
@@ -166,9 +179,9 @@ def segment_mindist_lower(ax: float, ay: float, bx: float, by: float
     (write ``u = 2**-53``; every float subtraction, product and ``hypot``
     below is correctly rounded):
 
-    * ``E = 0`` by the endpoint-inside quick accept: the segment's MBR
-      then meets ``r``, each gap term ``fl(lo - hi)`` of exact floats with
-      ``lo <= hi`` is ``<= 0``, so the gap is exactly 0.
+    * ``E = 0`` by the clipping quick accept: per axis the segment's range
+      then reaches ``r``'s up to the rounding of one subtraction and one
+      division, a few ``u * M``, so the gap is far below the slack.
     * ``E = 0`` because ``segments_intersect(edge, segment)`` holds by
       strict sign changes: ``orient`` is computed with absolute error
       ``<= 5u * |b-a|_1 * |c-a|_1``, far inside ``orient_sign``'s band

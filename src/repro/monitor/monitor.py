@@ -197,7 +197,10 @@ class Monitor:
         Workspaces explicitly forced onto per-query graphs
         (``backend="per-query"``) keep their policy; any
         other policy (including ``auto``) pins maintenance onto the shared
-        graph, whose skeleton repair spans revisit again and again.
+        graph, whose skeleton repair spans revisit again and again.  On a
+        :class:`~repro.shard.sharded.ShardedWorkspace` the pin reaches a
+        single-shard run's shared graph; a run over several shards still
+        plans a per-query graph (see ``ShardedWorkspace._plan``).
         """
         from ..routing.backends import PER_QUERY_VG
 

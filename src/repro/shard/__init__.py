@@ -19,13 +19,15 @@ ownership — and puts a router in front that keeps every answer
 Updates fan out through :meth:`ShardedWorkspace.apply` to exactly the
 shards they touch (boundary-straddling obstacles are replicated to every
 overlapping shard, and a border query's graph admits each once), standing
-monitors are pinned to their owning shards and re-homed when updates move
-them, and :meth:`ShardedWorkspace.execute_many` schedules shard-local
-batches across the thread/fork worker pool.  Per-query routing behavior is reported as a
-:class:`ShardStats` block on ``result.stats.shard`` and in ``explain()``.
+monitors run on the plain monitor stack through the router and are
+re-homed when updates move their influence ball, and
+:meth:`ShardedWorkspace.execute_many` schedules shard-local batches
+across the thread/fork worker pool.  Per-query routing behavior is
+reported as a :class:`ShardStats` block on ``result.stats.shard`` and in
+``explain()``.
 """
 
-from .monitors import ShardMonitor, ShardMonitorRegistry
+from .monitors import ShardMonitorRegistry
 from .partition import (
     GridPartitioner,
     HilbertPartitioner,
@@ -39,7 +41,6 @@ __all__ = [
     "GridPartitioner",
     "HilbertPartitioner",
     "Partitioner",
-    "ShardMonitor",
     "ShardMonitorRegistry",
     "ShardStats",
     "ShardedSnapshot",

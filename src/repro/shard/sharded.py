@@ -484,9 +484,11 @@ class ShardedWorkspace:
     def monitors(self):
         """The sharded continuous-query registry (created on first access).
 
-        Standing queries are pinned to their owning shard set and re-homed
-        when a boundary-crossing update moves their influence ball; see
-        :mod:`repro.shard.monitors`.
+        The plain :class:`~repro.monitor.registry.MonitorRegistry` stack
+        with this workspace as the monitors' workspace: span repairs and
+        re-runs go through the router.  Each monitor's ``home`` is the
+        shard set its influence ball touches, re-homed when an update
+        moves the ball across a shard edge; see :mod:`repro.shard.monitors`.
         """
         if self._monitors is None:
             from .monitors import ShardMonitorRegistry
@@ -519,8 +521,8 @@ class ShardedWorkspace:
         Site updates route to the single owning shard; obstacle updates to
         every shard the obstacle's MBR overlaps (replicas stay in lock
         step), and to no other workspace: border queries read the shards
-        themselves.  Registered sharded monitors refresh after each
-        update, exactly like the unsharded registry.
+        themselves.  Registered monitors refresh after each update
+        through the unsharded registry's fan-out.
         """
         return [self._apply_one(u) for u in updates]
 

@@ -52,8 +52,10 @@ class ShardStats:
     contributes two).  Workspace-level only; zero on per-query blocks."""
 
     rehomes: int = 0
-    """Standing monitors moved to a different owning shard set by a
-    boundary-crossing update.  Workspace-level only."""
+    """Monitor refreshes after which the shard set the standing answer's
+    influence ball touches (the monitor's ``home``) changed: an update
+    pushed the ball across a shard edge, after a span repair or a full
+    re-run alike.  Workspace-level only."""
 
     route_time_s: float = 0.0
     """Seconds spent in each query's *first* execution on its home shard

@@ -29,10 +29,12 @@ from repro import (
     RemoveObstacle,
     RemoveSite,
     Segment,
+    ShardedWorkspace,
     SnapshotExpired,
     Workspace,
 )
 from repro.datasets.synthetic import random_rect_obstacles, uniform_points
+from repro.monitor.monitor import REPAIR
 from repro.query.parallel import (
     effective_workers,
     execute_many_parallel,
@@ -449,6 +451,58 @@ class TestParallelMonitors:
             ws.apply([u])
         assert_rows_close([m.result.tuples() for m in monitors],
                           [ws.execute(q).tuples() for q in queries], names)
+
+    def test_sharded_parallel_repair_matches_serial(self):
+        # A sharded registry fans repairs out like a plain one: the same
+        # standing results and, update by update, the same events.
+        updates = [
+            AddSite(1000, 300.0, 310.0),
+            AddObstacle(RectObstacle(250.0, 250.0, 320.0, 330.0, oid=9001)),
+            AddSite(1002, 505.0, 395.0),
+            RemoveSite(1000, 300.0, 310.0),
+            AddObstacle(RectObstacle(480.0, 360.0, 530.0, 380.0, oid=9002)),
+            RemoveObstacle(RectObstacle(250.0, 250.0, 320.0, 330.0,
+                                        oid=9001)),
+            AddSite(1001, 620.0, 180.0),
+        ]
+        queries = [CoknnQuery(Segment(400, 340, 520, 400), 2),
+                   CoknnQuery(Segment(440, 560, 560, 600), 1),
+                   OnnQuery((320.0, 300.0), 3),
+                   RangeQuery((480.0, 420.0), 150.0)]
+
+        def run(repair_workers):
+            sws = ShardedWorkspace.from_workspace(make_ws(seed=18), shards=4)
+            sws.monitors.repair_workers = repair_workers
+            monitors = [sws.monitors.register(q) for q in queries]
+            steps = []
+            for u in updates:
+                assert sws.apply([u]) == [True]
+                steps.append([m.events[-1] for m in monitors])
+            assert all(len(m.events) == len(updates) for m in monitors)
+            return [m.result.tuples() for m in monitors], steps
+
+        def rows(event):
+            # rows_close shape: exact owners first, numbers second.
+            d = event.delta
+            return ([(None, span) for span in event.spans]
+                    + [((old, new), (lo, hi))
+                       for lo, hi, old, new in d.intervals]
+                    + [(("added", p), dist) for p, dist in d.added]
+                    + [(("removed", p), dist) for p, dist in d.removed]
+                    + [(("changed", p), dist) for p, dist in d.changed])
+
+        names = [q.describe() for q in queries]
+        serial, serial_steps = run(1)
+        parallel, parallel_steps = run(3)
+        assert_rows_close(parallel, serial, names)
+        actions = [[e.action for e in step] for step in serial_steps]
+        assert any(REPAIR in step for step in actions)  # spans repaired
+        assert [[e.action for e in step] for step in parallel_steps] == \
+            actions
+        for u, got, want in zip(updates, parallel_steps, serial_steps):
+            assert_rows_close([rows(e) for e in got],
+                              [rows(e) for e in want],
+                              [f"{n} after {u}" for n in names])
 
 
 class TestInterleavedStress:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect, Segment
@@ -86,6 +86,10 @@ class TestRectDistances:
         assert Rect(0, 0, 2, 2).mindist_segment(1, 1, 9, 9) == 0.0
 
     @given(rects(), coord, coord, coord, coord)
+    # Crosses the rectangle 2**-23 inside its top edge: near-collinear
+    # with it, so only clipping (not the edge tests) sees the crossing.
+    @example(Rect(-40.0, -1.0, 0.0, 0.0), -160.0, -2.0 ** -23, 1.0,
+             -2.0 ** -23)
     def test_mindist_segment_lower_bounds_samples(self, r, ax, ay, bx, by):
         """mindist(rect, seg) must lower-bound the distance from any sample
         of the segment to the rect — the property the R-tree scan relies on."""

@@ -135,12 +135,15 @@ def test_monitor_delta_streams_identical(seed, shards, updates):
     points, obstacles = list(points), list(obstacles)
     ws = Workspace.from_points(points, obstacles)
     sws = ShardedWorkspace.from_points(points, obstacles, shards=shards)
+    x, y = rng.uniform(20, 70), rng.uniform(20, 70)
     monitors = [
         (ws.monitors.register(q), sws.monitors.register(q))
         for q in (OnnQuery((rng.uniform(20, 80), rng.uniform(20, 80)),
                            knn=2),
                   RangeQuery((rng.uniform(20, 80), rng.uniform(20, 80)),
-                             rng.uniform(10, 25)))
+                             rng.uniform(10, 25)),
+                  CoknnQuery(Segment(x, y, x + rng.uniform(10, 25),
+                                     y + rng.uniform(-8, 8)), 2))
     ]
     next_id = 20_000
     for update_kind in updates:
@@ -160,7 +163,11 @@ def test_monitor_delta_streams_identical(seed, shards, updates):
             continue
         for plain, shard in monitors:
             assert plain.result.tuples() == shard.result.tuples(), update
-            dp = plain.events[-1].delta
-            dsh = shard.events[-1].delta
-            assert (dp.added, dp.removed, dp.changed) == \
-                   (dsh.added, dsh.removed, dsh.changed), update
+            ep, esh = plain.events[-1], shard.events[-1]
+            # The same maintenance decision on both twins: a span repair
+            # of the plain monitor is a span repair of the sharded one.
+            assert (ep.action, ep.spans) == (esh.action, esh.spans), update
+            dp, dsh = ep.delta, esh.delta
+            assert (dp.intervals, dp.added, dp.removed, dp.changed) == \
+                   (dsh.intervals, dsh.added, dsh.removed,
+                    dsh.changed), update
