@@ -107,7 +107,6 @@ from .service import (
 from .shard import (
     GridPartitioner,
     HilbertPartitioner,
-    ShardedSnapshot,
     ShardedWorkspace,
     ShardStats,
 )
@@ -123,7 +122,7 @@ from .obstacles import (
     visible_region,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "AddObstacle",
@@ -180,7 +179,6 @@ __all__ = [
     "SegmentObstacle",
     "SemiJoinQuery",
     "ShardStats",
-    "ShardedSnapshot",
     "ShardedWorkspace",
     "SharedVGBackend",
     "SnapshotExpired",

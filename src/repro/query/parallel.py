@@ -226,6 +226,7 @@ def execute_many_parallel(snapshot: "WorkspaceSnapshot",
             one with :meth:`Workspace.snapshot`); verified under the read
             hold, so a batch either runs entirely on its version or raises
             :class:`~repro.service.concurrency.SnapshotExpired` upfront.
+            A live workspace is accepted too: the read hold alone pins it.
         schedule: ``"locality"`` partitions by the Hilbert locality grid
             (the parallel unit of work); ``"fifo"`` round-robins single
             queries (no bucket prefetch amortization — use it to force
@@ -241,9 +242,7 @@ def execute_many_parallel(snapshot: "WorkspaceSnapshot",
     """
     from ..service.workspace import Workspace
 
-    if isinstance(snapshot, Workspace):  # courtesy: accept a live workspace
-        snapshot = snapshot.snapshot()
-    ws = snapshot.workspace
+    ws = snapshot if isinstance(snapshot, Workspace) else snapshot.workspace
     qs = list(queries)
     spatial, other = split_batch(qs, schedule)
     workers, mode = resolve_pool(workers, mode)
@@ -254,7 +253,8 @@ def execute_many_parallel(snapshot: "WorkspaceSnapshot",
     contention0 = ws.cache.lock.contended
 
     with ws.read_lock():
-        snapshot.verify()
+        if snapshot is not ws:
+            snapshot.verify()
         if workers <= 1 or len(qs) <= 1:
             t0 = time.perf_counter()
             results = [execute(ws, q) for q in qs]

@@ -342,9 +342,10 @@ class SharedVGBackend(_BackendBase):
         self._idle: List["LocalVisibilityGraph"] = []
         self._tree_version = obstacle_tree.version
         self.generation = 0
-        """Bumped whenever resident graphs are dropped (invalidation,
-        announced removal).  Pooled spares stamped with an older
-        generation are discarded instead of served."""
+        """Bumped whenever resident graphs are dropped (invalidation, or a
+        tree mutated behind the workspace's back); announced inserts and
+        removals repair graphs in place and leave it alone.  Pooled spares
+        stamped with an older generation are discarded instead of served."""
         self._stamps: Dict[int, int] = {}
         self._lock = threading.RLock()
 

@@ -1,21 +1,27 @@
 """Immutable workspace snapshots: the unit of isolation for serving.
 
-A :class:`WorkspaceSnapshot` pins one version of a workspace — the
-workspace mutation counter and the backing trees' mutation counters — and
-executes queries *against exactly that version*:
+A :class:`WorkspaceSnapshot` pins one version of a workspace — the counters
+the workspace reports: a plain :class:`~repro.service.workspace.Workspace`
+its mutation counter and its backing trees' counters, a
+:class:`~repro.shard.ShardedWorkspace` its own counter plus every shard's
+counter and tree counters — and executes queries *against exactly that
+version*:
 
 * every execution entry point first enters the workspace's read lock
   (updates drain and block for the duration — the epoch guard), then
   verifies the pinned versions still match; a workspace that moved on
   raises :class:`~repro.service.concurrency.SnapshotExpired` instead of
   silently answering for a dataset the caller no longer holds;
-* :meth:`execute_many` fans a batch out over a worker pool (see
-  :mod:`repro.query.parallel`) under **one** read hold, so every query of
-  the batch observes the same frozen state no matter how updates and
-  batches interleave across threads.
+* execution goes through the workspace's own ``execute`` /
+  ``execute_many``, so a batch fans out over a worker pool (see
+  :mod:`repro.query.parallel` and
+  :meth:`ShardedWorkspace.execute_many <repro.shard.ShardedWorkspace.execute_many>`)
+  under **one** read hold, and every query of the batch observes the
+  same frozen state no matter how updates and batches interleave across
+  threads.
 
 Snapshots are cheap — a handful of integers, no copying — because the
-heavy structures (R*-trees, obstacle cache, shared graph) are only ever
+heavy structures (R*-trees, obstacle caches, shared graphs) are only ever
 mutated under the write lock, which a snapshot's read hold excludes.
 The paper's CONN/COkNN answers are pure functions of the (sites,
 obstacles) state, so "pin versions + exclude writers" *is* snapshot
@@ -24,9 +30,9 @@ isolation for this workload.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
-from ..query.planner import QueryPlan, tree_versions
+from ..query.planner import QueryPlan
 from ..query.queries import Query
 from ..query.results import QueryResult
 from .concurrency import SnapshotExpired
@@ -38,20 +44,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class WorkspaceSnapshot:
     """A frozen, executable view of one workspace version.
 
-    Obtained from :meth:`Workspace.snapshot`.  All read-side workspace
+    Obtained from ``snapshot()`` on a :class:`Workspace` or a
+    :class:`~repro.shard.ShardedWorkspace`.  All read-side workspace
     surface (``layout``, trees, ``cache``, ``backend``, ``service``,
-    ``backend_for``) is exposed unchanged, so planner,
-    executor, and engines run against a snapshot exactly as they would
-    against the live workspace — the snapshot's job is pinning *when* they
-    run (inside a read hold) and refusing to run once the pinned version
-    is gone.
+    ``shards``...) is exposed unchanged, so planner, executor, and engines
+    run against a snapshot exactly as they would against the live
+    workspace — the snapshot's job is pinning *when* they run (inside a
+    read hold) and refusing to run once the pinned version is gone.
     """
 
     def __init__(self, workspace: "Workspace"):
         self._ws = workspace
         with workspace.read_lock():
-            self.workspace_version: int = workspace.version
-            self.tree_versions: Tuple[int, ...] = tree_versions(workspace)
+            self.workspace_version, *pinned = workspace._versions()
+        self.tree_versions: Tuple[int, ...] = tuple(pinned)
+        """The backing trees' counters (on a sharded workspace, each
+        shard's version followed by its tree versions)."""
         workspace.snapshots_taken += 1
 
     # ------------------------------------------------------------ delegation
@@ -74,9 +82,8 @@ class WorkspaceSnapshot:
     @property
     def expired(self) -> bool:
         """True once the workspace mutated past the pinned version."""
-        ws = self._ws
-        return (ws.version != self.workspace_version
-                or tree_versions(ws) != self.tree_versions)
+        return self._ws._versions() != (self.workspace_version,
+                                        *self.tree_versions)
 
     def verify(self) -> None:
         """Raise :class:`SnapshotExpired` when :attr:`expired`.
@@ -88,7 +95,7 @@ class WorkspaceSnapshot:
             raise SnapshotExpired(
                 f"workspace moved from version {self.workspace_version} to "
                 f"{self._ws.version} (trees {self.tree_versions} -> "
-                f"{tree_versions(self._ws)}); take a fresh snapshot")
+                f"{self._ws._versions()[1:]}); take a fresh snapshot")
 
     # ------------------------------------------------------------- execution
     def plan(self, query: Query, backend: Optional[str] = None) -> QueryPlan:
@@ -103,29 +110,25 @@ class WorkspaceSnapshot:
         Raises:
             SnapshotExpired: the workspace mutated since :meth:`__init__`.
         """
-        from ..query.executor import execute as _execute
-
         with self._ws.read_lock():
             self.verify()
-            return _execute(self._ws, query)
+            return self._ws.execute(query)
 
-    def execute_many(self, queries: Iterable[Query], *,
-                     schedule: str = "locality", workers: int = 1,
-                     mode: str = "thread") -> List[QueryResult]:
+    def execute_many(self, queries: Iterable[Query],
+                     **options: Any) -> List[QueryResult]:
         """Execute a batch against the pinned version, optionally parallel.
 
-        With ``workers > 1`` the batch's locality buckets are partitioned
-        across a worker pool (``mode="thread"`` shares this process's
-        caches; ``mode="fork"`` fans out over forked worker processes —
-        each a literal memory snapshot).  One read hold covers the whole
-        batch, results come back in submission order, and the aggregated
-        :class:`~repro.query.parallel.ConcurrencyStats` is available on
-        the executor used by :meth:`Workspace.execute_many`.
-        """
-        from ..query.parallel import execute_many_parallel
+        ``options`` are the workspace's ``execute_many`` options
+        (``workers`` and ``mode`` on both classes, ``schedule`` on a plain
+        workspace).  One read hold covers the whole batch and results come
+        back in submission order.
 
-        return execute_many_parallel(self, queries, schedule=schedule,
-                                     workers=workers, mode=mode)
+        Raises:
+            SnapshotExpired: the workspace mutated since :meth:`__init__`.
+        """
+        with self._ws.read_lock():
+            self.verify()
+            return self._ws.execute_many(queries, **options)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "expired" if self.expired else "live"

@@ -18,7 +18,11 @@ the declarative query API (:mod:`repro.query`):
   are thin shims over ``execute()``, so the planner is the single code
   path for every query in the library;
 * :class:`QueryService` is the asynchronous front (``serve`` / ``submit``)
-  over ``execute()``.
+  over ``execute()``;
+* the read hold, snapshots, the service, ``stream``, the shorthands and
+  the update helpers are written once, in a private base class that
+  :class:`~repro.shard.ShardedWorkspace` inherits too, so a sharded
+  workspace serves through the same front.
 
 Build a workspace whenever more than one query hits the same dataset::
 
@@ -55,7 +59,7 @@ from ..index.rstar import RStarTree
 from ..obstacles.obstacle import Obstacle, require_blocking
 from ..query.executor import execute as _execute
 from ..query.executor import execute_many as _execute_many
-from ..query.planner import QueryPlan, build_plan
+from ..query.planner import QueryPlan, build_plan, tree_versions
 from ..query.queries import (
     CoknnQuery,
     ConnQuery,
@@ -86,7 +90,141 @@ from .updates import (
 )
 
 
-class Workspace:
+class _ServingFront:
+    """The serving surface :class:`Workspace` and
+    :class:`~repro.shard.ShardedWorkspace` share.
+
+    A subclass supplies ``plan``, ``execute``, ``execute_many``, ``apply``,
+    ``_apply_one`` and ``_versions`` (the counters a
+    :class:`~repro.service.snapshot.WorkspaceSnapshot` pins); the read
+    hold, snapshots, the async :class:`QueryService`, the classic
+    shorthands and the update helpers are written once here against them.
+    """
+
+    def __init__(self) -> None:
+        self.version = 0
+        """Mutation counter: bumped by every applied update.  Prepared
+        :class:`~repro.query.planner.QueryPlan` objects record the version
+        they were planned at; the executor re-plans any plan whose
+        recorded version no longer matches."""
+        self.snapshots_taken = 0
+        """Snapshots handed out by :meth:`snapshot` (a concurrency-stats
+        input)."""
+        self._rw = ReadWriteLock()
+        self._monitors = None
+        self._service = QueryService(self)
+
+    # ------------------------------------------------------------ snapshots
+    def read_lock(self):
+        """The workspace's shared read hold (a context manager).
+
+        Every query execution runs inside one; acquire it directly to pin
+        the workspace across *several* operations — e.g. a parallel batch
+        followed by a serial verification pass over the same state.
+        Re-entrant per thread; updates (:meth:`apply`) wait until all read
+        holds drain.
+        """
+        return self._rw.read()
+
+    def snapshot(self) -> "WorkspaceSnapshot":
+        """Pin the current workspace version for isolated execution.
+
+        Cheap (a few integers; nothing is copied).  The returned
+        :class:`~repro.service.snapshot.WorkspaceSnapshot` executes
+        queries against exactly this version and raises
+        :class:`~repro.service.concurrency.SnapshotExpired` once the
+        workspace has moved on.
+        """
+        return WorkspaceSnapshot(self)
+
+    @property
+    def epoch_waits(self) -> int:
+        """Times an update had to wait for in-flight snapshot queries."""
+        return self._rw.write_waits
+
+    @property
+    def service(self) -> "QueryService":
+        """The asynchronous serving front bound to this workspace."""
+        return self._service
+
+    def stream(self, queries: Iterable[Query]) -> Iterator[QueryResult]:
+        """Lazily execute ``queries`` in submission order as an iterator.
+
+        Each query takes its own read hold as the iterator advances —
+        updates may interleave *between* queries of a stream (use
+        :meth:`snapshot` + :meth:`~WorkspaceSnapshot.execute` to pin one
+        version across a whole stream instead).
+        """
+        return (self.execute(q) for q in queries)
+
+    # ------------------------------------------------------ legacy shortcuts
+    def conn(self, query: Segment,
+             config: Optional[ConnConfig] = None) -> ConnResult:
+        """Continuous obstructed NN query (k = 1) on this workspace."""
+        return self.execute(ConnQuery(query, config=config))
+
+    def coknn(self, query: Segment, k: int = 1,
+              config: Optional[ConnConfig] = None) -> ConnResult:
+        """Continuous obstructed k-NN query on this workspace."""
+        return self.execute(CoknnQuery(query, k, config=config))
+
+    def onn(self, x, y: Optional[float] = None, k: int = 1,
+            config: Optional[ConnConfig] = None
+            ) -> Tuple[List[Tuple[Any, float]], QueryStats]:
+        """Snapshot obstructed k-NN at a point on this workspace.
+
+        The point may be given as bare floats ``onn(x, y)``, as one tuple
+        ``onn((x, y))``, or as a :class:`~repro.geometry.point.Point`.
+        """
+        res = self.execute(OnnQuery(as_query_point(x, y), k, config=config))
+        return res.tuples(), res.stats
+
+    def range(self, x, y: Optional[float] = None,
+              radius: Optional[float] = None
+              ) -> Tuple[List[Tuple[Any, float]], QueryStats]:
+        """Obstructed range query at a point on this workspace.
+
+        Accepts ``range(x, y, radius)``, ``range((x, y), radius)``, or
+        ``range(Point(x, y), radius)``.
+        """
+        point, r = as_range_args(x, y, radius)
+        res = self.execute(RangeQuery(point, r))
+        return res.tuples(), res.stats
+
+    def trajectory(self, waypoints: Sequence[Tuple[float, float]], k: int = 1,
+                   config: Optional[ConnConfig] = None) -> TrajectoryResult:
+        """Trajectory CONN/COkNN; adjacent legs share retrieved obstacles."""
+        return self.execute(TrajectoryQuery(tuple(waypoints), k,
+                                            config=config))
+
+    # -------------------------------------------------------------- mutation
+    def add_site(self, payload: Any, x, y: Optional[float] = None) -> bool:
+        """Insert a data point; accepts ``(payload, x, y)`` or a point-like."""
+        pt = as_query_point(x, y)
+        return self._apply_one(AddSite(payload, pt.x, pt.y))
+
+    def remove_site(self, payload: Any, x,
+                    y: Optional[float] = None) -> bool:
+        """Delete a data point; True when it was found and removed."""
+        pt = as_query_point(x, y)
+        return self._apply_one(RemoveSite(payload, pt.x, pt.y))
+
+    def add_obstacle(self, obstacle: Obstacle) -> bool:
+        """Insert an obstacle (into every shard its MBR overlaps, on a
+        sharded workspace), surgically patching the obstacle caches."""
+        return self._apply_one(AddObstacle(obstacle))
+
+    def remove_obstacle(self, obstacle: Obstacle) -> bool:
+        """Delete an obstacle (every replica, on a sharded workspace),
+        evicting it from the obstacle caches.
+
+        Returns:
+            True when it was found and removed.
+        """
+        return self._apply_one(RemoveObstacle(obstacle))
+
+
+class Workspace(_ServingFront):
     """Shared state for answering many queries over one dataset.
 
     Args:
@@ -128,17 +266,7 @@ class Workspace:
         planner for warm queries (see :mod:`repro.routing`)."""
         self.per_query_backend = PerQueryVGBackend()
         """The throwaway-graph backend cold one-shot queries run on."""
-        self._service = QueryService(self)
-        self.version = 0
-        """Workspace mutation counter: bumped by every applied update.
-        Prepared :class:`~repro.query.planner.QueryPlan` objects record the
-        version they were planned at; the executor re-plans any plan whose
-        recorded version no longer matches."""
-        self._monitors = None
-        self._rw = ReadWriteLock()
-        self.snapshots_taken = 0
-        """Snapshots handed out by :meth:`snapshot` (a concurrency-stats
-        input)."""
+        super().__init__()
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -186,34 +314,6 @@ class Workspace:
             ((o, o.mbr()) for o in obstacles), page_size=page_size)
         return cls.from_trees(data_tree, obstacle_tree, **kwargs)
 
-    # ------------------------------------------------------------ snapshots
-    def read_lock(self):
-        """The workspace's shared read hold (a context manager).
-
-        Every query execution runs inside one; acquire it directly to pin
-        the workspace across *several* operations — e.g. a parallel batch
-        followed by a serial verification pass over the same state.
-        Re-entrant per thread; updates (:meth:`apply`) wait until all read
-        holds drain.
-        """
-        return self._rw.read()
-
-    def snapshot(self) -> "WorkspaceSnapshot":
-        """Pin the current workspace version for isolated execution.
-
-        Cheap (a few integers; nothing is copied).  The returned
-        :class:`~repro.service.snapshot.WorkspaceSnapshot` executes
-        queries against exactly this version and raises
-        :class:`~repro.service.concurrency.SnapshotExpired` once the
-        workspace has moved on.
-        """
-        return WorkspaceSnapshot(self)
-
-    @property
-    def epoch_waits(self) -> int:
-        """Times an update had to wait for in-flight snapshot queries."""
-        return self._rw.write_waits
-
     # -------------------------------------------------------------- warm-up
     def prefetch(self, rect: Rect, margin: float = 0.0) -> int:
         """Warm the obstacle cache for a rectangular region of interest."""
@@ -245,29 +345,6 @@ class Workspace:
 
             self._monitors = MonitorRegistry(self)
         return self._monitors
-
-    def add_site(self, payload: Any, x, y: Optional[float] = None) -> bool:
-        """Insert a data point; accepts ``(payload, x, y)`` or a point-like."""
-        pt = as_query_point(x, y)
-        return self._apply_one(AddSite(payload, pt.x, pt.y))
-
-    def remove_site(self, payload: Any, x,
-                    y: Optional[float] = None) -> bool:
-        """Delete a data point; True when it was found and removed."""
-        pt = as_query_point(x, y)
-        return self._apply_one(RemoveSite(payload, pt.x, pt.y))
-
-    def add_obstacle(self, obstacle: Obstacle) -> bool:
-        """Insert an obstacle, surgically patching the obstacle cache."""
-        return self._apply_one(AddObstacle(obstacle))
-
-    def remove_obstacle(self, obstacle: Obstacle) -> bool:
-        """Delete an obstacle, evicting it from the obstacle cache.
-
-        Returns:
-            True when it was found and removed.
-        """
-        return self._apply_one(RemoveObstacle(obstacle))
 
     def apply(self, updates: Iterable[Update]) -> List[bool]:
         """Apply a batch of typed updates in order.
@@ -340,12 +417,11 @@ class Workspace:
             self._monitors.notify(update)
         return applied
 
-    # ------------------------------------------------- declarative interface
-    @property
-    def service(self) -> "QueryService":
-        """The asynchronous serving front bound to this workspace."""
-        return self._service
+    def _versions(self) -> Tuple[int, ...]:
+        """What a snapshot pins: :attr:`version`, then the tree versions."""
+        return (self.version,) + tree_versions(self)
 
+    # ------------------------------------------------- declarative interface
     def backend_for(self, name: str) -> Optional[ObstructedDistanceBackend]:
         """Resolve a planned backend name to the workspace's instance.
 
@@ -396,8 +472,8 @@ class Workspace:
         Args:
             workers: with ``workers > 1``, locality buckets are
                 partitioned across a worker pool and executed in parallel
-                against one snapshot of this workspace (results identical
-                to serial execution; see :mod:`repro.query.parallel`).
+                under the batch's read hold (results identical to serial
+                execution; see :mod:`repro.query.parallel`).
             mode: ``"thread"`` (share this process's caches through their
                 locks) or ``"fork"`` (fan out over forked worker
                 processes — true multi-core parallelism; POSIX only).
@@ -409,61 +485,12 @@ class Workspace:
         if workers > 1:
             from ..query.parallel import execute_many_parallel
 
-            # Snapshot *inside* the read hold: this entry point promises
-            # plain thread-safety, so a concurrent apply() between pinning
-            # and verification must wait for the batch rather than expire
-            # it (explicit snapshots, which can expire, stay available via
-            # WorkspaceSnapshot.execute_many).
-            with self._rw.read():
-                return execute_many_parallel(self.snapshot(), queries,
-                                             schedule=schedule,
-                                             workers=workers, mode=mode)
+            # The batch's read hold pins the version, so a concurrent
+            # apply() waits for the batch instead of expiring it.
+            return execute_many_parallel(self, queries, schedule=schedule,
+                                         workers=workers, mode=mode)
         with self._rw.read():
             return _execute_many(self, queries, schedule=schedule)
-
-    def stream(self, queries: Iterable[Query]) -> Iterator[QueryResult]:
-        """Lazily execute ``queries`` in submission order as an iterator.
-
-        Each query takes its own read hold as the iterator advances —
-        updates may interleave *between* queries of a stream (use
-        :meth:`snapshot` + :meth:`~WorkspaceSnapshot.execute` to pin one
-        version across a whole stream instead).
-        """
-        return (self.execute(q) for q in queries)
-
-    # ------------------------------------------------------ legacy shortcuts
-    def conn(self, query: Segment,
-             config: Optional[ConnConfig] = None) -> ConnResult:
-        """Continuous obstructed NN query (k = 1) on this workspace."""
-        return self.execute(ConnQuery(query, config=config))
-
-    def coknn(self, query: Segment, k: int = 1,
-              config: Optional[ConnConfig] = None) -> ConnResult:
-        """Continuous obstructed k-NN query on this workspace."""
-        return self.execute(CoknnQuery(query, k, config=config))
-
-    def onn(self, x, y: Optional[float] = None, k: int = 1,
-            config: Optional[ConnConfig] = None
-            ) -> Tuple[List[Tuple[Any, float]], QueryStats]:
-        """Snapshot obstructed k-NN at a point on this workspace.
-
-        The point may be given as bare floats ``onn(x, y)``, as one tuple
-        ``onn((x, y))``, or as a :class:`~repro.geometry.point.Point`.
-        """
-        res = self.execute(OnnQuery(as_query_point(x, y), k, config=config))
-        return res.tuples(), res.stats
-
-    def range(self, x, y: Optional[float] = None,
-              radius: Optional[float] = None
-              ) -> Tuple[List[Tuple[Any, float]], QueryStats]:
-        """Obstructed range query at a point on this workspace.
-
-        Accepts ``range(x, y, radius)``, ``range((x, y), radius)``, or
-        ``range(Point(x, y), radius)``.
-        """
-        point, r = as_range_args(x, y, radius)
-        res = self.execute(RangeQuery(point, r))
-        return res.tuples(), res.stats
 
     def batch(self, queries: Sequence[Segment], k: int = 1,
               config: Optional[ConnConfig] = None) -> List[ConnResult]:
@@ -476,21 +503,15 @@ class Workspace:
             [CoknnQuery(q, k, config=config) for q in queries],
             schedule="fifo")
 
-    def trajectory(self, waypoints: Sequence[Tuple[float, float]], k: int = 1,
-                   config: Optional[ConnConfig] = None) -> TrajectoryResult:
-        """Trajectory CONN/COkNN; adjacent legs share retrieved obstacles."""
-        return self.execute(TrajectoryQuery(tuple(waypoints), k,
-                                            config=config))
-
 
 class QueryService:
     """The asynchronous serving front of a workspace.
 
     :meth:`serve` starts a background worker pool and :meth:`submit`
     hands it typed queries, returning futures; each query runs through the
-    workspace's own :meth:`~Workspace.execute`, so anything with an
-    ``execute`` method (a :class:`Workspace` or a
-    :class:`~repro.shard.ShardedWorkspace`) can sit behind it.
+    workspace's own ``execute``.  Every :class:`Workspace` and
+    :class:`~repro.shard.ShardedWorkspace` owns one (its ``service``
+    property, part of the front both classes share).
     """
 
     def __init__(self, workspace: Any):

@@ -34,7 +34,7 @@ from .partition import (
     Partitioner,
     bounds_of,
 )
-from .sharded import ShardedSnapshot, ShardedWorkspace
+from .sharded import ShardedWorkspace
 from .stats import ShardStats
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "Partitioner",
     "ShardMonitorRegistry",
     "ShardStats",
-    "ShardedSnapshot",
     "ShardedWorkspace",
     "bounds_of",
 ]

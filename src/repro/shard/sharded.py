@@ -39,8 +39,9 @@ obstacle caches' views grow together, and a per-query visibility graph
 charged to a member shard's tracker.
 
 Updates fan out through :meth:`ShardedWorkspace.apply` only to affected
-shards; per-shard snapshot isolation falls out of each shard's
-:meth:`~repro.service.workspace.Workspace.snapshot`; and
+shards; ``snapshot()`` hands out the same
+:class:`~repro.service.snapshot.WorkspaceSnapshot` a single workspace
+does, pinning every shard's version and tree versions; and
 :meth:`execute_many` schedules shard-local batches across the thread /
 fork worker pool machinery of :mod:`repro.query.parallel`.
 """
@@ -61,26 +62,20 @@ from typing import (
     Tuple,
 )
 
-from ..core.config import ConnConfig
 from ..geometry.point import require_finite_points
 from ..geometry.rectangle import Rect
-from ..geometry.segment import Segment
 from ..monitor.monitor import influence_radius
 from ..obstacles.obstacle import Obstacle
 from ..query.executor import _run_plan, split_batch
 from ..query.planner import QueryPlan
 from ..query.queries import (
     CoknnQuery,
-    ConnQuery,
     OnnQuery,
     Query,
     RangeQuery,
     TrajectoryQuery,
-    as_query_point,
-    as_range_args,
 )
 from ..query.results import QueryResult
-from ..service.concurrency import ReadWriteLock, SnapshotExpired
 from ..service.updates import (
     AddObstacle,
     AddSite,
@@ -88,20 +83,22 @@ from ..service.updates import (
     RemoveSite,
     Update,
 )
-from ..service.workspace import QueryService, Workspace
+from ..service.workspace import Workspace, _ServingFront
 from .partition import GridPartitioner, Partitioner, bounds_of
 from .stats import ShardStats
 
 
-class ShardedWorkspace:
+class ShardedWorkspace(_ServingFront):
     """Many per-region workspaces serving as one, with exact borders.
 
     Build one with :meth:`from_points` (fresh indexes, partitioned) or
     :meth:`from_workspace` (re-shard an existing 2T workspace).  The
-    execution surface mirrors :class:`~repro.service.workspace.Workspace`
-    — ``plan`` / ``execute`` / ``execute_many`` / ``stream``, the classic
-    shorthands, ``apply`` and the update helpers, ``monitors``,
-    ``snapshot()`` — so call sites can swap one in unchanged.
+    serving front is the one :class:`~repro.service.workspace.Workspace`
+    has — ``stream``, the classic shorthands, the update helpers,
+    ``read_lock()``, ``snapshot()``, ``service`` and ``epoch_waits`` are
+    shared, not copied — and ``plan`` / ``execute`` / ``execute_many`` /
+    ``apply`` / ``monitors`` take the same arguments, so call sites can
+    swap one in unchanged.
 
     Args:
         shards: the per-shard workspaces, indexed by shard id.
@@ -121,21 +118,15 @@ class ShardedWorkspace:
             if ws.layout != "2T":
                 raise ValueError("sharded workspaces require the 2T layout "
                                  "(per-shard obstacle trees)")
+        super().__init__()
         self.shards = list(shards)
         self.partitioner = partitioner
         self.backend = backend
         self.layout = "2T"
-        self.version = 0
-        """Mutation counter: bumped by every applied update (the sharded
-        analogue of :attr:`Workspace.version`)."""
         self.stats = ShardStats()
         """Cumulative :class:`~repro.shard.stats.ShardStats` across every
         routed query and applied update."""
-        self.snapshots_taken = 0
-        self._rw = ReadWriteLock()
         self._stats_lock = threading.Lock()
-        self._monitors = None
-        self._service = QueryService(self)
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -212,21 +203,17 @@ class ShardedWorkspace:
         """Total sites across shards (sites are never replicated)."""
         return sum(ws.data_tree.size for ws in self.shards)
 
-    def read_lock(self):
-        """The sharded read hold (see :meth:`Workspace.read_lock`)."""
-        return self._rw.read()
+    def _stamp(self, sids: FrozenSet[int]) -> Tuple[int, ...]:
+        """Every member shard's version and tree versions, in shard order:
+        what a plan over ``sids`` was built at (a single shard's plan
+        records exactly its own)."""
+        return tuple(v for sid in sorted(sids)
+                     for v in self.shards[sid]._versions())
 
-    def snapshot(self) -> "ShardedSnapshot":
-        """Pin the current cross-shard version for isolated execution."""
-        return ShardedSnapshot(self)
-
-    @property
-    def service(self) -> QueryService:
-        """An async serving front (``serve`` / ``submit``) routing through
-        this sharded workspace's :meth:`execute` — the same
-        :class:`~repro.service.workspace.QueryService` single workspaces
-        use."""
-        return self._service
+    def _versions(self) -> Tuple[int, ...]:
+        """What a snapshot pins: :attr:`version`, then every shard's
+        version and tree versions."""
+        return (self.version,) + self._stamp(self.partitioner.all_shards())
 
     # --------------------------------------------------------------- warm-up
     def prefetch(self, rect: Rect, margin: float = 0.0) -> int:
@@ -284,13 +271,15 @@ class ShardedWorkspace:
         cache and I/O estimates describe every member the run reads: the
         distinct obstacles their caches hold and their capsules, warm
         only when every member's coverage proves the footprint cached,
-        and page reads summed over the member trees.
+        and page reads summed over the member trees; its versions are
+        every member's (:meth:`_stamp`).
         """
         if len(sids) == 1:
             return self.shards[min(sids)].plan(query, backend=backend)
         members = [self.shards[sid] for sid in sorted(sids)]
         plans = [m.plan(query, backend="per-query") for m in members]
         plan = plans[0]
+        plan.tree_versions = self._stamp(sids)[1:]
         plan.cached_obstacles = len(set().union(
             *(m.cache.obstacles for m in members)))
         plan.capsules = sum(p.capsules for p in plans)
@@ -305,22 +294,28 @@ class ShardedWorkspace:
         The per-query :class:`ShardStats` block is attached to
         ``result.stats.shard`` but *not yet* merged into the cumulative
         workspace stats (callers differ: thread-mode execution merges here,
-        fork-mode merges pickled blocks back in the parent).
+        fork-mode merges pickled blocks back in the parent).  A prepared
+        plan runs as the first round while the home shards are still at
+        the versions it was built at; a stale one re-plans under the same
+        backend pin.
         """
-        backend = None
+        plan = backend = None
         if isinstance(query, QueryPlan):
-            backend = query.backend_override
-            query = query.query
+            plan, backend, query = query, query.backend_override, query.query
         if not isinstance(query, Query):
             raise TypeError(
                 f"expected a Query description, got {type(query)!r}")
         sids = self._initial_shards(query)
+        if plan is not None and ((plan.workspace_version, *plan.tree_versions)
+                                 != self._stamp(sids)):
+            plan = None
         expansions = 0
         route_t = reexec_t = 0.0
         clock = time.perf_counter
         while True:
             t0 = clock()
-            plan = self._plan(sids, query, backend)
+            if plan is None:
+                plan = self._plan(sids, query, backend)
             members = [self.shards[sid] for sid in sorted(sids)]
             # Several shards are read in place (see the module docstring).
             result = (members[0].execute(plan) if len(members) == 1
@@ -334,6 +329,7 @@ class ShardedWorkspace:
                 break
             sids = frozenset(sids | needed)
             expansions += 1
+            plan = None
         block = ShardStats(queries=1,
                            by_shard={sid: 1 for sid in sorted(sids)},
                            border_expansions=expansions, fanout=len(sids),
@@ -385,10 +381,6 @@ class ShardedWorkspace:
             result, block = self._route(query)
         self._record(block)
         return result
-
-    def stream(self, queries: Iterable[Query]):
-        """Lazily execute ``queries`` in submission order."""
-        return (self.execute(q) for q in queries)
 
     def execute_many(self, queries: Iterable[Query], *,
                      workers: int = 1, mode: str = "thread"
@@ -450,35 +442,6 @@ class ShardedWorkspace:
             groups.setdefault(home, []).append(i)
         return [groups[sid] for sid in sorted(groups)], tail
 
-    # ------------------------------------------------------ legacy shortcuts
-    def conn(self, query: Segment, config: Optional[ConnConfig] = None):
-        """Continuous obstructed NN query (k = 1), routed across shards."""
-        return self.execute(ConnQuery(query, config=config))
-
-    def coknn(self, query: Segment, k: int = 1,
-              config: Optional[ConnConfig] = None):
-        """Continuous obstructed k-NN query, routed across shards."""
-        return self.execute(CoknnQuery(query, k, config=config))
-
-    def onn(self, x, y: Optional[float] = None, k: int = 1,
-            config: Optional[ConnConfig] = None):
-        """Snapshot obstructed k-NN at a point, routed across shards."""
-        res = self.execute(OnnQuery(as_query_point(x, y), k, config=config))
-        return res.tuples(), res.stats
-
-    def range(self, x, y: Optional[float] = None,
-              radius: Optional[float] = None):
-        """Obstructed range query at a point, routed across shards."""
-        point, r = as_range_args(x, y, radius)
-        res = self.execute(RangeQuery(point, r))
-        return res.tuples(), res.stats
-
-    def trajectory(self, waypoints: Sequence[Tuple[float, float]],
-                   k: int = 1, config: Optional[ConnConfig] = None):
-        """Trajectory CONN/COkNN along a polyline, routed across shards."""
-        return self.execute(TrajectoryQuery(tuple(waypoints), k,
-                                            config=config))
-
     # -------------------------------------------------------------- mutation
     @property
     def monitors(self):
@@ -495,25 +458,6 @@ class ShardedWorkspace:
 
             self._monitors = ShardMonitorRegistry(self)
         return self._monitors
-
-    def add_site(self, payload: Any, x, y: Optional[float] = None) -> bool:
-        """Insert a data point into its owning shard."""
-        pt = as_query_point(x, y)
-        return self._apply_one(AddSite(payload, pt.x, pt.y))
-
-    def remove_site(self, payload: Any, x,
-                    y: Optional[float] = None) -> bool:
-        """Delete a data point from its owning shard."""
-        pt = as_query_point(x, y)
-        return self._apply_one(RemoveSite(payload, pt.x, pt.y))
-
-    def add_obstacle(self, obstacle: Obstacle) -> bool:
-        """Insert an obstacle into every shard its MBR overlaps."""
-        return self._apply_one(AddObstacle(obstacle))
-
-    def remove_obstacle(self, obstacle: Obstacle) -> bool:
-        """Delete an obstacle (all replicas); True when it was found."""
-        return self._apply_one(RemoveObstacle(obstacle))
 
     def apply(self, updates: Iterable[Update]) -> List[bool]:
         """Apply a batch of typed updates, fanning out to affected shards.
@@ -551,64 +495,6 @@ class ShardedWorkspace:
         return applied
 
 
-class ShardedSnapshot:
-    """A pinned cross-shard version (see :class:`WorkspaceSnapshot`).
-
-    Pins the sharded mutation counter plus every shard's own version;
-    execution re-verifies under the sharded read hold and raises
-    :class:`~repro.service.concurrency.SnapshotExpired` once any shard has
-    moved on.  Cheap — a tuple of integers.
-    """
-
-    def __init__(self, sharded: ShardedWorkspace):
-        self._sws = sharded
-        with sharded.read_lock():
-            self.version = sharded.version
-            self.shard_versions: Tuple[int, ...] = tuple(
-                ws.version for ws in sharded.shards)
-        sharded.snapshots_taken += 1
-
-    @property
-    def workspace(self) -> ShardedWorkspace:
-        """The live sharded workspace this snapshot pins."""
-        return self._sws
-
-    @property
-    def expired(self) -> bool:
-        """True once any shard mutated past the pinned version."""
-        return (self._sws.version != self.version
-                or tuple(ws.version for ws in self._sws.shards)
-                != self.shard_versions)
-
-    def verify(self) -> None:
-        """Raise :class:`SnapshotExpired` when :attr:`expired`."""
-        if self.expired:
-            raise SnapshotExpired(
-                f"sharded workspace moved from version {self.version} to "
-                f"{self._sws.version}; take a fresh snapshot")
-
-    def execute(self, query: Query | QueryPlan) -> QueryResult:
-        """Execute one query against the pinned cross-shard version."""
-        with self._sws.read_lock():
-            self.verify()
-            return self._sws.execute(query)
-
-    def execute_many(self, queries: Iterable[Query], *,
-                     workers: int = 1, mode: str = "thread"
-                     ) -> List[QueryResult]:
-        """Execute a batch against the pinned version (one read hold)."""
-        with self._sws.read_lock():
-            self.verify()
-            return self._sws.execute_many(queries, workers=workers,
-                                          mode=mode)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "expired" if self.expired else "live"
-        return (f"ShardedSnapshot(version={self.version}, "
-                f"shards={self.shard_versions}, {state})")
-
-
 __all__ = [
-    "ShardedSnapshot",
     "ShardedWorkspace",
 ]

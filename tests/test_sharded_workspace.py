@@ -11,6 +11,8 @@ read in place) that randomized equivalence checks cannot pin down.
 from __future__ import annotations
 
 import random
+import threading
+import time
 
 import pytest
 
@@ -34,10 +36,10 @@ from repro import (
     SnapshotExpired,
     TrajectoryQuery,
     Workspace,
+    WorkspaceSnapshot,
 )
 from repro.index import RStarTree
 from repro.shard import HilbertPartitioner
-from repro.shard.sharded import ShardedSnapshot
 from tests.conftest import random_scene
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
@@ -386,7 +388,7 @@ class TestSnapshots:
     def test_snapshot_expires_on_any_shard_mutation(self):
         ws, sws = build_pair()
         snap = sws.snapshot()
-        assert isinstance(snap, ShardedSnapshot)
+        assert isinstance(snap, WorkspaceSnapshot)
         assert not snap.expired
         snap.execute(OnnQuery((20, 20), knn=2))
         sws.add_site(999, 21.0, 21.0)
@@ -395,6 +397,23 @@ class TestSnapshots:
             snap.execute(OnnQuery((20, 20), knn=2))
         assert sws.snapshots_taken == 1
 
+    @pytest.mark.parametrize("tree", ["data_tree", "obstacle_tree"])
+    def test_snapshot_pins_shard_trees(self, tree):
+        """An unannounced mutation of a shard's tree expires a sharded
+        snapshot, as it does a plain workspace's."""
+        _ws, sws = build_pair()
+        snap = sws.snapshot()
+        target = getattr(sws.shards[0], tree)
+        if tree == "data_tree":
+            target.insert_point(999, 10.0, 10.0)
+        else:
+            wall = RectObstacle(1.0, 1.0, 2.0, 2.0)
+            target.insert(wall, wall.mbr())
+        assert sws.version == snap.workspace_version
+        assert snap.expired
+        with pytest.raises(SnapshotExpired):
+            snap.execute(OnnQuery((20, 20), knn=2))
+
     def test_snapshot_execute_many(self):
         ws, sws = build_pair()
         queries = [OnnQuery((25, 25), knn=2), RangeQuery((60, 60), 15.0)]
@@ -402,6 +421,118 @@ class TestSnapshots:
         got = [r.tuples() for r in snap.execute_many(queries)]
         want = [ws.execute(q).tuples() for q in queries]
         assert got == want
+
+
+def plan_scene():
+    """An unsharded workspace and its 2x2 twin with known home sets."""
+    points = [(0, (10.0, 10.0)), (1, (12.0, 10.0)), (2, (45.0, 12.0)),
+              (3, (55.0, 12.0)), (4, (90.0, 90.0))]
+    ws = Workspace.from_points(points, [])
+    sws = ShardedWorkspace.from_points(points, [],
+                                       partitioner=quad_partitioner())
+    return ws, sws
+
+
+def count_plans(monkeypatch):
+    """Record the (shard set, backend pin) of every router plan."""
+    calls = []
+    plan = ShardedWorkspace._plan
+
+    def counting(self, sids, query, backend):
+        calls.append((sids, backend))
+        return plan(self, sids, query, backend)
+
+    monkeypatch.setattr(ShardedWorkspace, "_plan", counting)
+    return calls
+
+
+PLAN_CASES = [
+    # (query, its home shards, a new site in the home set's last shard)
+    (OnnQuery((10, 10), knn=1), {0}, (11.0, 11.0)),
+    (ConnQuery(Segment(40, 10, 60, 10)), {0, 1}, (70.0, 20.0)),
+]
+
+
+class TestPlanOnce:
+    @pytest.mark.parametrize("query, home, _site", PLAN_CASES)
+    def test_current_plan_runs_as_planned(self, monkeypatch, query, home,
+                                          _site):
+        ws, sws = plan_scene()
+        calls = count_plans(monkeypatch)
+        result = sws.execute(sws.plan(query))
+        assert calls == [(frozenset(home), None)]
+        assert result.stats.shard.border_expansions == 0
+        assert result.tuples() == ws.execute(query).tuples()
+
+    @pytest.mark.parametrize("query, home, site", PLAN_CASES)
+    def test_stale_plan_replans_under_its_pin(self, monkeypatch, query,
+                                              home, site):
+        ws, sws = plan_scene()
+        plan = sws.plan(query, backend="shared")
+        assert ws.add_site(99, *site) and sws.add_site(99, *site)
+        calls = count_plans(monkeypatch)
+        result = sws.execute(plan)
+        # A border plan is pinned per-query (see ShardedWorkspace._plan).
+        assert calls == [(frozenset(home), plan.backend_override)]
+        assert plan.backend_override == ("shared" if len(home) == 1
+                                         else "per-query")
+        assert result.tuples() == ws.execute(query).tuples()
+
+
+class TestFrontParity:
+    """The front both classes share answers the same on both."""
+
+    def test_shared_front_matches_unsharded(self):
+        ws, sws = build_pair(rng_seed=9)
+        seg = Segment(20, 20, 70, 30)
+        walk = ((10.0, 10.0), (40.0, 60.0), (80.0, 70.0))
+        queries = [ConnQuery(seg), CoknnQuery(seg, 2),
+                   OnnQuery((50, 50), knn=2), RangeQuery((40, 40), 18.0),
+                   TrajectoryQuery(walk, 2)]
+
+        def front(w):
+            out = [w.conn(seg).tuples(), w.coknn(seg, 2).tuples(),
+                   w.onn(50, 50, k=2)[0], w.range(40, 40, 18.0)[0],
+                   w.trajectory(walk, 2).tuples()]
+            out += [r.tuples() for r in w.stream(queries)]
+            with w.service.serve(workers=2) as svc:
+                futures = [svc.submit(q) for q in queries]
+                out += [f.result(timeout=120).tuples() for f in futures]
+            snap = w.snapshot()
+            out += [snap.execute(q).tuples() for q in queries]
+            out += [r.tuples() for r in snap.execute_many(queries)]
+            out += [r.tuples()
+                    for r in snap.execute_many(queries, workers=2)]
+            return out
+
+        def updates(w):
+            wall = RectObstacle(47.0, 47.0, 47.5, 47.5)
+            return [w.add_site(900, 30.0, 30.0),
+                    w.remove_site(900, 30.0, 30.0),
+                    w.remove_site(900, 30.0, 30.0),
+                    w.add_obstacle(wall), w.remove_obstacle(wall),
+                    w.remove_obstacle(wall), w.add_site(901, 52.0, 48.0)]
+
+        assert front(sws) == front(ws)
+        assert updates(sws) == updates(ws) == [True, True, False, True,
+                                               True, False, True]
+        assert front(sws) == front(ws)
+        assert sws.snapshots_taken == ws.snapshots_taken == 2
+
+    def test_epoch_waits_count_blocked_updates(self):
+        ws, sws = build_pair()
+        for w in (ws, sws):
+            writer = threading.Thread(target=w.add_site,
+                                      args=(902, 30.0, 30.0))
+            with w.read_lock():
+                writer.start()
+                deadline = time.monotonic() + 60
+                while w.epoch_waits == 0 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+        assert sws.epoch_waits == ws.epoch_waits == 1
+        assert sws.onn(30, 30)[0] == ws.onn(30, 30)[0]
 
 
 class TestExecuteMany:
